@@ -136,3 +136,23 @@ def test_category_filtered_build(tmp_path, capsys):
     assert status == 0
     lines = read_data_lines(out)
     assert lines == ["EU", "US", "EU\tUS\t1"]
+
+
+def test_decompose_unreachable_tolerance_exits_one(tmp_path, capsys):
+    # an 80-node ring with chords: one component above the dense limit
+    nodes = [f"N{i:02d}" for i in range(80)]
+    edges = {(nodes[i], nodes[(i + 1) % 80]): 1 + i % 4 for i in range(80)}
+    edges.update({(nodes[i], nodes[(7 * i + 3) % 80]): 2
+                  for i in range(0, 80, 5)})
+    lines = ["# level\tinstitution", *nodes]
+    lines += [f"{a}\t{b}\t{c}" for (a, b), c in sorted(edges.items())]
+    net = tmp_path / "net.tsv"
+    net.write_text("\n".join(lines) + "\n")
+    status = run(["decompose", "--net", str(net), "--tol", "1e-300",
+                  "--out", str(tmp_path / "hodge")])
+    assert status == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ")
+    assert "(80 nodes, core of 80 after leaf elimination" in err[0]
+    assert "Traceback" not in err[0]

@@ -1,11 +1,13 @@
 import random
+import re
+import time
 
 import numpy as np
 import pytest
 
-from sanctionflow import (FlowNetwork, PipelineError, assemble_laplacian,
-                          decompose, flow_ratios, solve, solve_potentials,
-                          symmetrize)
+from sanctionflow import (ConvergenceError, FlowNetwork, PipelineError,
+                          assemble_laplacian, decompose, flow_ratios, hodge,
+                          solve, solve_potentials, symmetrize)
 from conftest import make_flow, make_network, random_flow
 from oracles import dense_potential_oracle, oracle_ratios
 
@@ -217,3 +219,136 @@ def test_large_component_uses_cg_and_matches_oracle():
 def test_residual_norm_is_small(feed_forward_triangle):
     _, d = solve_net(feed_forward_triangle)
     assert d.residual_norm < 1e-12
+
+
+def test_many_two_node_components_solve_quickly():
+    # 16k disjoint pairs: the per-component work must not rescan every pair
+    n_pairs = 16_000
+    nodes = tuple(f"P{k:05d}{end}" for k in range(n_pairs) for end in "ab")
+    pairs = {(f"P{k:05d}a", f"P{k:05d}b"): (float(k % 5 - 2), 1.0 + k % 3)
+             for k in range(n_pairs)}
+    system = assemble_laplacian(FlowNetwork(nodes=nodes, pairs=pairs,
+                                            weight_mode="unit"))
+    assert len(system.components) == n_pairs
+    start = time.perf_counter()
+    pv = solve_potentials(system, TOL)
+    assert time.perf_counter() - start < 3.0
+    for (a, b), (f, w) in pairs.items():
+        assert pv.phi[a] == pytest.approx(f / (2 * w), abs=1e-12)
+        assert pv.phi[b] == pytest.approx(-f / (2 * w), abs=1e-12)
+
+
+def test_weighted_path_is_solved_exactly():
+    # weights from 1 to 1e6 along a 5000-node path; flows scale with the
+    # weights (|F| <= w), as symmetrize's mean mode gives (|F| <= 2w)
+    n = 5000
+    w = np.logspace(0, 6, n - 1)
+    u = np.random.default_rng(5).uniform(-1.0, 1.0, n - 1)
+    nodes = tuple(f"N{i:04d}" for i in range(n))
+    pairs = {(nodes[i], nodes[i + 1]): (float(u[i] * w[i]), float(w[i]))
+             for i in range(n - 1)}
+    flow = FlowNetwork(nodes=nodes, pairs=pairs, weight_mode="mean")
+    start = time.perf_counter()
+    pv = solve_potentials(assemble_laplacian(flow), TOL)
+    assert time.perf_counter() - start < 3.0
+    d = decompose(flow, pv)
+    assert d.loop_ratio <= 1e-10
+    for i in range(n - 1):
+        f, wi = pairs[(nodes[i], nodes[i + 1])]
+        assert pv.phi[nodes[i]] - pv.phi[nodes[i + 1]] == pytest.approx(
+            f / wi, abs=1e-9)
+
+
+def _cyclic_core_with_trees(rng, core=100):
+    """A ring with chords (every core node has degree >= 2), plus chains
+    of 1-5 nodes hanging off it and leaves hanging off the chains."""
+    pairs = {}
+
+    def add(a, b):
+        pairs[(a, b)] = (float(rng.randint(-3, 3)), rng.uniform(1e-3, 1.0))
+
+    ring = [f"C{i:03d}" for i in range(core)]
+    for i in range(core):
+        add(ring[i], ring[(i + 1) % core])
+    for _ in range(core // 2):
+        a, b = rng.sample(ring, 2)
+        if (b, a) not in pairs:
+            add(a, b)
+    for t in range(40):
+        prev = rng.choice(ring)
+        for k in range(rng.randint(1, 5)):
+            node = f"T{t:02d}-{k}"
+            add(prev, node)
+            if rng.random() < 0.3:
+                add(node, f"T{t:02d}-{k}-leaf")
+            prev = node
+    return make_flow(pairs)
+
+
+def test_leaf_elimination_and_core_pcg_match_dense_oracle():
+    rng = random.Random(2011)
+    for trial in range(3):
+        flow = _cyclic_core_with_trees(rng)
+        assert len(flow.nodes) > 2 * hodge.DENSE_LIMIT
+        pv = solve_potentials(assemble_laplacian(flow), TOL)
+        oracle = dense_potential_oracle(flow)
+        for node in flow.nodes:
+            assert pv.phi[node] == pytest.approx(oracle[node], abs=1e-8)
+
+
+def test_large_tree_matches_dense_oracle():
+    # a pure tree reduces to a one-node core and is solved exactly
+    rng = random.Random(4)
+    n = 300
+    nodes = [f"N{i:03d}" for i in range(n)]
+    pairs = {(nodes[rng.randrange(i)], nodes[i]):
+             (float(rng.randint(-3, 3)), rng.uniform(1e-3, 1.0))
+             for i in range(1, n)}
+    flow = make_flow(pairs, nodes=nodes)
+    pv = solve_potentials(assemble_laplacian(flow), TOL)
+    oracle = dense_potential_oracle(flow)
+    for node in flow.nodes:
+        assert pv.phi[node] == pytest.approx(oracle[node], abs=1e-8)
+    assert decompose(flow, pv).loop_ratio <= 1e-10
+
+
+def test_unreachable_tolerance_names_the_component():
+    rng = random.Random(123)
+    flow = random_flow(rng, 150, edge_prob=0.08)
+    system = assemble_laplacian(flow)
+    assert len(system.components) == 1
+    start = time.perf_counter()
+    with pytest.raises(ConvergenceError) as info:
+        solve_potentials(system, 1e-300)
+    assert time.perf_counter() - start < 5.0
+    message = str(info.value)
+    assert re.search(r"component 0 \(150 nodes, core of 150 after leaf "
+                     r"elimination, \d+ iterations\)", message), message
+    assert "achieved residual" in message
+    assert info.value.residual > 0.0
+
+
+def test_decompose_residual_without_reassembly(monkeypatch):
+    rng = random.Random(21)
+    flow = random_flow(rng, 40)
+    pv = solve_potentials(assemble_laplacian(flow), TOL)
+    idx = {node: k for k, node in enumerate(flow.nodes)}
+    lap = np.zeros((len(idx), len(idx)))
+    rhs = np.zeros(len(idx))
+    for (a, b), (f, w) in flow.pairs.items():
+        i, j = idx[a], idx[b]
+        lap[[i, j], [i, j]] += w
+        lap[i, j] -= w
+        lap[j, i] -= w
+        rhs[i] += f
+        rhs[j] -= f
+    phi = np.array([pv.phi[node] for node in flow.nodes])
+    expected = float(np.abs(lap @ phi - rhs).max())
+
+    def fail(_flow):
+        raise AssertionError("decompose re-assembled the Laplacian")
+
+    monkeypatch.setattr(hodge, "assemble_laplacian", fail)
+    d = decompose(flow, pv)
+    assert d.residual_norm == pytest.approx(expected, abs=1e-13)
+    assert d.residual_norm < 1e-9
