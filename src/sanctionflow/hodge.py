@@ -82,128 +82,230 @@ def assemble_laplacian(flow: FlowNetwork) -> LaplacianSystem:
                            components=_components(n, weights))
 
 
-def _dense_solve(weights, rhs, comp):
+def _pair_arrays(weights: Mapping[tuple[int, int], float]):
+    """Endpoint index arrays and weights of the pairs, in insertion order."""
+    m = len(weights)
+    ends = np.fromiter((k for pair in weights for k in pair), dtype=np.intp,
+                       count=2 * m).reshape(m, 2)
+    return ends[:, 0], ends[:, 1], np.fromiter(weights.values(), float, m)
+
+
+def _net_out(rows, cols, values, n):
+    """Per-node sum of ``values`` leaving minus entering along each pair."""
+    return (np.bincount(rows, values, minlength=n)
+            - np.bincount(cols, values, minlength=n))
+
+
+def _dense_solve(rows, cols, wvec, rhs):
     """Direct solve of (L + J/n) phi = f; the J/n shift pins the mean to 0."""
-    pos = {g: k for k, g in enumerate(comp)}
-    n = len(comp)
+    n = len(rhs)
     lap = np.full((n, n), 1.0 / n)
-    for (i, j), w in weights.items():
-        a, b = pos[i], pos[j]
+    for a, b, w in zip(rows.tolist(), cols.tolist(), wvec.tolist()):
         lap[a, a] += w
         lap[b, b] += w
         lap[a, b] -= w
         lap[b, a] -= w
-    return np.linalg.solve(lap, rhs[list(comp)])
+    return np.linalg.solve(lap, rhs)
 
 
-def _cg_solve(weights, rhs, comp, tol, max_iter):
-    """Conjugate gradient on the component Laplacian, re-centered each step."""
-    pos = {g: k for k, g in enumerate(comp)}
-    n = len(comp)
-    rows = np.array([pos[i] for (i, j) in weights])
-    cols = np.array([pos[j] for (i, j) in weights])
-    wvec = np.array([w for w in weights.values()])
+def _eliminate_leaves(rows, cols, n):
+    """Partial Cholesky order: repeatedly remove a degree-1 vertex.
+
+    Returns (leaf, parent, pair) in elimination order, where ``pair``
+    indexes the leaf's one remaining pair, to ``parent``. A pure tree
+    leaves a single vertex behind.
+    """
+    deg = (np.bincount(rows, minlength=n)
+           + np.bincount(cols, minlength=n)).tolist()
+    pair_ids = np.arange(len(rows), dtype=float)
+    # sum of the ids of each vertex's remaining pairs: at degree 1 it is
+    # the id of the last one (exact in float64 below 2**53)
+    pair_sum = (np.bincount(rows, pair_ids, minlength=n)
+                + np.bincount(cols, pair_ids, minlength=n)).astype(np.int64).tolist()
+    ends_sum = (rows + cols).tolist()
+    stack = [v for v in range(n) if deg[v] == 1]
+    order = []
+    while stack:
+        leaf = stack.pop()
+        if deg[leaf] != 1:
+            continue
+        e = pair_sum[leaf]
+        parent = ends_sum[e] - leaf
+        deg[leaf] = 0
+        deg[parent] -= 1
+        pair_sum[parent] -= e
+        order.append((leaf, parent, e))
+        if deg[parent] == 1:
+            stack.append(parent)
+    return order
+
+
+def _pcg(rows, cols, wvec, rhs, threshold, max_iter):
+    """Jacobi-preconditioned CG on a connected Laplacian, one matvec per
+    iteration. Stops when the recurrence residual meets ``threshold`` and a
+    true residual confirms it; a true residual that misses restarts the
+    recurrence from it. Returns (x, iterations, max|L x - rhs|)."""
+    n = len(rhs)
 
     def matvec(x):
-        y = np.zeros(n)
-        d = wvec * (x[rows] - x[cols])
-        np.add.at(y, rows, d)
-        np.add.at(y, cols, -d)
-        return y
+        return _net_out(rows, cols, wvec * (x[rows] - x[cols]), n)
 
-    b = rhs[list(comp)]
-    b = b - b.mean()
+    inv_diag = 1.0 / (np.bincount(rows, wvec, minlength=n)
+                      + np.bincount(cols, wvec, minlength=n))
+    b = rhs - rhs.mean()
     x = np.zeros(n)
     r = b.copy()
-    d = r.copy()
-    rs = float(r @ r)
-    threshold = tol * max(1.0, float(np.abs(b).max(initial=0.0)))
-    for _ in range(max_iter):
-        if np.abs(matvec(x) - b).max(initial=0.0) <= threshold:
+    z = inv_diag * r
+    d = z.copy()
+    rz = float(r @ z)
+    for it in range(max_iter + 1):
+        if np.abs(r).max(initial=0.0) <= threshold:
+            r = b - matvec(x)
+            residual = float(np.abs(r).max(initial=0.0))
+            if residual <= threshold:
+                return x, it, residual
+            z = inv_diag * r
+            d = z.copy()
+            rz = float(r @ z)
+        if it == max_iter:
             break
         ad = matvec(d)
         dad = float(d @ ad)
-        if dad <= 0.0:
+        if not (dad > 0.0 and rz > 0.0):  # breakdown: no further progress
             break
-        alpha = rs / dad
-        x = x + alpha * d
-        x -= x.mean()
-        r = r - alpha * ad
-        r -= r.mean()
-        rs_new = float(r @ r)
-        d = r + (rs_new / rs) * d
-        rs = rs_new
-    return x
+        alpha = rz / dad
+        x += alpha * d
+        r -= alpha * ad
+        z = inv_diag * r
+        rz_new = float(r @ z)
+        d = z + (rz_new / rz) * d
+        rz = rz_new
+    return x, it, float(np.abs(b - matvec(x)).max(initial=0.0))
+
+
+def _sparse_solve(rows, cols, wvec, rhs, tol, cid):
+    """Solve a component above DENSE_LIMIT: eliminate tree parts exactly,
+    run Jacobi-PCG on the remaining core, then back-substitute."""
+    n = len(rhs)
+    order = _eliminate_leaves(rows, cols, n)
+    f = rhs.tolist()
+    for leaf, parent, _ in order:
+        # the leaf's row reads w (phi_leaf - phi_parent) = f_leaf; adding it
+        # to the parent's row removes phi_leaf from the system
+        f[parent] += f[leaf]
+    core = np.ones(n, dtype=bool)
+    core_pairs = np.ones(len(rows), dtype=bool)
+    if order:
+        leaves, _, pairs = zip(*order)
+        core[list(leaves)] = False
+        core_pairs[list(pairs)] = False
+    members = np.flatnonzero(core)
+    phi = np.zeros(n)
+    if len(members) > 1:
+        local = np.empty(n, dtype=np.intp)
+        local[members] = np.arange(len(members))
+        threshold = tol * max(1.0, float(np.abs(rhs).max(initial=0.0)))
+        max_iter = 10 * len(members)
+        x, iterations, residual = _pcg(
+            local[rows[core_pairs]], local[cols[core_pairs]],
+            wvec[core_pairs], np.asarray(f)[members], threshold, max_iter)
+        if residual > threshold:
+            raise ConvergenceError(
+                f"potential solve did not reach tolerance in component {cid} "
+                f"({n} nodes, core of {len(members)} after leaf elimination, "
+                f"{iterations} iterations)", residual=residual)
+        phi[members] = x
+    w = wvec.tolist()
+    values = phi.tolist()
+    for leaf, parent, e in reversed(order):
+        values[leaf] = values[parent] + f[leaf] / w[e]
+    return np.asarray(values)
 
 
 def solve_potentials(system: LaplacianSystem, tol: float = 1e-10) -> PotentialVector:
     """Minimum-norm, per-component mean-zero solution of L phi = f.
 
-    Raises ConvergenceError (with the achieved residual) if the CG path
-    misses ``tol`` within its iteration cap. Isolated nodes get phi = 0.
+    Components up to DENSE_LIMIT nodes get a direct solve. Larger ones
+    have their degree-1 vertices eliminated exactly and the remaining
+    core solved by Jacobi-PCG. Raises ConvergenceError (naming the
+    component, its core and the residual reached) if the core misses
+    ``tol`` within its iteration cap. Isolated nodes get phi = 0.
     """
     if tol <= 0:
         raise PipelineError("tolerance must be positive")
     n = len(system.nodes)
+    comps = system.components
+    rows, cols, wvec = _pair_arrays(system.weights)
+    # component label and position within the component of every node
+    sizes = np.fromiter(map(len, comps), dtype=np.intp, count=len(comps))
+    flat = np.fromiter((i for comp in comps for i in comp), dtype=np.intp,
+                       count=n)
+    label = np.empty(n, dtype=np.intp)
+    label[flat] = np.repeat(np.arange(len(comps)), sizes)
+    local = np.empty(n, dtype=np.intp)
+    local[flat] = np.arange(n) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    # every pair into its component's bucket, insertion order kept
+    pair_label = label[rows]
+    by_comp = np.argsort(pair_label, kind="stable")
+    bounds = np.cumsum(np.bincount(pair_label, minlength=len(comps))).tolist()
     phi = np.zeros(n)
-    for comp in system.components:
+    start = 0
+    for cid, comp in enumerate(comps):
+        sel = by_comp[start:bounds[cid]]
+        start = bounds[cid]
         if len(comp) == 1:
             continue
-        members = set(comp)
-        comp_weights = {(i, j): w for (i, j), w in system.weights.items()
-                        if i in members}
+        members = list(comp)
+        args = (local[rows[sel]], local[cols[sel]], wvec[sel],
+                system.rhs[members])
         if len(comp) <= DENSE_LIMIT:
-            sol = _dense_solve(comp_weights, system.rhs, comp)
+            sol = _dense_solve(*args)
         else:
-            sol = _cg_solve(comp_weights, system.rhs, comp, tol,
-                            max_iter=100 * len(comp))
-        sol = sol - sol.mean()
-        phi[list(comp)] = sol
+            sol = _sparse_solve(*args, tol, cid)
+        phi[members] = sol - sol.mean()
 
-    residual = _residual_inf(system, phi)
+    residual = float(np.abs(_net_out(rows, cols, wvec * (phi[rows] - phi[cols]),
+                                     n) - system.rhs).max(initial=0.0))
     bound = tol * max(1.0, float(np.abs(system.rhs).max(initial=0.0)))
     if residual > bound:
         raise ConvergenceError("potential solve did not reach tolerance",
                                residual=residual)
-    component = {}
-    for cid, comp in enumerate(system.components):
-        for i in comp:
-            component[system.nodes[i]] = cid
-    return PotentialVector(
-        phi={node: float(phi[i]) for i, node in enumerate(system.nodes)},
-        component=component,
-    )
-
-
-def _residual_inf(system: LaplacianSystem, phi: np.ndarray) -> float:
-    res = -system.rhs.copy()
-    for (i, j), w in system.weights.items():
-        g = w * (phi[i] - phi[j])
-        res[i] += g
-        res[j] -= g
-    return float(np.abs(res).max(initial=0.0))
+    component = dict(zip((system.nodes[i] for i in flat.tolist()),
+                         label[flat].tolist()))
+    return PotentialVector(phi=dict(zip(system.nodes, phi.tolist())),
+                           component=component)
 
 
 def decompose(flow: FlowNetwork, potentials: PotentialVector) -> HodgeDecomposition:
-    """Split F into gradient and circular parts and compute their norm shares."""
+    """Split F into gradient and circular parts and compute their norm shares.
+
+    ``residual_norm`` is max|L phi - f|, which equals the largest net
+    circular outflow at any node.
+    """
     if set(potentials.phi) != set(flow.nodes):
         raise PipelineError("potential vector does not cover the flow network's nodes")
+    index = {node: k for k, node in enumerate(flow.nodes)}
     gradient: dict[tuple[str, str], float] = {}
     circular: dict[tuple[str, str], float] = {}
     for (a, b), (f, w) in flow.pairs.items():
+        if w <= 0:
+            raise PipelineError(f"non-positive weight on pair ({a}, {b})")
         fp = w * (potentials.phi[a] - potentials.phi[b])
         gradient[(a, b)] = fp
         circular[(a, b)] = f - fp
     g_ratio, l_ratio = _ratios(flow, gradient, circular)
-    system = assemble_laplacian(flow)
-    phi_arr = np.array([potentials.phi[node] for node in flow.nodes])
+    m = len(flow.pairs)
+    ends = np.fromiter((index[v] for pair in flow.pairs for v in pair),
+                       dtype=np.intp, count=2 * m).reshape(m, 2)
+    div = _net_out(ends[:, 0], ends[:, 1],
+                   np.fromiter(circular.values(), float, m), len(flow.nodes))
     return HodgeDecomposition(
         potentials=potentials,
         gradient_flow=gradient,
         circular_flow=circular,
         gradient_ratio=g_ratio,
         loop_ratio=l_ratio,
-        residual_norm=_residual_inf(system, phi_arr),
+        residual_norm=float(np.abs(div).max(initial=0.0)),
     )
 
 
