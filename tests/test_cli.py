@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -156,3 +157,80 @@ def test_decompose_unreachable_tolerance_exits_one(tmp_path, capsys):
     assert err[0].startswith("error: ")
     assert "(80 nodes, core of 80 after leaf elimination" in err[0]
     assert "Traceback" not in err[0]
+
+
+def data_rows(path):
+    """Rows after the '#' preamble and the header, read as RFC 4180."""
+    lines = Path(path).read_text(encoding="utf-8").split("\n")
+    while lines and (not lines[0].strip() or lines[0].startswith("#")):
+        lines.pop(0)
+    return list(csv.reader(lines[1:-1]))
+
+
+def write_events(path, rows):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["issuer", "list_id", "entity_id", "date"])
+        writer.writerows(rows)
+
+
+def test_comma_and_header_named_issuers_survive_the_pipeline(tmp_path):
+    issuers = ["Korea, Republic of", "node", "EU", "US"]
+    rows = [(name, f"{name} list", f"E{e}", f"2010-0{1 + (i + e) % 4}-01")
+            for e in range(4) for i, name in enumerate(issuers)]
+    events = tmp_path / "events.csv"
+    write_events(events, rows)
+    w = tmp_path
+    for argv in (
+        ["ingest", "--events", str(events), "--out", str(w / "canonical.csv")],
+        ["build", "--level", "institution",
+         "--events", str(w / "canonical.csv"), "--out", str(w / "net.tsv")],
+        ["decompose", "--net", str(w / "net.tsv"), "--out", str(w / "hodge")],
+        ["communities", "--net", str(w / "net.tsv"),
+         "--out", str(w / "communities.csv")],
+        ["pagerank", "--net", str(w / "net.tsv"),
+         "--out", str(w / "pagerank.csv")],
+        ["layout", "--net", str(w / "net.tsv"),
+         "--potentials", str(w / "hodge" / "nodes.csv"),
+         "--out", str(w / "layout.csv")],
+        ["report", "--net", str(w / "net.tsv"), "--decomp", str(w / "hodge"),
+         "--pagerank", str(w / "pagerank.csv"),
+         "--partition", str(w / "communities.csv"),
+         "--layout", str(w / "layout.csv"), "--out", str(w / "report")],
+    ):
+        assert run(argv) == 0, argv
+    for artifact in ("hodge/nodes.csv", "pagerank.csv", "communities.csv",
+                     "layout.csv", "report/scatter.csv"):
+        ids = [row[0] for row in data_rows(w / artifact)]
+        assert ids == sorted(issuers), artifact
+    names = sorted(row[1] for row in data_rows(w / "report/potential_table.csv"))
+    assert names == sorted(issuers)
+
+
+def test_hash_leading_issuer_after_header_is_rejected_at_ingest(tmp_path,
+                                                                  capsys):
+    events = tmp_path / "events.csv"
+    write_events(events, [("EU", "EU-1", "X", "2010-01-01"),
+                          ("US", "US-1", "X", "2010-02-01"),
+                          ("EU", "EU-1", "Y", "2010-01-01"),
+                          ("#Other", "O-1", "X", "2010-03-01"),
+                          ("US", "US-1", "Y", "2010-02-01"),
+                          ("JP", "JP-1", "Y", "2010-03-01")])
+    status = run(["ingest", "--events", str(events),
+                  "--out", str(tmp_path / "canonical.csv")])
+    assert status == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "line 5" in err[0] and "'issuer'" in err[0]
+
+
+def test_newline_in_list_id_is_rejected_at_ingest(tmp_path, capsys):
+    events = tmp_path / "events.csv"
+    write_events(events, [("EU", "L\n1", "X", "2010-01-01"),
+                          ("US", "US-1", "X", "2010-02-01")])
+    status = run(["ingest", "--events", str(events),
+                  "--out", str(tmp_path / "canonical.csv")])
+    assert status == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "'list_id'" in err[0]

@@ -188,3 +188,8 @@ def test_flow_round_trip(small_events):
 def test_read_network_rejects_unknown_node():
     with pytest.raises(PipelineError, match="undeclared"):
         read_network("A\nA\tB\t1\n")
+
+
+def test_read_flow_rejects_undeclared_endpoint():
+    with pytest.raises(PipelineError, match="undeclared"):
+        read_flow("# mode\tmean\nA\nA\tB\t1\t1\n")

@@ -180,3 +180,9 @@ def test_json_graph_attributes(feed_forward_triangle):
 def test_unknown_format_errors(feed_forward_triangle):
     with pytest.raises(PipelineError):
         export_graph(feed_forward_triangle, format="gexf")
+
+
+def test_read_edge_table_rejects_non_integer_count():
+    doc = "A\t-\t-\t-\t-\nB\t-\t-\t-\t-\nA\tB\tx\t-\t1\t-\t-\n"
+    with pytest.raises(PipelineError, match="line 3"):
+        read_edge_table(doc)
