@@ -5,7 +5,6 @@ any artifact can be regenerated from its header."""
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from datetime import date as Date
 from pathlib import Path
@@ -13,6 +12,7 @@ from pathlib import Path
 from . import __version__
 from .errors import PipelineError
 from . import community, events, hodge, netbuild, rank, report, synth
+from .table import preamble, read_table, write_table
 
 
 def _header(args: argparse.Namespace) -> list[str]:
@@ -38,22 +38,15 @@ def _load_network(path: str) -> netbuild.InfluenceNetwork:
 
 
 def _read_category_map(path: str) -> dict[str, str]:
-    mapping: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].startswith("#") or row[0] == "list_id":
-                continue
-            if len(row) != 2:
-                raise PipelineError(f"category map row {row!r} needs 2 fields")
-            mapping[row[0].strip()] = row[1].strip()
-    return mapping
+    return dict(read_table(Path(path).read_text(encoding="utf-8"),
+                           ("list_id", "label"), (str.strip, str.strip)))
 
 
 def cmd_ingest(args):
     evs = _load_events(args.events, args.format)
     reportv = events.validate_events(evs)
     text = events.serialize_events(evs)
-    _write(args.out, "".join(f"# {l}\n" for l in _header(args)) + text)
+    _write(args.out, preamble(_header(args)) + text)
     print(reportv.summary())
     return 0
 
@@ -65,7 +58,7 @@ def cmd_synth(args):
         start=Date.fromisoformat(args.start), window_days=args.window_days)
     evs = synth.synth_generate(config, args.seed)
     text = events.serialize_events(evs)
-    _write(args.out, "".join(f"# {l}\n" for l in _header(args)) + text)
+    _write(args.out, preamble(_header(args)) + text)
     print(f"{len(evs.events)} events, {len(evs.issuers)} issuers, "
           f"{len(evs.entities)} entities")
     return 0
@@ -141,12 +134,10 @@ def cmd_layout(args):
     potentials = hodge.read_node_table(
         Path(args.potentials).read_text(encoding="utf-8"))
     result = report.layout(net, potentials, seed=args.seed, jitter=args.jitter)
-    lines = [f"# {l}\n" for l in _header(args)]
-    lines.append("node,x,y\n")
-    for node in sorted(result.positions):
-        x, y = result.positions[node]
-        lines.append(f"{node},{x:.17g},{y:.17g}\n")
-    _write(args.out, "".join(lines))
+    _write(args.out, write_table(
+        _header(args), ("node", "x", "y"),
+        ((node, f"{x:.17g}", f"{y:.17g}")
+         for node, (x, y) in sorted(result.positions.items()))))
     print(f"{len(net.nodes)} nodes, {len(result.energy_history)} energy steps")
     return 0
 
@@ -173,12 +164,9 @@ def cmd_report(args):
             assignment=assignment, modularity=0.0, resolution=0.0, seed=0)
     layout_result = None
     if args.layout:
-        positions = {}
-        for line in Path(args.layout).read_text(encoding="utf-8").splitlines():
-            if not line.strip() or line.startswith("#") or line.startswith("node,"):
-                continue
-            node, x, y = line.split(",")
-            positions[node] = (float(x), float(y))
+        rows = read_table(Path(args.layout).read_text(encoding="utf-8"),
+                          ("node", "x", "y"), (str, float, float))
+        positions = {node: (x, y) for node, x, y in rows}
         layout_result = report.LayoutResult(positions=positions, seed=0,
                                             overlap_jitter=0.0)
     if args.pagerank:

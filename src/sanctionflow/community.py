@@ -6,13 +6,13 @@ the resolution parameter scales the configuration-model null term.
 
 from __future__ import annotations
 
-import io
 import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import PipelineError
 from .netbuild import InfluenceNetwork
+from .table import read_table, write_table
 
 
 @dataclass(frozen=True)
@@ -182,22 +182,11 @@ def louvain(net: InfluenceNetwork, resolution: float = 1.0,
 
 def write_partition(partition: CommunityPartition,
                     header: Iterable[str] = ()) -> str:
-    out = io.StringIO()
-    for line in header:
-        out.write(f"# {line}\n")
-    out.write(f"# Q\t{partition.modularity:.17g}\tresolution\t"
-              f"{partition.resolution:.17g}\tseed\t{partition.seed}\n")
-    out.write("node,community\n")
-    for node in sorted(partition.assignment):
-        out.write(f"{node},{partition.assignment[node]}\n")
-    return out.getvalue()
+    meta = (f"Q\t{partition.modularity:.17g}\tresolution\t"
+            f"{partition.resolution:.17g}\tseed\t{partition.seed}")
+    return write_table([*header, meta], ("node", "community"),
+                       sorted(partition.assignment.items()))
 
 
 def read_partition(text: str) -> dict[str, int]:
-    assignment: dict[str, int] = {}
-    for line in text.splitlines():
-        if not line.strip() or line.startswith("#") or line.startswith("node,"):
-            continue
-        node, c = line.split(",")
-        assignment[node] = int(c)
-    return assignment
+    return dict(read_table(text, ("node", "community"), (str, int)))

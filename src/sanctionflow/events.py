@@ -18,6 +18,7 @@ from functools import cached_property
 from typing import Iterable, TextIO
 
 from .errors import EventParseError, PipelineError
+from .table import skip_preamble
 
 _ISO_DATE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
 _HEADER = ("issuer", "list_id", "entity_id", "date")
@@ -84,11 +85,18 @@ class EventSet:
         return {ev.list_id: ev.issuer for ev in self.events}
 
 
-def _clean(value: str, name: str, line: int) -> str:
-    value = value.strip()
-    if not value:
-        raise EventParseError("empty identifier", line=line, field=name)
-    return value
+def _clean(value: str, name: str, line: int, seen: dict[str, str]) -> str:
+    """The stripped identifier; each distinct raw value is checked once."""
+    cleaned = seen.get(value)
+    if cleaned is None:
+        cleaned = value.strip()
+        if (not cleaned or cleaned[0] == "#" or "\t" in cleaned
+                or "\r" in cleaned or "\n" in cleaned):
+            raise EventParseError(f"identifier {cleaned!r} is empty, starts "
+                                  "with '#' or contains a tab, CR or LF",
+                                  line=line, field=name)
+        seen[value] = cleaned
+    return cleaned
 
 
 def _parse_date(value: str, line: int) -> Date:
@@ -102,14 +110,15 @@ def _parse_date(value: str, line: int) -> Date:
         raise EventParseError(f"invalid date '{value}'", line=line, field="date")
 
 
-def _event_from_fields(fields: dict[str, str], line: int) -> SanctionEvent:
+def _event_from_fields(fields: dict[str, str], line: int,
+                       seen: dict[str, str]) -> SanctionEvent:
     category = fields.get("category")
     if category is not None:
         category = category.strip() or None
     return SanctionEvent(
-        issuer=_clean(fields["issuer"], "issuer", line),
-        list_id=_clean(fields["list_id"], "list_id", line),
-        entity_id=_clean(fields["entity_id"], "entity_id", line),
+        issuer=_clean(fields["issuer"], "issuer", line, seen),
+        list_id=_clean(fields["list_id"], "list_id", line, seen),
+        entity_id=_clean(fields["entity_id"], "entity_id", line, seen),
         date=_parse_date(fields["date"], line),
         category=category,
     )
@@ -126,34 +135,34 @@ def _as_text(stream) -> TextIO:
 
 
 def _parse_delimited(text: TextIO) -> list[SanctionEvent]:
-    reader = csv.reader(text)
+    skipped, lines = skip_preamble(text)
+    reader = csv.reader(lines)
     events = []
-    header: list[str] | None = None
-    for line_no, row in enumerate(reader, start=1):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if row[0].startswith("#"):
-            continue
-        if header is None:
-            header = [c.strip() for c in row]
-            if tuple(header[:4]) != _HEADER:
-                raise EventParseError(
-                    f"bad header {header!r}; expected issuer,list_id,entity_id,"
-                    "date[,category]", line=line_no)
-            continue
-        if len(row) < 4 or len(row) > len(header):
+    seen: dict[str, str] = {}
+    try:
+        header = [c.strip() for c in next(reader, [])]
+        if tuple(header[:4]) != _HEADER:
             raise EventParseError(
-                f"expected {len(header)} fields, got {len(row)}", line=line_no,
-                field=_HEADER[min(len(row), 3)])
-        fields = dict(zip(header, row))
-        events.append(_event_from_fields(fields, line_no))
-    if header is None:
-        raise EventParseError("missing header row", line=1)
+                f"bad header {header!r}; expected issuer,list_id,entity_id,"
+                "date[,category]", line=skipped + 1)
+        for row in reader:
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            line_no = skipped + reader.line_num
+            if len(row) < 4 or len(row) > len(header):
+                raise EventParseError(
+                    f"expected {len(header)} fields, got {len(row)}",
+                    line=line_no, field=_HEADER[min(len(row), 3)])
+            events.append(_event_from_fields(dict(zip(header, row)), line_no,
+                                             seen))
+    except csv.Error as exc:
+        raise EventParseError(str(exc), line=skipped + reader.line_num) from None
     return events
 
 
 def _parse_line_records(text: TextIO) -> list[SanctionEvent]:
     events = []
+    seen: dict[str, str] = {}
     for line_no, line in enumerate(text, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -168,7 +177,7 @@ def _parse_line_records(text: TextIO) -> list[SanctionEvent]:
             if key not in obj:
                 raise EventParseError("missing key", line=line_no, field=key)
         events.append(_event_from_fields({k: str(v) for k, v in obj.items()},
-                                         line_no))
+                                         line_no, seen))
     return events
 
 

@@ -9,7 +9,6 @@ zero within each connected component.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -17,6 +16,7 @@ import numpy as np
 
 from .errors import ConvergenceError, PipelineError
 from .netbuild import FlowNetwork
+from .table import read_table, write_table
 
 DENSE_LIMIT = 64  # components up to this size use a direct solve
 
@@ -335,47 +335,31 @@ def solve(flow: FlowNetwork, tol: float = 1e-10) -> HodgeDecomposition:
 # Delimited export: node table, pair table, summary (17 significant digits).
 
 def write_node_table(decomp: HodgeDecomposition, header: Iterable[str] = ()) -> str:
-    out = io.StringIO()
-    for line in header:
-        out.write(f"# {line}\n")
-    out.write("node,component,potential\n")
-    for node in sorted(decomp.potentials.phi):
-        out.write(f"{node},{decomp.potentials.component[node]},"
-                  f"{decomp.potentials.phi[node]:.17g}\n")
-    return out.getvalue()
+    pot = decomp.potentials
+    return write_table(header, ("node", "component", "potential"),
+                       ((node, pot.component[node], f"{pot.phi[node]:.17g}")
+                        for node in sorted(pot.phi)))
 
 
 def write_pair_table(decomp: HodgeDecomposition, flow: FlowNetwork,
                      header: Iterable[str] = ()) -> str:
-    out = io.StringIO()
-    for line in header:
-        out.write(f"# {line}\n")
-    out.write("i,j,F,w,F_grad,F_circ\n")
-    for (i, j) in sorted(flow.pairs):
-        f, w = flow.pairs[(i, j)]
-        out.write(f"{i},{j},{f:.17g},{w:.17g},"
-                  f"{decomp.gradient_flow[(i, j)]:.17g},"
-                  f"{decomp.circular_flow[(i, j)]:.17g}\n")
-    return out.getvalue()
+    def row(pair):
+        f, w = flow.pairs[pair]
+        return (*pair, f"{f:.17g}", f"{w:.17g}",
+                f"{decomp.gradient_flow[pair]:.17g}",
+                f"{decomp.circular_flow[pair]:.17g}")
+    return write_table(header, ("i", "j", "F", "w", "F_grad", "F_circ"),
+                       map(row, sorted(flow.pairs)))
 
 
 def write_summary(decomp: HodgeDecomposition, header: Iterable[str] = ()) -> str:
-    out = io.StringIO()
-    for line in header:
-        out.write(f"# {line}\n")
-    out.write("gradient_ratio,loop_ratio,residual_norm\n")
-    out.write(f"{decomp.gradient_ratio:.17g},{decomp.loop_ratio:.17g},"
-              f"{decomp.residual_norm:.17g}\n")
-    return out.getvalue()
+    values = (decomp.gradient_ratio, decomp.loop_ratio, decomp.residual_norm)
+    return write_table(header, ("gradient_ratio", "loop_ratio", "residual_norm"),
+                       [[f"{v:.17g}" for v in values]])
 
 
 def read_node_table(text: str) -> PotentialVector:
-    phi: dict[str, float] = {}
-    component: dict[str, int] = {}
-    for line in text.splitlines():
-        if not line.strip() or line.startswith("#") or line.startswith("node,"):
-            continue
-        node, comp, value = line.split(",")
-        phi[node] = float(value)
-        component[node] = int(comp)
-    return PotentialVector(phi=phi, component=component)
+    rows = read_table(text, ("node", "component", "potential"),
+                      (str, int, float))
+    return PotentialVector(phi={node: phi for node, _, phi in rows},
+                           component={node: comp for node, comp, _ in rows})

@@ -7,12 +7,12 @@ contribute nothing (direction is ambiguous at day resolution).
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import PipelineError
 from .events import EventSet
+from .table import preamble
 
 LIST_LEVEL = "list"
 INSTITUTION_LEVEL = "institution"
@@ -139,90 +139,85 @@ def symmetrize(net: InfluenceNetwork, mode: str = "mean") -> FlowNetwork:
 # with '#' are metadata and ignored on read, except the level/mode markers.
 
 def _check_id(node: str) -> str:
-    if "\t" in node or "\n" in node:
-        raise PipelineError(f"node id {node!r} contains tab/newline")
+    if node.startswith("#") or "\t" in node or "\n" in node:
+        raise PipelineError(f"node id {node!r} starts with '#' or contains "
+                            "tab/newline")
     return node
 
 
+def _write_records(header: Iterable[str], nodes: Iterable[str],
+                   edges: Iterable[str]) -> str:
+    return "".join([preamble(header), *(_check_id(n) + "\n" for n in nodes),
+                    *edges])
+
+
 def write_network(net: InfluenceNetwork, header: Iterable[str] = ()) -> str:
-    out = io.StringIO()
-    for line in header:
-        out.write(f"# {line}\n")
-    out.write(f"# level\t{net.level}\n")
-    for node in net.nodes:
-        out.write(_check_id(node) + "\n")
-    for (a, b) in sorted(net.adjacency):
-        out.write(f"{_check_id(a)}\t{_check_id(b)}\t{net.adjacency[(a, b)]}\n")
-    return out.getvalue()
+    return _write_records(
+        [*header, f"level\t{net.level}"], net.nodes,
+        (f"{_check_id(a)}\t{_check_id(b)}\t{net.adjacency[(a, b)]}\n"
+         for (a, b) in sorted(net.adjacency)))
+
+
+def _count(fields: list[str], line_no: int) -> int:
+    try:
+        count = int(fields[2])
+    except ValueError:
+        raise PipelineError(f"line {line_no}: bad count '{fields[2]}'")
+    if count <= 0:
+        raise PipelineError(f"line {line_no}: non-positive count")
+    return count
+
+
+def read_records(text: str, marker: str, default: str, node_width: int,
+                 edge_width: int, value: Callable = _count):
+    """A node/edge file's ``# marker`` value, its node ids (first field of a
+    node line) and ``(src, dst) -> value(fields, line_no)`` per edge line."""
+    found = default
+    nodes: list[str] = []
+    edges: dict[tuple[str, str], object] = {}
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            continue
+        if line.startswith("#"):
+            parts = line[1:].strip().split("\t")
+            if parts[0] == marker and len(parts) == 2:
+                found = parts[1]
+            continue
+        fields = line.split("\t")
+        if len(fields) == node_width:
+            nodes.append(fields[0])
+        elif len(fields) == edge_width:
+            edges[(fields[0], fields[1])] = value(fields, line_no)
+        else:
+            raise PipelineError(f"line {line_no}: expected {node_width} or "
+                                f"{edge_width} fields, got {len(fields)}")
+    known = set(nodes)
+    for (a, b) in edges:
+        if a not in known or b not in known:
+            raise PipelineError(f"edge ({a}, {b}) references undeclared node")
+    return found, tuple(nodes), edges
 
 
 def read_network(text: str) -> InfluenceNetwork:
-    level = INSTITUTION_LEVEL
-    nodes: list[str] = []
-    adjacency: dict[tuple[str, str], int] = {}
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            parts = line[1:].strip().split("\t")
-            if parts[0] == "level" and len(parts) == 2:
-                level = parts[1]
-            continue
-        fields = line.split("\t")
-        if len(fields) == 1:
-            nodes.append(fields[0])
-        elif len(fields) == 3:
-            try:
-                count = int(fields[2])
-            except ValueError:
-                raise PipelineError(f"line {line_no}: bad count '{fields[2]}'")
-            if count <= 0:
-                raise PipelineError(f"line {line_no}: non-positive count")
-            adjacency[(fields[0], fields[1])] = count
-        else:
-            raise PipelineError(f"line {line_no}: expected 1 or 3 fields, "
-                                f"got {len(fields)}")
-    known = set(nodes)
-    for (a, b) in adjacency:
-        if a not in known or b not in known:
-            raise PipelineError(f"edge ({a}, {b}) references undeclared node")
-    return InfluenceNetwork(level=level, nodes=tuple(nodes), adjacency=adjacency)
+    level, nodes, adjacency = read_records(text, "level", INSTITUTION_LEVEL,
+                                           1, 3)
+    return InfluenceNetwork(level=level, nodes=nodes, adjacency=adjacency)
 
 
 def write_flow(flow: FlowNetwork, header: Iterable[str] = ()) -> str:
-    out = io.StringIO()
-    for line in header:
-        out.write(f"# {line}\n")
-    out.write(f"# mode\t{flow.weight_mode}\n")
-    for node in flow.nodes:
-        out.write(_check_id(node) + "\n")
-    for (i, j) in sorted(flow.pairs):
-        f, w = flow.pairs[(i, j)]
-        out.write(f"{i}\t{j}\t{f:.17g}\t{w:.17g}\n")
-    return out.getvalue()
+    return _write_records(
+        [*header, f"mode\t{flow.weight_mode}"], flow.nodes,
+        (f"{i}\t{j}\t{f:.17g}\t{w:.17g}\n"
+         for (i, j), (f, w) in sorted(flow.pairs.items())))
+
+
+def _flow_pair(fields: list[str], line_no: int) -> tuple[float, float]:
+    try:
+        return float(fields[2]), float(fields[3])
+    except ValueError:
+        raise PipelineError(f"line {line_no}: bad flow/weight value")
 
 
 def read_flow(text: str) -> FlowNetwork:
-    mode = "mean"
-    nodes: list[str] = []
-    pairs: dict[tuple[str, str], tuple[float, float]] = {}
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            parts = line[1:].strip().split("\t")
-            if parts[0] == "mode" and len(parts) == 2:
-                mode = parts[1]
-            continue
-        fields = line.split("\t")
-        if len(fields) == 1:
-            nodes.append(fields[0])
-        elif len(fields) == 4:
-            try:
-                pairs[(fields[0], fields[1])] = (float(fields[2]), float(fields[3]))
-            except ValueError:
-                raise PipelineError(f"line {line_no}: bad flow/weight value")
-        else:
-            raise PipelineError(f"line {line_no}: expected 1 or 4 fields, "
-                                f"got {len(fields)}")
-    return FlowNetwork(nodes=tuple(nodes), pairs=pairs, weight_mode=mode)
+    mode, nodes, pairs = read_records(text, "mode", "mean", 1, 4, _flow_pair)
+    return FlowNetwork(nodes=nodes, pairs=pairs, weight_mode=mode)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -10,6 +9,7 @@ import numpy as np
 
 from .errors import ConvergenceError, PipelineError
 from .netbuild import InfluenceNetwork
+from .table import read_table, write_table
 
 MAX_ITERATIONS = 10_000
 
@@ -65,20 +65,11 @@ def pagerank(net: InfluenceNetwork, damping: float = 0.85,
 
 
 def write_ranks(rank: RankVector, header: Iterable[str] = ()) -> str:
-    out = io.StringIO()
-    for line in header:
-        out.write(f"# {line}\n")
-    out.write("node,pagerank\n")
-    for node in sorted(rank.scores):
-        out.write(f"{node},{rank.scores[node]:.17g}\n")
-    return out.getvalue()
+    return write_table(header, ("node", "pagerank"),
+                       ((node, f"{rank.scores[node]:.17g}")
+                        for node in sorted(rank.scores)))
 
 
 def read_ranks(text: str, damping: float = 0.85) -> RankVector:
-    scores: dict[str, float] = {}
-    for line in text.splitlines():
-        if not line.strip() or line.startswith("#") or line.startswith("node,"):
-            continue
-        node, score = line.split(",")
-        scores[node] = float(score)
+    scores = dict(read_table(text, ("node", "pagerank"), (str, float)))
     return RankVector(scores=scores, damping=damping, iterations_used=0)

@@ -19,8 +19,9 @@ import numpy as np
 
 from .errors import PipelineError
 from .hodge import HodgeDecomposition, PotentialVector
-from .netbuild import InfluenceNetwork
+from .netbuild import InfluenceNetwork, read_records
 from .community import CommunityPartition
+from .table import preamble, write_table
 
 _EPS = 1e-9
 _GRAVITY = 0.01
@@ -153,14 +154,9 @@ def potential_table(decomp: HodgeDecomposition,
 
 def write_potential_table(rows: list[TableRow],
                           header: Iterable[str] = ()) -> str:
-    out = io.StringIO()
-    for line in header:
-        out.write(f"# {line}\n")
-    out.write("rank,name,potential,highlighted\n")
-    for row in rows:
-        flag = "*" if row.highlighted else ""
-        out.write(f"{row.rank},{row.name},{row.potential:.3f},{flag}\n")
-    return out.getvalue()
+    return write_table(header, ("rank", "name", "potential", "highlighted"),
+                       ((row.rank, row.name, f"{row.potential:.3f}",
+                         "*" if row.highlighted else "") for row in rows))
 
 
 def potential_matrix(decomps: Mapping[str, HodgeDecomposition],
@@ -203,15 +199,11 @@ def scatter_data(rank, potentials: PotentialVector) -> ScatterData:
 
 
 def write_scatter(data: ScatterData, header: Iterable[str] = ()) -> str:
-    out = io.StringIO()
-    for line in header:
-        out.write(f"# {line}\n")
     flag = "\tconstant_column" if data.constant_column else ""
-    out.write(f"# pearson\t{data.correlation:.17g}{flag}\n")
-    out.write("node,pagerank,potential\n")
-    for node, pr, phi in data.rows:
-        out.write(f"{node},{pr:.17g},{phi:.17g}\n")
-    return out.getvalue()
+    meta = f"pearson\t{data.correlation:.17g}{flag}"
+    return write_table([*header, meta], ("node", "pagerank", "potential"),
+                       ((node, f"{pr:.17g}", f"{phi:.17g}")
+                        for node, pr, phi in data.rows))
 
 
 # ---------------------------------------------------------------------------
@@ -274,11 +266,9 @@ def _fmt(value):
 
 def _export_edge_table(net, node_attrs, flows, header):
     out = io.StringIO()
-    for line in header:
-        out.write(f"# {line}\n")
-    out.write("# node columns\tid\tpotential\tcommunity\tx\ty\n")
-    out.write("# edge columns\tsrc\tdst\tcount\tF\tw\tF_grad\tF_circ\n")
-    out.write(f"# level\t{net.level}\n")
+    out.write(preamble([*header, "node columns\tid\tpotential\tcommunity\tx\ty",
+                        "edge columns\tsrc\tdst\tcount\tF\tw\tF_grad\tF_circ",
+                        f"level\t{net.level}"]))
     for v in net.nodes:
         phi, comm, pos = node_attrs(v)
         x, y = pos if pos else (None, None)
@@ -296,26 +286,8 @@ def _export_edge_table(net, node_attrs, flows, header):
 
 def read_edge_table(text: str) -> InfluenceNetwork:
     """Inverse of the edge_table export, recovering the bare network."""
-    level = "institution"
-    nodes: list[str] = []
-    adjacency: dict[tuple[str, str], int] = {}
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            parts = line[1:].strip().split("\t")
-            if parts[0] == "level" and len(parts) == 2:
-                level = parts[1]
-            continue
-        fields = line.split("\t")
-        if len(fields) == 5:
-            nodes.append(fields[0])
-        elif len(fields) == 7:
-            adjacency[(fields[0], fields[1])] = int(fields[2])
-        else:
-            raise PipelineError(f"line {line_no}: expected 5 or 7 fields, "
-                                f"got {len(fields)}")
-    return InfluenceNetwork(level=level, nodes=tuple(nodes), adjacency=adjacency)
+    level, nodes, adjacency = read_records(text, "level", "institution", 5, 7)
+    return InfluenceNetwork(level=level, nodes=nodes, adjacency=adjacency)
 
 
 def _dot_quote(s):

@@ -234,3 +234,15 @@ def test_newline_in_list_id_is_rejected_at_ingest(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert "'list_id'" in err[0]
+
+
+def test_category_map_needs_its_header(tmp_path, capsys):
+    cmap = tmp_path / "cats.csv"
+    cmap.write_text("EU-LIB-1,libya\nUS-LIB-1,libya\n")
+    status = run(["build", "--level", "institution",
+                  "--events", str(FIXTURES / "events_small.csv"),
+                  "--category-map", str(cmap), "--label", "libya",
+                  "--out", str(tmp_path / "net.tsv")])
+    assert status == 1
+    err = capsys.readouterr().err
+    assert "line 1: expected header list_id,label" in err

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -136,3 +138,32 @@ def test_validation_flags_edge_inert_entities():
     report = validate_events(es)
     assert report.edge_inert_entities == ("X", "Y")
     assert len(report.warnings) == 1
+
+
+def test_comments_only_before_header():
+    text = ("# exported 2010\n\n"
+            "issuer,list_id,entity_id,date\n"
+            "EU,L1,X,2010-01-01\n"
+            "#Other,L2,X,2010-02-01\n")
+    with pytest.raises(EventParseError, match="line 5: field 'issuer'"):
+        parse_events(text)
+    es = parse_events(text.rsplit("#Other", 1)[0])
+    assert [e.issuer for e in es.events] == ["EU"]
+
+
+@pytest.mark.parametrize("bad", ["#x", " #x", "a\tb", "a\rb"])
+def test_bad_identifier_rejected_in_both_formats(bad):
+    row = {"issuer": "EU", "list_id": bad, "entity_id": "X",
+           "date": "2010-01-01"}
+    with pytest.raises(EventParseError, match="line 1: field 'list_id'"):
+        parse_events(json.dumps(row) + "\n", format="line_record")
+    quoted = '"' + bad + '"'
+    with pytest.raises(EventParseError, match="line 2: field 'list_id'"):
+        parse_events(f"issuer,list_id,entity_id,date\nEU,{quoted},X,2010-01-01\n")
+
+
+def test_unclosed_quote_past_field_limit_is_a_parse_error():
+    text = ('issuer,list_id,entity_id,date\n"EU,L1,X,2010-01-01\n'
+            + "EU,L1,X,2010-01-01\n" * 8000)
+    with pytest.raises(EventParseError, match="field larger than field limit"):
+        parse_events(text)

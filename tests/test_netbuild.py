@@ -193,3 +193,10 @@ def test_read_network_rejects_unknown_node():
 def test_read_flow_rejects_undeclared_endpoint():
     with pytest.raises(PipelineError, match="undeclared"):
         read_flow("# mode\tmean\nA\nA\tB\t1\t1\n")
+
+
+def test_write_network_refuses_ids_it_cannot_read_back():
+    for bad in ("#x", "a\tb", "a\nb"):
+        net = InfluenceNetwork("institution", ("A", bad), {("A", bad): 1})
+        with pytest.raises(PipelineError, match="node id"):
+            write_network(net)
