@@ -1,3 +1,4 @@
+import csv
 import random
 import sys
 from datetime import date
@@ -11,6 +12,15 @@ from sanctionflow import (EventSet, FlowNetwork, InfluenceNetwork,
                           SanctionEvent)
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def csv_data_rows(path):
+    """Rows of a .csv artifact after its '#' preamble and header, read as
+    RFC 4180 by the csv module."""
+    lines = Path(path).read_text(encoding="utf-8").split("\n")
+    while lines and (not lines[0].strip() or lines[0].startswith("#")):
+        lines.pop(0)
+    return list(csv.reader(lines[1:-1]))
 
 
 def ev(issuer, list_id, entity, day, category=None):

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from sanctionflow.cli import run
-from conftest import FIXTURES
+from conftest import FIXTURES, csv_data_rows
 
 
 def read_data_lines(path):
@@ -159,14 +159,6 @@ def test_decompose_unreachable_tolerance_exits_one(tmp_path, capsys):
     assert "Traceback" not in err[0]
 
 
-def data_rows(path):
-    """Rows after the '#' preamble and the header, read as RFC 4180."""
-    lines = Path(path).read_text(encoding="utf-8").split("\n")
-    while lines and (not lines[0].strip() or lines[0].startswith("#")):
-        lines.pop(0)
-    return list(csv.reader(lines[1:-1]))
-
-
 def write_events(path, rows):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -201,9 +193,9 @@ def test_comma_and_header_named_issuers_survive_the_pipeline(tmp_path):
         assert run(argv) == 0, argv
     for artifact in ("hodge/nodes.csv", "pagerank.csv", "communities.csv",
                      "layout.csv", "report/scatter.csv"):
-        ids = [row[0] for row in data_rows(w / artifact)]
+        ids = [row[0] for row in csv_data_rows(w / artifact)]
         assert ids == sorted(issuers), artifact
-    names = sorted(row[1] for row in data_rows(w / "report/potential_table.csv"))
+    names = sorted(row[1] for row in csv_data_rows(w / "report/potential_table.csv"))
     assert names == sorted(issuers)
 
 

@@ -2,11 +2,11 @@
 rejected at ingest with an error naming its field."""
 
 import csv
-from pathlib import Path
 
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 from sanctionflow.cli import run
+from conftest import csv_data_rows
 
 # commas, quotes, '#' and spaces mixed with arbitrary unicode (surrogates
 # cannot be written as UTF-8); one id in four may also hold a tab, CR or LF
@@ -24,13 +24,6 @@ def _valid(raw):
     value = raw.strip()
     return (bool(value) and not value.startswith("#")
             and not any(c in value for c in "\t\r\n"))
-
-
-def _data_rows(path):
-    lines = Path(path).read_text(encoding="utf-8").split("\n")
-    while lines and (not lines[0].strip() or lines[0].startswith("#")):
-        lines.pop(0)
-    return list(csv.reader(lines[1:-1]))
 
 
 @settings(deadline=None, max_examples=100,
@@ -82,6 +75,6 @@ def test_identifiers_round_trip_or_fail_at_ingest(tmp_path_factory, capsys,
     expected = sorted(v.strip() for v in issuers)
     for artifact in ("hodge/nodes.csv", "pagerank.csv", "communities.csv",
                      "layout.csv", "report/scatter.csv"):
-        assert [row[0] for row in _data_rows(w / artifact)] == expected
-    stored = {(row[0], row[1], row[2]) for row in _data_rows(w / "canonical.csv")}
+        assert [row[0] for row in csv_data_rows(w / artifact)] == expected
+    stored = {(row[0], row[1], row[2]) for row in csv_data_rows(w / "canonical.csv")}
     assert stored == {(a.strip(), b.strip(), c.strip()) for a, b, c, _ in rows}
