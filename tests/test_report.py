@@ -44,6 +44,31 @@ def test_energy_history_non_increasing(two_triangles):
     assert all(hist[i + 1] <= hist[i] for i in range(len(hist) - 1))
 
 
+def ring_with_chords(n, chord_every=5):
+    """n nodes on a ring, plus a chord a third of the way round from every
+    chord_every-th node; potentials cycle through 17 levels, so many tie."""
+    names = [f"N{i:05d}" for i in range(n)]
+    edges = {(names[i], names[(i + 1) % n]): 1 for i in range(n)}
+    for i in range(0, n, chord_every):
+        edges[(names[i], names[(i + n // 3) % n])] = 1 + i % 3
+    net = InfluenceNetwork("institution", tuple(names), edges)
+    pv = PotentialVector(phi={v: 0.1 * (i % 17) for i, v in enumerate(names)},
+                         component={v: 0 for v in names})
+    return net, pv
+
+
+def test_layout_memory_is_bounded():
+    import tracemalloc
+    net, pv = ring_with_chords(3000)
+    tracemalloc.start()
+    try:
+        layout(net, pv, seed=1, max_steps=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
 def test_layout_deterministic(feed_forward_triangle):
     pv = potentials_for(feed_forward_triangle)
     a = layout(feed_forward_triangle, pv, seed=9)
