@@ -115,6 +115,10 @@ def _event_from_fields(fields: dict[str, str], line: int,
     category = fields.get("category")
     if category is not None:
         category = category.strip() or None
+        if category is not None and "\r" in category:
+            # csv.writer leaves a bare CR unquoted, so it would not read back
+            raise EventParseError(f"category {category!r} contains a CR",
+                                  line=line, field="category")
     return SanctionEvent(
         issuer=_clean(fields["issuer"], "issuer", line, seen),
         list_id=_clean(fields["list_id"], "list_id", line, seen),
@@ -176,8 +180,14 @@ def _parse_line_records(text: TextIO) -> list[SanctionEvent]:
         for key in _HEADER:
             if key not in obj:
                 raise EventParseError("missing key", line=line_no, field=key)
-        events.append(_event_from_fields({k: str(v) for k, v in obj.items()},
-                                         line_no, seen))
+        for key in (*_HEADER, "category"):
+            value = obj.get(key)
+            if not (isinstance(value, str)
+                    or (key == "category" and value is None)):
+                raise EventParseError("expected a JSON string, got "
+                                      f"{json.dumps(value)[:40]}",
+                                      line=line_no, field=key)
+        events.append(_event_from_fields(obj, line_no, seen))
     return events
 
 

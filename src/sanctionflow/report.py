@@ -12,6 +12,7 @@ import io
 import json
 import math
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -25,6 +26,8 @@ from .table import preamble, write_table
 
 _EPS = 1e-9
 _GRAVITY = 0.01
+# cells in one row block of the layout's all-pairs term
+_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -35,28 +38,49 @@ class LayoutResult:
     energy_history: tuple[float, ...] = ()
 
 
-def _energy_and_grad(x, y, rows, cols, wgt, n):
-    dx = x[:, None] - x[None, :]
-    dy = y[:, None] - y[None, :]
-    dist = np.sqrt(dx * dx + dy * dy)
-    np.fill_diagonal(dist, 1.0)
-    dist = np.maximum(dist, _EPS)
+def _energy_kernel(y, rows, cols, wgt):
+    """energy_and_grad(x) of the layout energy with y fixed:
+    _GRAVITY * sum x_i^2, minus sum over node pairs i < j of log d_ij, plus
+    sum over edges of w_e * d_e, each distance clamped below at _EPS.
 
-    energy = _GRAVITY * float(x @ x)
-    grad = 2.0 * _GRAVITY * x
-    # repulsion: -log distance over all pairs
-    energy -= float(np.triu(np.log(dist), 1).sum())
-    rep = dx / (dist * dist)
-    np.fill_diagonal(rep, 0.0)
-    grad -= rep.sum(axis=1)
-    # attraction: w * distance over edges
-    if len(rows):
-        d_e = dist[rows, cols]
-        energy += float((wgt * d_e).sum())
-        pull = wgt * dx[rows, cols] / d_e
-        np.add.at(grad, rows, pull)
-        np.add.at(grad, cols, -pull)
-    return energy, grad
+    The pairs are walked in blocks of rows through three buffers of
+    _BLOCK_CELLS cells made once here, so memory is O(n) at any node count.
+    """
+    n = len(y)
+    block = max(1, min(n, _BLOCK_CELLS // n))
+    buffers = [np.empty((block, n)) for _ in range(3)]
+    eps2 = _EPS * _EPS
+    dy_edge2 = np.square(y[rows] - y[cols])
+
+    def energy_and_grad(x):
+        energy = _GRAVITY * float(x @ x)
+        grad = 2.0 * _GRAVITY * x
+        log_sum = 0.0
+        for start in range(0, n, block):
+            stop = min(start + block, n)
+            dx, d2, tmp = (buf[:stop - start] for buf in buffers)
+            np.subtract(x[start:stop, None], x, out=dx)
+            np.subtract(y[start:stop, None], y, out=d2)
+            np.square(d2, out=d2)
+            np.square(dx, out=tmp)
+            np.add(d2, tmp, out=d2)
+            np.maximum(d2, eps2, out=d2)
+            # a node's own cell: log 1 = 0, and dx = 0 there
+            d2.flat[start::n + 1] = 1.0
+            np.log(d2, out=tmp)
+            log_sum += float(tmp.sum())
+            np.divide(dx, d2, out=tmp)
+            grad[start:stop] -= tmp.sum(axis=1)
+        # full rows count each pair twice, and log d = log(d^2) / 2
+        energy -= 0.25 * log_sum
+        dx_edge = x[rows] - x[cols]
+        d_edge = np.maximum(np.sqrt(dx_edge * dx_edge + dy_edge2), _EPS)
+        energy += float((wgt * d_edge).sum())
+        pull = wgt * dx_edge / d_edge
+        grad += np.bincount(rows, pull, n) - np.bincount(cols, pull, n)
+        return energy, grad
+
+    return energy_and_grad
 
 
 def layout(net: InfluenceNetwork, potentials: PotentialVector, seed: int = 0,
@@ -77,17 +101,19 @@ def layout(net: InfluenceNetwork, potentials: PotentialVector, seed: int = 0,
                             seed=seed, overlap_jitter=jitter)
     x = np.array([rng.uniform(-1.0, 1.0) for _ in nodes])
 
+    # one weight per unordered pair, summing both directions' counts
     index = {v: i for i, v in enumerate(nodes)}
-    sym: dict[tuple[int, int], float] = {}
-    for (a, b), count in net.adjacency.items():
-        i, j = index[a], index[b]
-        key = (min(i, j), max(i, j))
-        sym[key] = sym.get(key, 0.0) + count
-    rows = np.array([k[0] for k in sorted(sym)], dtype=int)
-    cols = np.array([k[1] for k in sorted(sym)], dtype=int)
-    wgt = np.array([sym[k] for k in sorted(sym)])
+    ends = np.array([(index[a], index[b]) for a, b in net.adjacency],
+                    dtype=np.int64).reshape(-1, 2)
+    counts = np.fromiter(net.adjacency.values(), dtype=float,
+                         count=len(net.adjacency))
+    keys, slot = np.unique(ends.min(axis=1) * n + ends.max(axis=1),
+                           return_inverse=True)
+    rows, cols = np.divmod(keys, n)
+    wgt = np.bincount(slot, weights=counts, minlength=len(keys))
+    energy_and_grad = _energy_kernel(y, rows, cols, wgt)
 
-    energy, grad = _energy_and_grad(x, y, rows, cols, wgt, n)
+    energy, grad = energy_and_grad(x)
     history = [energy]
     step = 0.1
     for _ in range(max_steps):
@@ -97,7 +123,7 @@ def layout(net: InfluenceNetwork, potentials: PotentialVector, seed: int = 0,
         # backtracking so the recorded energy never increases
         while step > 1e-14:
             trial = x - step * grad
-            e_trial, g_trial = _energy_and_grad(trial, y, rows, cols, wgt, n)
+            e_trial, g_trial = energy_and_grad(trial)
             if e_trial <= energy:
                 x, energy, grad = trial, e_trial, g_trial
                 history.append(energy)
@@ -115,14 +141,24 @@ def layout(net: InfluenceNetwork, potentials: PotentialVector, seed: int = 0,
 
 
 def _apply_jitter(positions, nodes, jitter, min_sep, rng):
-    """Perturb y (bounded by jitter) only for nodes overlapping another."""
+    """Perturb y (bounded by jitter) only for nodes overlapping another.
+
+    Nodes are visited in sorted order, each tested against the current,
+    already jittered, positions. Jitter never moves x, and a node within
+    min_sep of v lies within min_sep of it in x, so only the nodes whose x
+    falls in [xv - min_sep, xv + min_sep] (found by bisection) are tested.
+    """
     out = dict(positions)
     ordered = sorted(nodes)
-    for idx, v in enumerate(ordered):
+    by_x = sorted(ordered, key=lambda v: out[v][0])
+    xs = [out[v][0] for v in by_x]
+    for v in ordered:
         xv, yv = out[v]
+        near = by_x[bisect_left(xs, xv - min_sep):
+                    bisect_right(xs, xv + min_sep)]
         crowded = any(
             u != v and math.hypot(out[u][0] - xv, out[u][1] - yv) < min_sep
-            for u in ordered)
+            for u in near)
         if crowded:
             out[v] = (xv, yv + rng.uniform(-jitter, jitter))
     return out

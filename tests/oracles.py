@@ -2,14 +2,18 @@
 
 Everything here deliberately avoids the library's solver paths: dense
 pseudoinverse for potentials, eigenvector extraction for PageRank, brute
-force enumeration for edge counts and partitions.
+force enumeration for edge counts and partitions, dense all-pairs arrays
+for the layout energy.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
+
+from sanctionflow.report import _EPS, _GRAVITY
 
 
 def flow_components(nodes, pairs):
@@ -181,3 +185,43 @@ def connected_edge_subsets(n):
             parent[find(i)] = find(j)
         if len({find(i) for i in range(n)}) == 1:
             yield tuple(edges)
+
+
+def dense_layout_energy_oracle(x, y, rows, cols, wgt):
+    """The layout energy and its gradient in x from dense n x n arrays:
+    gravity, log-distance repulsion over all pairs, distance attraction
+    over the edges (rows[k] < cols[k]), distances clamped below at _EPS."""
+    dx = x[:, None] - x[None, :]
+    dy = y[:, None] - y[None, :]
+    dist = np.sqrt(dx * dx + dy * dy)
+    np.fill_diagonal(dist, 1.0)
+    dist = np.maximum(dist, _EPS)
+
+    energy = _GRAVITY * float(x @ x)
+    grad = 2.0 * _GRAVITY * x
+    energy -= float(np.triu(np.log(dist), 1).sum())
+    rep = dx / (dist * dist)
+    np.fill_diagonal(rep, 0.0)
+    grad -= rep.sum(axis=1)
+    if len(rows):
+        d_e = dist[rows, cols]
+        energy += float((wgt * d_e).sum())
+        pull = wgt * dx[rows, cols] / d_e
+        np.add.at(grad, rows, pull)
+        np.add.at(grad, cols, -pull)
+    return energy, grad
+
+
+def brute_force_jitter(positions, nodes, jitter, min_sep, rng):
+    """Nodes in sorted order; each one within min_sep of any other node's
+    current position gets one rng.uniform(-jitter, jitter) added to y."""
+    out = dict(positions)
+    ordered = sorted(nodes)
+    for v in ordered:
+        xv, yv = out[v]
+        crowded = any(
+            u != v and math.hypot(out[u][0] - xv, out[u][1] - yv) < min_sep
+            for u in ordered)
+        if crowded:
+            out[v] = (xv, yv + rng.uniform(-jitter, jitter))
+    return out

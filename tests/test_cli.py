@@ -238,3 +238,19 @@ def test_category_map_needs_its_header(tmp_path, capsys):
     assert status == 1
     err = capsys.readouterr().err
     assert "line 1: expected header list_id,label" in err
+
+
+def test_non_string_line_record_id_is_rejected_at_ingest(tmp_path, capsys):
+    events = tmp_path / "events.jsonl"
+    events.write_text(
+        '{"issuer": "EU", "list_id": "L1", "entity_id": "X", '
+        '"date": "2010-01-01"}\n'
+        '{"issuer": null, "list_id": "L2", "entity_id": "X", '
+        '"date": "2010-02-01"}\n', encoding="utf-8")
+    status = run(["ingest", "--events", str(events), "--format", "line_record",
+                  "--out", str(tmp_path / "canonical.csv")])
+    assert status == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "line 2" in err[0] and "'issuer'" in err[0]
+    assert not (tmp_path / "canonical.csv").exists()

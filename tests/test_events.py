@@ -167,3 +167,53 @@ def test_unclosed_quote_past_field_limit_is_a_parse_error():
             + "EU,L1,X,2010-01-01\n" * 8000)
     with pytest.raises(EventParseError, match="field larger than field limit"):
         parse_events(text)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("issuer", None), ("entity_id", ["x"]), ("list_id", 7),
+    ("date", 20100101), ("category", 3), ("category", {"a": "b"}),
+    ("category", True)])
+def test_line_record_non_string_value_rejected(field, value):
+    row = {"issuer": "EU", "list_id": "L1", "entity_id": "X",
+           "date": "2010-01-01", "category": "terror", field: value}
+    with pytest.raises(EventParseError,
+                       match=f"line 2: field '{field}': expected a JSON "
+                             "string"):
+        parse_events("# exported\n" + json.dumps(row) + "\n",
+                     format="line_record")
+
+
+def test_line_record_null_category_is_absent():
+    row = {"issuer": "EU", "list_id": "L1", "entity_id": "X",
+           "date": "2010-01-01", "category": None}
+    es = parse_events(json.dumps(row) + "\n", format="line_record")
+    assert es.events[0].category is None
+
+
+def test_category_with_cr_rejected_in_both_formats():
+    row = {"issuer": "EU", "list_id": "L1", "entity_id": "X",
+           "date": "2010-01-01", "category": "a\rb"}
+    with pytest.raises(EventParseError, match="line 1: field 'category'"):
+        parse_events(json.dumps(row) + "\n", format="line_record")
+    with pytest.raises(EventParseError, match="line 2: field 'category'"):
+        parse_events('issuer,list_id,entity_id,date,category\n'
+                     'EU,L1,X,2010-01-01,"a\rb"\n')
+
+
+@given(st.text(max_size=12), st.booleans())
+def test_every_accepted_category_survives_serialization(category, as_json):
+    if as_json:
+        text = json.dumps({"issuer": "EU", "list_id": "L1", "entity_id": "X",
+                           "date": "2010-01-01", "category": category}) + "\n"
+        fmt = "line_record"
+    else:
+        quoted = '"' + category.replace('"', '""') + '"'
+        text = ("issuer,list_id,entity_id,date,category\n"
+                f"EU,L1,X,2010-01-01,{quoted}\n")
+        fmt = "delimited"
+    try:
+        es = parse_events(text, format=fmt)
+    except EventParseError as exc:
+        assert exc.field == "category" and "\r" in category
+        return
+    assert parse_events(serialize_events(es)) == es

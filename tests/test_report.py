@@ -1,5 +1,8 @@
 import math
+import random
+import time
 
+import numpy as np
 import pytest
 
 from sanctionflow import (InfluenceNetwork, PipelineError, PotentialVector,
@@ -7,7 +10,14 @@ from sanctionflow import (InfluenceNetwork, PipelineError, PotentialVector,
                           potential_matrix, potential_table, read_edge_table,
                           scatter_data, solve, symmetrize,
                           write_potential_table, write_scatter)
+from sanctionflow.report import (_BLOCK_CELLS, _EPS, _apply_jitter,
+                                 _energy_kernel)
 from conftest import make_network
+from oracles import brute_force_jitter, dense_layout_energy_oracle
+
+# nodes at which one row block is exactly square: BLOCK_SIDE rows of
+# BLOCK_SIDE cells
+BLOCK_SIDE = math.isqrt(_BLOCK_CELLS)
 
 
 def potentials_for(net, mode="unit"):
@@ -57,6 +67,100 @@ def ring_with_chords(n, chord_every=5):
     return net, pv
 
 
+def layout_problem(n, seed, edges_per_node=3, coincident=0):
+    """Random x, y and a random edge set for the layout energy. The first
+    `coincident` nodes are copied exactly onto the next ones, and the next
+    one after those sits a tenth of _EPS off its neighbour in x."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, n)
+    y = rng.normal(size=n)
+    if coincident:
+        x[coincident:2 * coincident] = x[:coincident]
+        y[coincident:2 * coincident] = y[:coincident]
+        x[2 * coincident] = x[0] + 0.1 * _EPS
+        y[2 * coincident] = y[0]
+    a = rng.integers(0, n, edges_per_node * n)
+    b = rng.integers(0, n, edges_per_node * n)
+    keep = a != b
+    keys = np.unique(np.minimum(a, b)[keep] * n + np.maximum(a, b)[keep])
+    rows, cols = np.divmod(keys, n)
+    wgt = rng.integers(1, 5, len(rows)).astype(float)
+    return x, y, rows, cols, wgt
+
+
+def assert_matches_oracle(x, y, rows, cols, wgt):
+    energy, grad = _energy_kernel(y, rows, cols, wgt)(x)
+    want_energy, want_grad = dense_layout_energy_oracle(x, y, rows, cols, wgt)
+    assert energy == pytest.approx(want_energy, rel=1e-12, abs=0.0)
+    assert np.abs(grad - want_grad).max() <= 1e-12 * np.abs(want_grad).max()
+
+
+@pytest.mark.parametrize("n", [2, BLOCK_SIDE - 1, BLOCK_SIDE, BLOCK_SIDE + 1,
+                               3 * BLOCK_SIDE + 5])
+def test_energy_kernel_matches_dense_oracle(n):
+    assert_matches_oracle(*layout_problem(n, seed=n))
+
+
+def test_energy_kernel_without_edges():
+    x, y, rows, cols, wgt = layout_problem(BLOCK_SIDE + 1, seed=1,
+                                           edges_per_node=0)
+    assert len(rows) == 0
+    assert_matches_oracle(x, y, rows, cols, wgt)
+
+
+@pytest.mark.parametrize("n", [12, 2 * BLOCK_SIDE + 3])
+def test_energy_kernel_clamps_coincident_points(n):
+    x, y, rows, cols, wgt = layout_problem(n, seed=n, coincident=5)
+    # edges between coincident nodes take the clamp too
+    rows = np.concatenate([rows, [0, 1]])
+    cols = np.concatenate([cols, [5, 10]])
+    wgt = np.concatenate([wgt, [2.0, 3.0]])
+    order = np.lexsort((cols, rows))
+    assert_matches_oracle(x, y, rows[order], cols[order], wgt[order])
+
+
+def test_energy_kernel_gradient_matches_central_differences():
+    n = BLOCK_SIDE + 1
+    _, _, rows, cols, wgt = layout_problem(n, seed=2)
+    rng = np.random.default_rng(2)
+    x = rng.uniform(-1.0, 1.0, n)
+    y = np.arange(n, dtype=float)  # well separated: the energy is smooth
+    energy_and_grad = _energy_kernel(y, rows, cols, wgt)
+    _, grad = energy_and_grad(x)
+    tol = 1e-6 * max(1.0, np.abs(grad).max())
+    h = 1e-4
+    for i in rng.choice(n, 10, replace=False):
+        step = np.zeros(n)
+        step[i] = h
+        ahead, behind = energy_and_grad(x + step), energy_and_grad(x - step)
+        assert (ahead[0] - behind[0]) / (2 * h) == pytest.approx(grad[i],
+                                                                 abs=tol)
+
+
+def test_multi_block_layout_descends_with_y_at_the_potential():
+    net, pv = ring_with_chords(3 * BLOCK_SIDE)
+    result = layout(net, pv, seed=5, max_steps=40)
+    hist = result.energy_history
+    assert len(hist) == 41
+    assert all(hist[i + 1] <= hist[i] for i in range(len(hist) - 1))
+    assert all(y == pv.phi[v] for v, (_, y) in result.positions.items())
+
+
+def test_layout_sums_both_directions_into_one_pair_weight():
+    net = make_network([("A", "B", 2), ("B", "A", 3), ("B", "C", 1),
+                        ("D", "A", 4)], nodes=("A", "B", "C", "D", "E"))
+    pv = PotentialVector(phi={"A": 0.5, "B": 0.0, "C": -1.0, "D": 0.5,
+                              "E": 2.0}, component=dict.fromkeys("ABCDE", 0))
+    result = layout(net, pv, seed=7, max_steps=0)
+    rng = random.Random(7)
+    x = np.array([rng.uniform(-1.0, 1.0) for _ in range(5)])
+    y = np.array([pv.phi[v] for v in net.nodes])
+    want, _ = dense_layout_energy_oracle(x, y, np.array([0, 0, 1]),
+                                         np.array([1, 3, 2]),
+                                         np.array([5.0, 4.0, 1.0]))
+    assert result.energy_history == pytest.approx((want,), rel=1e-12)
+
+
 def test_layout_memory_is_bounded():
     import tracemalloc
     net, pv = ring_with_chords(3000)
@@ -77,16 +181,55 @@ def test_layout_deterministic(feed_forward_triangle):
 
 
 def test_jitter_bounded_and_targeted():
-    import random as _random
-    from sanctionflow.report import _apply_jitter
     positions = {"A": (0.0, 0.0), "B": (0.0, 0.0), "C": (9.0, 5.0)}
     out = _apply_jitter(positions, ["A", "B", "C"], jitter=0.01,
-                        min_sep=1e-3, rng=_random.Random(1))
+                        min_sep=1e-3, rng=random.Random(1))
     # A and B coincide exactly; C is far from both
     for node in ("A", "B"):
         assert abs(out[node][1] - positions[node][1]) <= 0.01
     assert out["A"][1] != out["B"][1]
     assert out["C"] == (9.0, 5.0)
+
+
+def clustered_positions(n, rng, spacing):
+    """n nodes on a coarse grid of pitch spacing, so that many share x, y or
+    both exactly, and a few sit a fraction of spacing off a grid point."""
+    out = {}
+    for k in range(n):
+        x = spacing * rng.randrange(12)
+        y = spacing * rng.randrange(8)
+        if rng.random() < 0.2:
+            x += spacing * rng.choice((0.25, 0.5, 0.999, 1e-9))
+        out[f"V{k:03d}"] = (x, y)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_jitter_matches_brute_force(seed):
+    rng = random.Random(seed)
+    positions = clustered_positions(300, rng, spacing=1e-3)
+    nodes = sorted(positions, key=lambda v: rng.random())
+    expected = brute_force_jitter(positions, nodes, 4e-4, 1e-3,
+                                  random.Random(seed))
+    got = _apply_jitter(positions, nodes, 4e-4, 1e-3, random.Random(seed))
+    assert got == expected
+    moved = sum(got[v] != positions[v] for v in positions)
+    assert 0 < moved < len(positions)
+
+
+def test_jitter_of_20k_points_is_fast():
+    rng = random.Random(3)
+    positions = {f"V{k:05d}": (rng.random(), rng.random())
+                 for k in range(20_000)}
+    for k in range(0, 200, 2):  # 100 exact pairs
+        positions[f"V{k + 1:05d}"] = positions[f"V{k:05d}"]
+    start = time.perf_counter()
+    out = _apply_jitter(positions, list(positions), 1e-3, 1e-6,
+                        random.Random(1))
+    assert time.perf_counter() - start < 2.0
+    # the first of each pair is jittered off the second, which then has room
+    moved = {v for v in positions if out[v] != positions[v]}
+    assert moved == {f"V{k:05d}" for k in range(0, 200, 2)}
 
 
 def test_zero_jitter_leaves_y_exact_even_with_overlaps():
