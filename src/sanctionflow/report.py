@@ -43,8 +43,9 @@ def _energy_kernel(y, rows, cols, wgt):
     _GRAVITY * sum x_i^2, minus sum over node pairs i < j of log d_ij, plus
     sum over edges of w_e * d_e, each distance clamped below at _EPS.
 
-    The pairs are walked in blocks of rows through three buffers of
-    _BLOCK_CELLS cells made once here, so memory is O(n) at any node count.
+    The pairs are walked in blocks of whole rows, through three buffers of
+    at most _BLOCK_CELLS cells (one row when n is larger) made once here,
+    so memory is O(n) at any node count.
     """
     n = len(y)
     block = max(1, min(n, _BLOCK_CELLS // n))
