@@ -254,3 +254,61 @@ def test_non_string_line_record_id_is_rejected_at_ingest(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: ")
     assert "line 2" in err[0] and "'issuer'" in err[0]
     assert not (tmp_path / "canonical.csv").exists()
+
+
+NET_LINES = ["# level\tinstitution", "A", "B", "C",
+             "A\tB\t2", "A\tC\t1", "B\tC\t1"]
+
+
+@pytest.fixture
+def stage_inputs(tmp_path):
+    """A valid network and the decompose, communities, pagerank and layout
+    outputs a stage may read beside it."""
+    net = tmp_path / "good.tsv"
+    net.write_text("\n".join(NET_LINES) + "\n")
+    for argv in (
+        ["decompose", "--net", str(net), "--out", str(tmp_path / "hodge")],
+        ["communities", "--net", str(net),
+         "--out", str(tmp_path / "communities.csv")],
+        ["pagerank", "--net", str(net), "--out", str(tmp_path / "pagerank.csv")],
+        ["layout", "--net", str(net),
+         "--potentials", str(tmp_path / "hodge" / "nodes.csv"),
+         "--out", str(tmp_path / "layout.csv")],
+    ):
+        assert run(argv) == 0, argv
+    return tmp_path
+
+
+NET_STAGES = {
+    "symmetrize": lambda w: ["--out", str(w / "out" / "flow.tsv")],
+    "decompose": lambda w: ["--out", str(w / "out" / "hodge")],
+    "communities": lambda w: ["--out", str(w / "out" / "communities.csv")],
+    "pagerank": lambda w: ["--out", str(w / "out" / "pagerank.csv")],
+    "layout": lambda w: ["--potentials", str(w / "hodge" / "nodes.csv"),
+                         "--out", str(w / "out" / "layout.csv")],
+    "report": lambda w: ["--decomp", str(w / "hodge"),
+                         "--pagerank", str(w / "pagerank.csv"),
+                         "--partition", str(w / "communities.csv"),
+                         "--layout", str(w / "layout.csv"),
+                         "--out", str(w / "out" / "report")],
+}
+MALFORMED = {
+    "duplicate node": "B",
+    "duplicate edge": "A\tB\t3",
+    "self-loop": "B\tB\t1",
+}
+
+
+@pytest.mark.parametrize("defect", sorted(MALFORMED))
+@pytest.mark.parametrize("stage", sorted(NET_STAGES))
+def test_malformed_network_is_rejected_naming_the_line(stage_inputs, capsys,
+                                                       stage, defect):
+    net = stage_inputs / "bad.tsv"
+    net.write_text("\n".join([*NET_LINES, MALFORMED[defect]]) + "\n")
+    capsys.readouterr()
+    status = run([stage, "--net", str(net), *NET_STAGES[stage](stage_inputs)])
+    assert status == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert "line 8" in err[0] and defect in err[0], err[0]
+    assert not (stage_inputs / "out").exists()
