@@ -259,6 +259,26 @@ def test_weighted_path_is_solved_exactly():
             f / wi, abs=1e-9)
 
 
+
+def test_small_flows_on_large_weights_are_solved_without_raising():
+    # flows in [-1, 1] on a 5000-node path with weights from 1 to 1e6:
+    # the rounding of phi alone, times weights near 1e6, leaves
+    # max|L phi - f| near 1e-9, far above tol * max|f|, although
+    # leaf elimination solves the path exactly
+    n = 5000
+    w = np.logspace(0, 6, n - 1)
+    u = np.random.default_rng(5).uniform(-1.0, 1.0, n - 1)
+    nodes = tuple(f"N{i:04d}" for i in range(n))
+    pairs = {(nodes[i], nodes[i + 1]): (float(u[i]), float(w[i]))
+             for i in range(n - 1)}
+    flow = FlowNetwork(nodes=nodes, pairs=pairs, weight_mode="mean")
+    pv = solve_potentials(assemble_laplacian(flow), TOL)
+    assert decompose(flow, pv).loop_ratio <= 1e-10
+    for i in range(n - 1):
+        f, wi = pairs[(nodes[i], nodes[i + 1])]
+        assert pv.phi[nodes[i]] - pv.phi[nodes[i + 1]] == pytest.approx(
+            f / wi, abs=1e-9)
+
 def _cyclic_core_with_trees(rng, core=100):
     """A ring with chords (every core node has degree >= 2), plus chains
     of 1-5 nodes hanging off it and leaves hanging off the chains."""
