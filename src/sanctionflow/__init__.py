@@ -13,11 +13,10 @@ from .netbuild import (FlowNetwork, InfluenceNetwork, build_institution_network,
                        build_list_network, filter_by_category, read_flow,
                        read_network, symmetrize, write_flow, write_network)
 from .hodge import (HodgeDecomposition, LaplacianSystem, PotentialVector,
-                    assemble_laplacian, decompose, flow_ratios,
-                    solve, solve_potentials)
+                    assemble_laplacian, decompose, solve, solve_potentials)
 from .community import (CommunityPartition, louvain, modularity,
                         read_partition, write_partition)
 from .rank import RankVector, pagerank, read_ranks, write_ranks
 from .report import (LayoutResult, ScatterData, export_graph, layout,
-                     potential_matrix, potential_table, read_edge_table,
-                     scatter_data, write_potential_table, write_scatter)
+                     potential_table, scatter_data, write_potential_table,
+                     write_scatter)

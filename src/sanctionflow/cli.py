@@ -229,7 +229,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="potential/circulation flow split")
     p.add_argument("--net", required=True)
     p.add_argument("--mode", choices=["mean", "unit"], default="mean")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=1e-10,
+                   help="largest accepted normwise backward error of the "
+                        "potential solve: max|L phi - f| <= tol * "
+                        "(2 max L_ii * max|phi| + max|f|)")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_decompose)
 

@@ -10,6 +10,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from .errors import PipelineError
 from .netbuild import InfluenceNetwork
 from .table import read_table, write_table
@@ -24,14 +26,6 @@ class CommunityPartition:
     pass_modularity: tuple[float, ...] = ()  # Q after each local-move pass
 
 
-def _symmetric_weights(net: InfluenceNetwork) -> dict[tuple[str, str], float]:
-    weights: dict[tuple[str, str], float] = {}
-    for (a, b), count in net.adjacency.items():
-        key = (a, b) if a < b else (b, a)
-        weights[key] = weights.get(key, 0.0) + count
-    return weights
-
-
 def modularity(net: InfluenceNetwork, assignment: Mapping[str, int],
                resolution: float = 1.0) -> float:
     """Newman modularity of a partition on the symmetrized graph."""
@@ -40,24 +34,23 @@ def modularity(net: InfluenceNetwork, assignment: Mapping[str, int],
     missing = [n for n in net.nodes if n not in assignment]
     if missing:
         raise PipelineError(f"assignment misses nodes: {missing[:5]}")
-    weights = _symmetric_weights(net)
-    two_m = 2.0 * sum(weights.values())
+    v = net.view
+    weight = v.fwd + v.back
+    two_m = 2.0 * float(weight.sum())
     if two_m == 0.0:
         raise PipelineError("network has zero total weight; modularity undefined")
-    strength: dict[str, float] = {n: 0.0 for n in net.nodes}
-    internal: dict[int, float] = {}
-    for (a, b), w in weights.items():
-        strength[a] += w
-        strength[b] += w
-        if assignment[a] == assignment[b]:
-            internal[assignment[a]] = internal.get(assignment[a], 0.0) + 2.0 * w
-    degree_sum: dict[int, float] = {}
-    for node in net.nodes:
-        c = assignment[node]
-        degree_sum[c] = degree_sum.get(c, 0.0) + strength[node]
+    # communities numbered in their order of first appearance over the nodes
+    codes: dict[int, int] = {}
+    comm = np.array([codes.setdefault(assignment[node], len(codes))
+                     for node in net.nodes], dtype=np.intp)
+    n, k = len(net.nodes), len(codes)
+    strength = np.bincount(v.lo, weight, n) + np.bincount(v.hi, weight, n)
+    same = comm[v.lo] == comm[v.hi]
+    internal = np.bincount(comm[v.lo][same], 2.0 * weight[same], k).tolist()
+    degree_sum = np.bincount(comm, strength, k).tolist()
     q = 0.0
-    for c in degree_sum:
-        q += internal.get(c, 0.0) / two_m
+    for c in range(k):
+        q += internal[c] / two_m
         q -= resolution * (degree_sum[c] / two_m) ** 2
     return q
 
@@ -113,19 +106,19 @@ def louvain(net: InfluenceNetwork, resolution: float = 1.0,
         raise PipelineError("resolution must be positive")
     if not net.nodes:
         raise PipelineError("empty network")
-    weights = _symmetric_weights(net)
-    two_m = 2.0 * sum(weights.values())
+    view = net.view
+    weights = view.fwd + view.back
+    two_m = 2.0 * float(weights.sum())
     if two_m == 0.0:
         raise PipelineError("network has zero total weight")
     rng = random.Random(seed)
 
-    nodes = list(net.nodes)
-    index = {node: i for i, node in enumerate(nodes)}
+    nodes = net.nodes
     n = len(nodes)
     neighbors: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for (a, b), w in weights.items():
-        neighbors[index[a]].append((index[b], w))
-        neighbors[index[b]].append((index[a], w))
+    for a, b, w in zip(view.lo.tolist(), view.hi.tolist(), weights.tolist()):
+        neighbors[a].append((b, w))
+        neighbors[b].append((a, w))
     self_w = [0.0] * n
     membership = list(range(n))  # original node -> current super-node
     pass_q: list[float] = []
@@ -140,8 +133,8 @@ def louvain(net: InfluenceNetwork, resolution: float = 1.0,
             relabel.setdefault(comm[i], len(relabel))
         comm = [relabel[c] for c in comm]
         membership = [comm[membership[v]] for v in range(len(membership))]
-        pass_q.append(modularity(
-            net, {node: membership[index[node]] for node in nodes}, resolution))
+        pass_q.append(modularity(net, dict(zip(nodes, membership)),
+                                 resolution))
         if not improved or len(relabel) == n:
             break
         # aggregate communities into super-nodes
@@ -165,7 +158,7 @@ def louvain(net: InfluenceNetwork, resolution: float = 1.0,
         self_w = new_self
         n = n_new
 
-    assignment = {node: membership[index[node]] for node in nodes}
+    assignment = dict(zip(nodes, membership))
     relabel = {}
     for node in nodes:
         relabel.setdefault(assignment[node], len(relabel))

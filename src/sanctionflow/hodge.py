@@ -10,12 +10,12 @@ zero within each connected component.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
 from .errors import ConvergenceError, PipelineError
-from .netbuild import FlowNetwork
+from .netbuild import FlowNetwork, FlowView
 from .table import read_table, write_table
 
 DENSE_LIMIT = 64  # components up to this size use a direct solve
@@ -30,7 +30,8 @@ class PotentialVector:
 @dataclass(frozen=True)
 class LaplacianSystem:
     nodes: tuple[str, ...]
-    weights: dict[tuple[int, int], float]  # index pair (i < j) -> w_ij
+    # (rows, cols, w): the endpoint indices and weight of each pair
+    weights: tuple[np.ndarray, np.ndarray, np.ndarray]
     rhs: np.ndarray                        # f_i = net outflow at node i
     components: tuple[tuple[int, ...], ...]
 
@@ -64,30 +65,23 @@ def _components(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, ..
     return tuple(tuple(groups[r]) for r in sorted(groups))
 
 
+def _checked_view(flow: FlowNetwork) -> FlowView:
+    v = flow.view
+    bad = np.flatnonzero(v.w <= 0)
+    if len(bad):
+        a, b = v.keys[bad[0]]
+        raise PipelineError(f"non-positive weight on pair ({a}, {b})")
+    return v
+
+
 def assemble_laplacian(flow: FlowNetwork) -> LaplacianSystem:
     """Build L (implicitly, via pair weights) and the net-outflow vector."""
-    index = {node: i for i, node in enumerate(flow.nodes)}
+    v = _checked_view(flow)
     n = len(flow.nodes)
-    weights: dict[tuple[int, int], float] = {}
-    rhs = np.zeros(n)
-    for (a, b), (f, w) in flow.pairs.items():
-        i, j = index[a], index[b]
-        if w <= 0:
-            raise PipelineError(f"non-positive weight on pair ({a}, {b})")
-        key = (i, j) if i < j else (j, i)
-        weights[key] = weights.get(key, 0.0) + w
-        rhs[i] += f
-        rhs[j] -= f
-    return LaplacianSystem(nodes=flow.nodes, weights=weights, rhs=rhs,
-                           components=_components(n, weights))
-
-
-def _pair_arrays(weights: Mapping[tuple[int, int], float]):
-    """Endpoint index arrays and weights of the pairs, in insertion order."""
-    m = len(weights)
-    ends = np.fromiter((k for pair in weights for k in pair), dtype=np.intp,
-                       count=2 * m).reshape(m, 2)
-    return ends[:, 0], ends[:, 1], np.fromiter(weights.values(), float, m)
+    return LaplacianSystem(
+        nodes=flow.nodes, weights=(v.rows, v.cols, v.w),
+        rhs=_net_out(v.rows, v.cols, v.F, n),
+        components=_components(n, zip(v.rows.tolist(), v.cols.tolist())))
 
 
 def _net_out(rows, cols, values, n):
@@ -183,6 +177,17 @@ def _pcg(rows, cols, wvec, rhs, threshold, max_iter):
     return x, it, float(np.abs(b - matvec(x)).max(initial=0.0))
 
 
+def _backward_bound(rows, cols, wvec, rhs, phi, tol):
+    """tol * (||L||_inf ||phi||_inf + ||f||_inf), with ||L||_inf = 2 max L_ii:
+    the largest max|L phi - f| whose normwise backward error is within tol
+    (Higham, Accuracy and Stability of Numerical Algorithms, sec. 7.1)."""
+    n = len(rhs)
+    diag = np.bincount(rows, wvec, n) + np.bincount(cols, wvec, n)
+    return tol * (2.0 * float(diag.max(initial=0.0))
+                  * float(np.abs(phi).max(initial=0.0))
+                  + float(np.abs(rhs).max(initial=0.0)))
+
+
 def _sparse_solve(rows, cols, wvec, rhs, tol, cid):
     """Solve a component above DENSE_LIMIT: eliminate tree parts exactly,
     run Jacobi-PCG on the remaining core, then back-substitute."""
@@ -206,10 +211,10 @@ def _sparse_solve(rows, cols, wvec, rhs, tol, cid):
         local[members] = np.arange(len(members))
         threshold = tol * max(1.0, float(np.abs(rhs).max(initial=0.0)))
         max_iter = 10 * len(members)
-        x, iterations, residual = _pcg(
-            local[rows[core_pairs]], local[cols[core_pairs]],
-            wvec[core_pairs], np.asarray(f)[members], threshold, max_iter)
-        if residual > threshold:
+        reduced = (local[rows[core_pairs]], local[cols[core_pairs]],
+                   wvec[core_pairs], np.asarray(f)[members])
+        x, iterations, residual = _pcg(*reduced, threshold, max_iter)
+        if residual > _backward_bound(*reduced, x, tol):
             raise ConvergenceError(
                 f"potential solve did not reach tolerance in component {cid} "
                 f"({n} nodes, core of {len(members)} after leaf elimination, "
@@ -227,15 +232,19 @@ def solve_potentials(system: LaplacianSystem, tol: float = 1e-10) -> PotentialVe
 
     Components up to DENSE_LIMIT nodes get a direct solve. Larger ones
     have their degree-1 vertices eliminated exactly and the remaining
-    core solved by Jacobi-PCG. Raises ConvergenceError (naming the
-    component, its core and the residual reached) if the core misses
-    ``tol`` within its iteration cap. Isolated nodes get phi = 0.
+    core solved by Jacobi-PCG, which stops once max|L phi - f| <=
+    tol * max(1, max|f|). A solution is accepted when its normwise
+    backward error is at most ``tol``: max|L phi - f| <= tol * (||L||_inf
+    * max|phi| + max|f|), with ||L||_inf = 2 max L_ii. Raises
+    ConvergenceError if the whole system misses that, or a core misses it
+    within its iteration cap (naming the component, its core and the
+    residual reached). Isolated nodes get phi = 0.
     """
     if tol <= 0:
         raise PipelineError("tolerance must be positive")
     n = len(system.nodes)
     comps = system.components
-    rows, cols, wvec = _pair_arrays(system.weights)
+    rows, cols, wvec = system.weights
     # component label and position within the component of every node
     sizes = np.fromiter(map(len, comps), dtype=np.intp, count=len(comps))
     flat = np.fromiter((i for comp in comps for i in comp), dtype=np.intp,
@@ -244,7 +253,7 @@ def solve_potentials(system: LaplacianSystem, tol: float = 1e-10) -> PotentialVe
     label[flat] = np.repeat(np.arange(len(comps)), sizes)
     local = np.empty(n, dtype=np.intp)
     local[flat] = np.arange(n) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    # every pair into its component's bucket, insertion order kept
+    # every pair into its component's bucket, pair order kept
     pair_label = label[rows]
     by_comp = np.argsort(pair_label, kind="stable")
     bounds = np.cumsum(np.bincount(pair_label, minlength=len(comps))).tolist()
@@ -266,8 +275,7 @@ def solve_potentials(system: LaplacianSystem, tol: float = 1e-10) -> PotentialVe
 
     residual = float(np.abs(_net_out(rows, cols, wvec * (phi[rows] - phi[cols]),
                                      n) - system.rhs).max(initial=0.0))
-    bound = tol * max(1.0, float(np.abs(system.rhs).max(initial=0.0)))
-    if residual > bound:
+    if residual > _backward_bound(rows, cols, wvec, system.rhs, phi, tol):
         raise ConvergenceError("potential solve did not reach tolerance",
                                residual=residual)
     component = dict(zip((system.nodes[i] for i in flat.tolist()),
@@ -284,46 +292,23 @@ def decompose(flow: FlowNetwork, potentials: PotentialVector) -> HodgeDecomposit
     """
     if set(potentials.phi) != set(flow.nodes):
         raise PipelineError("potential vector does not cover the flow network's nodes")
-    index = {node: k for k, node in enumerate(flow.nodes)}
-    gradient: dict[tuple[str, str], float] = {}
-    circular: dict[tuple[str, str], float] = {}
-    for (a, b), (f, w) in flow.pairs.items():
-        if w <= 0:
-            raise PipelineError(f"non-positive weight on pair ({a}, {b})")
-        fp = w * (potentials.phi[a] - potentials.phi[b])
-        gradient[(a, b)] = fp
-        circular[(a, b)] = f - fp
-    g_ratio, l_ratio = _ratios(flow, gradient, circular)
-    m = len(flow.pairs)
-    ends = np.fromiter((index[v] for pair in flow.pairs for v in pair),
-                       dtype=np.intp, count=2 * m).reshape(m, 2)
-    div = _net_out(ends[:, 0], ends[:, 1],
-                   np.fromiter(circular.values(), float, m), len(flow.nodes))
-    return HodgeDecomposition(
-        potentials=potentials,
-        gradient_flow=gradient,
-        circular_flow=circular,
-        gradient_ratio=g_ratio,
-        loop_ratio=l_ratio,
-        residual_norm=float(np.abs(div).max(initial=0.0)),
-    )
-
-
-def _ratios(flow, gradient, circular):
-    total = grad_norm = loop_norm = 0.0
-    for key in sorted(flow.pairs):
-        f, w = flow.pairs[key]
-        total += f * f / w
-        grad_norm += gradient[key] ** 2 / w
-        loop_norm += circular[key] ** 2 / w
+    v = _checked_view(flow)
+    phi = np.array([potentials.phi[node] for node in flow.nodes])
+    gradient = v.w * (phi[v.rows] - phi[v.cols])
+    circular = v.F - gradient
+    # sequential sums in pair order; numpy's pairwise sum rounds differently
+    total = sum((v.F * v.F / v.w).tolist())
     if total == 0.0:
         raise PipelineError("all flows are zero; gradient/loop ratios undefined")
-    return grad_norm / total, loop_norm / total
-
-
-def flow_ratios(decomp: HodgeDecomposition, flow: FlowNetwork) -> tuple[float, float]:
-    """Recompute (gradient_ratio, loop_ratio) from the stored components."""
-    return _ratios(flow, decomp.gradient_flow, decomp.circular_flow)
+    div = _net_out(v.rows, v.cols, circular, len(flow.nodes))
+    return HodgeDecomposition(
+        potentials=potentials,
+        gradient_flow=dict(zip(v.keys, gradient.tolist())),
+        circular_flow=dict(zip(v.keys, circular.tolist())),
+        gradient_ratio=sum((gradient * gradient / v.w).tolist()) / total,
+        loop_ratio=sum((circular * circular / v.w).tolist()) / total,
+        residual_norm=float(np.abs(div).max(initial=0.0)),
+    )
 
 
 def solve(flow: FlowNetwork, tol: float = 1e-10) -> HodgeDecomposition:

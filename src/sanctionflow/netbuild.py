@@ -7,8 +7,12 @@ contribute nothing (direction is ambiguous at day resolution).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Mapping
+
+import numpy as np
 
 from .errors import PipelineError
 from .events import EventSet
@@ -18,12 +22,32 @@ LIST_LEVEL = "list"
 INSTITUTION_LEVEL = "institution"
 
 
+def _index_pairs(nodes: tuple[str, ...], keys: Iterable[tuple[str, str]],
+                 m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Node indices of the first and second names of ``m`` name pairs."""
+    index = {node: i for i, node in enumerate(nodes)}
+    flat = np.fromiter((index[v] for key in keys for v in key), np.intp, 2 * m)
+    return flat[0::2], flat[1::2]
+
+
+# The integer form of an InfluenceNetwork, over indices into its nodes:
+# directed edges (src, dst, count) sorted by (src, dst), and unordered pairs
+# (lo < hi) sorted by (lo, hi), with fwd = A[lo -> hi] and back = A[hi -> lo]
+# as floats; edge e lies on pair row pair[e].
+GraphView = namedtuple("GraphView", "src dst count lo hi fwd back pair")
+# The integer form of a FlowNetwork: pair k is keys[k] = (i, j), from node
+# rows[k] to node cols[k], with flow F[k] and weight w[k], sorted by
+# (lower index, higher index).
+FlowView = namedtuple("FlowView", "keys rows cols F w")
+
+
 @dataclass(frozen=True)
 class InfluenceNetwork:
     """Directed weighted graph with integer influence counts.
 
     adjacency maps (src, dst) -> count; counts are strictly positive and
-    self-loops are never stored. Isolated nodes are allowed.
+    self-loops are never stored. Isolated nodes are allowed. ``view`` is
+    its integer form, built once, which the graph algorithms read.
     """
 
     level: str
@@ -33,6 +57,21 @@ class InfluenceNetwork:
     def total_count(self) -> int:
         return sum(self.adjacency.values())
 
+    @cached_property
+    def view(self) -> GraphView:
+        n, m = len(self.nodes), len(self.adjacency)
+        src, dst = _index_pairs(self.nodes, self.adjacency, m)
+        count = np.fromiter(self.adjacency.values(), np.int64, m)
+        order = np.argsort(src * n + dst, kind="stable")
+        src, dst, count = src[order], dst[order], count[order]
+        keys, pair = np.unique(np.minimum(src, dst) * n + np.maximum(src, dst),
+                               return_inverse=True)
+        lo, hi = np.divmod(keys, n)
+        forward = src < dst
+        fwd = np.bincount(pair, np.where(forward, count, 0), len(keys))
+        back = np.bincount(pair, np.where(forward, 0, count), len(keys))
+        return GraphView(src, dst, count, lo, hi, fwd, back, pair)
+
 
 @dataclass(frozen=True)
 class FlowNetwork:
@@ -41,11 +80,24 @@ class FlowNetwork:
     pairs maps (i, j) -> (F_ij, w_ij) with i before j in node order;
     F_ji = -F_ij is implied. Pairs with no interaction are absent; balanced
     pairs (F = 0) are kept because their weight still constrains potentials.
+    ``view`` is its integer form, built once.
     """
 
     nodes: tuple[str, ...]
     pairs: Mapping[tuple[str, str], tuple[float, float]]
     weight_mode: str
+
+    @cached_property
+    def view(self) -> FlowView:
+        m = len(self.pairs)
+        rows, cols = _index_pairs(self.nodes, self.pairs, m)
+        values = np.fromiter((x for fw in self.pairs.values() for x in fw),
+                             float, 2 * m)
+        order = np.argsort(np.minimum(rows, cols) * len(self.nodes)
+                           + np.maximum(rows, cols), kind="stable")
+        keys = list(self.pairs)
+        return FlowView([keys[k] for k in order.tolist()], rows[order],
+                        cols[order], values[0::2][order], values[1::2][order])
 
 
 def _accumulate(dated: Iterable[tuple[str, object]], counts: dict) -> None:
@@ -117,19 +169,12 @@ def symmetrize(net: InfluenceNetwork, mode: str = "mean") -> FlowNetwork:
     """
     if mode not in ("mean", "unit"):
         raise PipelineError(f"unknown weight mode '{mode}'")
-    order = {n: i for i, n in enumerate(net.nodes)}
-    pairs: dict[tuple[str, str], tuple[float, float]] = {}
-    for (a, b), count in net.adjacency.items():
-        if a == b:
-            raise PipelineError(f"self-loop on '{a}'")
-        i, j = (a, b) if order[a] < order[b] else (b, a)
-        if (i, j) in pairs:
-            continue
-        a_ij = net.adjacency.get((i, j), 0)
-        a_ji = net.adjacency.get((j, i), 0)
-        f = float(a_ij - a_ji)
-        w = (a_ij + a_ji) / 2.0 if mode == "mean" else 1.0
-        pairs[(i, j)] = (f, w)
+    v = net.view
+    flow = v.fwd - v.back
+    weight = (v.fwd + v.back) / 2.0 if mode == "mean" else np.ones(len(flow))
+    name = net.nodes.__getitem__
+    pairs = dict(zip(zip(map(name, v.lo.tolist()), map(name, v.hi.tolist())),
+                     zip(flow.tolist(), weight.tolist())))
     return FlowNetwork(nodes=net.nodes, pairs=pairs, weight_mode=mode)
 
 
@@ -168,12 +213,16 @@ def _count(fields: list[str], line_no: int) -> int:
     return count
 
 
-def read_records(text: str, marker: str, default: str, node_width: int,
-                 edge_width: int, value: Callable = _count):
-    """A node/edge file's ``# marker`` value, its node ids (first field of a
-    node line) and ``(src, dst) -> value(fields, line_no)`` per edge line."""
+def read_records(text: str, marker: str, default: str, edge_width: int,
+                 value: Callable = _count):
+    """A node/edge file's ``# marker`` value, its node ids (one per node
+    line) and ``(src, dst) -> value(fields, line_no)`` per edge line.
+
+    A repeated node, a repeated edge and an edge from a node to itself are
+    errors naming their line, as is an edge to an undeclared node.
+    """
     found = default
-    nodes: list[str] = []
+    nodes: dict[str, None] = {}
     edges: dict[tuple[str, str], object] = {}
     for line_no, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
@@ -184,23 +233,28 @@ def read_records(text: str, marker: str, default: str, node_width: int,
                 found = parts[1]
             continue
         fields = line.split("\t")
-        if len(fields) == node_width:
-            nodes.append(fields[0])
+        if len(fields) == 1:
+            if line in nodes:
+                raise PipelineError(f"line {line_no}: duplicate node '{line}'")
+            nodes[line] = None
         elif len(fields) == edge_width:
-            edges[(fields[0], fields[1])] = value(fields, line_no)
+            a, b = fields[0], fields[1]
+            if a == b:
+                raise PipelineError(f"line {line_no}: self-loop on '{a}'")
+            if (a, b) in edges:
+                raise PipelineError(f"line {line_no}: duplicate edge ({a}, {b})")
+            edges[(a, b)] = value(fields, line_no)
         else:
-            raise PipelineError(f"line {line_no}: expected {node_width} or "
-                                f"{edge_width} fields, got {len(fields)}")
-    known = set(nodes)
+            raise PipelineError(f"line {line_no}: expected 1 or {edge_width} "
+                                f"fields, got {len(fields)}")
     for (a, b) in edges:
-        if a not in known or b not in known:
+        if a not in nodes or b not in nodes:
             raise PipelineError(f"edge ({a}, {b}) references undeclared node")
     return found, tuple(nodes), edges
 
 
 def read_network(text: str) -> InfluenceNetwork:
-    level, nodes, adjacency = read_records(text, "level", INSTITUTION_LEVEL,
-                                           1, 3)
+    level, nodes, adjacency = read_records(text, "level", INSTITUTION_LEVEL, 3)
     return InfluenceNetwork(level=level, nodes=nodes, adjacency=adjacency)
 
 
@@ -219,5 +273,5 @@ def _flow_pair(fields: list[str], line_no: int) -> tuple[float, float]:
 
 
 def read_flow(text: str) -> FlowNetwork:
-    mode, nodes, pairs = read_records(text, "mode", "mean", 1, 4, _flow_pair)
+    mode, nodes, pairs = read_records(text, "mode", "mean", 4, _flow_pair)
     return FlowNetwork(nodes=nodes, pairs=pairs, weight_mode=mode)

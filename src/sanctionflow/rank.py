@@ -34,33 +34,24 @@ def pagerank(net: InfluenceNetwork, damping: float = 0.85,
         raise PipelineError("damping must lie strictly between 0 and 1")
     if tol <= 0:
         raise PipelineError("tolerance must be positive")
-    index = {node: i for i, node in enumerate(net.nodes)}
     n = len(net.nodes)
-    out_strength = np.zeros(n)
-    edges = []
-    for (a, b), count in sorted(net.adjacency.items()):
-        out_strength[index[a]] += count
-        edges.append((index[a], index[b], float(count)))
-    src = np.array([e[0] for e in edges], dtype=int)
-    dst = np.array([e[1] for e in edges], dtype=int)
-    wgt = np.array([e[2] for e in edges])
+    src, dst = net.view.src, net.view.dst
+    wgt = net.view.count.astype(float)
+    out_strength = np.bincount(src, wgt, n)
     dangling = out_strength == 0.0
     safe_out = np.where(dangling, 1.0, out_strength)
 
     v = np.full(n, 1.0 / n)
     for iteration in range(1, MAX_ITERATIONS + 1):
         contrib = v / safe_out
-        nxt = np.zeros(n)
-        if len(edges):
-            np.add.at(nxt, dst, wgt * contrib[src])
+        nxt = np.bincount(dst, wgt * contrib[src], n)
         nxt = damping * (nxt + v[dangling].sum() / n) + (1.0 - damping) / n
         nxt /= nxt.sum()
         delta = float(np.abs(nxt - v).sum())
         v = nxt
         if delta <= tol:
-            return RankVector(
-                scores={node: float(v[i]) for node, i in index.items()},
-                damping=damping, iterations_used=iteration)
+            return RankVector(scores=dict(zip(net.nodes, v.tolist())),
+                              damping=damping, iterations_used=iteration)
     raise ConvergenceError("pagerank hit the iteration cap", residual=delta)
 
 
@@ -70,6 +61,6 @@ def write_ranks(rank: RankVector, header: Iterable[str] = ()) -> str:
                         for node in sorted(rank.scores)))
 
 
-def read_ranks(text: str, damping: float = 0.85) -> RankVector:
+def read_ranks(text: str) -> RankVector:
     scores = dict(read_table(text, ("node", "pagerank"), (str, float)))
-    return RankVector(scores=scores, damping=damping, iterations_used=0)
+    return RankVector(scores=scores, damping=0.85, iterations_used=0)

@@ -14,13 +14,14 @@ import math
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from .errors import PipelineError
 from .hodge import HodgeDecomposition, PotentialVector
-from .netbuild import InfluenceNetwork, read_records
+from .netbuild import InfluenceNetwork
 from .community import CommunityPartition
 from .table import preamble, write_table
 
@@ -103,16 +104,8 @@ def layout(net: InfluenceNetwork, potentials: PotentialVector, seed: int = 0,
     x = np.array([rng.uniform(-1.0, 1.0) for _ in nodes])
 
     # one weight per unordered pair, summing both directions' counts
-    index = {v: i for i, v in enumerate(nodes)}
-    ends = np.array([(index[a], index[b]) for a, b in net.adjacency],
-                    dtype=np.int64).reshape(-1, 2)
-    counts = np.fromiter(net.adjacency.values(), dtype=float,
-                         count=len(net.adjacency))
-    keys, slot = np.unique(ends.min(axis=1) * n + ends.max(axis=1),
-                           return_inverse=True)
-    rows, cols = np.divmod(keys, n)
-    wgt = np.bincount(slot, weights=counts, minlength=len(keys))
-    energy_and_grad = _energy_kernel(y, rows, cols, wgt)
+    v = net.view
+    energy_and_grad = _energy_kernel(y, v.lo, v.hi, v.fwd + v.back)
 
     energy, grad = energy_and_grad(x)
     history = [energy]
@@ -134,7 +127,7 @@ def layout(net: InfluenceNetwork, potentials: PotentialVector, seed: int = 0,
         else:
             break
 
-    positions = {v: (float(x[i]), float(y[i])) for v, i in index.items()}
+    positions = dict(zip(nodes, zip(x.tolist(), y.tolist())))
     if jitter > 0.0:
         positions = _apply_jitter(positions, nodes, jitter, min_sep, rng)
     return LayoutResult(positions=positions, seed=seed, overlap_jitter=jitter,
@@ -196,23 +189,6 @@ def write_potential_table(rows: list[TableRow],
                          "*" if row.highlighted else "") for row in rows))
 
 
-def potential_matrix(decomps: Mapping[str, HodgeDecomposition],
-                     names: Mapping[str, str] | None = None) -> list[list[str]]:
-    """Node x category grid of potentials, '-' where a node is absent."""
-    names = names or {}
-    categories = sorted(decomps)
-    all_nodes = sorted({n for d in decomps.values() for n in d.potentials.phi},
-                       key=lambda v: names.get(v, v))
-    grid = [["name"] + categories]
-    for node in all_nodes:
-        row = [names.get(node, node)]
-        for cat in categories:
-            phi = decomps[cat].potentials.phi.get(node)
-            row.append("-" if phi is None else f"{phi:.3f}")
-        grid.append(row)
-    return grid
-
-
 @dataclass(frozen=True)
 class ScatterData:
     rows: list[tuple[str, float, float]]  # node, pagerank, potential
@@ -248,20 +224,6 @@ def write_scatter(data: ScatterData, header: Iterable[str] = ()) -> str:
 # (id, potential, community, x, y), edge lines with 7 (src, dst, count,
 # F, w, F_grad, F_circ); '-' marks an unavailable attribute.
 
-def _pair_attrs(decomp, a, b):
-    if decomp is None:
-        return None
-    if (a, b) in decomp.gradient_flow:
-        sign, key = 1.0, (a, b)
-    elif (b, a) in decomp.gradient_flow:
-        sign, key = -1.0, (b, a)
-    else:
-        return None
-    fp = sign * decomp.gradient_flow[key]
-    fc = sign * decomp.circular_flow[key]
-    return fp + fc, fp, fc
-
-
 def export_graph(net: InfluenceNetwork,
                  decomp: HodgeDecomposition | None = None,
                  partition: CommunityPartition | None = None,
@@ -284,24 +246,40 @@ def export_graph(net: InfluenceNetwork,
         pos = layout_result.positions[v] if layout_result else None
         return phi, comm, pos
 
-    flows = None
-    if decomp is not None:
-        flows = {}
-        for (a, b) in net.adjacency:
-            flows[(a, b)] = _pair_attrs(decomp, a, b)
-
+    view = net.view
+    flows = repeat(None) if decomp is None else _link_flows(net, decomp)
+    links = zip(map(net.nodes.__getitem__, view.src.tolist()),
+                map(net.nodes.__getitem__, view.dst.tolist()),
+                view.count.tolist(), flows)
     if format == "edge_table":
-        return _export_edge_table(net, node_attrs, flows, header)
+        return _export_edge_table(net, node_attrs, links, header)
     if format == "dot":
-        return _export_dot(net, node_attrs, flows)
-    return _export_json(net, node_attrs, flows)
+        return _export_dot(net, node_attrs, links)
+    return _export_json(net, node_attrs, links)
+
+
+def _link_flows(net, decomp):
+    """(F, F_grad, F_circ) of each directed edge of ``net.view``, from the
+    decomposition's (lower, higher node index) pair with the edge's sign;
+    None where the decomposition lacks the pair."""
+    v = net.view
+    keys = list(zip(map(net.nodes.__getitem__, v.lo.tolist()),
+                    map(net.nodes.__getitem__, v.hi.tolist())))
+    found = np.array([key in decomp.gradient_flow for key in keys], bool)
+    grad = np.array([decomp.gradient_flow.get(key, 0.0) for key in keys])
+    circ = np.array([decomp.circular_flow.get(key, 0.0) for key in keys])
+    sign = np.where(v.src < v.dst, 1.0, -1.0)
+    fp, fc = sign * grad[v.pair], sign * circ[v.pair]
+    return (attrs if ok else None for attrs, ok in zip(
+        zip((fp + fc).tolist(), fp.tolist(), fc.tolist()),
+        found[v.pair].tolist()))
 
 
 def _fmt(value):
     return "-" if value is None else f"{value:.17g}"
 
 
-def _export_edge_table(net, node_attrs, flows, header):
+def _export_edge_table(net, node_attrs, links, header):
     out = io.StringIO()
     out.write(preamble([*header, "node columns\tid\tpotential\tcommunity\tx\ty",
                         "edge columns\tsrc\tdst\tcount\tF\tw\tF_grad\tF_circ",
@@ -311,27 +289,21 @@ def _export_edge_table(net, node_attrs, flows, header):
         x, y = pos if pos else (None, None)
         comm_s = "-" if comm is None else str(comm)
         out.write(f"{v}\t{_fmt(phi)}\t{comm_s}\t{_fmt(x)}\t{_fmt(y)}\n")
-    for (a, b) in sorted(net.adjacency):
-        attrs = flows.get((a, b)) if flows else None
+    view = net.view
+    # w recoverable from the pair tables; emit half-sum of counts here
+    half = ((view.fwd + view.back)[view.pair] / 2.0).tolist()
+    for (a, b, count, attrs), w in zip(links, half):
         f, fp, fc = attrs if attrs else (None, None, None)
-        # w recoverable from the pair tables; emit half-sum of counts here
-        w = (net.adjacency.get((a, b), 0) + net.adjacency.get((b, a), 0)) / 2.0
-        out.write(f"{a}\t{b}\t{net.adjacency[(a, b)]}\t{_fmt(f)}\t{w:.17g}\t"
+        out.write(f"{a}\t{b}\t{count}\t{_fmt(f)}\t{w:.17g}\t"
                   f"{_fmt(fp)}\t{_fmt(fc)}\n")
     return out.getvalue()
-
-
-def read_edge_table(text: str) -> InfluenceNetwork:
-    """Inverse of the edge_table export, recovering the bare network."""
-    level, nodes, adjacency = read_records(text, "level", "institution", 5, 7)
-    return InfluenceNetwork(level=level, nodes=nodes, adjacency=adjacency)
 
 
 def _dot_quote(s):
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _export_dot(net, node_attrs, flows):
+def _export_dot(net, node_attrs, links):
     out = io.StringIO()
     out.write("digraph influence {\n")
     for v in net.nodes:
@@ -345,9 +317,8 @@ def _export_dot(net, node_attrs, flows):
             attrs.append(f'pos="{pos[0]:.6g},{pos[1]:.6g}"')
         suffix = f" [{', '.join(attrs)}]" if attrs else ""
         out.write(f"  {_dot_quote(v)}{suffix};\n")
-    for (a, b) in sorted(net.adjacency):
-        attrs = [f'weight="{net.adjacency[(a, b)]}"']
-        pair = flows.get((a, b)) if flows else None
+    for a, b, count, pair in links:
+        attrs = [f'weight="{count}"']
         if pair is not None:
             f, fp, fc = pair
             attrs.append(f'F="{f:.6g}"')
@@ -359,7 +330,7 @@ def _export_dot(net, node_attrs, flows):
     return out.getvalue()
 
 
-def _export_json(net, node_attrs, flows):
+def _export_json(net, node_attrs, links):
     nodes = []
     for v in net.nodes:
         phi, comm, pos = node_attrs(v)
@@ -371,13 +342,12 @@ def _export_json(net, node_attrs, flows):
         if pos is not None:
             entry["x"], entry["y"] = pos
         nodes.append(entry)
-    links = []
-    for (a, b) in sorted(net.adjacency):
-        entry = {"source": a, "target": b, "count": net.adjacency[(a, b)]}
-        pair = flows.get((a, b)) if flows else None
+    entries = []
+    for a, b, count, pair in links:
+        entry = {"source": a, "target": b, "count": count}
         if pair is not None:
             entry["F"], entry["F_grad"], entry["F_circ"] = pair
-        links.append(entry)
+        entries.append(entry)
     return json.dumps({"directed": True, "level": net.level,
-                       "nodes": nodes, "links": links},
+                       "nodes": nodes, "links": entries},
                       indent=2, sort_keys=True) + "\n"

@@ -3,10 +3,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sanctionflow import (EventSet, InfluenceNetwork, PipelineError,
-                          build_institution_network, build_list_network,
-                          filter_by_category, read_flow, read_network,
-                          symmetrize, write_flow, write_network)
+from sanctionflow import (EventSet, FlowNetwork, InfluenceNetwork,
+                          PipelineError, build_institution_network,
+                          build_list_network, filter_by_category, read_flow,
+                          read_network, symmetrize, write_flow, write_network)
 from conftest import ev, make_network
 from oracles import brute_force_counts
 
@@ -200,3 +200,34 @@ def test_write_network_refuses_ids_it_cannot_read_back():
         net = InfluenceNetwork("institution", ("A", bad), {("A", bad): 1})
         with pytest.raises(PipelineError, match="node id"):
             write_network(net)
+
+
+def test_view_matches_the_adjacency():
+    rng = random.Random(8)
+    nodes = [f"N{i}" for i in range(7)]
+    rng.shuffle(nodes)
+    edges = [(a, b, rng.randint(1, 5)) for a in nodes for b in nodes
+             if a != b and rng.random() < 0.4]
+    rng.shuffle(edges)
+    net = make_network(edges, nodes=nodes)
+    v = net.view
+    index = {node: i for i, node in enumerate(nodes)}
+    assert list(zip(v.src.tolist(), v.dst.tolist(), v.count.tolist())) == \
+        sorted((index[a], index[b], c) for a, b, c in edges)
+    pairs = sorted({tuple(sorted((index[a], index[b]))) for a, b, _ in edges})
+    assert list(zip(v.lo.tolist(), v.hi.tolist())) == pairs
+    for k, (lo, hi) in enumerate(pairs):
+        assert v.fwd[k] == net.adjacency.get((nodes[lo], nodes[hi]), 0)
+        assert v.back[k] == net.adjacency.get((nodes[hi], nodes[lo]), 0)
+    for e, p in enumerate(v.pair.tolist()):
+        assert {v.src[e], v.dst[e]} == {v.lo[p], v.hi[p]}
+
+
+def test_flow_view_keeps_each_pair_as_stored_in_pair_order():
+    flow = FlowNetwork(nodes=("A", "B", "C"), weight_mode="unit",
+                       pairs={("B", "C"): (1.0, 2.0), ("C", "A"): (3.0, 4.0),
+                              ("A", "B"): (5.0, 6.0)})
+    v = flow.view
+    assert v.keys == [("A", "B"), ("C", "A"), ("B", "C")]
+    assert (v.rows.tolist(), v.cols.tolist()) == ([0, 2, 1], [1, 0, 2])
+    assert (v.F.tolist(), v.w.tolist()) == ([5.0, 3.0, 1.0], [6.0, 4.0, 2.0])

@@ -7,8 +7,7 @@ import pytest
 
 from sanctionflow import (InfluenceNetwork, PipelineError, PotentialVector,
                           RankVector, export_graph, layout, louvain,
-                          potential_matrix, potential_table, read_edge_table,
-                          scatter_data, solve, symmetrize,
+                          potential_table, scatter_data, solve, symmetrize,
                           write_potential_table, write_scatter)
 from sanctionflow.report import (_BLOCK_CELLS, _EPS, _apply_jitter,
                                  _energy_kernel)
@@ -263,17 +262,6 @@ def test_potential_table_tie_broken_by_name():
     assert names == sorted(names)
 
 
-def test_potential_matrix_marks_absent():
-    d1 = solve(symmetrize(make_network([("A", "B", 1)]), "unit"))
-    d2 = solve(symmetrize(make_network([("A", "C", 1)]), "unit"))
-    grid = potential_matrix({"cat1": d1, "cat2": d2})
-    assert grid[0] == ["name", "cat1", "cat2"]
-    by_name = {row[0]: row[1:] for row in grid[1:]}
-    assert by_name["B"][1] == "-"
-    assert by_name["C"][0] == "-"
-    assert by_name["A"] == ["0.500", "0.500"]
-
-
 def test_scatter_constant_column_flag():
     rank = RankVector(scores={"A": 0.5, "B": 0.5}, damping=0.85,
                       iterations_used=1)
@@ -317,6 +305,17 @@ def test_export_dot_minimal():
     assert 'weight="1"' in doc
 
 
+def edge_table_network(doc):
+    """The bare network of an edge_table export: its level marker, node
+    lines of 5 fields and edge lines of 7."""
+    lines = doc.splitlines()
+    level = next(l.split("\t")[1] for l in lines if l.startswith("# level\t"))
+    rows = [l.split("\t") for l in lines if l and not l.startswith("#")]
+    return InfluenceNetwork(level, tuple(r[0] for r in rows if len(r) == 5),
+                            {(r[0], r[1]): int(r[2]) for r in rows
+                             if len(r) == 7})
+
+
 def test_edge_table_round_trip(feed_forward_triangle):
     d = solve(symmetrize(feed_forward_triangle, "unit"))
     part = louvain(feed_forward_triangle, seed=0)
@@ -324,10 +323,10 @@ def test_edge_table_round_trip(feed_forward_triangle):
     lay = layout(feed_forward_triangle, pv, seed=0)
     doc = export_graph(feed_forward_triangle, decomp=d, partition=part,
                        layout_result=lay, format="edge_table")
-    assert read_edge_table(doc) == feed_forward_triangle
+    assert edge_table_network(doc) == feed_forward_triangle
     # bare export round-trips too
     bare = export_graph(feed_forward_triangle, format="edge_table")
-    assert read_edge_table(bare) == feed_forward_triangle
+    assert edge_table_network(bare) == feed_forward_triangle
 
 
 def test_json_graph_attributes(feed_forward_triangle):
@@ -349,8 +348,3 @@ def test_unknown_format_errors(feed_forward_triangle):
     with pytest.raises(PipelineError):
         export_graph(feed_forward_triangle, format="gexf")
 
-
-def test_read_edge_table_rejects_non_integer_count():
-    doc = "A\t-\t-\t-\t-\nB\t-\t-\t-\t-\nA\tB\tx\t-\t1\t-\t-\n"
-    with pytest.raises(PipelineError, match="line 3"):
-        read_edge_table(doc)
