@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Collection, Iterable, Mapping
 
 import numpy as np
 
@@ -22,11 +22,12 @@ LIST_LEVEL = "list"
 INSTITUTION_LEVEL = "institution"
 
 
-def _index_pairs(nodes: tuple[str, ...], keys: Iterable[tuple[str, str]],
-                 m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Node indices of the first and second names of ``m`` name pairs."""
+def _index_pairs(nodes: tuple[str, ...], keys: Collection[tuple[str, str]]
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Node indices of the first and second names of each name pair."""
     index = {node: i for i, node in enumerate(nodes)}
-    flat = np.fromiter((index[v] for key in keys for v in key), np.intp, 2 * m)
+    flat = np.fromiter((index[v] for key in keys for v in key), np.intp,
+                       2 * len(keys))
     return flat[0::2], flat[1::2]
 
 
@@ -60,7 +61,7 @@ class InfluenceNetwork:
     @cached_property
     def view(self) -> GraphView:
         n, m = len(self.nodes), len(self.adjacency)
-        src, dst = _index_pairs(self.nodes, self.adjacency, m)
+        src, dst = _index_pairs(self.nodes, self.adjacency)
         count = np.fromiter(self.adjacency.values(), np.int64, m)
         order = np.argsort(src * n + dst, kind="stable")
         src, dst, count = src[order], dst[order], count[order]
@@ -89,10 +90,9 @@ class FlowNetwork:
 
     @cached_property
     def view(self) -> FlowView:
-        m = len(self.pairs)
-        rows, cols = _index_pairs(self.nodes, self.pairs, m)
+        rows, cols = _index_pairs(self.nodes, self.pairs)
         values = np.fromiter((x for fw in self.pairs.values() for x in fw),
-                             float, 2 * m)
+                             float, 2 * len(self.pairs))
         order = np.argsort(np.minimum(rows, cols) * len(self.nodes)
                            + np.maximum(rows, cols), kind="stable")
         keys = list(self.pairs)
