@@ -5,10 +5,10 @@ import time
 import numpy as np
 import pytest
 
-from sanctionflow import (InfluenceNetwork, PipelineError, PotentialVector,
-                          RankVector, export_graph, layout, louvain,
-                          potential_table, scatter_data, solve, symmetrize,
-                          write_potential_table, write_scatter)
+from sanctionflow import (HodgeDecomposition, InfluenceNetwork, PipelineError,
+                          PotentialVector, RankVector, export_graph, layout,
+                          louvain, potential_table, scatter_data, solve,
+                          symmetrize, write_potential_table, write_scatter)
 from sanctionflow.report import (_BLOCK_CELLS, _EPS, _apply_jitter,
                                  _energy_kernel)
 from conftest import make_network
@@ -260,6 +260,17 @@ def test_potential_table_tie_broken_by_name():
     rows = potential_table(d)
     names = [r.name for r in rows if abs(r.potential - rows[-1].potential) < 1e-9]
     assert names == sorted(names)
+
+
+def test_potential_table_ranks_by_the_printed_value():
+    # b and a both print 0.123, d and c print 0.000 and -0.000: each pair
+    # ties, so a potential moving below the printed precision keeps the rows
+    phi = {"b": 0.1234, "a": 0.12339, "d": 1e-5, "c": -1e-5}
+    pv = PotentialVector(phi=phi, component=dict.fromkeys(phi, 0))
+    d = HodgeDecomposition(pv, {}, {}, 0.0, 0.0, 0.0)
+    text = write_potential_table(potential_table(d))
+    assert text.splitlines()[1:] == ["1,a,0.123,", "2,b,0.123,",
+                                     "3,c,-0.000,", "4,d,0.000,"]
 
 
 def test_scatter_constant_column_flag():
