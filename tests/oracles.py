@@ -3,16 +3,19 @@
 Everything here deliberately avoids the library's solver paths: dense
 pseudoinverse for potentials, eigenvector extraction for PageRank, brute
 force enumeration for edge counts and partitions, dense all-pairs arrays
-for the layout energy.
+for the layout energy. ``louvain_reference`` is the Louvain method as
+first written, on Python neighbour lists and dicts.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import random
 
 import numpy as np
 
+from sanctionflow.community import CommunityPartition, modularity
 from sanctionflow.report import _EPS, _GRAVITY
 
 
@@ -166,6 +169,117 @@ def best_partition_bruteforce(net, resolution=1.0):
         if q > best_q:
             best_q, best = q, assignment
     return best_q, best
+
+
+def _reference_local_move(n, neighbors, strength, two_m, resolution, comm,
+                          rng):
+    """One level's local moves; True if any node changed community."""
+    comm_total = {}
+    for i in range(n):
+        comm_total[comm[i]] = comm_total.get(comm[i], 0.0) + strength[i]
+    order = list(range(n))
+    improved = False
+    moved = True
+    while moved:
+        moved = False
+        rng.shuffle(order)
+        for i in order:
+            ci = comm[i]
+            links = {}  # community -> weight of edges from i (excl. self-loop)
+            for j, w in neighbors[i]:
+                links[comm[j]] = links.get(comm[j], 0.0) + w
+            comm_total[ci] -= strength[i]
+            base = links.get(ci, 0.0) - resolution * strength[i] * comm_total[ci] / two_m
+            best_c, best_gain = ci, 0.0
+            for c in sorted(links):
+                if c == ci:
+                    continue
+                gain = (links[c]
+                        - resolution * strength[i] * comm_total[c] / two_m) - base
+                if gain > best_gain + 1e-14:
+                    best_c, best_gain = c, gain
+            comm[i] = best_c
+            comm_total[best_c] = comm_total.get(best_c, 0.0) + strength[i]
+            if best_c != ci:
+                moved = True
+                improved = True
+    return improved
+
+
+def louvain_reference(net, resolution=1.0, seed=0):
+    """Louvain with aggregation over neighbour lists built from the
+    adjacency dict (w = A_ab + A_ba per unordered pair), one dict fold of
+    community pairs per level, and first-appearance relabels in loops.
+
+    Every weight is a sum of integer counts, so each float sum is exact in
+    any order; Q per level and at the end comes from the library's
+    ``modularity``, so a faithful implementation matches it bit for bit.
+    """
+    nodes = net.nodes
+    n = len(nodes)
+    index = {node: i for i, node in enumerate(nodes)}
+    pair_w = {}
+    for (a, b), count in net.adjacency.items():
+        key = (min(index[a], index[b]), max(index[a], index[b]))
+        pair_w[key] = pair_w.get(key, 0.0) + count
+    two_m = 2.0 * sum(pair_w.values())
+    rng = random.Random(seed)
+    neighbors = [[] for _ in range(n)]
+    for (a, b), w in pair_w.items():
+        neighbors[a].append((b, w))
+        neighbors[b].append((a, w))
+    self_w = [0.0] * n
+    membership = list(range(n))  # original node -> current super-node
+    pass_q = []
+
+    while True:
+        strength = [self_w[i] + sum(w for _, w in neighbors[i]) for i in range(n)]
+        comm = list(range(n))
+        improved = _reference_local_move(n, neighbors, strength, two_m,
+                                         resolution, comm, rng)
+        relabel = {}
+        for i in range(n):
+            relabel.setdefault(comm[i], len(relabel))
+        comm = [relabel[c] for c in comm]
+        membership = [comm[membership[v]] for v in range(len(membership))]
+        pass_q.append(modularity(net, dict(zip(nodes, membership)),
+                                 resolution))
+        if not improved or len(relabel) == n:
+            break
+        # aggregate communities into super-nodes
+        n_new = len(relabel)
+        new_self = [0.0] * n_new
+        agg = {}
+        for i in range(n):
+            new_self[comm[i]] += self_w[i]
+            for j, w in neighbors[i]:
+                if i < j:
+                    ci, cj = comm[i], comm[j]
+                    if ci == cj:
+                        new_self[ci] += 2.0 * w
+                    else:
+                        key = (min(ci, cj), max(ci, cj))
+                        agg[key] = agg.get(key, 0.0) + w
+        neighbors = [[] for _ in range(n_new)]
+        for (ci, cj), w in agg.items():
+            neighbors[ci].append((cj, w))
+            neighbors[cj].append((ci, w))
+        self_w = new_self
+        n = n_new
+
+    assignment = dict(zip(nodes, membership))
+    relabel = {}
+    for node in nodes:
+        relabel.setdefault(assignment[node], len(relabel))
+    assignment = {node: relabel[c] for node, c in assignment.items()}
+    q = modularity(net, assignment, resolution)
+    single = {node: 0 for node in nodes}
+    q_single = modularity(net, single, resolution)
+    if q < q_single:
+        assignment, q = single, q_single
+    return CommunityPartition(assignment=assignment, modularity=q,
+                              resolution=resolution, seed=seed,
+                              pass_modularity=tuple(pass_q))
 
 
 def connected_edge_subsets(n):

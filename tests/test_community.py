@@ -5,7 +5,8 @@ import pytest
 from sanctionflow import (InfluenceNetwork, PipelineError, louvain,
                           modularity, read_partition, write_partition)
 from conftest import make_network
-from oracles import best_partition_bruteforce, modularity_oracle
+from oracles import (best_partition_bruteforce, louvain_reference,
+                     modularity_oracle)
 
 
 def test_two_triangles_partition_value(two_triangles):
@@ -101,6 +102,36 @@ def test_louvain_attains_bruteforce_optimum_small():
         best_q, _ = best_partition_bruteforce(net)
         attained = max(louvain(net, seed=s).modularity for s in range(5))
         assert attained == pytest.approx(best_q, abs=1e-9)
+
+
+def random_hierarchy(rng):
+    """30-120 nodes in groups of 3-6, grouped again by 2-4; an ordered pair
+    is an edge with probability 0.5 within a group, 0.06 within a
+    super-group and 0.008 otherwise, with a count of 1-5."""
+    n = rng.randint(30, 120)
+    nodes = [f"N{i:03d}" for i in range(n)]
+    small = rng.randint(3, 6)
+    big = small * rng.randint(2, 4)
+    adjacency = {}
+    for i in range(n):
+        for j in range(n):
+            p = (0.5 if i // small == j // small else
+                 0.06 if i // big == j // big else 0.008)
+            if i != j and rng.random() < p:
+                adjacency[(nodes[i], nodes[j])] = rng.randint(1, 5)
+    return InfluenceNetwork("institution", tuple(nodes), adjacency)
+
+
+def test_louvain_matches_the_reference_exactly():
+    rng = random.Random(11)
+    for trial in range(40):
+        net = random_hierarchy(rng)
+        resolution = rng.choice([0.5, 1.0, 1.6])
+        seed = rng.randrange(1000)
+        want = louvain_reference(net, resolution, seed)
+        assert len(want.pass_modularity) >= 3  # two aggregations at least
+        # assignment, Q and Q per level, all compared exactly
+        assert louvain(net, resolution, seed) == want
 
 
 def test_louvain_never_below_single_community(two_triangles):
