@@ -55,22 +55,39 @@ def modularity(net: InfluenceNetwork, assignment: Mapping[str, int],
     return q
 
 
-def _local_move(n, neighbors, self_w, strength, two_m, resolution, comm, rng):
+def _neighbors(n, lo, hi, w):
+    """Per-node (neighbour, weight) lists of one level's pairs (lo, hi, w)."""
+    ends = np.concatenate([lo, hi])
+    others = np.concatenate([hi, lo])
+    order = np.argsort(ends * n + others)
+    bounds = np.cumsum(np.bincount(ends, minlength=n)).tolist()
+    flat = list(zip(others[order].tolist(), np.tile(w, 2)[order].tolist()))
+    return [flat[a:b] for a, b in zip([0, *bounds], bounds)]
+
+
+def _first_appearance(labels):
+    """The labels renumbered 0, 1, ... in their order of first appearance."""
+    _, first, inverse = np.unique(labels, return_index=True,
+                                  return_inverse=True)
+    rank = np.empty(len(first), np.intp)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return rank[inverse]
+
+
+def _local_move(neighbors, strength, two_m, resolution, comm, rng):
     """Sweep nodes in shuffled order, moving each to its best community.
 
-    Returns (number of passes, improved flag). Each full pass is
-    non-decreasing in Q by construction (only strictly improving moves).
+    Returns whether any node moved. Each full pass is non-decreasing in Q
+    by construction (only strictly improving moves).
     """
     comm_total = {}
-    for i in range(n):
-        comm_total[comm[i]] = comm_total.get(comm[i], 0.0) + strength[i]
-    order = list(range(n))
+    for c, s in zip(comm, strength):
+        comm_total[c] = comm_total.get(c, 0.0) + s
+    order = list(range(len(comm)))
     improved = False
     moved = True
-    passes = 0
     while moved:
         moved = False
-        passes += 1
         rng.shuffle(order)
         for i in order:
             ci = comm[i]
@@ -92,7 +109,7 @@ def _local_move(n, neighbors, self_w, strength, two_m, resolution, comm, rng):
             if best_c != ci:
                 moved = True
                 improved = True
-    return passes, improved
+    return improved
 
 
 def louvain(net: InfluenceNetwork, resolution: float = 1.0,
@@ -101,68 +118,55 @@ def louvain(net: InfluenceNetwork, resolution: float = 1.0,
 
     Deterministic for a fixed (network, resolution, seed); the returned Q
     is recomputed from scratch and never below the single-community baseline.
+    Each level is pair arrays (lo, hi, w) over its super-nodes plus their
+    self-weights; every weight is a sum of integer counts, so each float
+    sum is exact in any order.
     """
     if resolution <= 0:
         raise PipelineError("resolution must be positive")
     if not net.nodes:
         raise PipelineError("empty network")
     view = net.view
-    weights = view.fwd + view.back
-    two_m = 2.0 * float(weights.sum())
+    lo, hi, w = view.lo, view.hi, view.fwd + view.back
+    two_m = 2.0 * float(w.sum())
     if two_m == 0.0:
         raise PipelineError("network has zero total weight")
     rng = random.Random(seed)
 
     nodes = net.nodes
     n = len(nodes)
-    neighbors: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for a, b, w in zip(view.lo.tolist(), view.hi.tolist(), weights.tolist()):
-        neighbors[a].append((b, w))
-        neighbors[b].append((a, w))
-    self_w = [0.0] * n
-    membership = list(range(n))  # original node -> current super-node
+    self_w = np.zeros(n)
+    # original node -> current super-node. Each level numbers its
+    # communities by first appearance over its super-nodes, so this stays
+    # numbered by first appearance over the nodes and needs no final relabel.
+    membership = np.arange(n)
     pass_q: list[float] = []
 
     while True:
-        strength = [self_w[i] + sum(w for _, w in neighbors[i]) for i in range(n)]
+        strength = self_w + np.bincount(lo, w, n) + np.bincount(hi, w, n)
         comm = list(range(n))
-        _, improved = _local_move(n, neighbors, self_w, strength, two_m,
-                                  resolution, comm, rng)
-        relabel = {}
-        for i in range(n):
-            relabel.setdefault(comm[i], len(relabel))
-        comm = [relabel[c] for c in comm]
-        membership = [comm[membership[v]] for v in range(len(membership))]
-        pass_q.append(modularity(net, dict(zip(nodes, membership)),
+        improved = _local_move(_neighbors(n, lo, hi, w), strength.tolist(),
+                               two_m, resolution, comm, rng)
+        comm = _first_appearance(comm)
+        membership = comm[membership]
+        pass_q.append(modularity(net, dict(zip(nodes, membership.tolist())),
                                  resolution))
-        if not improved or len(relabel) == n:
+        k = int(comm.max()) + 1
+        if not improved or k == n:
             break
         # aggregate communities into super-nodes
-        n_new = len(relabel)
-        new_self = [0.0] * n_new
-        agg: dict[tuple[int, int], float] = {}
-        for i in range(n):
-            new_self[comm[i]] += self_w[i]
-            for j, w in neighbors[i]:
-                if i < j:
-                    ci, cj = comm[i], comm[j]
-                    if ci == cj:
-                        new_self[ci] += 2.0 * w
-                    else:
-                        key = (min(ci, cj), max(ci, cj))
-                        agg[key] = agg.get(key, 0.0) + w
-        neighbors = [[] for _ in range(n_new)]
-        for (ci, cj), w in agg.items():
-            neighbors[ci].append((cj, w))
-            neighbors[cj].append((ci, w))
-        self_w = new_self
-        n = n_new
+        c_lo, c_hi = comm[lo], comm[hi]
+        same = c_lo == c_hi
+        self_w = (np.bincount(comm, self_w, k)
+                  + np.bincount(c_lo[same], 2.0 * w[same], k))
+        keys, pair = np.unique(np.minimum(c_lo, c_hi)[~same] * k
+                               + np.maximum(c_lo, c_hi)[~same],
+                               return_inverse=True)
+        w = np.bincount(pair, w[~same], len(keys))
+        lo, hi = np.divmod(keys, k)
+        n = k
 
-    assignment = dict(zip(nodes, membership))
-    relabel = {}
-    for node in nodes:
-        relabel.setdefault(assignment[node], len(relabel))
-    assignment = {node: relabel[c] for node, c in assignment.items()}
+    assignment = dict(zip(nodes, membership.tolist()))
     q = modularity(net, assignment, resolution)
     single = {node: 0 for node in nodes}
     q_single = modularity(net, single, resolution)
