@@ -10,8 +10,8 @@ from .events import (EventSet, SanctionEvent, ValidationReport, parse_events,
                      serialize_events, validate_events)
 from .synth import SynthConfig, synth_generate
 from .netbuild import (FlowNetwork, InfluenceNetwork, build_institution_network,
-                       build_list_network, filter_by_category, read_flow,
-                       read_network, symmetrize, write_flow, write_network)
+                       build_list_network, filter_by_category, read_network,
+                       symmetrize, write_flow, write_network)
 from .hodge import (HodgeDecomposition, LaplacianSystem, PotentialVector,
                     assemble_laplacian, decompose, solve, solve_potentials)
 from .community import (CommunityPartition, louvain, modularity,

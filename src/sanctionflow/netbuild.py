@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Collection, Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 import numpy as np
 
@@ -100,54 +100,47 @@ class FlowNetwork:
                         cols[order], values[0::2][order], values[1::2][order])
 
 
-def _accumulate(dated: Iterable[tuple[str, object]], counts: dict) -> None:
-    """Add one precedence count per ordered pair with strictly earlier date."""
-    items = list(dated)
-    for a, da in items:
-        for b, db in items:
-            if a != b and da < db:
-                counts[(a, b)] = counts.get((a, b), 0) + 1
+def _precedence_network(events: EventSet, level: str, attr: str,
+                        lists: set[str] | None = None) -> InfluenceNetwork:
+    """Network over the events' ``attr`` values (list_id or issuer), from
+    the events on the selected lists (all by default).
+
+    Precedence compares each node's earliest date per entity, so one entity
+    contributes at most 1 to any ordered pair; a node meets each entity
+    once, so a pair (a, b) with da < db never has a == b.
+    """
+    first_date: dict[str, dict[str, object]] = {}  # entity -> node -> date
+    for ev in events.events:
+        if lists is not None and ev.list_id not in lists:
+            continue
+        node = getattr(ev, attr)
+        per = first_date.setdefault(ev.entity_id, {})
+        if node not in per or ev.date < per[node]:
+            per[node] = ev.date
+    counts: dict[tuple[str, str], int] = {}
+    for per in first_date.values():
+        for a, da in per.items():
+            for b, db in per.items():
+                if da < db:
+                    counts[(a, b)] = counts.get((a, b), 0) + 1
+    nodes = set().union(*first_date.values())
+    return InfluenceNetwork(level=level, nodes=tuple(sorted(nodes)),
+                            adjacency=counts)
 
 
 def build_list_network(events: EventSet) -> InfluenceNetwork:
     """List-level network: one count per (entity, ordered list pair) precedence."""
-    per_entity: dict[str, list[tuple[str, object]]] = {}
-    for ev in events.events:
-        per_entity.setdefault(ev.entity_id, []).append((ev.list_id, ev.date))
-    counts: dict[tuple[str, str], int] = {}
-    for dated in per_entity.values():
-        _accumulate(dated, counts)
-    return InfluenceNetwork(level=LIST_LEVEL,
-                            nodes=tuple(sorted(events.lists)),
-                            adjacency=counts)
+    return _precedence_network(events, LIST_LEVEL, "list_id")
 
 
 def build_institution_network(events: EventSet,
                               lists: set[str] | None = None) -> InfluenceNetwork:
-    """Institution-level network over the selected lists (all by default).
-
-    Precedence compares each institution's earliest inclusion date per
-    entity, so one entity contributes at most 1 to any ordered pair.
-    """
+    """Institution-level network over the selected lists (all by default)."""
     if lists is not None:
         unknown = sorted(lists - events.lists)
         if unknown:
             raise PipelineError(f"unknown list_id(s) in filter: {unknown}")
-    first_date: dict[str, dict[str, object]] = {}  # entity -> issuer -> date
-    issuers = set()
-    for ev in events.events:
-        if lists is not None and ev.list_id not in lists:
-            continue
-        issuers.add(ev.issuer)
-        per = first_date.setdefault(ev.entity_id, {})
-        if ev.issuer not in per or ev.date < per[ev.issuer]:
-            per[ev.issuer] = ev.date
-    counts: dict[tuple[str, str], int] = {}
-    for per in first_date.values():
-        _accumulate(sorted(per.items()), counts)
-    return InfluenceNetwork(level=INSTITUTION_LEVEL,
-                            nodes=tuple(sorted(issuers)),
-                            adjacency=counts)
+    return _precedence_network(events, INSTITUTION_LEVEL, "issuer", lists)
 
 
 def filter_by_category(events: EventSet, category_map: Mapping[str, str],
@@ -179,9 +172,9 @@ def symmetrize(net: InfluenceNetwork, mode: str = "mean") -> FlowNetwork:
 
 
 # ---------------------------------------------------------------------------
-# Plain-text round-trip formats. Node lines carry a single field; edge lines
-# are src<TAB>dst<TAB>count (flow pairs: i<TAB>j<TAB>F<TAB>w). Lines starting
-# with '#' are metadata and ignored on read, except the level/mode markers.
+# Plain-text formats. Node lines carry a single field; edge lines are
+# src<TAB>dst<TAB>count (flow pairs: i<TAB>j<TAB>F<TAB>w). Lines starting
+# with '#' are metadata and ignored on read, except the level marker.
 
 def _check_id(node: str) -> str:
     if node.startswith("#") or "\t" in node or "\n" in node:
@@ -203,59 +196,49 @@ def write_network(net: InfluenceNetwork, header: Iterable[str] = ()) -> str:
          for (a, b) in sorted(net.adjacency)))
 
 
-def _count(fields: list[str], line_no: int) -> int:
-    try:
-        count = int(fields[2])
-    except ValueError:
-        raise PipelineError(f"line {line_no}: bad count '{fields[2]}'")
-    if count <= 0:
-        raise PipelineError(f"line {line_no}: non-positive count")
-    return count
-
-
-def read_records(text: str, marker: str, default: str, edge_width: int,
-                 value: Callable = _count):
-    """A node/edge file's ``# marker`` value, its node ids (one per node
-    line) and ``(src, dst) -> value(fields, line_no)`` per edge line.
+def read_network(text: str) -> InfluenceNetwork:
+    """The network of a ``write_network`` file: its ``# level`` marker, one
+    node per single-field line and ``src<TAB>dst<TAB>count`` per edge line.
 
     A repeated node, a repeated edge and an edge from a node to itself are
     errors naming their line, as is an edge to an undeclared node.
     """
-    found = default
+    level = INSTITUTION_LEVEL
     nodes: dict[str, None] = {}
-    edges: dict[tuple[str, str], object] = {}
+    edges: dict[tuple[str, str], int] = {}
     for line_no, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         if line.startswith("#"):
             parts = line[1:].strip().split("\t")
-            if parts[0] == marker and len(parts) == 2:
-                found = parts[1]
+            if parts[0] == "level" and len(parts) == 2:
+                level = parts[1]
             continue
         fields = line.split("\t")
         if len(fields) == 1:
             if line in nodes:
                 raise PipelineError(f"line {line_no}: duplicate node '{line}'")
             nodes[line] = None
-        elif len(fields) == edge_width:
+        elif len(fields) == 3:
             a, b = fields[0], fields[1]
             if a == b:
                 raise PipelineError(f"line {line_no}: self-loop on '{a}'")
             if (a, b) in edges:
                 raise PipelineError(f"line {line_no}: duplicate edge ({a}, {b})")
-            edges[(a, b)] = value(fields, line_no)
+            try:
+                count = int(fields[2])
+            except ValueError:
+                raise PipelineError(f"line {line_no}: bad count '{fields[2]}'")
+            if count <= 0:
+                raise PipelineError(f"line {line_no}: non-positive count")
+            edges[(a, b)] = count
         else:
-            raise PipelineError(f"line {line_no}: expected 1 or {edge_width} "
-                                f"fields, got {len(fields)}")
+            raise PipelineError(f"line {line_no}: expected 1 or 3 fields, "
+                                f"got {len(fields)}")
     for (a, b) in edges:
         if a not in nodes or b not in nodes:
             raise PipelineError(f"edge ({a}, {b}) references undeclared node")
-    return found, tuple(nodes), edges
-
-
-def read_network(text: str) -> InfluenceNetwork:
-    level, nodes, adjacency = read_records(text, "level", INSTITUTION_LEVEL, 3)
-    return InfluenceNetwork(level=level, nodes=nodes, adjacency=adjacency)
+    return InfluenceNetwork(level=level, nodes=tuple(nodes), adjacency=edges)
 
 
 def write_flow(flow: FlowNetwork, header: Iterable[str] = ()) -> str:
@@ -263,15 +246,3 @@ def write_flow(flow: FlowNetwork, header: Iterable[str] = ()) -> str:
         [*header, f"mode\t{flow.weight_mode}"], flow.nodes,
         (f"{i}\t{j}\t{f:.17g}\t{w:.17g}\n"
          for (i, j), (f, w) in sorted(flow.pairs.items())))
-
-
-def _flow_pair(fields: list[str], line_no: int) -> tuple[float, float]:
-    try:
-        return float(fields[2]), float(fields[3])
-    except ValueError:
-        raise PipelineError(f"line {line_no}: bad flow/weight value")
-
-
-def read_flow(text: str) -> FlowNetwork:
-    mode, nodes, pairs = read_records(text, "mode", "mean", 4, _flow_pair)
-    return FlowNetwork(nodes=nodes, pairs=pairs, weight_mode=mode)
