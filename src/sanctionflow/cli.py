@@ -167,8 +167,7 @@ def cmd_report(args):
         rows = read_table(Path(args.layout).read_text(encoding="utf-8"),
                           ("node", "x", "y"), (str, float, float))
         positions = {node: (x, y) for node, x, y in rows}
-        layout_result = report.LayoutResult(positions=positions, seed=0,
-                                            overlap_jitter=0.0)
+        layout_result = report.LayoutResult(positions=positions)
     if args.pagerank:
         if decomp is None:
             raise PipelineError("scatter output needs --decomp")

@@ -80,10 +80,6 @@ class EventSet:
     def entities(self) -> frozenset[str]:
         return frozenset(ev.entity_id for ev in self.events)
 
-    @cached_property
-    def list_to_issuer(self) -> dict[str, str]:
-        return {ev.list_id: ev.issuer for ev in self.events}
-
 
 def _clean(value: str, name: str, line: int, seen: dict[str, str]) -> str:
     """The stripped identifier; each distinct raw value is checked once."""
@@ -126,16 +122,6 @@ def _event_from_fields(fields: dict[str, str], line: int,
         date=_parse_date(fields["date"], line),
         category=category,
     )
-
-
-def _as_text(stream) -> TextIO:
-    if isinstance(stream, str):
-        return io.StringIO(stream)
-    if isinstance(stream, bytes):
-        return io.StringIO(stream.decode("utf-8"))
-    if hasattr(stream, "read") and isinstance(stream.read(0), bytes):
-        return io.TextIOWrapper(stream, encoding="utf-8")
-    return stream
 
 
 def _parse_delimited(text: TextIO) -> list[SanctionEvent]:
@@ -191,13 +177,14 @@ def _parse_line_records(text: TextIO) -> list[SanctionEvent]:
     return events
 
 
-def parse_events(stream, format: str = "delimited") -> EventSet:
-    """Parse a delimited or line-record event stream into an EventSet.
+def parse_events(stream: str | TextIO, format: str = "delimited") -> EventSet:
+    """Parse a delimited or line-record event text or text stream into an
+    EventSet.
 
     Duplicate (list_id, entity_id) pairs collapse to the earliest date.
     Raises EventParseError naming the line and field on malformed input.
     """
-    text = _as_text(stream)
+    text = io.StringIO(stream) if isinstance(stream, str) else stream
     if format == "delimited":
         raw = _parse_delimited(text)
     elif format == "line_record":
@@ -208,11 +195,12 @@ def parse_events(stream, format: str = "delimited") -> EventSet:
 
 
 def serialize_events(events: EventSet) -> str:
-    """Canonical delimited form: header + rows sorted by (date, issuer, list, entity)."""
+    """Canonical delimited form: header + rows in the EventSet's order,
+    (date, issuer, list, entity)."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["issuer", "list_id", "entity_id", "date", "category"])
-    for ev in sorted(events.events, key=SanctionEvent.sort_key):
+    for ev in events.events:
         writer.writerow([ev.issuer, ev.list_id, ev.entity_id,
                          ev.date.isoformat(), ev.category or ""])
     return out.getvalue()
@@ -224,7 +212,6 @@ class ValidationReport:
     n_issuers: int
     n_lists: int
     n_entities: int
-    single_entity_lists: tuple[str, ...]
     edge_inert_entities: tuple[str, ...]  # entities appearing on a single list
     n_cross_list_entities: int
     warnings: tuple[str, ...]
@@ -237,14 +224,10 @@ class ValidationReport:
 
 
 def validate_events(events: EventSet) -> ValidationReport:
-    """Count the universe and flag lists/entities that cannot generate edges."""
-    list_entities: dict[str, set[str]] = {}
+    """Count the universe and flag entities that cannot generate edges."""
     entity_lists: dict[str, set[str]] = {}
     for ev in events.events:
-        list_entities.setdefault(ev.list_id, set()).add(ev.entity_id)
         entity_lists.setdefault(ev.entity_id, set()).add(ev.list_id)
-    single_lists = tuple(sorted(l for l, es in list_entities.items()
-                                if len(es) == 1))
     inert = tuple(sorted(e for e, ls in entity_lists.items() if len(ls) == 1))
     cross = sum(1 for ls in entity_lists.values() if len(ls) > 1)
     warnings = []
@@ -256,7 +239,6 @@ def validate_events(events: EventSet) -> ValidationReport:
         n_issuers=len(events.issuers),
         n_lists=len(events.lists),
         n_entities=len(events.entities),
-        single_entity_lists=single_lists,
         edge_inert_entities=inert,
         n_cross_list_entities=cross,
         warnings=tuple(warnings),

@@ -15,7 +15,7 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -34,8 +34,6 @@ _BLOCK_CELLS = 1 << 16
 @dataclass(frozen=True)
 class LayoutResult:
     positions: dict[str, tuple[float, float]]
-    seed: int
-    overlap_jitter: float
     energy_history: tuple[float, ...] = ()
 
 
@@ -95,12 +93,11 @@ def layout(net: InfluenceNetwork, potentials: PotentialVector, seed: int = 0,
     nodes = list(net.nodes)
     n = len(nodes)
     if n == 0:
-        return LayoutResult(positions={}, seed=seed, overlap_jitter=jitter)
+        return LayoutResult(positions={})
     y = np.array([potentials.phi[v] for v in nodes])
     rng = random.Random(seed)
     if n == 1:
-        return LayoutResult(positions={nodes[0]: (0.0, float(y[0]))},
-                            seed=seed, overlap_jitter=jitter)
+        return LayoutResult(positions={nodes[0]: (0.0, float(y[0]))})
     x = np.array([rng.uniform(-1.0, 1.0) for _ in nodes])
 
     # one weight per unordered pair, summing both directions' counts
@@ -130,8 +127,7 @@ def layout(net: InfluenceNetwork, potentials: PotentialVector, seed: int = 0,
     positions = dict(zip(nodes, zip(x.tolist(), y.tolist())))
     if jitter > 0.0:
         positions = _apply_jitter(positions, nodes, jitter, min_sep, rng)
-    return LayoutResult(positions=positions, seed=seed, overlap_jitter=jitter,
-                        energy_history=tuple(history))
+    return LayoutResult(positions=positions, energy_history=tuple(history))
 
 
 def _apply_jitter(positions, nodes, jitter, min_sep, rng):
@@ -162,30 +158,31 @@ def _apply_jitter(positions, nodes, jitter, min_sep, rng):
 class TableRow:
     rank: int
     node: str
-    name: str
     potential: float
     highlighted: bool
 
 
+def _printed(phi: float) -> str:
+    return f"{phi:.3f}"
+
+
 def potential_table(decomp: HodgeDecomposition,
-                    names: Mapping[str, str] | None = None,
                     highlight: Iterable[str] = ()) -> list[TableRow]:
-    """Rows ranked by descending potential; ties broken by display name."""
-    names = names or {}
+    """Rows ranked by descending printed potential, ties broken by node, so
+    a potential moving below the printed precision keeps its row's place
+    (-0.000 and 0.000 tie)."""
     marked = set(highlight)
-    entries = sorted(
-        ((node, names.get(node, node), phi)
-         for node, phi in decomp.potentials.phi.items()),
-        key=lambda t: (-t[2], t[1]))
-    return [TableRow(rank=i + 1, node=node, name=name, potential=phi,
+    entries = sorted(decomp.potentials.phi.items(),
+                     key=lambda t: (-float(_printed(t[1])), t[0]))
+    return [TableRow(rank=i + 1, node=node, potential=phi,
                      highlighted=node in marked)
-            for i, (node, name, phi) in enumerate(entries)]
+            for i, (node, phi) in enumerate(entries)]
 
 
 def write_potential_table(rows: list[TableRow],
                           header: Iterable[str] = ()) -> str:
     return write_table(header, ("rank", "name", "potential", "highlighted"),
-                       ((row.rank, row.name, f"{row.potential:.3f}",
+                       ((row.rank, row.node, _printed(row.potential),
                          "*" if row.highlighted else "") for row in rows))
 
 

@@ -247,7 +247,7 @@ def test_missing_potential_errors(feed_forward_triangle):
 def test_potential_table_sorted(feed_forward_triangle):
     d = solve(symmetrize(feed_forward_triangle, "unit"))
     rows = potential_table(d, highlight={"C"})
-    assert [r.name for r in rows] == ["A", "B", "C"]
+    assert [r.node for r in rows] == ["A", "B", "C"]
     assert [r.rank for r in rows] == [1, 2, 3]
     assert rows[2].highlighted
     text = write_potential_table(rows)
@@ -258,7 +258,7 @@ def test_potential_table_sorted(feed_forward_triangle):
 def test_potential_table_tie_broken_by_name():
     d = solve(symmetrize(make_network([("B", "A", 1), ("B", "C", 1)]), "unit"))
     rows = potential_table(d)
-    names = [r.name for r in rows if abs(r.potential - rows[-1].potential) < 1e-9]
+    names = [r.node for r in rows if abs(r.potential - rows[-1].potential) < 1e-9]
     assert names == sorted(names)
 
 
