@@ -48,6 +48,8 @@ def cmd_ingest(args):
     text = events.serialize_events(evs)
     _write(args.out, preamble(_header(args)) + text)
     print(reportv.summary())
+    for warning in reportv.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
     return 0
 
 
@@ -59,7 +61,7 @@ def cmd_synth(args):
     evs = synth.synth_generate(config, args.seed)
     text = events.serialize_events(evs)
     _write(args.out, preamble(_header(args)) + text)
-    print(f"{len(evs.events)} events, {len(evs.issuers)} issuers, "
+    print(f"{len(evs)} events, {len(evs.issuers)} issuers, "
           f"{len(evs.entities)} entities")
     return 0
 

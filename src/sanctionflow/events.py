@@ -12,16 +12,25 @@ import csv
 import io
 import json
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from datetime import date as Date
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, TextIO
+
+import numpy as np
 
 from .errors import EventParseError, PipelineError
 from .table import skip_preamble
 
 _ISO_DATE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
 _HEADER = ("issuer", "list_id", "entity_id", "date")
+_FIELDS = (*_HEADER, "category")
+
+# One column of an EventSet: its distinct names, and per event an int32 code
+# indexing them (-1 for none).
+Column = namedtuple("Column", "names codes")
 
 
 @dataclass(frozen=True)
@@ -34,101 +43,224 @@ class SanctionEvent:
     date: Date
     category: str | None = None
 
-    def sort_key(self):
-        return (self.date, self.issuer, self.list_id, self.entity_id)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EventSet:
-    """Deduplicated, canonically ordered collection of events.
+    """Deduplicated, canonically ordered collection of events, as columns.
 
-    At most one event per (list_id, entity_id); the earliest date wins.
-    Events are stored sorted by (date, issuer, list_id, entity_id), so two
-    EventSets built from permuted inputs compare equal.
+    At most one event per (list_id, entity_id); the earliest date wins, and
+    the first given among events on that date. Each id column holds only the
+    names its events use, in sorted order, so codes compare as names do;
+    ``day`` holds date ordinals. Events are stored sorted by (date, issuer,
+    list_id, entity_id), so two EventSets built from permuted inputs compare
+    equal. Build one with ``from_columns`` or ``from_events``.
     """
 
-    events: tuple[SanctionEvent, ...]
+    issuer: Column
+    list_id: Column
+    entity_id: Column
+    category: Column  # code -1: no category
+    day: np.ndarray
+
+    @staticmethod
+    def from_columns(issuer: Column, list_id: Column, entity_id: Column,
+                     category: Column, day) -> "EventSet":
+        """The EventSet of events given as columns in input order; each
+        column's names may be in any order and need not all be used."""
+        iss, lst, ent, cat = (np.asarray(c.codes, np.int32)
+                              for c in (issuer, list_id, entity_id, category))
+        day = np.asarray(day, np.int32)
+        # lexsort is stable, so the first given leads each same-day run
+        order = np.lexsort((day, ent, lst))
+        keep = order[_run_starts(lst[order], ent[order])]
+        iss, lst, ent, cat = (_sorted_column(c.names, codes[keep]) for c, codes
+                              in ((issuer, iss), (list_id, lst),
+                                  (entity_id, ent), (category, cat)))
+        order = np.lexsort((ent.codes, lst.codes, iss.codes, day[keep]))
+        iss, lst, ent, cat = (Column(c.names, c.codes[order])
+                              for c in (iss, lst, ent, cat))
+        _check_owners(iss, lst)
+        day = day[keep][order]
+        for array in (iss.codes, lst.codes, ent.codes, cat.codes, day):
+            array.flags.writeable = False  # the set is frozen
+        return EventSet(iss, lst, ent, cat, day)
 
     @staticmethod
     def from_events(raw: Iterable[SanctionEvent]) -> "EventSet":
-        best: dict[tuple[str, str], tuple[Date, int, SanctionEvent]] = {}
-        for idx, ev in enumerate(raw):
-            key = (ev.list_id, ev.entity_id)
-            cur = best.get(key)
-            if cur is None or (ev.date, idx) < (cur[0], cur[1]):
-                best[key] = (ev.date, idx, ev)
-        events = sorted((v[2] for v in best.values()), key=SanctionEvent.sort_key)
-        owners: dict[str, str] = {}
-        for ev in events:
-            seen = owners.setdefault(ev.list_id, ev.issuer)
-            if seen != ev.issuer:
-                raise PipelineError(
-                    f"list '{ev.list_id}' appears under two issuers: "
-                    f"'{seen}' and '{ev.issuer}'"
-                )
-        return EventSet(events=tuple(events))
+        raw = list(raw)
+        return EventSet.from_columns(
+            *(_column(getattr(ev, field) for ev in raw) for field in
+              ("issuer", "list_id", "entity_id", "category")),
+            [ev.date.toordinal() for ev in raw])
+
+    def __len__(self) -> int:
+        return len(self.day)
+
+    def __eq__(self, other):
+        if not isinstance(other, EventSet):
+            return NotImplemented
+        pairs = zip((self.issuer, self.list_id, self.entity_id, self.category),
+                    (other.issuer, other.list_id, other.entity_id,
+                     other.category))
+        return (all(a.names == b.names and np.array_equal(a.codes, b.codes)
+                    for a, b in pairs)
+                and np.array_equal(self.day, other.day))
+
+    @cached_property
+    def events(self) -> tuple[SanctionEvent, ...]:
+        """The events as objects, in canonical order, built on first use."""
+        dates = {d: Date.fromordinal(d) for d in set(self.day.tolist())}
+        categories = (*self.category.names, None)  # code -1 reads the None
+        return tuple(
+            SanctionEvent(self.issuer.names[i], self.list_id.names[l],
+                          self.entity_id.names[e], dates[d], categories[c])
+            for i, l, e, d, c in zip(
+                self.issuer.codes.tolist(), self.list_id.codes.tolist(),
+                self.entity_id.codes.tolist(), self.day.tolist(),
+                self.category.codes.tolist()))
 
     @cached_property
     def issuers(self) -> frozenset[str]:
-        return frozenset(ev.issuer for ev in self.events)
+        return frozenset(self.issuer.names)
 
     @cached_property
     def lists(self) -> frozenset[str]:
-        return frozenset(ev.list_id for ev in self.events)
+        return frozenset(self.list_id.names)
 
     @cached_property
     def entities(self) -> frozenset[str]:
-        return frozenset(ev.entity_id for ev in self.events)
+        return frozenset(self.entity_id.names)
 
 
-def _clean(value: str, name: str, line: int, seen: dict[str, str]) -> str:
-    """The stripped identifier; each distinct raw value is checked once."""
-    cleaned = seen.get(value)
-    if cleaned is None:
-        cleaned = value.strip()
-        if (not cleaned or cleaned[0] == "#" or "\t" in cleaned
-                or "\r" in cleaned or "\n" in cleaned):
-            raise EventParseError(f"identifier {cleaned!r} is empty, starts "
-                                  "with '#' or contains a tab, CR or LF",
-                                  line=line, field=name)
-        seen[value] = cleaned
+def _column(values: Iterable[str | None]) -> Column:
+    """The column of ``values``, its names in order of first appearance;
+    None codes as -1."""
+    index: dict[str | None, int] = {None: -1}
+    codes = [index.setdefault(v, len(index) - 1) for v in values]
+    del index[None]
+    return Column(tuple(index), codes)
+
+
+def _run_starts(*keys: np.ndarray) -> np.ndarray:
+    """Where a run of equal key tuples begins, in arrays sorted by them."""
+    start = np.zeros(len(keys[0]), bool)
+    start[:1] = True
+    for key in keys:
+        start[1:] |= key[1:] != key[:-1]
+    return start
+
+
+def _sorted_column(names: tuple[str, ...], codes: np.ndarray) -> Column:
+    """The column over only the names ``codes`` uses, ranked by Python's
+    string order (a numpy ``U`` array would drop trailing NULs)."""
+    used = np.flatnonzero(np.bincount(codes[codes >= 0], minlength=len(names)))
+    ranked = sorted(used.tolist(), key=names.__getitem__)
+    recode = np.full(len(names) + 1, -1, np.int32)  # code -1 reads the last
+    recode[ranked] = np.arange(len(ranked))
+    return Column(tuple(names[k] for k in ranked), recode[codes])
+
+
+def _check_owners(issuer: Column, list_id: Column) -> None:
+    """Every list is held by one issuer: the one of its first event in
+    canonical order. The first event with another issuer is the error."""
+    lists, first = np.unique(list_id.codes, return_index=True)
+    owner = np.empty(len(list_id.names), np.int32)
+    owner[lists] = issuer.codes[first]
+    clash = np.flatnonzero(issuer.codes != owner[list_id.codes])
+    if len(clash):
+        k = clash[0]
+        lst = list_id.codes[k]
+        raise PipelineError(
+            f"list '{list_id.names[lst]}' appears under two issuers: "
+            f"'{issuer.names[owner[lst]]}' and "
+            f"'{issuer.names[issuer.codes[k]]}'")
+
+
+def _checked_id(value: str, field: str, line: int) -> str:
+    cleaned = value.strip()
+    if (not cleaned or cleaned[0] == "#" or "\t" in cleaned
+            or "\r" in cleaned or "\n" in cleaned):
+        raise EventParseError(f"identifier {cleaned!r} is empty, starts "
+                              "with '#' or contains a tab, CR or LF",
+                              line=line, field=field)
     return cleaned
 
 
-def _parse_date(value: str, line: int) -> Date:
+def _parse_date(value: str, line: int) -> int:
     value = value.strip()
     if not _ISO_DATE.match(value):
         raise EventParseError(f"invalid date '{value}' (expected YYYY-MM-DD)",
                               line=line, field="date")
     try:
-        return Date.fromisoformat(value)
+        return Date.fromisoformat(value).toordinal()
     except ValueError:
         raise EventParseError(f"invalid date '{value}'", line=line, field="date")
 
 
-def _event_from_fields(fields: dict[str, str], line: int,
-                       seen: dict[str, str]) -> SanctionEvent:
-    category = fields.get("category")
-    if category is not None:
-        category = category.strip() or None
-        if category is not None and "\r" in category:
-            # csv.writer leaves a bare CR unquoted, so it would not read back
-            raise EventParseError(f"category {category!r} contains a CR",
-                                  line=line, field="category")
-    return SanctionEvent(
-        issuer=_clean(fields["issuer"], "issuer", line, seen),
-        list_id=_clean(fields["list_id"], "list_id", line, seen),
-        entity_id=_clean(fields["entity_id"], "entity_id", line, seen),
-        date=_parse_date(fields["date"], line),
-        category=category,
-    )
+def _checked_category(value: str | None, line: int) -> str | None:
+    category = value.strip() if value is not None else None
+    if category and "\r" in category:
+        # csv.writer leaves a bare CR unquoted, so it would not read back
+        raise EventParseError(f"category {category!r} contains a CR",
+                              line=line, field="category")
+    return category or None
 
 
-def _parse_delimited(text: TextIO) -> list[SanctionEvent]:
+class _Columns:
+    """Event columns in input order, as they are parsed. Each distinct raw
+    value of a field is checked and coded on its first occurrence only, so
+    an error still names the first line and field that hold a bad value."""
+
+    def __init__(self):
+        # per field of _FIELDS: name -> code (dates have no names), and
+        # raw value -> code (date: ordinal)
+        self.names = ({}, {}, {}, None, {})
+        self.seen = ({}, {}, {}, {}, {None: -1})
+        self.codes = ([], [], [], [], [])
+
+    def add(self, values: tuple, line: int) -> None:
+        """One event's raw (issuer, list_id, entity_id, date, category);
+        the category may be None. Fields are checked category first."""
+        seen, codes = self.seen, self.codes
+        for k in (4, 0, 1, 2, 3):
+            value = values[k]
+            code = seen[k].get(value)
+            if code is None:
+                code = seen[k][value] = self._code(k, value, line)
+            codes[k].append(code)
+
+    def _code(self, k: int, value, line: int) -> int:
+        if k == 3:
+            return _parse_date(value, line)
+        name = (_checked_category(value, line) if k == 4
+                else _checked_id(value, _FIELDS[k], line))
+        if name is None:
+            return -1
+        names = self.names[k]
+        return names.setdefault(name, len(names))
+
+    def event_set(self) -> EventSet:
+        return EventSet.from_columns(
+            *(Column(tuple(self.names[k]), self.codes[k]) for k in (0, 1, 2, 4)),
+            self.codes[3])
+
+
+def _row_getter(header: list[str], width: int):
+    """The (issuer, list_id, entity_id, date, category) cells of a row of
+    ``width`` cells; a repeated header name reads its last column."""
+    where = {name: k for k, name in enumerate(header[:width])}
+    get = itemgetter(*(where[name] for name in _HEADER))
+    if "category" not in where:
+        return lambda row: (*get(row), None)
+    return itemgetter(*(where[name] for name in _FIELDS))
+
+
+def _parse_delimited(text: TextIO) -> EventSet:
     skipped, lines = skip_preamble(text)
     reader = csv.reader(lines)
-    events = []
-    seen: dict[str, str] = {}
+    columns = _Columns()
+    add = columns.add
+    getters = {}  # row width -> cell getter
     try:
         header = [c.strip() for c in next(reader, [])]
         if tuple(header[:4]) != _HEADER:
@@ -136,23 +268,24 @@ def _parse_delimited(text: TextIO) -> list[SanctionEvent]:
                 f"bad header {header!r}; expected issuer,list_id,entity_id,"
                 "date[,category]", line=skipped + 1)
         for row in reader:
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            line_no = skipped + reader.line_num
-            if len(row) < 4 or len(row) > len(header):
-                raise EventParseError(
-                    f"expected {len(header)} fields, got {len(row)}",
-                    line=line_no, field=_HEADER[min(len(row), 3)])
-            events.append(_event_from_fields(dict(zip(header, row)), line_no,
-                                             seen))
+            get = getters.get(len(row))
+            if get is None:
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) < 4 or len(row) > len(header):
+                    raise EventParseError(
+                        f"expected {len(header)} fields, got {len(row)}",
+                        line=skipped + reader.line_num,
+                        field=_HEADER[min(len(row), 3)])
+                get = getters[len(row)] = _row_getter(header, len(row))
+            add(get(row), skipped + reader.line_num)
     except csv.Error as exc:
         raise EventParseError(str(exc), line=skipped + reader.line_num) from None
-    return events
+    return columns.event_set()
 
 
-def _parse_line_records(text: TextIO) -> list[SanctionEvent]:
-    events = []
-    seen: dict[str, str] = {}
+def _parse_line_records(text: TextIO) -> EventSet:
+    columns = _Columns()
     for line_no, line in enumerate(text, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -166,15 +299,15 @@ def _parse_line_records(text: TextIO) -> list[SanctionEvent]:
         for key in _HEADER:
             if key not in obj:
                 raise EventParseError("missing key", line=line_no, field=key)
-        for key in (*_HEADER, "category"):
+        for key in _FIELDS:
             value = obj.get(key)
             if not (isinstance(value, str)
                     or (key == "category" and value is None)):
                 raise EventParseError("expected a JSON string, got "
                                       f"{json.dumps(value)[:40]}",
                                       line=line_no, field=key)
-        events.append(_event_from_fields(obj, line_no, seen))
-    return events
+        columns.add(tuple(obj.get(key) for key in _FIELDS), line_no)
+    return columns.event_set()
 
 
 def parse_events(stream: str | TextIO, format: str = "delimited") -> EventSet:
@@ -186,24 +319,41 @@ def parse_events(stream: str | TextIO, format: str = "delimited") -> EventSet:
     """
     text = io.StringIO(stream) if isinstance(stream, str) else stream
     if format == "delimited":
-        raw = _parse_delimited(text)
-    elif format == "line_record":
-        raw = _parse_line_records(text)
-    else:
-        raise PipelineError(f"unknown event format '{format}'")
-    return EventSet.from_events(raw)
+        return _parse_delimited(text)
+    if format == "line_record":
+        return _parse_line_records(text)
+    raise PipelineError(f"unknown event format '{format}'")
+
+
+def _cells(names: Iterable[str]) -> list[str]:
+    """Each name as csv.writer writes it in a row of more than one cell."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    cells = []
+    for name in names:
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow((name, ""))
+        cells.append(buf.getvalue()[:-2])  # the ",\n" of the empty cell
+    return cells
 
 
 def serialize_events(events: EventSet) -> str:
     """Canonical delimited form: header + rows in the EventSet's order,
     (date, issuer, list, entity)."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["issuer", "list_id", "entity_id", "date", "category"])
-    for ev in events.events:
-        writer.writerow([ev.issuer, ev.list_id, ev.entity_id,
-                         ev.date.isoformat(), ev.category or ""])
-    return out.getvalue()
+    issuers, lists, entities = (_cells(c.names) for c in
+                                (events.issuer, events.list_id,
+                                 events.entity_id))
+    categories = [*_cells(events.category.names), ""]  # code -1 reads ""
+    days, day_codes = np.unique(events.day, return_inverse=True)
+    dates = [Date.fromordinal(d).isoformat() for d in days.tolist()]
+    rows = [f"{issuers[i]},{lists[l]},{entities[e]},{dates[d]},"
+            f"{categories[c]}\n"
+            for i, l, e, d, c in zip(
+                events.issuer.codes.tolist(), events.list_id.codes.tolist(),
+                events.entity_id.codes.tolist(), day_codes.tolist(),
+                events.category.codes.tolist())]
+    return "".join(["issuer,list_id,entity_id,date,category\n", *rows])
 
 
 @dataclass(frozen=True)
@@ -212,7 +362,6 @@ class ValidationReport:
     n_issuers: int
     n_lists: int
     n_entities: int
-    edge_inert_entities: tuple[str, ...]  # entities appearing on a single list
     n_cross_list_entities: int
     warnings: tuple[str, ...]
 
@@ -224,22 +373,20 @@ class ValidationReport:
 
 
 def validate_events(events: EventSet) -> ValidationReport:
-    """Count the universe and flag entities that cannot generate edges."""
-    entity_lists: dict[str, set[str]] = {}
-    for ev in events.events:
-        entity_lists.setdefault(ev.entity_id, set()).add(ev.list_id)
-    inert = tuple(sorted(e for e, ls in entity_lists.items() if len(ls) == 1))
-    cross = sum(1 for ls in entity_lists.values() if len(ls) > 1)
+    """Count the universe and warn when no entity can generate an edge."""
+    # an entity has one event per list it is on
+    per_entity = np.bincount(events.entity_id.codes,
+                             minlength=len(events.entity_id.names))
+    cross = int(np.count_nonzero(per_entity > 1))
     warnings = []
-    if events.events and cross == 0:
+    if len(events) and cross == 0:
         warnings.append("no entity appears on more than one list; "
                         "influence networks will have no edges")
     return ValidationReport(
-        n_events=len(events.events),
-        n_issuers=len(events.issuers),
-        n_lists=len(events.lists),
-        n_entities=len(events.entities),
-        edge_inert_entities=inert,
+        n_events=len(events),
+        n_issuers=len(events.issuer.names),
+        n_lists=len(events.list_id.names),
+        n_entities=len(events.entity_id.names),
         n_cross_list_entities=cross,
         warnings=tuple(warnings),
     )

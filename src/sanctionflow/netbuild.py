@@ -15,11 +15,14 @@ from typing import Collection, Iterable, Mapping
 import numpy as np
 
 from .errors import PipelineError
-from .events import EventSet
+from .events import Column, EventSet, _run_starts
 from .table import preamble
 
 LIST_LEVEL = "list"
 INSTITUTION_LEVEL = "institution"
+# precedence pairs generated at once: one entity held by thousands of
+# nodes is counted in several chunks
+_PAIR_CELLS = 1 << 20
 
 
 def _index_pairs(nodes: tuple[str, ...], keys: Collection[tuple[str, str]]
@@ -100,37 +103,85 @@ class FlowNetwork:
                         cols[order], values[0::2][order], values[1::2][order])
 
 
-def _precedence_network(events: EventSet, level: str, attr: str,
+def _precedence_network(events: EventSet, level: str, column: Column,
                         lists: set[str] | None = None) -> InfluenceNetwork:
-    """Network over the events' ``attr`` values (list_id or issuer), from
-    the events on the selected lists (all by default).
+    """Network over the names of ``column`` (list_id or issuer), from the
+    events on the selected lists (all by default).
 
     Precedence compares each node's earliest date per entity, so one entity
     contributes at most 1 to any ordered pair; a node meets each entity
     once, so a pair (a, b) with da < db never has a == b.
     """
-    first_date: dict[str, dict[str, object]] = {}  # entity -> node -> date
-    for ev in events.events:
-        if lists is not None and ev.list_id not in lists:
-            continue
-        node = getattr(ev, attr)
-        per = first_date.setdefault(ev.entity_id, {})
-        if node not in per or ev.date < per[node]:
-            per[node] = ev.date
-    counts: dict[tuple[str, str], int] = {}
-    for per in first_date.values():
-        for a, da in per.items():
-            for b, db in per.items():
-                if da < db:
-                    counts[(a, b)] = counts.get((a, b), 0) + 1
-    nodes = set().union(*first_date.values())
-    return InfluenceNetwork(level=level, nodes=tuple(sorted(nodes)),
-                            adjacency=counts)
+    node, entity, day = column.codes, events.entity_id.codes, events.day
+    if lists is not None:
+        index = {name: k for k, name in enumerate(events.list_id.names)}
+        selected = np.zeros(len(index), bool)
+        selected[[index[name] for name in lists]] = True
+        keep = selected[events.list_id.codes]
+        node, entity, day = node[keep], entity[keep], day[keep]
+    present = np.unique(node)
+    local = np.zeros(len(column.names), np.int64)
+    local[present] = np.arange(len(present))
+    n = len(present)
+    # each node's first listing of each entity, by entity and then date
+    order = np.lexsort((day, entity))
+    _, first = np.unique(entity[order] * np.int64(n) + local[node[order]],
+                         return_index=True)  # a stable sort: earliest wins
+    order = order[np.sort(first)]
+    node, entity, day = local[node[order]], entity[order], day[order]
+    # a holder precedes every holder of the entity after its same-day run
+    later = _run_ends(entity, day)
+    count = _run_ends(entity) - later
+    chunks = [np.unique(_pair_keys(node, later, count, lo, hi, n),
+                        return_counts=True)
+              for lo, hi in _chunks(count, _PAIR_CELLS)]
+    keys = np.concatenate([np.empty(0, np.int64), *(k for k, _ in chunks)])
+    total = np.concatenate([np.empty(0, np.int64), *(c for _, c in chunks)])
+    if len(chunks) > 1:  # a pair counted in several chunks: sum its counts
+        order = np.argsort(keys, kind="stable")
+        start = np.flatnonzero(_run_starts(keys[order]))
+        keys, total = keys[order][start], np.add.reduceat(total[order], start)
+    nodes = tuple(column.names[k] for k in present.tolist())
+    src, dst = np.divmod(keys, max(n, 1))
+    name = nodes.__getitem__
+    return InfluenceNetwork(level=level, nodes=nodes, adjacency=dict(zip(
+        zip(map(name, src.tolist()), map(name, dst.tolist())),
+        total.tolist())))
+
+
+def _pair_keys(node: np.ndarray, later: np.ndarray, count: np.ndarray,
+               lo: int, hi: int, n: int) -> np.ndarray:
+    """``src * n + dst`` of every precedence pair of holders lo..hi-1:
+    holder p precedes the ``count[p]`` holders from ``later[p]`` on."""
+    size = count[lo:hi]
+    dst = np.arange(size.sum()) + np.repeat(later[lo:hi] - np.cumsum(size)
+                                            + size, size)
+    return np.repeat(node[lo:hi], size) * n + node[dst]
+
+
+def _run_ends(*keys: np.ndarray) -> np.ndarray:
+    """Per element of arrays sorted by ``keys``, the index one past the end
+    of its run of equal key tuples."""
+    start = _run_starts(*keys)
+    ends = np.append(np.flatnonzero(start)[1:], len(start))
+    return ends[np.cumsum(start) - 1]
+
+
+def _chunks(size: np.ndarray, budget: int):
+    """Consecutive (lo, hi) ranges whose ``size`` sums stay within the
+    budget, or hold a single element that alone exceeds it."""
+    end = np.cumsum(size)
+    lo = 0
+    while lo < len(size):
+        base = end[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(end, base + budget, "right")))
+        yield lo, hi
+        lo = hi
 
 
 def build_list_network(events: EventSet) -> InfluenceNetwork:
     """List-level network: one count per (entity, ordered list pair) precedence."""
-    return _precedence_network(events, LIST_LEVEL, "list_id")
+    return _precedence_network(events, LIST_LEVEL, events.list_id)
 
 
 def build_institution_network(events: EventSet,
@@ -140,7 +191,8 @@ def build_institution_network(events: EventSet,
         unknown = sorted(lists - events.lists)
         if unknown:
             raise PipelineError(f"unknown list_id(s) in filter: {unknown}")
-    return _precedence_network(events, INSTITUTION_LEVEL, "issuer", lists)
+    return _precedence_network(events, INSTITUTION_LEVEL, events.issuer,
+                               lists)
 
 
 def filter_by_category(events: EventSet, category_map: Mapping[str, str],

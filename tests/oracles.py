@@ -4,11 +4,15 @@ Everything here deliberately avoids the library's solver paths: dense
 pseudoinverse for potentials, eigenvector extraction for PageRank, brute
 force enumeration for edge counts and partitions, dense all-pairs arrays
 for the layout energy. ``louvain_reference`` is the Louvain method as
-first written, on Python neighbour lists and dicts.
+first written, on Python neighbour lists and dicts, and
+``serialize_events_reference`` the canonical event file as first written,
+from event objects through ``csv.writer``.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import math
 import random
@@ -123,6 +127,26 @@ def brute_force_counts(events, level, lists=None):
                     key = (iss1, iss2)
                     counts[key] = counts.get(key, 0) + 1
     return counts
+
+
+def serialize_events_reference(raw):
+    """The canonical event file of the events ``raw``: the earliest event
+    per (list_id, entity_id), the first given among same-day ones, sorted
+    by (date, issuer, list_id, entity_id) and written by ``csv.writer``."""
+    best = {}
+    for idx, e in enumerate(raw):
+        key = (e.list_id, e.entity_id)
+        if key not in best or (e.date, idx) < best[key][:2]:
+            best[key] = (e.date, idx, e)
+    events = sorted((v[2] for v in best.values()),
+                    key=lambda e: (e.date, e.issuer, e.list_id, e.entity_id))
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["issuer", "list_id", "entity_id", "date", "category"])
+    for e in events:
+        writer.writerow([e.issuer, e.list_id, e.entity_id,
+                         e.date.isoformat(), e.category or ""])
+    return out.getvalue()
 
 
 def set_partitions(items):

@@ -312,3 +312,17 @@ def test_malformed_network_is_rejected_naming_the_line(stage_inputs, capsys,
     assert len(err) == 1 and err[0].startswith("error: "), err
     assert "line 8" in err[0] and defect in err[0], err[0]
     assert not (stage_inputs / "out").exists()
+
+
+def test_ingest_prints_each_validation_warning(tmp_path, capsys):
+    events = tmp_path / "events.csv"
+    write_events(events, [("EU", "EU-1", "X", "2010-01-01"),
+                          ("US", "US-1", "Y", "2010-02-01")])
+    status = run(["ingest", "--events", str(events),
+                  "--out", str(tmp_path / "canonical.csv")])
+    assert status == 0
+    captured = capsys.readouterr()
+    assert "1 warnings" in captured.out
+    assert captured.err.splitlines() == [
+        "warning: no entity appears on more than one list; influence "
+        "networks will have no edges"]

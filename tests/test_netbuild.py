@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sanctionflow import netbuild
 from sanctionflow import (EventSet, FlowNetwork, InfluenceNetwork,
                           PipelineError, build_institution_network,
                           build_list_network, filter_by_category, read_network,
@@ -151,6 +152,35 @@ def test_counts_match_brute_force(raw):
                          ("institution", build_institution_network)):
         net = build(events)
         assert dict(net.adjacency) == brute_force_counts(events, level)
+
+
+@pytest.mark.parametrize("budget", [1, 7, 64])
+def test_chunked_counts_match_brute_force(monkeypatch, budget):
+    # one entity held by 50 issuers on two lists each, listed over 6 days so
+    # that most holders tie with others, plus a scatter of small entities
+    monkeypatch.setattr(netbuild, "_PAIR_CELLS", budget)
+    rng = random.Random(budget)
+    issuers = [f"I{i:02d}" for i in range(50)]
+    raw = [ev(iss, f"{iss}-L{k}", "hub", f"2010-01-{rng.randint(1, 6):02d}")
+           for iss in issuers for k in range(2)]
+    for e in range(40):
+        for _ in range(rng.randint(1, 5)):
+            iss = rng.choice(issuers)
+            raw.append(ev(iss, f"{iss}-L{rng.randrange(2)}", f"e{e}",
+                          f"2010-01-{rng.randint(1, 9):02d}"))
+    events = EventSet.from_events(raw)
+    selected = {f"{iss}-L0" for iss in issuers[::3]} | {"I07-L1"}
+    for level, net, lists in (
+            ("list", build_list_network(events), None),
+            ("institution", build_institution_network(events), None),
+            ("institution", build_institution_network(events, selected),
+             selected)):
+        assert dict(net.adjacency) == brute_force_counts(events, level, lists)
+        attr = "list_id" if level == "list" else "issuer"
+        assert net.nodes == tuple(sorted(
+            {getattr(e, attr) for e in events.events
+             if lists is None or e.list_id in lists}))
+    assert build_list_network(events).total_count() > 20 * budget
 
 
 @settings(deadline=None, max_examples=40)
