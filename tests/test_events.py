@@ -1,10 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from sanctionflow import (EventParseError, EventSet, PipelineError,
                           parse_events, serialize_events, validate_events)
+from sanctionflow.events import Column
 from conftest import ev
 from oracles import serialize_events_reference
 
@@ -258,3 +260,26 @@ def test_serialize_matches_the_reference_on_arbitrary_events(rows):
            for iss, k, ent, d, cat in rows]
     assert (serialize_events(EventSet.from_events(raw))
             == serialize_events_reference(raw))
+
+
+def test_serialize_memory_is_bounded():
+    import tracemalloc
+    n = 150_000
+    rng = np.random.default_rng(1)
+    issuer = rng.integers(0, 40, n)
+    es = EventSet.from_columns(
+        Column(tuple(f"ISS{i:03d}" for i in range(40)), issuer),
+        Column(tuple(f"ISS{i:03d}-L{k}" for i in range(40) for k in range(5)),
+               issuer * 5 + rng.integers(0, 5, n)),
+        Column(tuple(f"ENT{i:05d}" for i in range(20_000)),
+               rng.integers(0, 20_000, n)),
+        Column(("a", "b"), rng.integers(-1, 2, n)),
+        733_000 + rng.integers(0, 365, n))
+    tracemalloc.start()
+    try:
+        text = serialize_events(es)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the text itself, plus its pieces while they are joined
+    assert peak < 3.5 * len(text)

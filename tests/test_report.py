@@ -9,8 +9,9 @@ from sanctionflow import (HodgeDecomposition, InfluenceNetwork, PipelineError,
                           PotentialVector, RankVector, export_graph, layout,
                           louvain, potential_table, scatter_data, solve,
                           symmetrize, write_potential_table, write_scatter)
-from sanctionflow.report import (_BLOCK_CELLS, _EPS, _apply_jitter,
-                                 _energy_kernel)
+from sanctionflow.community import CommunityPartition
+from sanctionflow.report import (_BLOCK_CELLS, _EPS, LayoutResult,
+                                 _apply_jitter, _energy_kernel)
 from conftest import make_network
 from oracles import brute_force_jitter, dense_layout_energy_oracle
 
@@ -170,6 +171,36 @@ def test_layout_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+def random_network(n_nodes, n_links, seed):
+    rng = random.Random(seed)
+    nodes = [f"N{i:05d}" for i in range(n_nodes)]
+    adjacency = {}
+    while len(adjacency) < n_links:
+        a, b = rng.sample(nodes, 2)
+        adjacency[(a, b)] = rng.randint(1, 9)
+    return InfluenceNetwork("institution", tuple(nodes), adjacency)
+
+
+def test_json_graph_memory_is_bounded():
+    import tracemalloc
+    net = random_network(2000, 20_000, seed=3)
+    d = solve(symmetrize(net, "mean"))
+    part = CommunityPartition({v: i % 7 for i, v in enumerate(net.nodes)},
+                              0.0, 1.0, 0)
+    rng = random.Random(4)
+    lay = LayoutResult({v: (rng.uniform(-1, 1), phi)
+                        for v, phi in d.potentials.phi.items()})
+    tracemalloc.start()
+    try:
+        doc = export_graph(net, decomp=d, partition=part, layout_result=lay,
+                           format="json_graph")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the document itself, plus its pieces while they are joined
+    assert peak < 5 * len(doc)
 
 
 def test_layout_deterministic(feed_forward_triangle):
