@@ -1,0 +1,108 @@
+#!/usr/bin/env python3
+"""Median wall time and peak RSS of each pipeline stage on the L workload.
+
+L is 3000 issuers x 30k entities x 1 list per issuer, copy-prob 0.9 (about
+299k events; 3000 nodes and 127k edges at the institution level). The
+script makes its events once with ``synth``, then runs the benchmark's
+stage list (``perfbench/workloads.py``: ingest through layout and a
+``json_graph`` report) ``--repeat`` times. Each stage is its own
+``python -m sanctionflow`` process, run from WORKDIR with relative paths,
+and its wall time and peak RSS come from ``os.wait4``; the table gives
+each stage's median wall time with its range, and its median peak RSS.
+This process imports only the standard library, because a child's
+``ru_maxrss`` starts from its parent's peak at exec time.
+
+Given several ``--src`` trees, the repeats alternate between them (the
+first tree first on even repeats, the last first on odd ones), so a
+parent/change comparison sees the same machine conditions:
+
+    python3 scripts/stage_rss.py /tmp/L --repeat 5 \\
+        --src ../parent/src --src src
+
+Usage: python3 scripts/stage_rss.py WORKDIR [--seed N] [--repeat R]
+       [--src DIR ...]
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from workloads import Workload, stages, synth_argv
+
+L = Workload("L", "institution", "json_graph", True, (3000, 30_000, 1, 0.9))
+
+
+def run_stage(src: Path, argv: list[str], cwd: Path) -> tuple[float, float]:
+    """Run one ``python -m sanctionflow`` child to completion; returns its
+    wall time in s and peak RSS in MB, or exits on a failed stage."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    log = cwd / "stage.log"
+    with open(log, "wb") as out:
+        t0 = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, "-m", "sanctionflow", *argv],
+                                cwd=cwd, env=env, stdout=out,
+                                stderr=subprocess.STDOUT)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - t0
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode != 0:
+        sys.exit(f"sanctionflow {' '.join(argv)} exited {proc.returncode}:\n"
+                 + log.read_text(encoding="utf-8", errors="replace"))
+    return wall, usage.ru_maxrss / 1024.0
+
+
+def main():
+    parser = argparse.ArgumentParser()
+    parser.add_argument("workdir")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--repeat", type=int, default=3)
+    parser.add_argument("--src", action="append", type=Path,
+                        help="a tree's src directory (default: this tree's)")
+    args = parser.parse_args()
+    trees = [p.resolve() for p in args.src or [ROOT / "src"]]
+    work = Path(args.workdir).resolve()
+    work.mkdir(parents=True, exist_ok=True)
+
+    events = Path("events.csv")
+    wall, rss = run_stage(trees[0], synth_argv(L, args.seed, events), work)
+    print(f"synth: {wall:.2f} s, {rss:.1f} MB", flush=True)
+    names = [stage.name for stage in stages(L, events, Path("."))]
+    runs = {(t, name): [] for t in range(len(trees)) for name in names}
+    for r in range(args.repeat):
+        order = range(len(trees))
+        if r % 2:
+            order = reversed(order)
+        for t in order:
+            for stage in stages(L, events, Path(f"run{t}")):
+                runs[t, stage.name].append(
+                    run_stage(trees[t], stage.argv, work))
+        print(f"repeat {r + 1} of {args.repeat} done", flush=True)
+
+    result = []
+    for t, src in enumerate(trees):
+        print(f"\n{src} (medians of {args.repeat})")
+        print(f"{'stage':<12}{'wall s':>9}{'min':>8}{'max':>8}"
+              f"{'peak RSS MB':>13}")
+        for name in names:
+            walls = [w for w, _ in runs[t, name]]
+            wall = statistics.median(walls)
+            rss = statistics.median(m for _, m in runs[t, name])
+            print(f"{name:<12}{wall:>9.2f}{min(walls):>8.2f}{max(walls):>8.2f}"
+                  f"{rss:>13.1f}")
+            result.append({"src": str(src), "stage": name, "wall_s": wall,
+                           "walls_s": walls, "rss_mb": rss})
+    print(json.dumps({"workload": "L", "seed": args.seed,
+                      "repeat": args.repeat, "stages": result}))
+
+
+if __name__ == "__main__":
+    main()

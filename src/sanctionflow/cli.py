@@ -23,9 +23,13 @@ def _header(args: argparse.Namespace) -> list[str]:
     return [f"sanctionflow {__version__}", f"{args.command} {flags}"]
 
 
-def _write(path: str, text: str) -> None:
+def _write(path: str, *parts: str) -> None:
+    """Write the parts one after another, so a preamble and a large body are
+    never copied into one string."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text(text, encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        for part in parts:
+            fh.write(part)
 
 
 def _load_events(path: str, fmt: str) -> events.EventSet:
@@ -45,8 +49,7 @@ def _read_category_map(path: str) -> dict[str, str]:
 def cmd_ingest(args):
     evs = _load_events(args.events, args.format)
     reportv = events.validate_events(evs)
-    text = events.serialize_events(evs)
-    _write(args.out, preamble(_header(args)) + text)
+    _write(args.out, preamble(_header(args)), events.serialize_events(evs))
     print(reportv.summary())
     for warning in reportv.warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -59,8 +62,7 @@ def cmd_synth(args):
         lists_per_issuer=args.lists_per_issuer, copy_prob=args.copy_prob,
         start=Date.fromisoformat(args.start), window_days=args.window_days)
     evs = synth.synth_generate(config, args.seed)
-    text = events.serialize_events(evs)
-    _write(args.out, preamble(_header(args)) + text)
+    _write(args.out, preamble(_header(args)), events.serialize_events(evs))
     print(f"{len(evs)} events, {len(evs.issuers)} issuers, "
           f"{len(evs.entities)} entities")
     return 0

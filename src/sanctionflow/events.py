@@ -27,6 +27,8 @@ from .table import skip_preamble
 _ISO_DATE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
 _HEADER = ("issuer", "list_id", "entity_id", "date")
 _FIELDS = (*_HEADER, "category")
+# events serialized into one string at a time
+_ROW_CHUNK = 1 << 14
 
 # One column of an EventSet: its distinct names, and per event an int32 code
 # indexing them (-1 for none).
@@ -340,20 +342,27 @@ def _cells(names: Iterable[str]) -> list[str]:
 
 def serialize_events(events: EventSet) -> str:
     """Canonical delimited form: header + rows in the EventSet's order,
-    (date, issuer, list, entity)."""
+    (date, issuer, list, entity).
+
+    Rows are joined one chunk of ``_ROW_CHUNK`` events at a time, so no
+    list of one string per row is held for the whole set.
+    """
     issuers, lists, entities = (_cells(c.names) for c in
                                 (events.issuer, events.list_id,
                                  events.entity_id))
     categories = [*_cells(events.category.names), ""]  # code -1 reads ""
     days, day_codes = np.unique(events.day, return_inverse=True)
     dates = [Date.fromordinal(d).isoformat() for d in days.tolist()]
-    rows = [f"{issuers[i]},{lists[l]},{entities[e]},{dates[d]},"
+    columns = (events.issuer.codes, events.list_id.codes,
+               events.entity_id.codes, day_codes, events.category.codes)
+    chunks = ["issuer,list_id,entity_id,date,category\n"]
+    for lo in range(0, len(events), _ROW_CHUNK):
+        chunks.append("".join([
+            f"{issuers[i]},{lists[l]},{entities[e]},{dates[d]},"
             f"{categories[c]}\n"
-            for i, l, e, d, c in zip(
-                events.issuer.codes.tolist(), events.list_id.codes.tolist(),
-                events.entity_id.codes.tolist(), day_codes.tolist(),
-                events.category.codes.tolist())]
-    return "".join(["issuer,list_id,entity_id,date,category\n", *rows])
+            for i, l, e, d, c in zip(*(col[lo:lo + _ROW_CHUNK].tolist()
+                                       for col in columns))]))
+    return "".join(chunks)
 
 
 @dataclass(frozen=True)

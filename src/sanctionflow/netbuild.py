@@ -21,8 +21,9 @@ from .table import preamble
 LIST_LEVEL = "list"
 INSTITUTION_LEVEL = "institution"
 # precedence pairs generated at once: one entity held by thousands of
-# nodes is counted in several chunks
-_PAIR_CELLS = 1 << 20
+# nodes is counted in several chunks. Each chunk makes about three int64
+# arrays of its length, so 2^18 pairs keep the temporaries near 6 MB.
+_PAIR_CELLS = 1 << 18
 
 
 def _index_pairs(nodes: tuple[str, ...], keys: Collection[tuple[str, str]]
@@ -244,7 +245,8 @@ def _write_records(header: Iterable[str], nodes: Iterable[str],
 def write_network(net: InfluenceNetwork, header: Iterable[str] = ()) -> str:
     return _write_records(
         [*header, f"level\t{net.level}"], net.nodes,
-        (f"{_check_id(a)}\t{_check_id(b)}\t{net.adjacency[(a, b)]}\n"
+        # both endpoints are nodes, whose lines are checked
+        (f"{a}\t{b}\t{net.adjacency[(a, b)]}\n"
          for (a, b) in sorted(net.adjacency)))
 
 

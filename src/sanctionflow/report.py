@@ -9,12 +9,12 @@ log-distance repulsion, weak quadratic gravity) by seeded descent.
 from __future__ import annotations
 
 import io
-import json
 import math
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import repeat
+from json.encoder import encode_basestring_ascii
 from typing import Iterable
 
 import numpy as np
@@ -245,14 +245,14 @@ def export_graph(net: InfluenceNetwork,
 
     view = net.view
     flows = repeat(None) if decomp is None else _link_flows(net, decomp)
+    if format == "json_graph":
+        return _export_json(net, node_attrs, flows)
     links = zip(map(net.nodes.__getitem__, view.src.tolist()),
                 map(net.nodes.__getitem__, view.dst.tolist()),
                 view.count.tolist(), flows)
-    if format == "edge_table":
-        return _export_edge_table(net, node_attrs, links, header)
     if format == "dot":
         return _export_dot(net, node_attrs, links)
-    return _export_json(net, node_attrs, links)
+    return _export_edge_table(net, node_attrs, links, header)
 
 
 def _link_flows(net, decomp):
@@ -327,24 +327,47 @@ def _export_dot(net, node_attrs, links):
     return out.getvalue()
 
 
-def _export_json(net, node_attrs, links):
-    nodes = []
-    for v in net.nodes:
-        phi, comm, pos = node_attrs(v)
-        entry = {"id": v}
-        if phi is not None:
-            entry["potential"] = phi
-        if comm is not None:
-            entry["community"] = comm
-        if pos is not None:
-            entry["x"], entry["y"] = pos
-        nodes.append(entry)
-    entries = []
-    for a, b, count, pair in links:
-        entry = {"source": a, "target": b, "count": count}
-        if pair is not None:
-            entry["F"], entry["F_grad"], entry["F_circ"] = pair
-        entries.append(entry)
-    return json.dumps({"directed": True, "level": net.level,
-                       "nodes": nodes, "links": entries},
-                      indent=2, sort_keys=True) + "\n"
+def _json_float(x: float) -> str:
+    """A float as ``json.dumps`` spells it."""
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+def _json_list(items: Iterable[str]) -> str:
+    """The already indented item strings as ``json.dumps(indent=2)`` lays
+    out a list one level deep."""
+    body = ",\n".join(items)
+    return f"[\n{body}\n  ]" if body else "[]"
+
+
+def _export_json(net, node_attrs, flows):
+    """``json.dumps({"directed", "level", "links", "nodes"}, indent=2,
+    sort_keys=True) + "\n"``, written one f-string per node and per link
+    from the view, so no dict per link or encoder chunk list is made."""
+    num = _json_float
+    names = list(map(encode_basestring_ascii, net.nodes))
+
+    def node_items():
+        for v, name in zip(net.nodes, names):
+            phi, comm, pos = node_attrs(v)
+            comm_s = "" if comm is None else f'"community": {comm},\n      '
+            phi_s = "" if phi is None else f',\n      "potential": {num(phi)}'
+            pos_s = ("" if pos is None else f',\n      "x": {num(pos[0])},'
+                     f'\n      "y": {num(pos[1])}')
+            yield f'    {{\n      {comm_s}"id": {name}{phi_s}{pos_s}\n    }}'
+
+    def link_items():
+        view = net.view
+        for a, b, count, attrs in zip(view.src.tolist(), view.dst.tolist(),
+                                      view.count.tolist(), flows):
+            flow_s = "" if attrs is None else (
+                f'"F": {num(attrs[0])},\n      "F_circ": {num(attrs[2])},'
+                f'\n      "F_grad": {num(attrs[1])},\n      ')
+            yield (f'    {{\n      {flow_s}"count": {count},\n      '
+                   f'"source": {names[a]},\n      "target": {names[b]}\n    }}')
+
+    links = _json_list(link_items())
+    return (f'{{\n  "directed": true,\n  "level": '
+            f'{encode_basestring_ascii(net.level)},\n  "links": {links},'
+            f'\n  "nodes": {_json_list(node_items())}\n}}\n')

@@ -6,7 +6,9 @@ force enumeration for edge counts and partitions, dense all-pairs arrays
 for the layout energy. ``louvain_reference`` is the Louvain method as
 first written, on Python neighbour lists and dicts, and
 ``serialize_events_reference`` the canonical event file as first written,
-from event objects through ``csv.writer``.
+from event objects through ``csv.writer``. ``json_graph_reference`` is
+``graph.json`` as first written: one dict per node and per link, through
+``json.dumps(indent=2, sort_keys=True)``.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import json
 import math
 import random
 
@@ -147,6 +150,53 @@ def serialize_events_reference(raw):
         writer.writerow([e.issuer, e.list_id, e.entity_id,
                          e.date.isoformat(), e.category or ""])
     return out.getvalue()
+
+
+def json_graph_reference(net, decomp=None, partition=None,
+                         layout_result=None):
+    """The json_graph export of ``net``: nodes in ``net.nodes`` order, links
+    in (source, target) node-index order, each link's flows read from the
+    decomposition's (lower, higher index) pair with the link's sign, and
+    left out when the decomposition lacks that pair."""
+    index = {v: i for i, v in enumerate(net.nodes)}
+
+    def node_attrs(v):
+        phi = decomp.potentials.phi[v] if decomp else None
+        comm = partition.assignment[v] if partition else None
+        pos = layout_result.positions[v] if layout_result else None
+        return phi, comm, pos
+
+    links = []
+    for (a, b), count in sorted(net.adjacency.items(),
+                                key=lambda t: (index[t[0][0]], index[t[0][1]])):
+        pair = None
+        key, sign = ((a, b), 1.0) if index[a] < index[b] else ((b, a), -1.0)
+        if decomp and key in decomp.gradient_flow:
+            fp = sign * decomp.gradient_flow[key]
+            fc = sign * decomp.circular_flow[key]
+            pair = (fp + fc, fp, fc)
+        links.append((a, b, count, pair))
+
+    nodes = []
+    for v in net.nodes:
+        phi, comm, pos = node_attrs(v)
+        entry = {"id": v}
+        if phi is not None:
+            entry["potential"] = phi
+        if comm is not None:
+            entry["community"] = comm
+        if pos is not None:
+            entry["x"], entry["y"] = pos
+        nodes.append(entry)
+    entries = []
+    for a, b, count, pair in links:
+        entry = {"source": a, "target": b, "count": count}
+        if pair is not None:
+            entry["F"], entry["F_grad"], entry["F_circ"] = pair
+        entries.append(entry)
+    return json.dumps({"directed": True, "level": net.level,
+                       "nodes": nodes, "links": entries},
+                      indent=2, sort_keys=True) + "\n"
 
 
 def set_partitions(items):

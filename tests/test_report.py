@@ -13,7 +13,8 @@ from sanctionflow.community import CommunityPartition
 from sanctionflow.report import (_BLOCK_CELLS, _EPS, LayoutResult,
                                  _apply_jitter, _energy_kernel)
 from conftest import make_network
-from oracles import brute_force_jitter, dense_layout_energy_oracle
+from oracles import (brute_force_jitter, dense_layout_energy_oracle,
+                     json_graph_reference)
 
 # nodes at which one row block is exactly square: BLOCK_SIDE rows of
 # BLOCK_SIDE cells
@@ -384,6 +385,76 @@ def test_json_graph_attributes(feed_forward_triangle):
     assert len(obj["links"]) == 3
     for link in obj["links"]:
         assert math.isclose(link["F"], link["F_grad"] + link["F_circ"])
+
+
+# a quote, a backslash, control characters, non-ASCII, a line separator
+# and an astral character, which json writes as a surrogate pair
+_JSON_IDS = ['a"b', "back\\slash", "nul\x00", "bell\x07\x1f\x7f", "line\nfeed",
+             "Zürich", "\u2028", "smile\U0001F600", "plain"]
+
+
+def awkward_network():
+    ids = _JSON_IDS
+    edges = [(ids[k], ids[(k + 1) % len(ids)], k + 1) for k in range(len(ids))]
+    edges += [(ids[2], ids[0], 4), (ids[5], ids[1], 2), (ids[8], ids[3], 7)]
+    return make_network(edges, level="li\"st\u00e9",
+                        nodes=[*ids[::2], *ids[1::2]])
+
+
+@pytest.mark.parametrize("with_decomp", [False, True])
+@pytest.mark.parametrize("with_partition", [False, True])
+@pytest.mark.parametrize("with_layout", [False, True])
+def test_json_graph_matches_the_reference(with_decomp, with_partition,
+                                          with_layout):
+    net = awkward_network()
+    d = solve(symmetrize(net, "mean"))
+    inputs = dict(
+        decomp=d if with_decomp else None,
+        partition=louvain(net, seed=0) if with_partition else None,
+        layout_result=(layout(net, d.potentials, seed=0) if with_layout
+                       else None))
+    doc = export_graph(net, format="json_graph", **inputs)
+    assert doc == json_graph_reference(net, **inputs)
+
+
+@pytest.mark.parametrize("net", [
+    make_network([], nodes=["A", "B\u00e9"]),
+    make_network([], nodes=["solo"]),
+    make_network([], nodes=[]),
+], ids=["no links", "single node", "empty"])
+def test_json_graph_without_links_matches_the_reference(net):
+    d = HodgeDecomposition(
+        PotentialVector({v: 0.0 for v in net.nodes}, {v: 0 for v in net.nodes}),
+        {}, {}, 0.0, 0.0, 0.0)
+    part = CommunityPartition({v: 0 for v in net.nodes}, 0.0, 1.0, 0)
+    lay = LayoutResult({v: (0.0, 0.0) for v in net.nodes})
+    for inputs in ({}, dict(decomp=d, partition=part, layout_result=lay)):
+        doc = export_graph(net, format="json_graph", **inputs)
+        assert doc == json_graph_reference(net, **inputs)
+
+
+def test_json_graph_spells_floats_as_json_does():
+    values = [-0.0, 0.0, 1e308, -1.7976931348623157e308, 5e-324, -2.5e-310,
+              1e16, 1e-7, 0.1, 1 / 3, math.inf, -math.inf, math.nan]
+    ids = [f"v{k:02d}" for k in range(len(values))]
+    net = make_network([(ids[k], ids[k + 1], k + 1)
+                        for k in range(len(ids) - 1)]
+                       + [(ids[-1], ids[0], 3), (ids[4], ids[2], 1)],
+                       nodes=ids)
+    rot = values[5:] + values[:5]
+    keys = [(a, b) for a, b in zip(ids, ids[1:])] + [(ids[0], ids[-1])]
+    # the pair (v02, v04) is left out, so its link carries no flows
+    d = HodgeDecomposition(
+        PotentialVector(dict(zip(ids, values)), {v: 0 for v in ids}),
+        dict(zip(keys, rot)), dict(zip(keys, values[::-1])), 0.0, 0.0, 0.0)
+    lay = LayoutResult(dict(zip(ids, zip(values[::-1], rot))))
+    part = CommunityPartition({v: k for k, v in enumerate(ids)}, 0.0, 1.0, 0)
+    with np.errstate(over="ignore"):  # F = F_grad + F_circ may overflow
+        doc = export_graph(net, decomp=d, partition=part, layout_result=lay,
+                           format="json_graph")
+    assert doc == json_graph_reference(net, decomp=d, partition=part,
+                                       layout_result=lay)
+    assert "NaN" in doc and "-Infinity" in doc and "-0.0" in doc
 
 
 def test_unknown_format_errors(feed_forward_triangle):
