@@ -84,3 +84,63 @@ def test_pipeline_artifacts_match_pinned_digests(tmp_path, monkeypatch):
              hashlib.sha256(path.read_bytes()).hexdigest()
              for path in sorted(tmp_path.rglob("*")) if path.is_file()}
     assert found == DIGESTS
+
+
+# A hand-written network whose node lines are not in name order and whose
+# edge lines are shuffled: the writers order their rows by node name, so
+# these bytes pin that order apart from the order of the nodes.
+SHUFFLED_NET = Path(__file__).parent / "fixtures" / "shuffled_net.tsv"
+SHUFFLED_STAGES = [
+    ["symmetrize", "--net", "net.tsv", "--out", "flow.tsv"],
+    ["decompose", "--net", "net.tsv", "--out", "hodge"],
+    ["pagerank", "--net", "net.tsv", "--out", "pagerank.csv"],
+    *(["report", "--net", "net.tsv", "--decomp", "hodge",
+       "--pagerank", "pagerank.csv", "--graph-format", fmt,
+       "--out", f"report_{fmt}"]
+      for fmt in ("edge_table", "dot", "json_graph")),
+]
+
+SHUFFLED_DIGESTS = {
+    "flow.tsv":
+        "1c37889cba293dbe478268c5e4a3379e781cf127d591d5e6ea602510deb443ac",
+    "hodge/nodes.csv":
+        "5f5098c188e177323f859790864d8c5ea4e8e09b35f65d86374e204f33ccb191",
+    "hodge/pairs.csv":
+        "59e978b4ad7a1a33b29bf24b7886c9a507f72484ce64dadc43b3033fb9948a75",
+    "hodge/summary.csv":
+        "5ebac329ee898e7d4bd0e70cd65bb0d6376438dd35092cc828cf1bcd8c8d0422",
+    "pagerank.csv":
+        "5f226f6948f5cf3256c2638899b12d373bd53854426ac25f572cbad16a58f925",
+    "report_dot/graph.dot":
+        "050708b57a180991c4bf414c960b1c071a667222934ebbeab09da72a70018591",
+    "report_dot/potential_table.csv":
+        "ac4945e29ea1c8bb6fe2c39078399b046b9979315b8a55f76c463e035a2df717",
+    "report_dot/scatter.csv":
+        "319f0c8560d74a0b0fa24cc6e784d149f2cc27cd74773eaba1b8049811131fbe",
+    "report_edge_table/graph.tsv":
+        "113bc7f705b91b6dd00ae28a760dcf1ece7d540a5f5e88fdbb66b5cdccb4411b",
+    "report_edge_table/potential_table.csv":
+        "f5e31dbec3ecc6bc92910ce39ba5f4105eb844fb569e2031372c55ad2416a5a3",
+    "report_edge_table/scatter.csv":
+        "37048cedfc028fd9fdd4193a4093383c4bd4e08174ccb833174936c4c6ef7d85",
+    "report_json_graph/graph.json":
+        "262684eacd7a50d8b71e3d2f048e196817915dff3946d9660553b7c66f025435",
+    "report_json_graph/potential_table.csv":
+        "8620b64b08bebe4421190bfef056770b7dcdf4fe19686d36f00cc2031fedf5b3",
+    "report_json_graph/scatter.csv":
+        "e44139ea3d07d42a2db1a4068115958ff53f3a57c8d6397626a1402dd1c55fe2",
+}
+
+
+def test_shuffled_network_artifacts_match_pinned_digests(tmp_path,
+                                                          monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "net.tsv").write_bytes(SHUFFLED_NET.read_bytes())
+    for argv in SHUFFLED_STAGES:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(argv) == 0, argv
+    found = {path.relative_to(tmp_path).as_posix():
+             hashlib.sha256(path.read_bytes()).hexdigest()
+             for path in sorted(tmp_path.rglob("*"))
+             if path.is_file() and path.name != "net.tsv"}
+    assert found == SHUFFLED_DIGESTS
