@@ -6,20 +6,19 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from datetime import date as Date
 from pathlib import Path
 
 from . import __version__
-from .errors import PipelineError
+from .errors import ConfigError, PipelineError
 from . import community, events, hodge, netbuild, rank, report, synth
 from .table import preamble, read_table, write_table
 
 
 def _header(args: argparse.Namespace) -> list[str]:
-    skip = {"func"}
     flags = " ".join(f"--{k.replace('_', '-')}={v}"
-                     for k, v in sorted(vars(args).items())
-                     if k not in skip and v is not None)
+                     for k, v in sorted(vars(args).items()) if v is not None)
     return [f"sanctionflow {__version__}", f"{args.command} {flags}"]
 
 
@@ -32,18 +31,27 @@ def _write(path: str, *parts: str) -> None:
             fh.write(part)
 
 
+@contextmanager
+def _utf8(path):
+    """Turn a decoding error in reading ``path`` into one naming the file."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise PipelineError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def _read(path) -> str:
+    with _utf8(path):
+        return Path(path).read_text(encoding="utf-8")
+
+
 def _load_events(path: str, fmt: str) -> events.EventSet:
-    with open(path, "r", encoding="utf-8") as fh:
+    with _utf8(path), open(path, "r", encoding="utf-8") as fh:
         return events.parse_events(fh, format=fmt)
 
 
 def _load_network(path: str) -> netbuild.InfluenceNetwork:
-    return netbuild.read_network(Path(path).read_text(encoding="utf-8"))
-
-
-def _read_category_map(path: str) -> dict[str, str]:
-    return dict(read_table(Path(path).read_text(encoding="utf-8"),
-                           ("list_id", "label"), (str.strip, str.strip)))
+    return netbuild.read_network(_read(path))
 
 
 def cmd_ingest(args):
@@ -57,10 +65,15 @@ def cmd_ingest(args):
 
 
 def cmd_synth(args):
+    try:
+        start = Date.fromisoformat(args.start)
+    except ValueError:
+        raise ConfigError(f"--start {args.start!r} is not a YYYY-MM-DD "
+                          "date") from None
     config = synth.SynthConfig(
         n_issuers=args.issuers, n_entities=args.entities,
         lists_per_issuer=args.lists_per_issuer, copy_prob=args.copy_prob,
-        start=Date.fromisoformat(args.start), window_days=args.window_days)
+        start=start, window_days=args.window_days)
     evs = synth.synth_generate(config, args.seed)
     _write(args.out, preamble(_header(args)), events.serialize_events(evs))
     print(f"{len(evs)} events, {len(evs.issuers)} issuers, "
@@ -74,7 +87,8 @@ def cmd_build(args):
     if args.category_map or args.label:
         if not (args.category_map and args.label):
             raise PipelineError("--category-map and --label go together")
-        mapping = _read_category_map(args.category_map)
+        mapping = dict(read_table(_read(args.category_map),
+                                  ("list_id", "label"), (str.strip, str.strip)))
         selected = netbuild.filter_by_category(evs, mapping, args.label)
     if args.level == "institution":
         net = netbuild.build_institution_network(evs, selected)
@@ -84,7 +98,7 @@ def cmd_build(args):
                                 "institution level")
         net = netbuild.build_list_network(evs)
     _write(args.out, netbuild.write_network(net, header=_header(args)))
-    print(f"{len(net.nodes)} nodes, {len(net.adjacency)} edges, "
+    print(f"{len(net.nodes)} nodes, {len(net.src)} edges, "
           f"total count {net.total_count()}")
     return 0
 
@@ -93,22 +107,20 @@ def cmd_symmetrize(args):
     net = _load_network(args.net)
     flow = netbuild.symmetrize(net, mode=args.mode)
     _write(args.out, netbuild.write_flow(flow, header=_header(args)))
-    print(f"{len(flow.nodes)} nodes, {len(flow.pairs)} pairs, mode {args.mode}")
+    print(f"{len(flow.nodes)} nodes, {len(flow.lo)} pairs, mode {args.mode}")
     return 0
 
 
 def cmd_decompose(args):
     net = _load_network(args.net)
     flow = netbuild.symmetrize(net, mode=args.mode)
-    system = hodge.assemble_laplacian(flow)
-    potentials = hodge.solve_potentials(system, tol=args.tol)
-    decomp = hodge.decompose(flow, potentials)
+    decomp = hodge.solve(flow, tol=args.tol)
     head = _header(args)
     outdir = Path(args.out)
     _write(str(outdir / "nodes.csv"), hodge.write_node_table(decomp, head))
-    _write(str(outdir / "pairs.csv"), hodge.write_pair_table(decomp, flow, head))
+    _write(str(outdir / "pairs.csv"), hodge.write_pair_table(decomp, head))
     _write(str(outdir / "summary.csv"), hodge.write_summary(decomp, head))
-    print(f"{len(flow.nodes)} nodes, {len(flow.pairs)} pairs, "
+    print(f"{len(flow.nodes)} nodes, {len(flow.lo)} pairs, "
           f"gradient_ratio {decomp.gradient_ratio:.4f}, "
           f"loop_ratio {decomp.loop_ratio:.4f}")
     return 0
@@ -135,8 +147,7 @@ def cmd_pagerank(args):
 
 def cmd_layout(args):
     net = _load_network(args.net)
-    potentials = hodge.read_node_table(
-        Path(args.potentials).read_text(encoding="utf-8"))
+    potentials = hodge.read_node_table(_read(args.potentials))
     result = report.layout(net, potentials, seed=args.seed, jitter=args.jitter)
     _write(args.out, write_table(
         _header(args), ("node", "x", "y"),
@@ -153,8 +164,8 @@ def cmd_report(args):
     decomp = None
     if args.decomp:
         flow = netbuild.symmetrize(net, mode=args.mode)
-        potentials = hodge.read_node_table(
-            (Path(args.decomp) / "nodes.csv").read_text(encoding="utf-8"))
+        potentials = hodge.read_node_table(_read(Path(args.decomp)
+                                                 / "nodes.csv"))
         decomp = hodge.decompose(flow, potentials)
         rows = report.potential_table(
             decomp, highlight=set(args.highlight or []))
@@ -162,20 +173,19 @@ def cmd_report(args):
                report.write_potential_table(rows, head))
     partition = None
     if args.partition:
-        assignment = community.read_partition(
-            Path(args.partition).read_text(encoding="utf-8"))
+        assignment = community.read_partition(_read(args.partition))
         partition = community.CommunityPartition(
             assignment=assignment, modularity=0.0, resolution=0.0, seed=0)
     layout_result = None
     if args.layout:
-        rows = read_table(Path(args.layout).read_text(encoding="utf-8"),
-                          ("node", "x", "y"), (str, float, float))
-        positions = {node: (x, y) for node, x, y in rows}
-        layout_result = report.LayoutResult(positions=positions)
+        rows = read_table(_read(args.layout), ("node", "x", "y"),
+                          (str, float, float))
+        layout_result = report.LayoutResult(
+            positions={node: (x, y) for node, x, y in rows})
     if args.pagerank:
         if decomp is None:
             raise PipelineError("scatter output needs --decomp")
-        ranks = rank.read_ranks(Path(args.pagerank).read_text(encoding="utf-8"))
+        ranks = rank.read_ranks(_read(args.pagerank))
         data = report.scatter_data(ranks, decomp.potentials)
         _write(str(outdir / "scatter.csv"), report.write_scatter(data, head))
     ext = {"edge_table": "tsv", "dot": "dot", "json_graph": "json"}[args.graph_format]
@@ -200,7 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["delimited", "line_record"],
                    default="delimited")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("synth", help="generate synthetic events")
     p.add_argument("--issuers", type=int, required=True)
@@ -211,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window-days", type=int, default=365)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("build", help="build an influence network from events")
     p.add_argument("--level", choices=["list", "institution"], required=True)
@@ -221,13 +229,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--category-map")
     p.add_argument("--label")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("symmetrize", help="net flow + weights per node pair")
     p.add_argument("--net", required=True)
     p.add_argument("--mode", choices=["mean", "unit"], default="mean")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_symmetrize)
 
     p = sub.add_parser("decompose", help="potential/circulation flow split")
     p.add_argument("--net", required=True)
@@ -237,21 +243,18 @@ def build_parser() -> argparse.ArgumentParser:
                         "potential solve: max|L phi - f| <= tol * "
                         "(2 max L_ii * max|phi| + max|f|)")
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("communities", help="Louvain modularity communities")
     p.add_argument("--net", required=True)
     p.add_argument("--resolution", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_communities)
 
     p = sub.add_parser("pagerank", help="PageRank scores")
     p.add_argument("--net", required=True)
     p.add_argument("--damping", type=float, default=0.85)
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_pagerank)
 
     p = sub.add_parser("layout", help="potential-fixed 1-D energy layout")
     p.add_argument("--net", required=True)
@@ -260,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jitter", type=float, default=0.0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_layout)
 
     p = sub.add_parser("report", help="tables, scatter data, graph export")
     p.add_argument("--net", required=True)
@@ -274,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["edge_table", "dot", "json_graph"],
                    default="edge_table")
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_report)
     return parser
 
 
@@ -282,11 +283,9 @@ def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except PipelineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+        # the subcommand NAME runs cmd_NAME
+        return globals()[f"cmd_{args.command}"](args)
+    except (PipelineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

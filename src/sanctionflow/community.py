@@ -29,7 +29,7 @@ class CommunityPartition:
 def modularity(net: InfluenceNetwork, assignment: Mapping[str, int],
                resolution: float = 1.0) -> float:
     """Newman modularity of a partition on the symmetrized graph."""
-    if resolution <= 0:
+    if not resolution > 0:
         raise PipelineError("resolution must be positive")
     missing = [n for n in net.nodes if n not in assignment]
     if missing:
@@ -122,7 +122,7 @@ def louvain(net: InfluenceNetwork, resolution: float = 1.0,
     self-weights; every weight is a sum of integer counts, so each float
     sum is exact in any order.
     """
-    if resolution <= 0:
+    if not resolution > 0:
         raise PipelineError("resolution must be positive")
     if not net.nodes:
         raise PipelineError("empty network")

@@ -15,7 +15,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ConvergenceError, PipelineError
-from .netbuild import FlowNetwork, FlowView
+from .netbuild import FlowNetwork, named_rows
 from .table import read_table, write_table
 
 DENSE_LIMIT = 64  # components up to this size use a direct solve
@@ -36,11 +36,14 @@ class LaplacianSystem:
     components: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HodgeDecomposition:
+    """The split of ``flow``: ``gradient[k]`` and ``circular[k]`` are the
+    two parts of the flow ``flow.F[k]`` on its pair k."""
     potentials: PotentialVector
-    gradient_flow: dict[tuple[str, str], float]
-    circular_flow: dict[tuple[str, str], float]
+    flow: FlowNetwork
+    gradient: np.ndarray
+    circular: np.ndarray
     gradient_ratio: float
     loop_ratio: float
     residual_norm: float
@@ -65,23 +68,13 @@ def _components(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, ..
     return tuple(tuple(groups[r]) for r in sorted(groups))
 
 
-def _checked_view(flow: FlowNetwork) -> FlowView:
-    v = flow.view
-    bad = np.flatnonzero(v.w <= 0)
-    if len(bad):
-        a, b = v.keys[bad[0]]
-        raise PipelineError(f"non-positive weight on pair ({a}, {b})")
-    return v
-
-
 def assemble_laplacian(flow: FlowNetwork) -> LaplacianSystem:
     """Build L (implicitly, via pair weights) and the net-outflow vector."""
-    v = _checked_view(flow)
     n = len(flow.nodes)
     return LaplacianSystem(
-        nodes=flow.nodes, weights=(v.rows, v.cols, v.w),
-        rhs=_net_out(v.rows, v.cols, v.F, n),
-        components=_components(n, zip(v.rows.tolist(), v.cols.tolist())))
+        nodes=flow.nodes, weights=(flow.lo, flow.hi, flow.w),
+        rhs=_net_out(flow.lo, flow.hi, flow.F, n),
+        components=_components(n, zip(flow.lo.tolist(), flow.hi.tolist())))
 
 
 def _net_out(rows, cols, values, n):
@@ -240,8 +233,8 @@ def solve_potentials(system: LaplacianSystem, tol: float = 1e-10) -> PotentialVe
     within its iteration cap (naming the component, its core and the
     residual reached). Isolated nodes get phi = 0.
     """
-    if tol <= 0:
-        raise PipelineError("tolerance must be positive")
+    if not 0.0 < tol < np.inf:
+        raise PipelineError("tolerance must be positive and finite")
     n = len(system.nodes)
     comps = system.components
     rows, cols, wvec = system.weights
@@ -292,21 +285,19 @@ def decompose(flow: FlowNetwork, potentials: PotentialVector) -> HodgeDecomposit
     """
     if set(potentials.phi) != set(flow.nodes):
         raise PipelineError("potential vector does not cover the flow network's nodes")
-    v = _checked_view(flow)
+    lo, hi, F, w = flow.lo, flow.hi, flow.F, flow.w
     phi = np.array([potentials.phi[node] for node in flow.nodes])
-    gradient = v.w * (phi[v.rows] - phi[v.cols])
-    circular = v.F - gradient
+    gradient = w * (phi[lo] - phi[hi])
+    circular = F - gradient
     # sequential sums in pair order; numpy's pairwise sum rounds differently
-    total = sum((v.F * v.F / v.w).tolist())
+    total = sum((F * F / w).tolist())
     if total == 0.0:
         raise PipelineError("all flows are zero; gradient/loop ratios undefined")
-    div = _net_out(v.rows, v.cols, circular, len(flow.nodes))
+    div = _net_out(lo, hi, circular, len(flow.nodes))
     return HodgeDecomposition(
-        potentials=potentials,
-        gradient_flow=dict(zip(v.keys, gradient.tolist())),
-        circular_flow=dict(zip(v.keys, circular.tolist())),
-        gradient_ratio=sum((gradient * gradient / v.w).tolist()) / total,
-        loop_ratio=sum((circular * circular / v.w).tolist()) / total,
+        potentials=potentials, flow=flow, gradient=gradient, circular=circular,
+        gradient_ratio=sum((gradient * gradient / w).tolist()) / total,
+        loop_ratio=sum((circular * circular / w).tolist()) / total,
         residual_norm=float(np.abs(div).max(initial=0.0)),
     )
 
@@ -326,15 +317,14 @@ def write_node_table(decomp: HodgeDecomposition, header: Iterable[str] = ()) -> 
                         for node in sorted(pot.phi)))
 
 
-def write_pair_table(decomp: HodgeDecomposition, flow: FlowNetwork,
+def write_pair_table(decomp: HodgeDecomposition,
                      header: Iterable[str] = ()) -> str:
-    def row(pair):
-        f, w = flow.pairs[pair]
-        return (*pair, f"{f:.17g}", f"{w:.17g}",
-                f"{decomp.gradient_flow[pair]:.17g}",
-                f"{decomp.circular_flow[pair]:.17g}")
+    flow = decomp.flow
     return write_table(header, ("i", "j", "F", "w", "F_grad", "F_circ"),
-                       map(row, sorted(flow.pairs)))
+                       ((i, j, *(f"{x:.17g}" for x in values))
+                        for i, j, *values in named_rows(
+                            flow.nodes, flow.lo, flow.hi, flow.F, flow.w,
+                            decomp.gradient, decomp.circular)))
 
 
 def write_summary(decomp: HodgeDecomposition, header: Iterable[str] = ()) -> str:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Collection, Iterable, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -26,82 +26,81 @@ INSTITUTION_LEVEL = "institution"
 _PAIR_CELLS = 1 << 18
 
 
-def _index_pairs(nodes: tuple[str, ...], keys: Collection[tuple[str, str]]
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Node indices of the first and second names of each name pair."""
-    index = {node: i for i, node in enumerate(nodes)}
-    flat = np.fromiter((index[v] for key in keys for v in key), np.intp,
-                       2 * len(keys))
-    return flat[0::2], flat[1::2]
+# The pair fold of an InfluenceNetwork, over indices into its nodes:
+# unordered pairs (lo < hi) sorted by (lo, hi), with fwd = A[lo -> hi] and
+# back = A[hi -> lo] as floats; edge e lies on pair row pair[e].
+GraphView = namedtuple("GraphView", "lo hi fwd back pair")
 
 
-# The integer form of an InfluenceNetwork, over indices into its nodes:
-# directed edges (src, dst, count) sorted by (src, dst), and unordered pairs
-# (lo < hi) sorted by (lo, hi), with fwd = A[lo -> hi] and back = A[hi -> lo]
-# as floats; edge e lies on pair row pair[e].
-GraphView = namedtuple("GraphView", "src dst count lo hi fwd back pair")
-# The integer form of a FlowNetwork: pair k is keys[k] = (i, j), from node
-# rows[k] to node cols[k], with flow F[k] and weight w[k], sorted by
-# (lower index, higher index).
-FlowView = namedtuple("FlowView", "keys rows cols F w")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InfluenceNetwork:
     """Directed weighted graph with integer influence counts.
 
-    adjacency maps (src, dst) -> count; counts are strictly positive and
-    self-loops are never stored. Isolated nodes are allowed. ``view`` is
-    its integer form, built once, which the graph algorithms read.
+    Edge e runs from node ``src[e]`` to node ``dst[e]`` (indices into
+    ``nodes``) with count ``count[e]``; the read-only arrays are sorted by
+    (src, dst), counts are strictly positive and self-loops are never
+    stored. Isolated nodes are allowed. ``view`` is its pair fold, built
+    once, which the graph algorithms read.
     """
 
     level: str
     nodes: tuple[str, ...]
-    adjacency: Mapping[tuple[str, str], int]
+    src: np.ndarray
+    dst: np.ndarray
+    count: np.ndarray
+
+    def __post_init__(self):
+        for array in (self.src, self.dst, self.count):
+            array.flags.writeable = False
 
     def total_count(self) -> int:
-        return sum(self.adjacency.values())
+        return int(self.count.sum())
+
+    @cached_property
+    def adjacency(self) -> dict[tuple[str, str], int]:
+        """(src name, dst name) -> count, derived on first use."""
+        name = self.nodes.__getitem__
+        return dict(zip(zip(map(name, self.src.tolist()),
+                            map(name, self.dst.tolist())),
+                        self.count.tolist()))
 
     @cached_property
     def view(self) -> GraphView:
-        n, m = len(self.nodes), len(self.adjacency)
-        src, dst = _index_pairs(self.nodes, self.adjacency)
-        count = np.fromiter(self.adjacency.values(), np.int64, m)
-        order = np.argsort(src * n + dst, kind="stable")
-        src, dst, count = src[order], dst[order], count[order]
+        n, src, dst, count = len(self.nodes), self.src, self.dst, self.count
         keys, pair = np.unique(np.minimum(src, dst) * n + np.maximum(src, dst),
                                return_inverse=True)
         lo, hi = np.divmod(keys, n)
         forward = src < dst
         fwd = np.bincount(pair, np.where(forward, count, 0), len(keys))
         back = np.bincount(pair, np.where(forward, 0, count), len(keys))
-        return GraphView(src, dst, count, lo, hi, fwd, back, pair)
+        return GraphView(lo, hi, fwd, back, pair)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlowNetwork:
     """Antisymmetric net flow plus symmetric weight per unordered node pair.
 
-    pairs maps (i, j) -> (F_ij, w_ij) with i before j in node order;
-    F_ji = -F_ij is implied. Pairs with no interaction are absent; balanced
-    pairs (F = 0) are kept because their weight still constrains potentials.
-    ``view`` is its integer form, built once.
+    Pair k joins nodes ``lo[k] < hi[k]`` (indices into ``nodes``), sorted
+    by (lo, hi), with flow ``F[k]`` from lo to hi (the flow from hi to lo
+    is -F[k]) and weight ``w[k] > 0``. Pairs with no interaction are
+    absent; balanced pairs (F = 0) are kept because their weight still
+    constrains potentials.
     """
 
     nodes: tuple[str, ...]
-    pairs: Mapping[tuple[str, str], tuple[float, float]]
+    lo: np.ndarray
+    hi: np.ndarray
+    F: np.ndarray
+    w: np.ndarray
     weight_mode: str
 
-    @cached_property
-    def view(self) -> FlowView:
-        rows, cols = _index_pairs(self.nodes, self.pairs)
-        values = np.fromiter((x for fw in self.pairs.values() for x in fw),
-                             float, 2 * len(self.pairs))
-        order = np.argsort(np.minimum(rows, cols) * len(self.nodes)
-                           + np.maximum(rows, cols), kind="stable")
-        keys = list(self.pairs)
-        return FlowView([keys[k] for k in order.tolist()], rows[order],
-                        cols[order], values[0::2][order], values[1::2][order])
+    def __post_init__(self):
+        for array in (self.lo, self.hi, self.F, self.w):
+            array.flags.writeable = False
+        bad = np.flatnonzero(~(self.w > 0))
+        if len(bad):
+            a, b = self.nodes[self.lo[bad[0]]], self.nodes[self.hi[bad[0]]]
+            raise PipelineError(f"non-positive weight on pair ({a}, {b})")
 
 
 def _precedence_network(events: EventSet, level: str, column: Column,
@@ -144,10 +143,7 @@ def _precedence_network(events: EventSet, level: str, column: Column,
         keys, total = keys[order][start], np.add.reduceat(total[order], start)
     nodes = tuple(column.names[k] for k in present.tolist())
     src, dst = np.divmod(keys, max(n, 1))
-    name = nodes.__getitem__
-    return InfluenceNetwork(level=level, nodes=nodes, adjacency=dict(zip(
-        zip(map(name, src.tolist()), map(name, dst.tolist())),
-        total.tolist())))
+    return InfluenceNetwork(level, nodes, src, dst, total)
 
 
 def _pair_keys(node: np.ndarray, later: np.ndarray, count: np.ndarray,
@@ -216,12 +212,8 @@ def symmetrize(net: InfluenceNetwork, mode: str = "mean") -> FlowNetwork:
     if mode not in ("mean", "unit"):
         raise PipelineError(f"unknown weight mode '{mode}'")
     v = net.view
-    flow = v.fwd - v.back
-    weight = (v.fwd + v.back) / 2.0 if mode == "mean" else np.ones(len(flow))
-    name = net.nodes.__getitem__
-    pairs = dict(zip(zip(map(name, v.lo.tolist()), map(name, v.hi.tolist())),
-                     zip(flow.tolist(), weight.tolist())))
-    return FlowNetwork(nodes=net.nodes, pairs=pairs, weight_mode=mode)
+    weight = (v.fwd + v.back) / 2.0 if mode == "mean" else np.ones(len(v.lo))
+    return FlowNetwork(net.nodes, v.lo, v.hi, v.fwd - v.back, weight, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -229,25 +221,35 @@ def symmetrize(net: InfluenceNetwork, mode: str = "mean") -> FlowNetwork:
 # src<TAB>dst<TAB>count (flow pairs: i<TAB>j<TAB>F<TAB>w). Lines starting
 # with '#' are metadata and ignored on read, except the level marker.
 
-def _check_id(node: str) -> str:
-    if node.startswith("#") or "\t" in node or "\n" in node:
-        raise PipelineError(f"node id {node!r} starts with '#' or contains "
-                            "tab/newline")
-    return node
-
-
-def _write_records(header: Iterable[str], nodes: Iterable[str],
+def _write_records(header: Iterable[str], nodes: tuple[str, ...],
                    edges: Iterable[str]) -> str:
-    return "".join([preamble(header), *(_check_id(n) + "\n" for n in nodes),
-                    *edges])
+    for node in nodes:
+        if node.startswith("#") or "\t" in node or "\n" in node:
+            raise PipelineError(f"node id {node!r} starts with '#' or "
+                                "contains tab/newline")
+    return "".join([preamble(header), *(n + "\n" for n in nodes), *edges])
+
+
+def named_rows(nodes: tuple[str, ...], first: np.ndarray,
+               second: np.ndarray, *values: np.ndarray):
+    """Per row of node indices (first, second), in the order of their node
+    names: the two names, then the row's entry of each of ``values``."""
+    rank = np.empty(len(nodes), np.int64)
+    rank[sorted(range(len(nodes)), key=nodes.__getitem__)] = \
+        np.arange(len(nodes))
+    order = np.lexsort((rank[second], rank[first]))
+    name = nodes.__getitem__
+    return zip(map(name, first[order].tolist()),
+               map(name, second[order].tolist()),
+               *(v[order].tolist() for v in values))
 
 
 def write_network(net: InfluenceNetwork, header: Iterable[str] = ()) -> str:
     return _write_records(
         [*header, f"level\t{net.level}"], net.nodes,
         # both endpoints are nodes, whose lines are checked
-        (f"{a}\t{b}\t{net.adjacency[(a, b)]}\n"
-         for (a, b) in sorted(net.adjacency)))
+        (f"{a}\t{b}\t{c}\n"
+         for a, b, c in named_rows(net.nodes, net.src, net.dst, net.count)))
 
 
 def read_network(text: str) -> InfluenceNetwork:
@@ -258,8 +260,9 @@ def read_network(text: str) -> InfluenceNetwork:
     errors naming their line, as is an edge to an undeclared node.
     """
     level = INSTITUTION_LEVEL
-    nodes: dict[str, None] = {}
-    edges: dict[tuple[str, str], int] = {}
+    code: dict[str, int] = {}  # every name met, numbered in order
+    nodes: dict[str, int] = {}  # the code of each node line's name
+    edges: dict[tuple[int, int], int] = {}  # (src code, dst code) -> count
     for line_no, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
@@ -272,12 +275,13 @@ def read_network(text: str) -> InfluenceNetwork:
         if len(fields) == 1:
             if line in nodes:
                 raise PipelineError(f"line {line_no}: duplicate node '{line}'")
-            nodes[line] = None
+            nodes[line] = code.setdefault(line, len(code))
         elif len(fields) == 3:
             a, b = fields[0], fields[1]
             if a == b:
                 raise PipelineError(f"line {line_no}: self-loop on '{a}'")
-            if (a, b) in edges:
+            key = code.setdefault(a, len(code)), code.setdefault(b, len(code))
+            if key in edges:
                 raise PipelineError(f"line {line_no}: duplicate edge ({a}, {b})")
             try:
                 count = int(fields[2])
@@ -285,18 +289,28 @@ def read_network(text: str) -> InfluenceNetwork:
                 raise PipelineError(f"line {line_no}: bad count '{fields[2]}'")
             if count <= 0:
                 raise PipelineError(f"line {line_no}: non-positive count")
-            edges[(a, b)] = count
+            edges[key] = count
         else:
             raise PipelineError(f"line {line_no}: expected 1 or 3 fields, "
                                 f"got {len(fields)}")
-    for (a, b) in edges:
-        if a not in nodes or b not in nodes:
-            raise PipelineError(f"edge ({a}, {b}) references undeclared node")
-    return InfluenceNetwork(level=level, nodes=tuple(nodes), adjacency=edges)
+    index = np.full(len(code), -1)
+    index[list(nodes.values())] = np.arange(len(nodes))
+    ends = np.fromiter((c for key in edges for c in key), np.int64,
+                       2 * len(edges))
+    src, dst = index[ends[0::2]], index[ends[1::2]]
+    undeclared = np.flatnonzero((src < 0) | (dst < 0))
+    if len(undeclared):
+        a, b = (list(code)[c] for c in ends[2 * undeclared[0]:][:2])
+        raise PipelineError(f"edge ({a}, {b}) references undeclared node")
+    order = np.argsort(src * len(nodes) + dst)
+    count = np.fromiter(edges.values(), np.int64, len(edges))
+    return InfluenceNetwork(level, tuple(nodes), src[order], dst[order],
+                            count[order])
 
 
 def write_flow(flow: FlowNetwork, header: Iterable[str] = ()) -> str:
     return _write_records(
         [*header, f"mode\t{flow.weight_mode}"], flow.nodes,
         (f"{i}\t{j}\t{f:.17g}\t{w:.17g}\n"
-         for (i, j), (f, w) in sorted(flow.pairs.items())))
+         for i, j, f, w in named_rows(flow.nodes, flow.lo, flow.hi, flow.F,
+                                       flow.w)))

@@ -32,11 +32,10 @@ def pagerank(net: InfluenceNetwork, damping: float = 0.85,
         raise PipelineError("empty network")
     if not 0.0 < damping < 1.0:
         raise PipelineError("damping must lie strictly between 0 and 1")
-    if tol <= 0:
+    if not tol > 0:
         raise PipelineError("tolerance must be positive")
     n = len(net.nodes)
-    src, dst = net.view.src, net.view.dst
-    wgt = net.view.count.astype(float)
+    src, dst, wgt = net.src, net.dst, net.count.astype(float)
     out_strength = np.bincount(src, wgt, n)
     dangling = out_strength == 0.0
     safe_out = np.where(dangling, 1.0, out_strength)

@@ -229,8 +229,12 @@ def export_graph(net: InfluenceNetwork,
                  header: Iterable[str] = ()) -> str:
     if format not in ("edge_table", "dot", "json_graph"):
         raise PipelineError(f"unknown export format '{format}'")
-    for label, mapping in (("decomposition", decomp and decomp.potentials.phi),
-                           ("partition", partition and partition.assignment),
+    if decomp is not None and (decomp.flow.nodes != net.nodes or not (
+            np.array_equal(decomp.flow.lo, net.view.lo)
+            and np.array_equal(decomp.flow.hi, net.view.hi))):
+        raise PipelineError("decomposition's nodes and pairs are not the "
+                            "network's")
+    for label, mapping in (("partition", partition and partition.assignment),
                            ("layout", layout_result and layout_result.positions)):
         if mapping is not None:
             missing = [n for n in net.nodes if n not in mapping]
@@ -243,33 +247,24 @@ def export_graph(net: InfluenceNetwork,
         pos = layout_result.positions[v] if layout_result else None
         return phi, comm, pos
 
-    view = net.view
     flows = repeat(None) if decomp is None else _link_flows(net, decomp)
     if format == "json_graph":
         return _export_json(net, node_attrs, flows)
-    links = zip(map(net.nodes.__getitem__, view.src.tolist()),
-                map(net.nodes.__getitem__, view.dst.tolist()),
-                view.count.tolist(), flows)
+    links = zip(map(net.nodes.__getitem__, net.src.tolist()),
+                map(net.nodes.__getitem__, net.dst.tolist()),
+                net.count.tolist(), flows)
     if format == "dot":
         return _export_dot(net, node_attrs, links)
     return _export_edge_table(net, node_attrs, links, header)
 
 
 def _link_flows(net, decomp):
-    """(F, F_grad, F_circ) of each directed edge of ``net.view``, from the
-    decomposition's (lower, higher node index) pair with the edge's sign;
-    None where the decomposition lacks the pair."""
-    v = net.view
-    keys = list(zip(map(net.nodes.__getitem__, v.lo.tolist()),
-                    map(net.nodes.__getitem__, v.hi.tolist())))
-    found = np.array([key in decomp.gradient_flow for key in keys], bool)
-    grad = np.array([decomp.gradient_flow.get(key, 0.0) for key in keys])
-    circ = np.array([decomp.circular_flow.get(key, 0.0) for key in keys])
-    sign = np.where(v.src < v.dst, 1.0, -1.0)
-    fp, fc = sign * grad[v.pair], sign * circ[v.pair]
-    return (attrs if ok else None for attrs, ok in zip(
-        zip((fp + fc).tolist(), fp.tolist(), fc.tolist()),
-        found[v.pair].tolist()))
+    """(F, F_grad, F_circ) of each directed edge, from the decomposition's
+    parts on the edge's pair with the edge's sign."""
+    pair = net.view.pair
+    sign = np.where(net.src < net.dst, 1.0, -1.0)
+    fp, fc = sign * decomp.gradient[pair], sign * decomp.circular[pair]
+    return zip((fp + fc).tolist(), fp.tolist(), fc.tolist())
 
 
 def _fmt(value):
@@ -358,9 +353,8 @@ def _export_json(net, node_attrs, flows):
             yield f'    {{\n      {comm_s}"id": {name}{phi_s}{pos_s}\n    }}'
 
     def link_items():
-        view = net.view
-        for a, b, count, attrs in zip(view.src.tolist(), view.dst.tolist(),
-                                      view.count.tolist(), flows):
+        for a, b, count, attrs in zip(net.src.tolist(), net.dst.tolist(),
+                                      net.count.tolist(), flows):
             flow_s = "" if attrs is None else (
                 f'"F": {num(attrs[0])},\n      "F_circ": {num(attrs[2])},'
                 f'\n      "F_grad": {num(attrs[1])},\n      ')

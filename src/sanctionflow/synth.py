@@ -41,6 +41,8 @@ def synth_generate(config: SynthConfig, seed: int) -> EventSet:
         raise ConfigError("need at least one entity")
     if config.lists_per_issuer <= 0:
         raise ConfigError("need at least one list per issuer")
+    if config.window_days < 1:
+        raise ConfigError("window_days must be at least 1")
     if not 0.0 <= config.copy_prob <= 1.0:
         raise ConfigError("copy_prob must lie in [0, 1]")
     ranks = config.issuer_ranks()

@@ -4,12 +4,13 @@ import sys
 from datetime import date
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from sanctionflow import (EventSet, FlowNetwork, InfluenceNetwork,
-                          SanctionEvent)
+from sanctionflow import (EventSet, FlowNetwork, HodgeDecomposition,
+                          InfluenceNetwork, SanctionEvent)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -29,24 +30,65 @@ def ev(issuer, list_id, entity, day, category=None):
 
 
 def make_network(edges, level="institution", nodes=None):
-    adjacency = {(a, b): c for a, b, c in edges}
+    """The network of (src, dst, count) name triples; nodes default to the
+    edges' endpoints in name order."""
     if nodes is None:
         nodes = sorted({v for a, b, _ in edges for v in (a, b)})
-    return InfluenceNetwork(level=level, nodes=tuple(nodes),
-                            adjacency=adjacency)
+    index = {v: i for i, v in enumerate(nodes)}
+    rows = sorted((index[a], index[b], c) for a, b, c in edges)
+    src, dst, count = (np.array([r[k] for r in rows], np.int64)
+                       for k in range(3))
+    return InfluenceNetwork(level, tuple(nodes), src, dst, count)
+
+
+def network_fields(net):
+    """What makes two networks equal: level, nodes and named edge counts."""
+    return net.level, net.nodes, net.adjacency
 
 
 def make_flow(pairs, nodes=None, mode="unit"):
+    """The flow network of {(a, b): (F_ab, w)}; a pair listed against node
+    order is stored turned round, with its flow negated."""
     if nodes is None:
         nodes = sorted({v for a, b in pairs for v in (a, b)})
-    order = {v: i for i, v in enumerate(nodes)}
-    canon = {}
-    for (a, b), (f, w) in pairs.items():
-        if order[a] < order[b]:
-            canon[(a, b)] = (float(f), float(w))
-        else:
-            canon[(b, a)] = (-float(f), float(w))
-    return FlowNetwork(nodes=tuple(nodes), pairs=canon, weight_mode=mode)
+    index = {v: i for i, v in enumerate(nodes)}
+    rows = sorted((index[a], index[b], float(f), float(w))
+                  if index[a] < index[b] else
+                  (index[b], index[a], -float(f), float(w))
+                  for (a, b), (f, w) in pairs.items())
+    lo, hi = (np.array([r[k] for r in rows], np.int64) for k in range(2))
+    F, w = (np.array([r[k] for r in rows], float) for k in range(2, 4))
+    return FlowNetwork(tuple(nodes), lo, hi, F, w, mode)
+
+
+def by_pair(flow, *values):
+    """{(a, b): value} per array of ``values`` aligned with the flow's
+    pairs, a before b in node order."""
+    keys = [(flow.nodes[i], flow.nodes[j])
+            for i, j in zip(flow.lo.tolist(), flow.hi.tolist())]
+    return [dict(zip(keys, v.tolist())) for v in values]
+
+
+def pairs_of(flow):
+    """{(a, b): (F_ab, w)}, a before b in node order."""
+    F, w = by_pair(flow, flow.F, flow.w)
+    return {key: (F[key], w[key]) for key in F}
+
+
+def split_of(decomp):
+    """The gradient and the circular part as {(a, b): value} dicts."""
+    return by_pair(decomp.flow, decomp.gradient, decomp.circular)
+
+
+def make_decomposition(potentials, flow=None, gradient=None, circular=None):
+    """A decomposition with the given parts of ``flow``'s pairs (by default
+    no pairs over the potentials' nodes), each given as {(a, b): value}."""
+    if flow is None:
+        flow = make_flow({}, nodes=list(potentials.phi))
+    keys = list(pairs_of(flow))
+    parts = [np.array([part[k] for k in keys], float)
+             for part in (gradient or {}, circular or {})]
+    return HodgeDecomposition(potentials, flow, *parts, 0.0, 0.0, 0.0)
 
 
 def random_flow(rng: random.Random, n, edge_prob=0.3, zero_flow_prob=0.1):
@@ -59,7 +101,7 @@ def random_flow(rng: random.Random, n, edge_prob=0.3, zero_flow_prob=0.1):
                     rng.randint(-3, 3))
                 w = rng.uniform(1e-3, 1.0)
                 pairs[(nodes[i], nodes[j])] = (f, w)
-    return FlowNetwork(nodes=nodes, pairs=pairs, weight_mode="unit")
+    return make_flow(pairs, nodes)
 
 
 @pytest.fixture
@@ -81,10 +123,9 @@ def two_triangles():
 
 @pytest.fixture
 def bridged_triangles(two_triangles):
-    adjacency = dict(two_triangles.adjacency)
-    adjacency[("N2", "N3")] = 1
-    return InfluenceNetwork(level="list", nodes=two_triangles.nodes,
-                            adjacency=adjacency)
+    edges = [(*key, c) for key, c in two_triangles.adjacency.items()]
+    return make_network([*edges, ("N2", "N3", 1)], level="list",
+                        nodes=two_triangles.nodes)
 
 
 @pytest.fixture

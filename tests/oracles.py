@@ -25,6 +25,8 @@ import numpy as np
 from sanctionflow.community import CommunityPartition, modularity
 from sanctionflow.report import _EPS, _GRAVITY
 
+from conftest import pairs_of, split_of
+
 
 def flow_components(nodes, pairs):
     """Connected components on the weight support, by BFS."""
@@ -57,7 +59,8 @@ def dense_potential_oracle(flow):
     n = len(nodes)
     lap = np.zeros((n, n))
     f = np.zeros(n)
-    for (a, b), (F, w) in flow.pairs.items():
+    pairs = pairs_of(flow)
+    for (a, b), (F, w) in pairs.items():
         i, j = idx[a], idx[b]
         lap[i, i] += w
         lap[j, j] += w
@@ -66,7 +69,7 @@ def dense_potential_oracle(flow):
         f[i] += F
         f[j] -= F
     phi = np.linalg.pinv(lap) @ f
-    for comp in flow_components(nodes, flow.pairs):
+    for comp in flow_components(nodes, pairs):
         sel = [idx[v] for v in comp]
         phi[sel] -= phi[sel].mean()
     return {v: float(phi[idx[v]]) for v in nodes}
@@ -75,7 +78,7 @@ def dense_potential_oracle(flow):
 def oracle_ratios(flow, phi):
     """Weighted norm shares of the gradient and circular parts."""
     total = grad = loop = 0.0
-    for (a, b), (F, w) in flow.pairs.items():
+    for (a, b), (F, w) in pairs_of(flow).items():
         fp = w * (phi[a] - phi[b])
         total += F * F / w
         grad += fp * fp / w
@@ -166,14 +169,15 @@ def json_graph_reference(net, decomp=None, partition=None,
         pos = layout_result.positions[v] if layout_result else None
         return phi, comm, pos
 
+    gradient, circular = split_of(decomp) if decomp else ({}, {})
     links = []
     for (a, b), count in sorted(net.adjacency.items(),
                                 key=lambda t: (index[t[0][0]], index[t[0][1]])):
         pair = None
         key, sign = ((a, b), 1.0) if index[a] < index[b] else ((b, a), -1.0)
-        if decomp and key in decomp.gradient_flow:
-            fp = sign * decomp.gradient_flow[key]
-            fc = sign * decomp.circular_flow[key]
+        if decomp and key in gradient:
+            fp = sign * gradient[key]
+            fc = sign * circular[key]
             pair = (fp + fc, fp, fc)
         links.append((a, b, count, pair))
 

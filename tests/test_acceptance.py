@@ -15,11 +15,12 @@ import pytest
 from scipy.stats import kendalltau
 
 import sanctionflow
-from sanctionflow import (EventSet, FlowNetwork, InfluenceNetwork, SynthConfig,
+from sanctionflow import (EventSet, SynthConfig,
                           assemble_laplacian, build_institution_network,
                           build_list_network, louvain, modularity, pagerank,
                           solve, solve_potentials, symmetrize, synth_generate)
-from conftest import FIXTURES, ev, make_network, random_flow
+from conftest import (FIXTURES, ev, make_flow, make_network, pairs_of,
+                      random_flow, split_of)
 from oracles import (best_partition_bruteforce, brute_force_counts,
                      connected_edge_subsets, dense_pagerank_oracle,
                      dense_potential_oracle, oracle_ratios)
@@ -35,20 +36,22 @@ def test_criterion_1_decomposition_identities():
     checked = 0
     while checked < 200:
         flow = random_flow(rng, rng.randint(2, 200), edge_prob=0.1)
-        if not any(f != 0.0 for f, _ in flow.pairs.values()):
+        pairs = pairs_of(flow)
+        if not any(f != 0.0 for f, _ in pairs.values()):
             continue
         checked += 1
         d = solve(flow)
-        norm = sum(f * f / w for f, w in flow.pairs.values())
-        for key, (f, w) in flow.pairs.items():
-            total = d.gradient_flow[key] + d.circular_flow[key]
+        gradient, circular = split_of(d)
+        norm = sum(f * f / w for f, w in pairs.values())
+        for key, (f, w) in pairs.items():
+            total = gradient[key] + circular[key]
             assert abs(total - f) <= 2 * np.spacing(max(1.0, abs(f)))
         assert abs(d.gradient_ratio + d.loop_ratio - 1.0) <= 1e-10
-        inner = sum(d.gradient_flow[k] * d.circular_flow[k] / w
-                    for k, (_, w) in flow.pairs.items())
+        inner = sum(gradient[k] * circular[k] / w
+                    for k, (_, w) in pairs.items())
         assert abs(inner) <= 1e-8 * norm
         div = {v: 0.0 for v in flow.nodes}
-        for (a, b), fc in d.circular_flow.items():
+        for (a, b), fc in circular.items():
             div[a] += fc
             div[b] -= fc
         fmax = max(abs(x) for x in assemble_laplacian(flow).rhs) or 1.0
@@ -62,7 +65,7 @@ def _flow_from_edges(n, edges, flows):
     nodes = tuple(f"N{i}" for i in range(n))
     pairs = {(nodes[i], nodes[j]): (float(f), 1.0)
              for (i, j), f in zip(edges, flows)}
-    return FlowNetwork(nodes=nodes, pairs=pairs, weight_mode="unit")
+    return make_flow(pairs, nodes, "unit")
 
 
 def _check_against_oracle(flow):
@@ -70,7 +73,7 @@ def _check_against_oracle(flow):
     oracle = dense_potential_oracle(flow)
     for node in flow.nodes:
         assert abs(pv.phi[node] - oracle[node]) <= 1e-9
-    if any(f != 0.0 for f, _ in flow.pairs.values()):
+    if any(f != 0.0 for f, _ in pairs_of(flow).values()):
         d = solve(flow)
         og, ol = oracle_ratios(flow, oracle)
         assert abs(d.gradient_ratio - og) <= 1e-9
@@ -123,7 +126,7 @@ def test_criterion_3_closed_form_fixtures():
             p = rng.randrange(i)
             pairs[(nodes[p], nodes[i])] = (float(rng.randint(-3, 3) or 2),
                                            rng.uniform(0.1, 2.0))
-        dt = solve(FlowNetwork(nodes=nodes, pairs=pairs, weight_mode="unit"))
+        dt = solve(make_flow(pairs, nodes, "unit"))
         assert dt.loop_ratio <= 1e-10
     ok(3, "feed-forward triangle, 3-cycle, and tree-support fixtures match "
           "their closed forms")

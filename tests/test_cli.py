@@ -326,3 +326,59 @@ def test_ingest_prints_each_validation_warning(tmp_path, capsys):
     assert captured.err.splitlines() == [
         "warning: no entity appears on more than one list; influence "
         "networks will have no edges"]
+
+
+def assert_one_error_line(capsys, *fragments):
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    for fragment in fragments:
+        assert fragment in err[0], err[0]
+
+
+@pytest.mark.parametrize("stage, flag, value", [
+    ("decompose", "--tol", "nan"),
+    ("decompose", "--tol", "inf"),
+    ("decompose", "--tol", "0"),
+    ("communities", "--resolution", "nan"),
+    ("communities", "--resolution", "-1"),
+    ("pagerank", "--tol", "nan"),
+])
+def test_nan_and_non_positive_parameters_exit_one(stage_inputs, capsys, stage,
+                                                  flag, value):
+    capsys.readouterr()
+    status = run([stage, "--net", str(stage_inputs / "good.tsv"), flag, value,
+                  *NET_STAGES[stage](stage_inputs)])
+    assert status == 1
+    assert_one_error_line(capsys, "must be positive")
+    assert not (stage_inputs / "out").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--start", "2010-13-01"], "2010-13-01"),
+    (["--window-days", "0"], "window_days"),
+    (["--window-days", "-3"], "window_days"),
+])
+def test_bad_synth_settings_exit_one(tmp_path, capsys, flags, message):
+    out = tmp_path / "events.csv"
+    status = run(["synth", "--issuers", "3", "--entities", "5", "--seed", "1",
+                  *flags, "--out", str(out)])
+    assert status == 1
+    assert_one_error_line(capsys, message)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("stage", ["ingest", "pagerank"])
+def test_non_utf8_input_exits_one_naming_the_file(tmp_path, capsys, stage):
+    if stage == "ingest":
+        bad = tmp_path / "events.csv"
+        bad.write_bytes(b"issuer,list_id,entity_id,date\n"
+                        b"E\xffU,L1,X,2010-01-01\n")
+        argv = ["ingest", "--events", str(bad)]
+    else:
+        bad = tmp_path / "net.tsv"
+        bad.write_bytes(b"# level\tinstitution\nA\nB\xff\nA\tB\xff\t1\n")
+        argv = ["pagerank", "--net", str(bad)]
+    status = run([*argv, "--out", str(tmp_path / "out.csv")])
+    assert status == 1
+    assert_one_error_line(capsys, str(bad), "UTF-8")
+    assert not (tmp_path / "out.csv").exists()

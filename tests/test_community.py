@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from sanctionflow import (InfluenceNetwork, PipelineError, louvain,
+from sanctionflow import (PipelineError, louvain,
                           modularity, read_partition, write_partition)
 from conftest import make_network
 from oracles import (best_partition_bruteforce, louvain_reference,
@@ -41,7 +41,7 @@ def test_modularity_matches_oracle_random():
 
 
 def test_zero_weight_network_errors():
-    net = InfluenceNetwork(level="list", nodes=("A",), adjacency={})
+    net = make_network([], level="list", nodes=("A",))
     with pytest.raises(PipelineError):
         modularity(net, {"A": 0})
     with pytest.raises(PipelineError):
@@ -112,14 +112,14 @@ def random_hierarchy(rng):
     nodes = [f"N{i:03d}" for i in range(n)]
     small = rng.randint(3, 6)
     big = small * rng.randint(2, 4)
-    adjacency = {}
+    edges = []
     for i in range(n):
         for j in range(n):
             p = (0.5 if i // small == j // small else
                  0.06 if i // big == j // big else 0.008)
             if i != j and rng.random() < p:
-                adjacency[(nodes[i], nodes[j])] = rng.randint(1, 5)
-    return InfluenceNetwork("institution", tuple(nodes), adjacency)
+                edges.append((nodes[i], nodes[j], rng.randint(1, 5)))
+    return make_network(edges, nodes=nodes)
 
 
 def test_louvain_matches_the_reference_exactly():
@@ -142,11 +142,11 @@ def test_louvain_never_below_single_community(two_triangles):
 
 def test_permuting_labels_permutes_assignment(bridged_triangles):
     mapping = {f"N{i}": f"M{(i * 5) % 7}" for i in range(6)}
-    renamed = InfluenceNetwork(
+    renamed = make_network(
+        [(mapping[a], mapping[b], c)
+         for (a, b), c in bridged_triangles.adjacency.items()],
         level="list",
-        nodes=tuple(sorted(mapping[n] for n in bridged_triangles.nodes)),
-        adjacency={(mapping[a], mapping[b]): c
-                   for (a, b), c in bridged_triangles.adjacency.items()})
+        nodes=sorted(mapping[n] for n in bridged_triangles.nodes))
     p1 = louvain(bridged_triangles, seed=2)
     p2 = louvain(renamed, seed=2)
     groups1 = {}

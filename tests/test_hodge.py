@@ -5,10 +5,10 @@ import time
 import numpy as np
 import pytest
 
-from sanctionflow import (ConvergenceError, FlowNetwork, PipelineError,
+from sanctionflow import (ConvergenceError, PipelineError,
                           assemble_laplacian, decompose, hodge, solve,
                           solve_potentials, symmetrize)
-from conftest import make_flow, make_network, random_flow
+from conftest import make_flow, make_network, pairs_of, random_flow, split_of
 from oracles import dense_potential_oracle, oracle_ratios
 
 TOL = 1e-10
@@ -58,15 +58,16 @@ def test_cycle_has_zero_potentials(three_cycle):
 
 def test_feed_forward_triangle(feed_forward_triangle):
     flow, d = solve_net(feed_forward_triangle)
+    gradient, circular = split_of(d)
     phi = d.potentials.phi
     assert phi["A"] == pytest.approx(2 / 3, abs=TOL)
     assert phi["B"] == pytest.approx(0.0, abs=TOL)
     assert phi["C"] == pytest.approx(-2 / 3, abs=TOL)
-    assert d.gradient_flow[("A", "B")] == pytest.approx(2 / 3, abs=TOL)
-    assert d.gradient_flow[("B", "C")] == pytest.approx(2 / 3, abs=TOL)
-    assert d.gradient_flow[("A", "C")] == pytest.approx(4 / 3, abs=TOL)
-    assert d.circular_flow[("A", "B")] == pytest.approx(1 / 3, abs=TOL)
-    assert d.circular_flow[("A", "C")] == pytest.approx(-1 / 3, abs=TOL)
+    assert gradient[("A", "B")] == pytest.approx(2 / 3, abs=TOL)
+    assert gradient[("B", "C")] == pytest.approx(2 / 3, abs=TOL)
+    assert gradient[("A", "C")] == pytest.approx(4 / 3, abs=TOL)
+    assert circular[("A", "B")] == pytest.approx(1 / 3, abs=TOL)
+    assert circular[("A", "C")] == pytest.approx(-1 / 3, abs=TOL)
     assert d.gradient_ratio == pytest.approx(8 / 9, abs=TOL)
     assert d.loop_ratio == pytest.approx(1 / 9, abs=TOL)
 
@@ -74,8 +75,9 @@ def test_feed_forward_triangle(feed_forward_triangle):
 def test_two_node_flow_is_pure_gradient():
     flow = make_flow({("A", "B"): (1, 1)})
     d = solve(flow)
-    assert d.gradient_flow[("A", "B")] == pytest.approx(1.0, abs=TOL)
-    assert d.circular_flow[("A", "B")] == pytest.approx(0.0, abs=TOL)
+    gradient, circular = split_of(d)
+    assert gradient[("A", "B")] == pytest.approx(1.0, abs=TOL)
+    assert circular[("A", "B")] == pytest.approx(0.0, abs=TOL)
     assert d.gradient_ratio == pytest.approx(1.0, abs=TOL)
 
 
@@ -100,8 +102,7 @@ def test_node_mismatch_error():
 
 
 def test_isolated_nodes_get_zero_potential():
-    flow = FlowNetwork(nodes=("A", "B", "Z"),
-                       pairs={("A", "B"): (1.0, 1.0)}, weight_mode="unit")
+    flow = make_flow({("A", "B"): (1.0, 1.0)}, nodes=("A", "B", "Z"))
     pv = solve_potentials(assemble_laplacian(flow), TOL)
     assert pv.phi["Z"] == 0.0
     assert pv.component["Z"] != pv.component["A"]
@@ -123,7 +124,7 @@ def test_matches_dense_oracle_random():
     rng = random.Random(42)
     for trial in range(25):
         flow = random_flow(rng, rng.randint(2, 40))
-        if not flow.pairs:
+        if not len(flow.lo):
             continue
         pv = solve_potentials(assemble_laplacian(flow), TOL)
         oracle = dense_potential_oracle(flow)
@@ -135,27 +136,29 @@ def test_decomposition_identities_random():
     rng = random.Random(7)
     for trial in range(20):
         flow = random_flow(rng, rng.randint(3, 60))
-        total = sum(f * f for f, _ in flow.pairs.values())
+        pairs = pairs_of(flow)
+        total = sum(f * f for f, _ in pairs.values())
         if total == 0:
             continue
         d = solve(flow)
+        gradient, circular = split_of(d)
         # additivity to machine precision (1 ulp slack for the re-sum)
-        for key, (f, w) in flow.pairs.items():
-            total = d.gradient_flow[key] + d.circular_flow[key]
+        for key, (f, w) in pairs.items():
+            total = gradient[key] + circular[key]
             assert abs(total - f) <= 2 * np.spacing(max(1.0, abs(f)))
         # ratio normalization
         assert d.gradient_ratio + d.loop_ratio == pytest.approx(1.0, abs=1e-10)
         # orthogonality in the weighted inner product
-        inner = sum(d.gradient_flow[k] * d.circular_flow[k] / w
-                    for k, (_, w) in flow.pairs.items())
-        norm = sum(f * f / w for f, w in flow.pairs.values())
+        inner = sum(gradient[k] * circular[k] / w
+                    for k, (_, w) in pairs.items())
+        norm = sum(f * f / w for f, w in pairs.values())
         assert abs(inner) <= 1e-8 * norm
         # divergence-free circulation
         div = {n: 0.0 for n in flow.nodes}
         fmax = 0.0
-        for (a, b), (f, w) in flow.pairs.items():
-            div[a] += d.circular_flow[(a, b)]
-            div[b] -= d.circular_flow[(a, b)]
+        for (a, b), (f, w) in pairs.items():
+            div[a] += circular[(a, b)]
+            div[b] -= circular[(a, b)]
         system = assemble_laplacian(flow)
         fmax = max(abs(x) for x in system.rhs) or 1.0
         assert max(abs(v) for v in div.values()) <= 1e-8 * fmax
@@ -165,9 +168,8 @@ def test_scale_covariance():
     rng = random.Random(3)
     flow = random_flow(rng, 20)
     c = 3.7
-    scaled = FlowNetwork(nodes=flow.nodes,
-                         pairs={k: (c * f, w) for k, (f, w) in flow.pairs.items()},
-                         weight_mode=flow.weight_mode)
+    scaled = make_flow({k: (c * f, w) for k, (f, w) in pairs_of(flow).items()},
+                       flow.nodes, flow.weight_mode)
     d1 = solve(flow)
     d2 = solve(scaled)
     for node in flow.nodes:
@@ -187,7 +189,7 @@ def test_tree_support_is_loop_free():
             parent = rng.randrange(i)
             f = rng.randint(-3, 3) or 1
             pairs[(nodes[parent], nodes[i])] = (float(f), rng.uniform(0.1, 2))
-        d = solve(FlowNetwork(nodes=nodes, pairs=pairs, weight_mode="unit"))
+        d = solve(make_flow(pairs, nodes, "unit"))
         assert d.loop_ratio <= 1e-10
 
 
@@ -204,7 +206,7 @@ def test_balanced_circulation_is_gradient_free():
             key = (a, b) if i + 1 < n or n == 1 else (b, a)
             sign = 1.0 if key == (a, b) else -1.0
             pairs[key] = (sign * mag, 1.0)
-        d = solve(FlowNetwork(nodes=nodes, pairs=pairs, weight_mode="unit"))
+        d = solve(make_flow(pairs, nodes, "unit"))
         assert d.gradient_ratio <= 1e-10
 
 
@@ -228,8 +230,7 @@ def test_many_two_node_components_solve_quickly():
     nodes = tuple(f"P{k:05d}{end}" for k in range(n_pairs) for end in "ab")
     pairs = {(f"P{k:05d}a", f"P{k:05d}b"): (float(k % 5 - 2), 1.0 + k % 3)
              for k in range(n_pairs)}
-    system = assemble_laplacian(FlowNetwork(nodes=nodes, pairs=pairs,
-                                            weight_mode="unit"))
+    system = assemble_laplacian(make_flow(pairs, nodes, "unit"))
     assert len(system.components) == n_pairs
     start = time.perf_counter()
     pv = solve_potentials(system, TOL)
@@ -248,7 +249,7 @@ def test_weighted_path_is_solved_exactly():
     nodes = tuple(f"N{i:04d}" for i in range(n))
     pairs = {(nodes[i], nodes[i + 1]): (float(u[i] * w[i]), float(w[i]))
              for i in range(n - 1)}
-    flow = FlowNetwork(nodes=nodes, pairs=pairs, weight_mode="mean")
+    flow = make_flow(pairs, nodes, "mean")
     start = time.perf_counter()
     pv = solve_potentials(assemble_laplacian(flow), TOL)
     assert time.perf_counter() - start < 3.0
@@ -272,7 +273,7 @@ def test_small_flows_on_large_weights_are_solved_without_raising():
     nodes = tuple(f"N{i:04d}" for i in range(n))
     pairs = {(nodes[i], nodes[i + 1]): (float(u[i]), float(w[i]))
              for i in range(n - 1)}
-    flow = FlowNetwork(nodes=nodes, pairs=pairs, weight_mode="mean")
+    flow = make_flow(pairs, nodes, "mean")
     pv = solve_potentials(assemble_laplacian(flow), TOL)
     assert decompose(flow, pv).loop_ratio <= 1e-10
     for i in range(n - 1):
@@ -364,7 +365,7 @@ def test_decompose_residual_without_reassembly(monkeypatch):
     idx = {node: k for k, node in enumerate(flow.nodes)}
     lap = np.zeros((len(idx), len(idx)))
     rhs = np.zeros(len(idx))
-    for (a, b), (f, w) in flow.pairs.items():
+    for (a, b), (f, w) in pairs_of(flow).items():
         i, j = idx[a], idx[b]
         lap[[i, j], [i, j]] += w
         lap[i, j] -= w

@@ -4,11 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sanctionflow import netbuild
-from sanctionflow import (EventSet, FlowNetwork, InfluenceNetwork,
-                          PipelineError, build_institution_network,
+from sanctionflow import (EventSet, PipelineError, build_institution_network,
                           build_list_network, filter_by_category, read_network,
                           symmetrize, write_flow, write_network)
-from conftest import ev, make_network
+from conftest import FIXTURES, ev, make_flow, make_network, network_fields, pairs_of
 from oracles import brute_force_counts
 
 
@@ -103,19 +102,19 @@ def test_filter_by_category():
 def test_symmetrize_mean_mode():
     net = make_network([("P", "Q", 3), ("Q", "P", 1)])
     flow = symmetrize(net, "mean")
-    assert flow.pairs == {("P", "Q"): (2.0, 2.0)}
+    assert pairs_of(flow) == {("P", "Q"): (2.0, 2.0)}
 
 
 def test_symmetrize_unit_mode():
     net = make_network([("P", "Q", 1)])
     flow = symmetrize(net, "unit")
-    assert flow.pairs == {("P", "Q"): (1.0, 1.0)}
+    assert pairs_of(flow) == {("P", "Q"): (1.0, 1.0)}
 
 
 def test_symmetrize_keeps_balanced_pairs():
     net = make_network([("P", "Q", 2), ("Q", "P", 2)])
     flow = symmetrize(net, "mean")
-    assert flow.pairs == {("P", "Q"): (0.0, 2.0)}
+    assert pairs_of(flow) == {("P", "Q"): (0.0, 2.0)}
 
 
 def test_symmetrize_reconstruction():
@@ -127,7 +126,7 @@ def test_symmetrize_reconstruction():
                 edges.append((f"N{i}", f"N{j}", rng.randint(1, 5)))
     net = make_network(edges, nodes=[f"N{i}" for i in range(6)])
     flow = symmetrize(net, "mean")
-    for (a, b), (f, w) in flow.pairs.items():
+    for (a, b), (f, w) in pairs_of(flow).items():
         a_ij = net.adjacency.get((a, b), 0)
         a_ji = net.adjacency.get((b, a), 0)
         assert f == a_ij - a_ji
@@ -203,7 +202,7 @@ def test_network_round_trip(small_events):
     net = build_institution_network(small_events)
     text = write_network(net, header=["fixture"])
     back = read_network(text)
-    assert back == net
+    assert network_fields(back) == network_fields(net)
     assert write_network(back, header=["fixture"]) == text
 
 
@@ -213,17 +212,25 @@ def flow_tsv_network(text):
     lines = text.splitlines()
     mode = next(l.split("\t")[1] for l in lines if l.startswith("# mode\t"))
     rows = [l.split("\t") for l in lines if l and not l.startswith("#")]
-    return FlowNetwork(tuple(r[0] for r in rows if len(r) == 1),
-                       {(r[0], r[1]): (float(r[2]), float(r[3]))
-                        for r in rows if len(r) == 4}, mode)
+    return make_flow({(r[0], r[1]): (float(r[2]), float(r[3]))
+                      for r in rows if len(r) == 4},
+                     [r[0] for r in rows if len(r) == 1], mode)
 
 
 def test_flow_round_trip(small_events):
     flow = symmetrize(build_institution_network(small_events), "mean")
     text = write_flow(flow)
     back = flow_tsv_network(text)
-    assert back == flow
+    assert (back.nodes, pairs_of(back), back.weight_mode) == \
+        (flow.nodes, pairs_of(flow), flow.weight_mode)
     assert write_flow(back) == text
+
+
+@pytest.mark.parametrize("weight", [0.0, -1.0, float("nan")])
+def test_flow_network_refuses_a_weight_that_is_not_positive(weight):
+    with pytest.raises(PipelineError, match=r"weight on pair \(B, A\)"):
+        make_flow({("A", "C"): (1.0, 1.0), ("B", "A"): (2.0, weight)},
+                  nodes=["B", "A", "C"])
 
 
 def test_read_network_rejects_unknown_node():
@@ -231,9 +238,38 @@ def test_read_network_rejects_unknown_node():
         read_network("A\nA\tB\t1\n")
 
 
+def test_read_network_sorts_shuffled_edges_by_node_index():
+    net = read_network((FIXTURES / "shuffled_net.tsv").read_text())
+    assert net.nodes == ("Zeta", "alpha", "Mid", "Beta", "Omega", "10", "9")
+    keys = (net.src * len(net.nodes) + net.dst).tolist()
+    assert keys == sorted(keys)
+    assert net.adjacency == {
+        ("Mid", "Beta"): 1, ("9", "10"): 4, ("Zeta", "alpha"): 3,
+        ("alpha", "Mid"): 1, ("Beta", "Mid"): 2, ("Mid", "Zeta"): 1,
+        ("10", "9"): 1, ("Beta", "alpha"): 5}
+
+
+@pytest.mark.parametrize("lines, message", [
+    # the first bad line is reported, whatever the kind of fault
+    (["A", "B", "A\tB\t1", "A\tB\t2", "B\tB\t1"],
+     "line 4: duplicate edge (A, B)"),
+    (["A", "B", "B\tB\t1", "A\tB\t1", "A\tB\t2"], "line 3: self-loop"),
+    (["A", "B", "A\tB\t1", "A\tB\tx"], "line 4: duplicate edge (A, B)"),
+    (["A", "B", "A\tB\tx", "A\tB\t1"], "line 3: bad count 'x'"),
+    (["A", "B", "A\tB\t1", "B", "A\tB\t1"], "line 4: duplicate node 'B'"),
+    (["A\tC\t1", "A", "B\tA\t2", "A\tB"], "line 4: expected 1 or 3"),
+    (["A\tC\t1", "A", "A\tB\t2", "B"], "edge (A, C) references undeclared"),
+    (["A\tB\t0", "A", "B"], "line 1: non-positive count"),
+])
+def test_read_network_reports_the_first_bad_line(lines, message):
+    with pytest.raises(PipelineError) as info:
+        read_network("\n".join(lines) + "\n")
+    assert str(info.value).startswith(message), str(info.value)
+
+
 def test_write_network_refuses_ids_it_cannot_read_back():
     for bad in ("#x", "a\tb", "a\nb"):
-        net = InfluenceNetwork("institution", ("A", bad), {("A", bad): 1})
+        net = make_network([("A", bad, 1)], nodes=("A", bad))
         with pytest.raises(PipelineError, match="node id"):
             write_network(net)
 
@@ -248,7 +284,8 @@ def test_view_matches_the_adjacency():
     net = make_network(edges, nodes=nodes)
     v = net.view
     index = {node: i for i, node in enumerate(nodes)}
-    assert list(zip(v.src.tolist(), v.dst.tolist(), v.count.tolist())) == \
+    assert list(zip(net.src.tolist(), net.dst.tolist(),
+                    net.count.tolist())) == \
         sorted((index[a], index[b], c) for a, b, c in edges)
     pairs = sorted({tuple(sorted((index[a], index[b]))) for a, b, _ in edges})
     assert list(zip(v.lo.tolist(), v.hi.tolist())) == pairs
@@ -256,14 +293,5 @@ def test_view_matches_the_adjacency():
         assert v.fwd[k] == net.adjacency.get((nodes[lo], nodes[hi]), 0)
         assert v.back[k] == net.adjacency.get((nodes[hi], nodes[lo]), 0)
     for e, p in enumerate(v.pair.tolist()):
-        assert {v.src[e], v.dst[e]} == {v.lo[p], v.hi[p]}
+        assert {net.src[e], net.dst[e]} == {v.lo[p], v.hi[p]}
 
-
-def test_flow_view_keeps_each_pair_as_stored_in_pair_order():
-    flow = FlowNetwork(nodes=("A", "B", "C"), weight_mode="unit",
-                       pairs={("B", "C"): (1.0, 2.0), ("C", "A"): (3.0, 4.0),
-                              ("A", "B"): (5.0, 6.0)})
-    v = flow.view
-    assert v.keys == [("A", "B"), ("C", "A"), ("B", "C")]
-    assert (v.rows.tolist(), v.cols.tolist()) == ([0, 2, 1], [1, 0, 2])
-    assert (v.F.tolist(), v.w.tolist()) == ([5.0, 3.0, 1.0], [6.0, 4.0, 2.0])

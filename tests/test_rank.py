@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from sanctionflow import (InfluenceNetwork, PipelineError, pagerank,
+from sanctionflow import (PipelineError, pagerank,
                           read_ranks, write_ranks)
 from conftest import make_network
 from oracles import dense_pagerank_oracle
@@ -78,7 +78,7 @@ def test_invalid_parameters():
     with pytest.raises(PipelineError):
         pagerank(net, tol=0.0)
     with pytest.raises(PipelineError):
-        pagerank(InfluenceNetwork("list", (), {}))
+        pagerank(make_network([], level="list", nodes=()))
 
 
 def test_rank_round_trip():

@@ -5,14 +5,13 @@ import time
 import numpy as np
 import pytest
 
-from sanctionflow import (HodgeDecomposition, InfluenceNetwork, PipelineError,
-                          PotentialVector, RankVector, export_graph, layout,
+from sanctionflow import (PipelineError, PotentialVector, RankVector, export_graph, layout,
                           louvain, potential_table, scatter_data, solve,
                           symmetrize, write_potential_table, write_scatter)
 from sanctionflow.community import CommunityPartition
 from sanctionflow.report import (_BLOCK_CELLS, _EPS, LayoutResult,
                                  _apply_jitter, _energy_kernel)
-from conftest import make_network
+from conftest import make_decomposition, make_network, network_fields
 from oracles import (brute_force_jitter, dense_layout_energy_oracle,
                      json_graph_reference)
 
@@ -26,7 +25,7 @@ def potentials_for(net, mode="unit"):
 
 
 def test_single_node_at_origin():
-    net = InfluenceNetwork("institution", ("A",), {})
+    net = make_network([], nodes=("A",))
     pv = PotentialVector(phi={"A": 0.0}, component={"A": 0})
     result = layout(net, pv, seed=1)
     assert result.positions == {"A": (0.0, 0.0)}
@@ -40,7 +39,7 @@ def test_y_is_exactly_the_potential(feed_forward_triangle):
 
 
 def test_unconnected_equal_potential_nodes_separate():
-    net = InfluenceNetwork("institution", ("A", "B"), {})
+    net = make_network([], nodes=("A", "B"))
     pv = PotentialVector(phi={"A": 0.0, "B": 0.0}, component={"A": 0, "B": 1})
     result = layout(net, pv, seed=2, min_sep=1e-3)
     (xa, _), (xb, _) = result.positions["A"], result.positions["B"]
@@ -62,7 +61,7 @@ def ring_with_chords(n, chord_every=5):
     edges = {(names[i], names[(i + 1) % n]): 1 for i in range(n)}
     for i in range(0, n, chord_every):
         edges[(names[i], names[(i + n // 3) % n])] = 1 + i % 3
-    net = InfluenceNetwork("institution", tuple(names), edges)
+    net = make_network([(*key, c) for key, c in edges.items()], nodes=names)
     pv = PotentialVector(phi={v: 0.1 * (i % 17) for i, v in enumerate(names)},
                          component={v: 0 for v in names})
     return net, pv
@@ -181,7 +180,8 @@ def random_network(n_nodes, n_links, seed):
     while len(adjacency) < n_links:
         a, b = rng.sample(nodes, 2)
         adjacency[(a, b)] = rng.randint(1, 9)
-    return InfluenceNetwork("institution", tuple(nodes), adjacency)
+    return make_network([(*key, c) for key, c in adjacency.items()],
+                        nodes=nodes)
 
 
 def test_json_graph_memory_is_bounded():
@@ -264,7 +264,7 @@ def test_jitter_of_20k_points_is_fast():
 
 
 def test_zero_jitter_leaves_y_exact_even_with_overlaps():
-    net = InfluenceNetwork("institution", ("A", "B"), {})
+    net = make_network([], nodes=("A", "B"))
     pv = PotentialVector(phi={"A": 0.0, "B": 0.0}, component={"A": 0, "B": 1})
     result = layout(net, pv, seed=3, jitter=0.0)
     assert all(y == 0.0 for _, y in result.positions.values())
@@ -299,8 +299,7 @@ def test_potential_table_ranks_by_the_printed_value():
     # ties, so a potential moving below the printed precision keeps the rows
     phi = {"b": 0.1234, "a": 0.12339, "d": 1e-5, "c": -1e-5}
     pv = PotentialVector(phi=phi, component=dict.fromkeys(phi, 0))
-    d = HodgeDecomposition(pv, {}, {}, 0.0, 0.0, 0.0)
-    text = write_potential_table(potential_table(d))
+    text = write_potential_table(potential_table(make_decomposition(pv)))
     assert text.splitlines()[1:] == ["1,a,0.123,", "2,b,0.123,",
                                      "3,c,-0.000,", "4,d,0.000,"]
 
@@ -354,9 +353,8 @@ def edge_table_network(doc):
     lines = doc.splitlines()
     level = next(l.split("\t")[1] for l in lines if l.startswith("# level\t"))
     rows = [l.split("\t") for l in lines if l and not l.startswith("#")]
-    return InfluenceNetwork(level, tuple(r[0] for r in rows if len(r) == 5),
-                            {(r[0], r[1]): int(r[2]) for r in rows
-                             if len(r) == 7})
+    return make_network([(r[0], r[1], int(r[2])) for r in rows if len(r) == 7],
+                        level, [r[0] for r in rows if len(r) == 5])
 
 
 def test_edge_table_round_trip(feed_forward_triangle):
@@ -366,10 +364,12 @@ def test_edge_table_round_trip(feed_forward_triangle):
     lay = layout(feed_forward_triangle, pv, seed=0)
     doc = export_graph(feed_forward_triangle, decomp=d, partition=part,
                        layout_result=lay, format="edge_table")
-    assert edge_table_network(doc) == feed_forward_triangle
+    assert network_fields(edge_table_network(doc)) == \
+        network_fields(feed_forward_triangle)
     # bare export round-trips too
     bare = export_graph(feed_forward_triangle, format="edge_table")
-    assert edge_table_network(bare) == feed_forward_triangle
+    assert network_fields(edge_table_network(bare)) == \
+        network_fields(feed_forward_triangle)
 
 
 def test_json_graph_attributes(feed_forward_triangle):
@@ -423,9 +423,8 @@ def test_json_graph_matches_the_reference(with_decomp, with_partition,
     make_network([], nodes=[]),
 ], ids=["no links", "single node", "empty"])
 def test_json_graph_without_links_matches_the_reference(net):
-    d = HodgeDecomposition(
-        PotentialVector({v: 0.0 for v in net.nodes}, {v: 0 for v in net.nodes}),
-        {}, {}, 0.0, 0.0, 0.0)
+    d = make_decomposition(
+        PotentialVector({v: 0.0 for v in net.nodes}, {v: 0 for v in net.nodes}))
     part = CommunityPartition({v: 0 for v in net.nodes}, 0.0, 1.0, 0)
     lay = LayoutResult({v: (0.0, 0.0) for v in net.nodes})
     for inputs in ({}, dict(decomp=d, partition=part, layout_result=lay)):
@@ -442,11 +441,11 @@ def test_json_graph_spells_floats_as_json_does():
                        + [(ids[-1], ids[0], 3), (ids[4], ids[2], 1)],
                        nodes=ids)
     rot = values[5:] + values[:5]
-    keys = [(a, b) for a, b in zip(ids, ids[1:])] + [(ids[0], ids[-1])]
-    # the pair (v02, v04) is left out, so its link carries no flows
-    d = HodgeDecomposition(
+    keys = [*zip(ids, ids[1:]), (ids[0], ids[-1]), (ids[2], ids[4])]
+    d = make_decomposition(
         PotentialVector(dict(zip(ids, values)), {v: 0 for v in ids}),
-        dict(zip(keys, rot)), dict(zip(keys, values[::-1])), 0.0, 0.0, 0.0)
+        symmetrize(net, "mean"), dict(zip(keys, [*rot, 2.5])),
+        dict(zip(keys, [*values[::-1], -0.5])))
     lay = LayoutResult(dict(zip(ids, zip(values[::-1], rot))))
     part = CommunityPartition({v: k for k, v in enumerate(ids)}, 0.0, 1.0, 0)
     with np.errstate(over="ignore"):  # F = F_grad + F_circ may overflow
@@ -455,6 +454,19 @@ def test_json_graph_spells_floats_as_json_does():
     assert doc == json_graph_reference(net, decomp=d, partition=part,
                                        layout_result=lay)
     assert "NaN" in doc and "-Infinity" in doc and "-0.0" in doc
+
+
+@pytest.mark.parametrize("other", [
+    make_network([("A", "B", 1), ("B", "C", 1)]),
+    make_network([("A", "B", 1), ("B", "C", 1), ("A", "C", 1)],
+                 nodes=["A", "C", "B"]),
+], ids=["other pairs", "other node order"])
+def test_export_refuses_the_decomposition_of_another_network(
+        feed_forward_triangle, other):
+    d = solve(symmetrize(other, "unit"))
+    for fmt in ("edge_table", "dot", "json_graph"):
+        with pytest.raises(PipelineError, match="not the network's"):
+            export_graph(feed_forward_triangle, decomp=d, format=fmt)
 
 
 def test_unknown_format_errors(feed_forward_triangle):

@@ -53,6 +53,10 @@ def test_invalid_configs():
     with pytest.raises(ConfigError):
         synth_generate(SynthConfig(n_issuers=2, n_entities=5, copy_prob=1.5),
                        seed=0)
+    for days in (0, -3):
+        with pytest.raises(ConfigError, match="window_days"):
+            synth_generate(SynthConfig(n_issuers=2, n_entities=5,
+                                       window_days=days), seed=0)
 
 
 def test_shared_fraction_monotone_in_copy_prob():
