@@ -164,8 +164,8 @@ def cmd_report(args):
     decomp = None
     if args.decomp:
         flow = netbuild.symmetrize(net, mode=args.mode)
-        potentials = hodge.read_node_table(_read(Path(args.decomp)
-                                                 / "nodes.csv"))
+        nodes_csv = Path(args.decomp) / "nodes.csv"
+        potentials = hodge.read_node_table(_read(nodes_csv))
         decomp = hodge.decompose(flow, potentials)
         rows = report.potential_table(
             decomp, highlight=set(args.highlight or []))

@@ -29,8 +29,8 @@ class CommunityPartition:
 def modularity(net: InfluenceNetwork, assignment: Mapping[str, int],
                resolution: float = 1.0) -> float:
     """Newman modularity of a partition on the symmetrized graph."""
-    if not resolution > 0:
-        raise PipelineError("resolution must be positive")
+    if not 0.0 < resolution < np.inf:
+        raise PipelineError("resolution must be positive and finite")
     missing = [n for n in net.nodes if n not in assignment]
     if missing:
         raise PipelineError(f"assignment misses nodes: {missing[:5]}")
@@ -122,8 +122,8 @@ def louvain(net: InfluenceNetwork, resolution: float = 1.0,
     self-weights; every weight is a sum of integer counts, so each float
     sum is exact in any order.
     """
-    if not resolution > 0:
-        raise PipelineError("resolution must be positive")
+    if not 0.0 < resolution < np.inf:
+        raise PipelineError("resolution must be positive and finite")
     if not net.nodes:
         raise PipelineError("empty network")
     view = net.view

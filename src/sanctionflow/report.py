@@ -339,7 +339,7 @@ def _json_list(items: Iterable[str]) -> str:
 def _export_json(net, node_attrs, flows):
     """``json.dumps({"directed", "level", "links", "nodes"}, indent=2,
     sort_keys=True) + "\n"``, written one f-string per node and per link
-    from the view, so no dict per link or encoder chunk list is made."""
+    from the arrays, so no dict per link or encoder chunk list is made."""
     num = _json_float
     names = list(map(encode_basestring_ascii, net.nodes))
 

@@ -340,6 +340,7 @@ def assert_one_error_line(capsys, *fragments):
     ("decompose", "--tol", "inf"),
     ("decompose", "--tol", "0"),
     ("communities", "--resolution", "nan"),
+    ("communities", "--resolution", "inf"),
     ("communities", "--resolution", "-1"),
     ("pagerank", "--tol", "nan"),
 ])

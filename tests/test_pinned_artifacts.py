@@ -75,15 +75,20 @@ DIGESTS = {
 }
 
 
-def test_pipeline_artifacts_match_pinned_digests(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    for argv in STAGES:
+def run_digests(root, stages, inputs=()):
+    """Run the stages in ``root``; the sha256 of every file they wrote."""
+    for argv in stages:
         with contextlib.redirect_stdout(io.StringIO()):
             assert run(argv) == 0, argv
-    found = {path.relative_to(tmp_path).as_posix():
-             hashlib.sha256(path.read_bytes()).hexdigest()
-             for path in sorted(tmp_path.rglob("*")) if path.is_file()}
-    assert found == DIGESTS
+    return {path.relative_to(root).as_posix():
+            hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(root.rglob("*"))
+            if path.is_file() and path.name not in inputs}
+
+
+def test_pipeline_artifacts_match_pinned_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run_digests(tmp_path, STAGES) == DIGESTS
 
 
 # A hand-written network whose node lines are not in name order and whose
@@ -136,11 +141,5 @@ def test_shuffled_network_artifacts_match_pinned_digests(tmp_path,
                                                           monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "net.tsv").write_bytes(SHUFFLED_NET.read_bytes())
-    for argv in SHUFFLED_STAGES:
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert run(argv) == 0, argv
-    found = {path.relative_to(tmp_path).as_posix():
-             hashlib.sha256(path.read_bytes()).hexdigest()
-             for path in sorted(tmp_path.rglob("*"))
-             if path.is_file() and path.name != "net.tsv"}
-    assert found == SHUFFLED_DIGESTS
+    assert run_digests(tmp_path, SHUFFLED_STAGES, ["net.tsv"]) == \
+        SHUFFLED_DIGESTS
