@@ -354,6 +354,51 @@ def test_nan_and_non_positive_parameters_exit_one(stage_inputs, capsys, stage,
     assert not (stage_inputs / "out").exists()
 
 
+# defect -> (stage, per-node file, node, new row): the node's row becomes
+# the new row, or the row is appended (node None) or deleted (row None). A
+# None file sets the flag named in place of the node to the value in place
+# of the row.
+BAD_STAGE_INPUTS = {
+    "nan potential, layout": ("layout", "hodge/nodes.csv", "B", "B,0,nan"),
+    "nan potential, report": ("report", "hodge/nodes.csv", "B", "B,0,nan"),
+    "repeated potential row": ("layout", "hodge/nodes.csv", None, "B,0,0.5"),
+    "repeated community row": ("report", "communities.csv", None, "A,1"),
+    "extra node": ("layout", "hodge/nodes.csv", None, "Z,0,0"),
+    "missing pagerank row": ("report", "pagerank.csv", "C", None),
+    "inf pagerank": ("report", "pagerank.csv", "B", "B,inf"),
+    "nan layout x": ("report", "layout.csv", "B", "B,nan,0"),
+    "nan jitter": ("layout", None, "--jitter", "nan"),
+    "negative jitter": ("layout", None, "--jitter", "-1"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(BAD_STAGE_INPUTS))
+def test_bad_per_node_input_exits_one_naming_the_file(stage_inputs, capsys,
+                                                      defect):
+    stage, name, node, row = BAD_STAGE_INPUTS[defect]
+    flags = []
+    if name is None:
+        flags, fragment = [node, row], node[2:]
+    else:
+        path = stage_inputs / name
+        lines = path.read_text(encoding="utf-8").split("\n")[:-1]
+        if node is None:
+            lines.append(row)
+            fragment = f"{path}: line {len(lines)}: "
+        else:
+            at = next(k for k, line in enumerate(lines)
+                      if line.startswith(f"{node},"))
+            lines[at:at + 1] = [] if row is None else [row]
+            fragment = f"{path}: " if row is None else f"{path}: line {at + 1}: "
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    status = run([stage, "--net", str(stage_inputs / "good.tsv"), *flags,
+                  *NET_STAGES[stage](stage_inputs)])
+    assert status == 1
+    assert_one_error_line(capsys, fragment)
+    assert not (stage_inputs / "out").exists()
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--start", "2010-13-01"], "2010-13-01"),
     (["--window-days", "0"], "window_days"),
