@@ -21,8 +21,10 @@ def recovery_tau(config, seed):
     net = build_institution_network(events)
     decomp = solve(symmetrize(net, "mean"))
     ranks = config.issuer_ranks()
-    phis = [decomp.potentials.phi.get(f"ISS{i:03d}", 0.0)
-            for i in range(config.n_issuers)]
+    index = {node: k for k, node in enumerate(net.nodes)}
+    phi = decomp.potentials.phi.tolist()  # in net.nodes order
+    phis = [phi[index[name]] if name in index else 0.0
+            for name in (f"ISS{i:03d}" for i in range(config.n_issuers))]
     return (kendalltau(phis, [-r for r in ranks]).statistic,
             decomp.gradient_ratio)
 

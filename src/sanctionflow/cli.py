@@ -13,7 +13,7 @@ from pathlib import Path
 from . import __version__
 from .errors import ConfigError, PipelineError
 from . import community, events, hodge, netbuild, rank, report, synth
-from .table import preamble, read_table, write_table
+from .table import finite, preamble, read_node_columns, read_table, write_table
 
 
 def _header(args: argparse.Namespace) -> list[str]:
@@ -32,26 +32,28 @@ def _write(path: str, *parts: str) -> None:
 
 
 @contextmanager
-def _utf8(path):
-    """Turn a decoding error in reading ``path`` into one naming the file."""
+def _named(path):
+    """Name ``path`` in a decoding or content error met in reading it."""
     try:
         yield
     except UnicodeDecodeError as exc:
         raise PipelineError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except PipelineError as exc:
+        raise PipelineError(f"{path}: {exc}") from None
 
 
-def _read(path) -> str:
-    with _utf8(path):
-        return Path(path).read_text(encoding="utf-8")
+def _read(path, parse, *args):
+    with _named(path):
+        return parse(Path(path).read_text(encoding="utf-8"), *args)
 
 
 def _load_events(path: str, fmt: str) -> events.EventSet:
-    with _utf8(path), open(path, "r", encoding="utf-8") as fh:
+    with _named(path), open(path, "r", encoding="utf-8") as fh:
         return events.parse_events(fh, format=fmt)
 
 
 def _load_network(path: str) -> netbuild.InfluenceNetwork:
-    return netbuild.read_network(_read(path))
+    return _read(path, netbuild.read_network)
 
 
 def cmd_ingest(args):
@@ -87,8 +89,8 @@ def cmd_build(args):
     if args.category_map or args.label:
         if not (args.category_map and args.label):
             raise PipelineError("--category-map and --label go together")
-        mapping = dict(read_table(_read(args.category_map),
-                                  ("list_id", "label"), (str.strip, str.strip)))
+        mapping = dict(_read(args.category_map, read_table,
+                             ("list_id", "label"), (str.strip, str.strip)))
         selected = netbuild.filter_by_category(evs, mapping, args.label)
     if args.level == "institution":
         net = netbuild.build_institution_network(evs, selected)
@@ -140,56 +142,54 @@ def cmd_communities(args):
 def cmd_pagerank(args):
     net = _load_network(args.net)
     ranks = rank.pagerank(net, damping=args.damping, tol=args.tol)
-    _write(args.out, rank.write_ranks(ranks, header=_header(args)))
+    _write(args.out, rank.write_ranks(ranks, net.nodes, header=_header(args)))
     print(f"{len(net.nodes)} nodes, {ranks.iterations_used} iterations")
     return 0
 
 
 def cmd_layout(args):
     net = _load_network(args.net)
-    potentials = hodge.read_node_table(_read(args.potentials))
+    potentials = _read(args.potentials, hodge.read_node_table, net.nodes)
     result = report.layout(net, potentials, seed=args.seed, jitter=args.jitter)
     _write(args.out, write_table(
         _header(args), ("node", "x", "y"),
-        ((node, f"{x:.17g}", f"{y:.17g}")
-         for node, (x, y) in sorted(result.positions.items()))))
+        ((node, f"{x:.17g}", f"{y:.17g}") for node, x, y
+         in netbuild.named_nodes(net.nodes, result.x, result.y))))
     print(f"{len(net.nodes)} nodes, {len(result.energy_history)} energy steps")
     return 0
 
 
 def cmd_report(args):
     net = _load_network(args.net)
+    if args.pagerank and not args.decomp:
+        raise PipelineError("scatter output needs --decomp")
+    decomp = communities = layout_result = scores = None
+    if args.decomp:
+        potentials = _read(Path(args.decomp) / "nodes.csv",
+                           hodge.read_node_table, net.nodes)
+        decomp = hodge.decompose(netbuild.symmetrize(net, mode=args.mode),
+                                 potentials)
+    if args.partition:
+        communities = _read(args.partition, community.read_partition,
+                            net.nodes)
+    if args.layout:
+        layout_result = report.LayoutResult(*_read(
+            args.layout, read_node_columns, net.nodes, ("node", "x", "y"),
+            (finite, finite)))
+    if args.pagerank:
+        scores = _read(args.pagerank, rank.read_ranks, net.nodes)
     head = _header(args)
     outdir = Path(args.out)
-    decomp = None
-    if args.decomp:
-        flow = netbuild.symmetrize(net, mode=args.mode)
-        nodes_csv = Path(args.decomp) / "nodes.csv"
-        potentials = hodge.read_node_table(_read(nodes_csv))
-        decomp = hodge.decompose(flow, potentials)
+    if decomp is not None:
         rows = report.potential_table(
             decomp, highlight=set(args.highlight or []))
         _write(str(outdir / "potential_table.csv"),
                report.write_potential_table(rows, head))
-    partition = None
-    if args.partition:
-        assignment = community.read_partition(_read(args.partition))
-        partition = community.CommunityPartition(
-            assignment=assignment, modularity=0.0, resolution=0.0, seed=0)
-    layout_result = None
-    if args.layout:
-        rows = read_table(_read(args.layout), ("node", "x", "y"),
-                          (str, float, float))
-        layout_result = report.LayoutResult(
-            positions={node: (x, y) for node, x, y in rows})
-    if args.pagerank:
-        if decomp is None:
-            raise PipelineError("scatter output needs --decomp")
-        ranks = rank.read_ranks(_read(args.pagerank))
-        data = report.scatter_data(ranks, decomp.potentials)
+    if scores is not None:
+        data = report.scatter_data(net.nodes, scores, decomp.potentials.phi)
         _write(str(outdir / "scatter.csv"), report.write_scatter(data, head))
     ext = {"edge_table": "tsv", "dot": "dot", "json_graph": "json"}[args.graph_format]
-    doc = report.export_graph(net, decomp=decomp, partition=partition,
+    doc = report.export_graph(net, decomp=decomp, communities=communities,
                               layout_result=layout_result,
                               format=args.graph_format, header=head)
     _write(str(outdir / f"graph.{ext}"), doc)

@@ -8,13 +8,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
 from .errors import PipelineError
 from .netbuild import InfluenceNetwork
-from .table import read_table, write_table
+from .table import read_node_columns, write_table
 
 
 @dataclass(frozen=True)
@@ -26,24 +26,19 @@ class CommunityPartition:
     pass_modularity: tuple[float, ...] = ()  # Q after each local-move pass
 
 
-def modularity(net: InfluenceNetwork, assignment: Mapping[str, int],
+def modularity(net: InfluenceNetwork, labels: np.ndarray,
                resolution: float = 1.0) -> float:
-    """Newman modularity of a partition on the symmetrized graph."""
+    """Newman modularity of per-node community labels, in node order."""
     if not 0.0 < resolution < np.inf:
         raise PipelineError("resolution must be positive and finite")
-    missing = [n for n in net.nodes if n not in assignment]
-    if missing:
-        raise PipelineError(f"assignment misses nodes: {missing[:5]}")
     v = net.view
     weight = v.fwd + v.back
     two_m = 2.0 * float(weight.sum())
     if two_m == 0.0:
         raise PipelineError("network has zero total weight; modularity undefined")
     # communities numbered in their order of first appearance over the nodes
-    codes: dict[int, int] = {}
-    comm = np.array([codes.setdefault(assignment[node], len(codes))
-                     for node in net.nodes], dtype=np.intp)
-    n, k = len(net.nodes), len(codes)
+    comm = _first_appearance(labels)
+    n, k = len(net.nodes), int(comm.max()) + 1
     strength = np.bincount(v.lo, weight, n) + np.bincount(v.hi, weight, n)
     same = comm[v.lo] == comm[v.hi]
     internal = np.bincount(comm[v.lo][same], 2.0 * weight[same], k).tolist()
@@ -133,8 +128,7 @@ def louvain(net: InfluenceNetwork, resolution: float = 1.0,
         raise PipelineError("network has zero total weight")
     rng = random.Random(seed)
 
-    nodes = net.nodes
-    n = len(nodes)
+    n = len(net.nodes)
     self_w = np.zeros(n)
     # original node -> current super-node. Each level numbers its
     # communities by first appearance over its super-nodes, so this stays
@@ -149,8 +143,7 @@ def louvain(net: InfluenceNetwork, resolution: float = 1.0,
                                two_m, resolution, comm, rng)
         comm = _first_appearance(comm)
         membership = comm[membership]
-        pass_q.append(modularity(net, dict(zip(nodes, membership.tolist())),
-                                 resolution))
+        pass_q.append(modularity(net, membership, resolution))
         k = int(comm.max()) + 1
         if not improved or k == n:
             break
@@ -166,15 +159,13 @@ def louvain(net: InfluenceNetwork, resolution: float = 1.0,
         lo, hi = np.divmod(keys, k)
         n = k
 
-    assignment = dict(zip(nodes, membership.tolist()))
-    q = modularity(net, assignment, resolution)
-    single = {node: 0 for node in nodes}
+    q = modularity(net, membership, resolution)
+    single = np.zeros_like(membership)
     q_single = modularity(net, single, resolution)
     if q < q_single:
-        assignment, q = single, q_single
-    return CommunityPartition(assignment=assignment, modularity=q,
-                              resolution=resolution, seed=seed,
-                              pass_modularity=tuple(pass_q))
+        membership, q = single, q_single
+    return CommunityPartition(dict(zip(net.nodes, membership.tolist())), q,
+                              resolution, seed, tuple(pass_q))
 
 
 def write_partition(partition: CommunityPartition,
@@ -185,5 +176,6 @@ def write_partition(partition: CommunityPartition,
                        sorted(partition.assignment.items()))
 
 
-def read_partition(text: str) -> dict[str, int]:
-    return dict(read_table(text, ("node", "community"), (str, int)))
+def read_partition(text: str, nodes: tuple[str, ...]) -> np.ndarray:
+    """The labels of a ``write_partition`` table, in ``nodes`` order."""
+    return read_node_columns(text, nodes, ("node", "community"), (int,))[0]

@@ -15,16 +15,16 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ConvergenceError, PipelineError
-from .netbuild import FlowNetwork, named_rows
-from .table import read_table, write_table
+from .netbuild import FlowNetwork, named_nodes, named_rows
+from .table import finite, read_node_columns, write_table
 
 DENSE_LIMIT = 64  # components up to this size use a direct solve
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PotentialVector:
-    phi: dict[str, float]
-    component: dict[str, int]
+    phi: np.ndarray  # per node, in the flow network's node order
+    component: np.ndarray  # the label of each node's connected component
 
 
 @dataclass(frozen=True)
@@ -271,10 +271,7 @@ def solve_potentials(system: LaplacianSystem, tol: float = 1e-10) -> PotentialVe
     if residual > _backward_bound(rows, cols, wvec, system.rhs, phi, tol):
         raise ConvergenceError("potential solve did not reach tolerance",
                                residual=residual)
-    component = dict(zip((system.nodes[i] for i in flat.tolist()),
-                         label[flat].tolist()))
-    return PotentialVector(phi=dict(zip(system.nodes, phi.tolist())),
-                           component=component)
+    return PotentialVector(phi=phi, component=label)
 
 
 def decompose(flow: FlowNetwork, potentials: PotentialVector) -> HodgeDecomposition:
@@ -283,10 +280,8 @@ def decompose(flow: FlowNetwork, potentials: PotentialVector) -> HodgeDecomposit
     ``residual_norm`` is max|L phi - f|, which equals the largest net
     circular outflow at any node.
     """
-    if set(potentials.phi) != set(flow.nodes):
-        raise PipelineError("potential vector does not cover the flow network's nodes")
     lo, hi, F, w = flow.lo, flow.hi, flow.F, flow.w
-    phi = np.array([potentials.phi[node] for node in flow.nodes])
+    phi = potentials.phi
     gradient = w * (phi[lo] - phi[hi])
     circular = F - gradient
     # sequential sums in pair order; numpy's pairwise sum rounds differently
@@ -313,8 +308,8 @@ def solve(flow: FlowNetwork, tol: float = 1e-10) -> HodgeDecomposition:
 def write_node_table(decomp: HodgeDecomposition, header: Iterable[str] = ()) -> str:
     pot = decomp.potentials
     return write_table(header, ("node", "component", "potential"),
-                       ((node, pot.component[node], f"{pot.phi[node]:.17g}")
-                        for node in sorted(pot.phi)))
+                       ((v, c, f"{phi:.17g}") for v, c, phi in named_nodes(
+                           decomp.flow.nodes, pot.component, pot.phi)))
 
 
 def write_pair_table(decomp: HodgeDecomposition,
@@ -333,8 +328,7 @@ def write_summary(decomp: HodgeDecomposition, header: Iterable[str] = ()) -> str
                        [[f"{v:.17g}" for v in values]])
 
 
-def read_node_table(text: str) -> PotentialVector:
-    rows = read_table(text, ("node", "component", "potential"),
-                      (str, int, float))
-    return PotentialVector(phi={node: phi for node, _, phi in rows},
-                           component={node: comp for node, comp, _ in rows})
+def read_node_table(text: str, nodes: tuple[str, ...]) -> PotentialVector:
+    component, phi = read_node_columns(
+        text, nodes, ("node", "component", "potential"), (int, finite))
+    return PotentialVector(phi=phi, component=component)

@@ -230,6 +230,14 @@ def _write_records(header: Iterable[str], nodes: tuple[str, ...],
     return "".join([preamble(header), *(n + "\n" for n in nodes), *edges])
 
 
+def named_nodes(nodes: tuple[str, ...], *values: np.ndarray):
+    """Per node, in the order of the node names: the name, then the node's
+    entry of each of ``values``, arrays in node order."""
+    columns = [v.tolist() for v in values]
+    return ((nodes[k], *(c[k] for c in columns))
+            for k in sorted(range(len(nodes)), key=nodes.__getitem__))
+
+
 def named_rows(nodes: tuple[str, ...], first: np.ndarray,
                second: np.ndarray, *values: np.ndarray):
     """Per row of node indices (first, second), in the order of their node

@@ -8,15 +8,15 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ConvergenceError, PipelineError
-from .netbuild import InfluenceNetwork
-from .table import read_table, write_table
+from .netbuild import InfluenceNetwork, named_nodes
+from .table import finite, read_node_columns, write_table
 
 MAX_ITERATIONS = 10_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RankVector:
-    scores: dict[str, float]
+    scores: np.ndarray  # in the network's node order
     damping: float
     iterations_used: int
 
@@ -32,8 +32,8 @@ def pagerank(net: InfluenceNetwork, damping: float = 0.85,
         raise PipelineError("empty network")
     if not 0.0 < damping < 1.0:
         raise PipelineError("damping must lie strictly between 0 and 1")
-    if not tol > 0:
-        raise PipelineError("tolerance must be positive")
+    if not 0.0 < tol < np.inf:
+        raise PipelineError("tolerance must be positive and finite")
     n = len(net.nodes)
     src, dst, wgt = net.src, net.dst, net.count.astype(float)
     out_strength = np.bincount(src, wgt, n)
@@ -49,17 +49,18 @@ def pagerank(net: InfluenceNetwork, damping: float = 0.85,
         delta = float(np.abs(nxt - v).sum())
         v = nxt
         if delta <= tol:
-            return RankVector(scores=dict(zip(net.nodes, v.tolist())),
-                              damping=damping, iterations_used=iteration)
+            return RankVector(scores=v, damping=damping,
+                              iterations_used=iteration)
     raise ConvergenceError("pagerank hit the iteration cap", residual=delta)
 
 
-def write_ranks(rank: RankVector, header: Iterable[str] = ()) -> str:
+def write_ranks(rank: RankVector, nodes: tuple[str, ...],
+                header: Iterable[str] = ()) -> str:
     return write_table(header, ("node", "pagerank"),
-                       ((node, f"{rank.scores[node]:.17g}")
-                        for node in sorted(rank.scores)))
+                       ((node, f"{score:.17g}")
+                        for node, score in named_nodes(nodes, rank.scores)))
 
 
-def read_ranks(text: str) -> RankVector:
-    scores = dict(read_table(text, ("node", "pagerank"), (str, float)))
-    return RankVector(scores=scores, damping=0.85, iterations_used=0)
+def read_ranks(text: str, nodes: tuple[str, ...]) -> np.ndarray:
+    """The PageRank scores of a ``write_ranks`` table, in ``nodes`` order."""
+    return read_node_columns(text, nodes, ("node", "pagerank"), (finite,))[0]

@@ -21,8 +21,7 @@ import numpy as np
 
 from .errors import PipelineError
 from .hodge import HodgeDecomposition, PotentialVector
-from .netbuild import InfluenceNetwork
-from .community import CommunityPartition
+from .netbuild import InfluenceNetwork, named_nodes
 from .table import preamble, write_table
 
 _EPS = 1e-9
@@ -31,9 +30,10 @@ _GRAVITY = 0.01
 _BLOCK_CELLS = 1 << 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LayoutResult:
-    positions: dict[str, tuple[float, float]]
+    x: np.ndarray  # per node, in the network's node order
+    y: np.ndarray
     energy_history: tuple[float, ...] = ()
 
 
@@ -87,18 +87,14 @@ def layout(net: InfluenceNetwork, potentials: PotentialVector, seed: int = 0,
            jitter: float = 0.0, min_sep: float = 1e-6,
            max_steps: int = 200) -> LayoutResult:
     """1-D LinLog descent on x with y fixed at the potential."""
-    missing = [n for n in net.nodes if n not in potentials.phi]
-    if missing:
-        raise PipelineError(f"potentials missing for nodes: {missing[:5]}")
-    nodes = list(net.nodes)
-    n = len(nodes)
-    if n == 0:
-        return LayoutResult(positions={})
-    y = np.array([potentials.phi[v] for v in nodes])
+    if not 0.0 <= jitter < np.inf:
+        raise PipelineError("jitter must be finite and non-negative")
+    n = len(net.nodes)
+    y = potentials.phi
     rng = random.Random(seed)
-    if n == 1:
-        return LayoutResult(positions={nodes[0]: (0.0, float(y[0]))})
-    x = np.array([rng.uniform(-1.0, 1.0) for _ in nodes])
+    if n < 2:
+        return LayoutResult(x=np.zeros(n), y=y)
+    x = np.array([rng.uniform(-1.0, 1.0) for _ in range(n)])
 
     # one weight per unordered pair, summing both directions' counts
     v = net.view
@@ -124,34 +120,33 @@ def layout(net: InfluenceNetwork, potentials: PotentialVector, seed: int = 0,
         else:
             break
 
-    positions = dict(zip(nodes, zip(x.tolist(), y.tolist())))
     if jitter > 0.0:
-        positions = _apply_jitter(positions, nodes, jitter, min_sep, rng)
-    return LayoutResult(positions=positions, energy_history=tuple(history))
+        y = _apply_jitter(net.nodes, x, y, jitter, min_sep, rng)
+    return LayoutResult(x=x, y=y, energy_history=tuple(history))
 
 
-def _apply_jitter(positions, nodes, jitter, min_sep, rng):
-    """Perturb y (bounded by jitter) only for nodes overlapping another.
+def _apply_jitter(nodes, x, y, jitter, min_sep, rng):
+    """y perturbed (bounded by jitter) only for nodes overlapping another.
 
-    Nodes are visited in sorted order, each tested against the current,
+    Nodes are visited in name order, each tested against the current,
     already jittered, positions. Jitter never moves x, and a node within
     min_sep of v lies within min_sep of it in x, so only the nodes whose x
     falls in [xv - min_sep, xv + min_sep] (found by bisection) are tested.
     """
-    out = dict(positions)
-    ordered = sorted(nodes)
-    by_x = sorted(ordered, key=lambda v: out[v][0])
-    xs = [out[v][0] for v in by_x]
+    x, y = x.tolist(), y.tolist()
+    ordered = sorted(range(len(nodes)), key=nodes.__getitem__)
+    by_x = sorted(ordered, key=x.__getitem__)
+    xs = [x[v] for v in by_x]
     for v in ordered:
-        xv, yv = out[v]
+        xv, yv = x[v], y[v]
         near = by_x[bisect_left(xs, xv - min_sep):
                     bisect_right(xs, xv + min_sep)]
         crowded = any(
-            u != v and math.hypot(out[u][0] - xv, out[u][1] - yv) < min_sep
+            u != v and math.hypot(x[u] - xv, y[u] - yv) < min_sep
             for u in near)
         if crowded:
-            out[v] = (xv, yv + rng.uniform(-jitter, jitter))
-    return out
+            y[v] = yv + rng.uniform(-jitter, jitter)
+    return np.array(y)
 
 
 @dataclass(frozen=True)
@@ -172,7 +167,7 @@ def potential_table(decomp: HodgeDecomposition,
     a potential moving below the printed precision keeps its row's place
     (-0.000 and 0.000 tie)."""
     marked = set(highlight)
-    entries = sorted(decomp.potentials.phi.items(),
+    entries = sorted(zip(decomp.flow.nodes, decomp.potentials.phi.tolist()),
                      key=lambda t: (-float(_printed(t[1])), t[0]))
     return [TableRow(rank=i + 1, node=node, potential=phi,
                      highlighted=node in marked)
@@ -193,11 +188,10 @@ class ScatterData:
     constant_column: bool
 
 
-def scatter_data(rank, potentials: PotentialVector) -> ScatterData:
+def scatter_data(nodes: tuple[str, ...], pagerank: np.ndarray,
+                 potential: np.ndarray) -> ScatterData:
     """Per-node (pagerank, potential) pairs with a Pearson summary."""
-    if set(rank.scores) != set(potentials.phi):
-        raise PipelineError("pagerank and potential node sets differ")
-    rows = [(n, rank.scores[n], potentials.phi[n]) for n in sorted(rank.scores)]
+    rows = list(named_nodes(nodes, pagerank, potential))
     xs = np.array([r[1] for r in rows])
     ys = np.array([r[2] for r in rows])
     constant = bool(len(rows) < 2 or np.ptp(xs) == 0.0 or np.ptp(ys) == 0.0)
@@ -223,7 +217,7 @@ def write_scatter(data: ScatterData, header: Iterable[str] = ()) -> str:
 
 def export_graph(net: InfluenceNetwork,
                  decomp: HodgeDecomposition | None = None,
-                 partition: CommunityPartition | None = None,
+                 communities: np.ndarray | None = None,
                  layout_result: LayoutResult | None = None,
                  format: str = "edge_table",
                  header: Iterable[str] = ()) -> str:
@@ -234,18 +228,13 @@ def export_graph(net: InfluenceNetwork,
             and np.array_equal(decomp.flow.hi, net.view.hi))):
         raise PipelineError("decomposition's nodes and pairs are not the "
                             "network's")
-    for label, mapping in (("partition", partition and partition.assignment),
-                           ("layout", layout_result and layout_result.positions)):
-        if mapping is not None:
-            missing = [n for n in net.nodes if n not in mapping]
-            if missing:
-                raise PipelineError(f"{label} misses nodes: {missing[:5]}")
-
-    def node_attrs(v):
-        phi = decomp.potentials.phi[v] if decomp else None
-        comm = partition.assignment[v] if partition else None
-        pos = layout_result.positions[v] if layout_result else None
-        return phi, comm, pos
+    # per node, in node order: (potential, community, (x, y)), None if absent
+    none = [None] * len(net.nodes)
+    node_attrs = list(zip(
+        none if decomp is None else decomp.potentials.phi.tolist(),
+        none if communities is None else communities.tolist(),
+        none if layout_result is None else zip(layout_result.x.tolist(),
+                                               layout_result.y.tolist())))
 
     flows = repeat(None) if decomp is None else _link_flows(net, decomp)
     if format == "json_graph":
@@ -276,8 +265,7 @@ def _export_edge_table(net, node_attrs, links, header):
     out.write(preamble([*header, "node columns\tid\tpotential\tcommunity\tx\ty",
                         "edge columns\tsrc\tdst\tcount\tF\tw\tF_grad\tF_circ",
                         f"level\t{net.level}"]))
-    for v in net.nodes:
-        phi, comm, pos = node_attrs(v)
+    for v, (phi, comm, pos) in zip(net.nodes, node_attrs):
         x, y = pos if pos else (None, None)
         comm_s = "-" if comm is None else str(comm)
         out.write(f"{v}\t{_fmt(phi)}\t{comm_s}\t{_fmt(x)}\t{_fmt(y)}\n")
@@ -298,8 +286,7 @@ def _dot_quote(s):
 def _export_dot(net, node_attrs, links):
     out = io.StringIO()
     out.write("digraph influence {\n")
-    for v in net.nodes:
-        phi, comm, pos = node_attrs(v)
+    for v, (phi, comm, pos) in zip(net.nodes, node_attrs):
         attrs = []
         if phi is not None:
             attrs.append(f'potential="{phi:.6g}"')
@@ -344,8 +331,7 @@ def _export_json(net, node_attrs, flows):
     names = list(map(encode_basestring_ascii, net.nodes))
 
     def node_items():
-        for v, name in zip(net.nodes, names):
-            phi, comm, pos = node_attrs(v)
+        for name, (phi, comm, pos) in zip(names, node_attrs):
             comm_s = "" if comm is None else f'"community": {comm},\n      '
             phi_s = "" if phi is None else f',\n      "potential": {num(phi)}'
             pos_s = ("" if pos is None else f',\n      "x": {num(pos[0])},'

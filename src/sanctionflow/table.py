@@ -7,8 +7,11 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from itertools import chain
 from typing import Callable, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import PipelineError
 
@@ -39,14 +42,25 @@ def skip_preamble(lines: Iterator[str]) -> tuple[int, Iterator[str]]:
     return skipped, iter(())
 
 
+def finite(cell: str) -> float:
+    """The cell as a float; nan and infinities are bad values."""
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError(cell)
+    return value
+
+
 def read_table(text: str, columns: Sequence[str],
                types: Sequence[Callable[[str], object]]) -> list[tuple]:
     """The rows under the header ``columns``, each cell converted by its
-    entry of ``types``. A wrong header, field count or value raises
-    PipelineError naming the line (and the column of a bad value)."""
+    entry of ``types`` (a ValueError or KeyError marks a bad value). The
+    first column is a key. A wrong header, field count or value, or a
+    repeated key, raises PipelineError naming the line (and the column of a
+    bad value)."""
     skipped, lines = skip_preamble(io.StringIO(text))
     reader = csv.reader(lines)
     rows = []
+    keys = set()
     try:
         head = next(reader, None)
         if head is None or [c.strip() for c in head] != list(columns):
@@ -62,10 +76,32 @@ def read_table(text: str, columns: Sequence[str],
             for name, convert, cell in zip(columns, types, row):
                 try:
                     values.append(convert(cell))
-                except ValueError:
+                except (KeyError, ValueError):
                     raise PipelineError(f"line {line}: column '{name}': "
                                         f"bad value {cell!r}") from None
+            if values[0] in keys:
+                raise PipelineError(f"line {line}: repeated {columns[0]} "
+                                    f"{row[0]!r}")
+            keys.add(values[0])
             rows.append(tuple(values))
     except csv.Error as exc:
         raise PipelineError(f"line {skipped + reader.line_num}: {exc}") from None
     return rows
+
+
+def read_node_columns(text: str, nodes: Sequence[str], columns: Sequence[str],
+                      types: Sequence[Callable[[str], object]]
+                      ) -> tuple[np.ndarray, ...]:
+    """The columns after the first of a table keyed by node name, each
+    converted by its entry of ``types`` into an array in ``nodes`` order.
+    A name that is not one of ``nodes`` is a bad value; a node without a
+    row raises PipelineError."""
+    index = {node: k for k, node in enumerate(nodes)}
+    rows = read_table(text, columns, (index.__getitem__, *types))
+    at = np.full(len(nodes), -1)
+    at[[row[0] for row in rows]] = np.arange(len(rows))
+    missing = [nodes[k] for k in np.flatnonzero(at < 0)[:5].tolist()]
+    if missing:
+        raise PipelineError(f"no row for node(s) {missing}")
+    return tuple(np.array([row[k] for row in rows])[at]
+                 for k in range(1, len(columns)))

@@ -10,7 +10,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from sanctionflow import (EventSet, FlowNetwork, HodgeDecomposition,
-                          InfluenceNetwork, SanctionEvent)
+                          InfluenceNetwork, PotentialVector, SanctionEvent)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -39,6 +39,19 @@ def make_network(edges, level="institution", nodes=None):
     src, dst, count = (np.array([r[k] for r in rows], np.int64)
                        for k in range(3))
     return InfluenceNetwork(level, tuple(nodes), src, dst, count)
+
+
+def by_node(nodes, *values):
+    """{node name: value} of an array of per-node values in node order; a
+    tuple of values per node when several arrays are given."""
+    columns = [np.asarray(v).tolist() for v in values]
+    return dict(zip(nodes, columns[0] if len(columns) == 1 else zip(*columns)))
+
+
+def make_potentials(nodes, phi):
+    """The potentials {node: phi} over ``nodes``, all in one component."""
+    return PotentialVector(np.array([phi[v] for v in nodes], float),
+                           np.zeros(len(nodes), np.intp))
 
 
 def network_fields(net):
@@ -80,15 +93,17 @@ def split_of(decomp):
     return by_pair(decomp.flow, decomp.gradient, decomp.circular)
 
 
-def make_decomposition(potentials, flow=None, gradient=None, circular=None):
-    """A decomposition with the given parts of ``flow``'s pairs (by default
-    no pairs over the potentials' nodes), each given as {(a, b): value}."""
+def make_decomposition(phi, flow=None, gradient=None, circular=None):
+    """A decomposition with the potentials {node: phi} and the given parts
+    of ``flow``'s pairs (by default no pairs over the potentials' nodes),
+    each given as {(a, b): value}."""
     if flow is None:
-        flow = make_flow({}, nodes=list(potentials.phi))
+        flow = make_flow({}, nodes=list(phi))
     keys = list(pairs_of(flow))
     parts = [np.array([part[k] for k in keys], float)
              for part in (gradient or {}, circular or {})]
-    return HodgeDecomposition(potentials, flow, *parts, 0.0, 0.0, 0.0)
+    return HodgeDecomposition(make_potentials(flow.nodes, phi), flow, *parts,
+                              0.0, 0.0, 0.0)
 
 
 def random_flow(rng: random.Random, n, edge_prob=0.3, zero_flow_prob=0.1):

@@ -25,7 +25,7 @@ import numpy as np
 from sanctionflow.community import CommunityPartition, modularity
 from sanctionflow.report import _EPS, _GRAVITY
 
-from conftest import pairs_of, split_of
+from conftest import by_node, pairs_of, split_of
 
 
 def flow_components(nodes, pairs):
@@ -155,19 +155,20 @@ def serialize_events_reference(raw):
     return out.getvalue()
 
 
-def json_graph_reference(net, decomp=None, partition=None,
+def json_graph_reference(net, decomp=None, communities=None,
                          layout_result=None):
     """The json_graph export of ``net``: nodes in ``net.nodes`` order, links
     in (source, target) node-index order, each link's flows read from the
     decomposition's (lower, higher index) pair with the link's sign, and
     left out when the decomposition lacks that pair."""
     index = {v: i for i, v in enumerate(net.nodes)}
+    phis = by_node(net.nodes, decomp.potentials.phi) if decomp else {}
+    comms = by_node(net.nodes, communities) if communities is not None else {}
+    positions = (by_node(net.nodes, layout_result.x, layout_result.y)
+                 if layout_result else {})
 
     def node_attrs(v):
-        phi = decomp.potentials.phi[v] if decomp else None
-        comm = partition.assignment[v] if partition else None
-        pos = layout_result.positions[v] if layout_result else None
-        return phi, comm, pos
+        return phis.get(v), comms.get(v), positions.get(v)
 
     gradient, circular = split_of(decomp) if decomp else ({}, {})
     links = []
@@ -320,8 +321,7 @@ def louvain_reference(net, resolution=1.0, seed=0):
             relabel.setdefault(comm[i], len(relabel))
         comm = [relabel[c] for c in comm]
         membership = [comm[membership[v]] for v in range(len(membership))]
-        pass_q.append(modularity(net, dict(zip(nodes, membership)),
-                                 resolution))
+        pass_q.append(modularity(net, membership, resolution))
         if not improved or len(relabel) == n:
             break
         # aggregate communities into super-nodes
@@ -350,9 +350,9 @@ def louvain_reference(net, resolution=1.0, seed=0):
     for node in nodes:
         relabel.setdefault(assignment[node], len(relabel))
     assignment = {node: relabel[c] for node, c in assignment.items()}
-    q = modularity(net, assignment, resolution)
+    q = modularity(net, [assignment[v] for v in nodes], resolution)
     single = {node: 0 for node in nodes}
-    q_single = modularity(net, single, resolution)
+    q_single = modularity(net, [single[v] for v in nodes], resolution)
     if q < q_single:
         assignment, q = single, q_single
     return CommunityPartition(assignment=assignment, modularity=q,

@@ -19,8 +19,8 @@ from sanctionflow import (EventSet, SynthConfig,
                           assemble_laplacian, build_institution_network,
                           build_list_network, louvain, modularity, pagerank,
                           solve, solve_potentials, symmetrize, synth_generate)
-from conftest import (FIXTURES, ev, make_flow, make_network, pairs_of,
-                      random_flow, split_of)
+from conftest import (FIXTURES, by_node, ev, make_flow, make_network,
+                      pairs_of, random_flow, split_of)
 from oracles import (best_partition_bruteforce, brute_force_counts,
                      connected_edge_subsets, dense_pagerank_oracle,
                      dense_potential_oracle, oracle_ratios)
@@ -71,8 +71,9 @@ def _flow_from_edges(n, edges, flows):
 def _check_against_oracle(flow):
     pv = solve_potentials(assemble_laplacian(flow), 1e-10)
     oracle = dense_potential_oracle(flow)
+    phi = by_node(flow.nodes, pv.phi)
     for node in flow.nodes:
-        assert abs(pv.phi[node] - oracle[node]) <= 1e-9
+        assert abs(phi[node] - oracle[node]) <= 1e-9
     if any(f != 0.0 for f, _ in pairs_of(flow).values()):
         d = solve(flow)
         og, ol = oracle_ratios(flow, oracle)
@@ -106,9 +107,10 @@ def test_criterion_2_oracle_equivalence_exhaustive():
 def test_criterion_3_closed_form_fixtures():
     ffw = make_network([("A", "B", 1), ("B", "C", 1), ("A", "C", 1)])
     d = solve(symmetrize(ffw, "unit"))
-    assert abs(d.potentials.phi["A"] - 2 / 3) <= 1e-10
-    assert abs(d.potentials.phi["B"]) <= 1e-10
-    assert abs(d.potentials.phi["C"] + 2 / 3) <= 1e-10
+    phi = by_node(ffw.nodes, d.potentials.phi)
+    assert abs(phi["A"] - 2 / 3) <= 1e-10
+    assert abs(phi["B"]) <= 1e-10
+    assert abs(phi["C"] + 2 / 3) <= 1e-10
     assert abs(d.gradient_ratio - 8 / 9) <= 1e-10
     assert abs(d.loop_ratio - 1 / 9) <= 1e-10
 
@@ -138,8 +140,9 @@ def test_criterion_4_zero_mean_convention():
         flow = random_flow(rng, rng.randint(2, 100), edge_prob=0.08)
         pv = solve_potentials(assemble_laplacian(flow), 1e-10)
         sums = {}
-        for node, c in pv.component.items():
-            sums.setdefault(c, []).append(pv.phi[node])
+        phi = by_node(flow.nodes, pv.phi)
+        for node, c in by_node(flow.nodes, pv.component).items():
+            sums.setdefault(c, []).append(phi[node])
         for vals in sums.values():
             assert abs(sum(vals)) / len(vals) <= 1e-10
     ok(4, "every connected component has mean potential 0 within 1e-10")
@@ -194,7 +197,8 @@ def test_criterion_6_community_detection():
         attained = max(p.modularity for p in results)
         assert abs(attained - best_q) <= 1e-9, name
         for p in results:
-            recomputed = modularity(net, p.assignment, p.resolution)
+            recomputed = modularity(
+                net, [p.assignment[v] for v in net.nodes], p.resolution)
             assert abs(p.modularity - recomputed) <= 1e-12
     ok(6, "louvain attains the brute-force optimum (incl. Q=0.5 and Q=5/14) "
           "and returned Q matches recomputation")
@@ -202,10 +206,10 @@ def test_criterion_6_community_detection():
 
 def test_criterion_7_pagerank():
     star = make_network([("A", "B", 1), ("C", "B", 1)])
-    pr = pagerank(star, damping=0.85)
-    assert abs(pr.scores["A"] - 0.2128) <= 1e-3
-    assert abs(pr.scores["B"] - 0.5745) <= 1e-3
-    assert abs(pr.scores["C"] - 0.2128) <= 1e-3
+    scores = by_node(star.nodes, pagerank(star, damping=0.85).scores)
+    assert abs(scores["A"] - 0.2128) <= 1e-3
+    assert abs(scores["B"] - 0.5745) <= 1e-3
+    assert abs(scores["C"] - 0.2128) <= 1e-3
     rng = random.Random(77)
     for trial in range(30):
         n = rng.randint(2, 10)
@@ -213,11 +217,11 @@ def test_criterion_7_pagerank():
                  for i in range(n) for j in range(n)
                  if i != j and rng.random() < 0.35]
         net = make_network(edges, nodes=[f"N{i}" for i in range(n)])
-        pr = pagerank(net, tol=1e-14)
-        assert abs(sum(pr.scores.values()) - 1.0) <= 1e-12
+        scores = by_node(net.nodes, pagerank(net, tol=1e-14).scores)
+        assert abs(sum(scores.values()) - 1.0) <= 1e-12
         oracle = dense_pagerank_oracle(net)
         for node in net.nodes:
-            assert abs(pr.scores[node] - oracle[node]) <= 1e-8
+            assert abs(scores[node] - oracle[node]) <= 1e-8
     ok(7, "pagerank matches the dense eigenvector oracle and the dangling "
           "star fixture")
 
@@ -231,7 +235,8 @@ def test_criterion_8_planted_hierarchy_recovery():
         net = build_institution_network(events)
         d = solve(symmetrize(net, "mean"))
         ranks = config.issuer_ranks()
-        phis = [d.potentials.phi.get(f"ISS{i:03d}", 0.0)
+        phi = by_node(net.nodes, d.potentials.phi)
+        phis = [phi.get(f"ISS{i:03d}", 0.0)
                 for i in range(config.n_issuers)]
         tau = kendalltau(phis, [-r for r in ranks]).statistic
         taus.append(tau)

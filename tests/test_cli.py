@@ -240,6 +240,19 @@ def test_category_map_needs_its_header(tmp_path, capsys):
     assert "line 1: expected header list_id,label" in err
 
 
+def test_category_map_refuses_a_repeated_list(tmp_path, capsys):
+    cmap = tmp_path / "cats.csv"
+    cmap.write_text("list_id,label\nEU-LIB-1,libya\nUS-LIB-1,libya\n"
+                    "EU-LIB-1,terror\n")
+    status = run(["build", "--level", "institution",
+                  "--events", str(FIXTURES / "events_small.csv"),
+                  "--category-map", str(cmap), "--label", "libya",
+                  "--out", str(tmp_path / "net.tsv")])
+    assert status == 1
+    assert_one_error_line(capsys, f"{cmap}: line 4: ", "'EU-LIB-1'")
+    assert not (tmp_path / "net.tsv").exists()
+
+
 def test_non_string_line_record_id_is_rejected_at_ingest(tmp_path, capsys):
     events = tmp_path / "events.jsonl"
     events.write_text(
@@ -343,6 +356,7 @@ def assert_one_error_line(capsys, *fragments):
     ("communities", "--resolution", "inf"),
     ("communities", "--resolution", "-1"),
     ("pagerank", "--tol", "nan"),
+    ("pagerank", "--tol", "inf"),
 ])
 def test_nan_and_non_positive_parameters_exit_one(stage_inputs, capsys, stage,
                                                   flag, value):
@@ -389,7 +403,8 @@ def test_bad_per_node_input_exits_one_naming_the_file(stage_inputs, capsys,
             at = next(k for k, line in enumerate(lines)
                       if line.startswith(f"{node},"))
             lines[at:at + 1] = [] if row is None else [row]
-            fragment = f"{path}: " if row is None else f"{path}: line {at + 1}: "
+            fragment = f"{path}: " + ("" if row is None
+                                      else f"line {at + 1}: ")
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     capsys.readouterr()
     status = run([stage, "--net", str(stage_inputs / "good.tsv"), *flags,

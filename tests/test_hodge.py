@@ -8,7 +8,8 @@ import pytest
 from sanctionflow import (ConvergenceError, PipelineError,
                           assemble_laplacian, decompose, hodge, solve,
                           solve_potentials, symmetrize)
-from conftest import make_flow, make_network, pairs_of, random_flow, split_of
+from conftest import (by_node, make_flow, make_network, pairs_of, random_flow,
+                      split_of)
 from oracles import dense_potential_oracle, oracle_ratios
 
 TOL = 1e-10
@@ -44,14 +45,15 @@ def test_assemble_disconnected_components():
 
 def test_two_node_potentials():
     flow = make_flow({("A", "B"): (1, 1)})
-    phi = solve_potentials(assemble_laplacian(flow), TOL).phi
+    phi = by_node(flow.nodes, solve_potentials(assemble_laplacian(flow),
+                                               TOL).phi)
     assert phi["A"] == pytest.approx(0.5, abs=1e-12)
     assert phi["B"] == pytest.approx(-0.5, abs=1e-12)
 
 
 def test_cycle_has_zero_potentials(three_cycle):
     _, d = solve_net(three_cycle)
-    assert all(abs(v) < 1e-12 for v in d.potentials.phi.values())
+    assert all(abs(v) < 1e-12 for v in d.potentials.phi.tolist())
     assert d.gradient_ratio == pytest.approx(0.0, abs=TOL)
     assert d.loop_ratio == pytest.approx(1.0, abs=TOL)
 
@@ -59,7 +61,7 @@ def test_cycle_has_zero_potentials(three_cycle):
 def test_feed_forward_triangle(feed_forward_triangle):
     flow, d = solve_net(feed_forward_triangle)
     gradient, circular = split_of(d)
-    phi = d.potentials.phi
+    phi = by_node(flow.nodes, d.potentials.phi)
     assert phi["A"] == pytest.approx(2 / 3, abs=TOL)
     assert phi["B"] == pytest.approx(0.0, abs=TOL)
     assert phi["C"] == pytest.approx(-2 / 3, abs=TOL)
@@ -93,19 +95,23 @@ def test_all_zero_flow_ratios_error():
         solve(flow)
 
 
-def test_node_mismatch_error():
+def test_node_table_of_other_nodes_is_refused():
     flow = make_flow({("A", "B"): (1, 1)})
     other = make_flow({("A", "C"): (1, 1)})
-    phi = solve_potentials(assemble_laplacian(other), TOL)
-    with pytest.raises(PipelineError):
-        decompose(flow, phi)
+    text = hodge.write_node_table(solve(other))
+    assert by_node(flow.nodes, hodge.read_node_table(
+        hodge.write_node_table(solve(flow)), flow.nodes).phi) == {
+        "A": 0.5, "B": -0.5}
+    with pytest.raises(PipelineError, match="line 3: column 'node'"):
+        hodge.read_node_table(text, flow.nodes)
 
 
 def test_isolated_nodes_get_zero_potential():
     flow = make_flow({("A", "B"): (1.0, 1.0)}, nodes=("A", "B", "Z"))
     pv = solve_potentials(assemble_laplacian(flow), TOL)
-    assert pv.phi["Z"] == 0.0
-    assert pv.component["Z"] != pv.component["A"]
+    phi, component = (by_node(flow.nodes, v) for v in (pv.phi, pv.component))
+    assert phi["Z"] == 0.0
+    assert component["Z"] != component["A"]
 
 
 def test_mean_zero_per_component():
@@ -114,8 +120,9 @@ def test_mean_zero_per_component():
         flow = random_flow(rng, 30)
         pv = solve_potentials(assemble_laplacian(flow), TOL)
         by_comp = {}
-        for node, c in pv.component.items():
-            by_comp.setdefault(c, []).append(pv.phi[node])
+        phi = by_node(flow.nodes, pv.phi)
+        for node, c in by_node(flow.nodes, pv.component).items():
+            by_comp.setdefault(c, []).append(phi[node])
         for vals in by_comp.values():
             assert abs(sum(vals) / len(vals)) < 1e-10
 
@@ -128,8 +135,9 @@ def test_matches_dense_oracle_random():
             continue
         pv = solve_potentials(assemble_laplacian(flow), TOL)
         oracle = dense_potential_oracle(flow)
+        phi = by_node(flow.nodes, pv.phi)
         for node in flow.nodes:
-            assert pv.phi[node] == pytest.approx(oracle[node], abs=1e-9)
+            assert phi[node] == pytest.approx(oracle[node], abs=1e-9)
 
 
 def test_decomposition_identities_random():
@@ -172,9 +180,10 @@ def test_scale_covariance():
                        flow.nodes, flow.weight_mode)
     d1 = solve(flow)
     d2 = solve(scaled)
+    phi1, phi2 = (by_node(flow.nodes, d.potentials.phi) for d in (d1, d2))
     for node in flow.nodes:
-        assert d2.potentials.phi[node] == pytest.approx(
-            c * d1.potentials.phi[node], rel=1e-9, abs=1e-12)
+        assert phi2[node] == pytest.approx(c * phi1[node], rel=1e-9,
+                                           abs=1e-12)
     assert d2.gradient_ratio == pytest.approx(d1.gradient_ratio, abs=1e-9)
     assert d2.loop_ratio == pytest.approx(d1.loop_ratio, abs=1e-9)
 
@@ -215,8 +224,9 @@ def test_large_component_uses_cg_and_matches_oracle():
     flow = random_flow(rng, 150, edge_prob=0.08)
     pv = solve_potentials(assemble_laplacian(flow), TOL)
     oracle = dense_potential_oracle(flow)
+    phi = by_node(flow.nodes, pv.phi)
     for node in flow.nodes:
-        assert pv.phi[node] == pytest.approx(oracle[node], abs=1e-8)
+        assert phi[node] == pytest.approx(oracle[node], abs=1e-8)
 
 
 def test_residual_norm_is_small(feed_forward_triangle):
@@ -235,9 +245,10 @@ def test_many_two_node_components_solve_quickly():
     start = time.perf_counter()
     pv = solve_potentials(system, TOL)
     assert time.perf_counter() - start < 3.0
+    phi = by_node(nodes, pv.phi)
     for (a, b), (f, w) in pairs.items():
-        assert pv.phi[a] == pytest.approx(f / (2 * w), abs=1e-12)
-        assert pv.phi[b] == pytest.approx(-f / (2 * w), abs=1e-12)
+        assert phi[a] == pytest.approx(f / (2 * w), abs=1e-12)
+        assert phi[b] == pytest.approx(-f / (2 * w), abs=1e-12)
 
 
 def test_weighted_path_is_solved_exactly():
@@ -255,9 +266,10 @@ def test_weighted_path_is_solved_exactly():
     assert time.perf_counter() - start < 3.0
     d = decompose(flow, pv)
     assert d.loop_ratio <= 1e-10
+    phi = by_node(nodes, pv.phi)
     for i in range(n - 1):
         f, wi = pairs[(nodes[i], nodes[i + 1])]
-        assert pv.phi[nodes[i]] - pv.phi[nodes[i + 1]] == pytest.approx(
+        assert phi[nodes[i]] - phi[nodes[i + 1]] == pytest.approx(
             f / wi, abs=1e-9)
 
 
@@ -276,9 +288,10 @@ def test_small_flows_on_large_weights_are_solved_without_raising():
     flow = make_flow(pairs, nodes, "mean")
     pv = solve_potentials(assemble_laplacian(flow), TOL)
     assert decompose(flow, pv).loop_ratio <= 1e-10
+    phi = by_node(nodes, pv.phi)
     for i in range(n - 1):
         f, wi = pairs[(nodes[i], nodes[i + 1])]
-        assert pv.phi[nodes[i]] - pv.phi[nodes[i + 1]] == pytest.approx(
+        assert phi[nodes[i]] - phi[nodes[i + 1]] == pytest.approx(
             f / wi, abs=1e-9)
 
 
@@ -322,8 +335,9 @@ def test_leaf_elimination_and_core_pcg_match_dense_oracle():
         assert len(flow.nodes) > 2 * hodge.DENSE_LIMIT
         pv = solve_potentials(assemble_laplacian(flow), TOL)
         oracle = dense_potential_oracle(flow)
+        phi = by_node(flow.nodes, pv.phi)
         for node in flow.nodes:
-            assert pv.phi[node] == pytest.approx(oracle[node], abs=1e-8)
+            assert phi[node] == pytest.approx(oracle[node], abs=1e-8)
 
 
 def test_large_tree_matches_dense_oracle():
@@ -337,8 +351,9 @@ def test_large_tree_matches_dense_oracle():
     flow = make_flow(pairs, nodes=nodes)
     pv = solve_potentials(assemble_laplacian(flow), TOL)
     oracle = dense_potential_oracle(flow)
+    phi = by_node(flow.nodes, pv.phi)
     for node in flow.nodes:
-        assert pv.phi[node] == pytest.approx(oracle[node], abs=1e-8)
+        assert phi[node] == pytest.approx(oracle[node], abs=1e-8)
     assert decompose(flow, pv).loop_ratio <= 1e-10
 
 
@@ -372,8 +387,7 @@ def test_decompose_residual_without_reassembly(monkeypatch):
         lap[j, i] -= w
         rhs[i] += f
         rhs[j] -= f
-    phi = np.array([pv.phi[node] for node in flow.nodes])
-    expected = float(np.abs(lap @ phi - rhs).max())
+    expected = float(np.abs(lap @ pv.phi - rhs).max())
 
     def fail(_flow):
         raise AssertionError("decompose re-assembled the Laplacian")

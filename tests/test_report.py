@@ -5,13 +5,15 @@ import time
 import numpy as np
 import pytest
 
-from sanctionflow import (PipelineError, PotentialVector, RankVector, export_graph, layout,
-                          louvain, potential_table, scatter_data, solve,
-                          symmetrize, write_potential_table, write_scatter)
-from sanctionflow.community import CommunityPartition
+from sanctionflow import (PipelineError, export_graph, layout, louvain,
+                          pagerank, potential_table, read_ranks, scatter_data,
+                          solve, symmetrize, write_potential_table,
+                          write_scatter)
+from sanctionflow.hodge import read_node_table
 from sanctionflow.report import (_BLOCK_CELLS, _EPS, LayoutResult,
                                  _apply_jitter, _energy_kernel)
-from conftest import make_decomposition, make_network, network_fields
+from conftest import (by_node, make_decomposition, make_network,
+                      make_potentials, network_fields)
 from oracles import (brute_force_jitter, dense_layout_energy_oracle,
                      json_graph_reference)
 
@@ -24,25 +26,31 @@ def potentials_for(net, mode="unit"):
     return solve(symmetrize(net, mode)).potentials
 
 
+def layout_positions(net, result):
+    """{node: (x, y)} of a layout of ``net``."""
+    return by_node(net.nodes, result.x, result.y)
+
+
 def test_single_node_at_origin():
     net = make_network([], nodes=("A",))
-    pv = PotentialVector(phi={"A": 0.0}, component={"A": 0})
-    result = layout(net, pv, seed=1)
-    assert result.positions == {"A": (0.0, 0.0)}
+    result = layout(net, make_potentials(net.nodes, {"A": 0.0}), seed=1)
+    assert layout_positions(net, result) == {"A": (0.0, 0.0)}
 
 
 def test_y_is_exactly_the_potential(feed_forward_triangle):
     pv = potentials_for(feed_forward_triangle)
     result = layout(feed_forward_triangle, pv, seed=3)
-    for node, (_, y) in result.positions.items():
-        assert y == pv.phi[node]
+    phi = by_node(feed_forward_triangle.nodes, pv.phi)
+    placed = layout_positions(feed_forward_triangle, result)
+    for node, (_, y) in placed.items():
+        assert y == phi[node]
 
 
 def test_unconnected_equal_potential_nodes_separate():
     net = make_network([], nodes=("A", "B"))
-    pv = PotentialVector(phi={"A": 0.0, "B": 0.0}, component={"A": 0, "B": 1})
+    pv = make_potentials(net.nodes, {"A": 0.0, "B": 0.0})
     result = layout(net, pv, seed=2, min_sep=1e-3)
-    (xa, _), (xb, _) = result.positions["A"], result.positions["B"]
+    (xa, _), (xb, _) = layout_positions(net, result).values()
     assert abs(xa - xb) >= 1e-3
 
 
@@ -62,8 +70,8 @@ def ring_with_chords(n, chord_every=5):
     for i in range(0, n, chord_every):
         edges[(names[i], names[(i + n // 3) % n])] = 1 + i % 3
     net = make_network([(*key, c) for key, c in edges.items()], nodes=names)
-    pv = PotentialVector(phi={v: 0.1 * (i % 17) for i, v in enumerate(names)},
-                         component={v: 0 for v in names})
+    pv = make_potentials(names, {v: 0.1 * (i % 17)
+                                 for i, v in enumerate(names)})
     return net, pv
 
 
@@ -143,18 +151,19 @@ def test_multi_block_layout_descends_with_y_at_the_potential():
     hist = result.energy_history
     assert len(hist) == 41
     assert all(hist[i + 1] <= hist[i] for i in range(len(hist) - 1))
-    assert all(y == pv.phi[v] for v, (_, y) in result.positions.items())
+    phi = by_node(net.nodes, pv.phi)
+    placed = layout_positions(net, result)
+    assert all(y == phi[v] for v, (_, y) in placed.items())
 
 
 def test_layout_sums_both_directions_into_one_pair_weight():
     net = make_network([("A", "B", 2), ("B", "A", 3), ("B", "C", 1),
                         ("D", "A", 4)], nodes=("A", "B", "C", "D", "E"))
-    pv = PotentialVector(phi={"A": 0.5, "B": 0.0, "C": -1.0, "D": 0.5,
-                              "E": 2.0}, component=dict.fromkeys("ABCDE", 0))
-    result = layout(net, pv, seed=7, max_steps=0)
+    phi = {"A": 0.5, "B": 0.0, "C": -1.0, "D": 0.5, "E": 2.0}
+    result = layout(net, make_potentials(net.nodes, phi), seed=7, max_steps=0)
     rng = random.Random(7)
     x = np.array([rng.uniform(-1.0, 1.0) for _ in range(5)])
-    y = np.array([pv.phi[v] for v in net.nodes])
+    y = np.array([phi[v] for v in net.nodes])
     want, _ = dense_layout_energy_oracle(x, y, np.array([0, 0, 1]),
                                          np.array([1, 3, 2]),
                                          np.array([5.0, 4.0, 1.0]))
@@ -188,15 +197,14 @@ def test_json_graph_memory_is_bounded():
     import tracemalloc
     net = random_network(2000, 20_000, seed=3)
     d = solve(symmetrize(net, "mean"))
-    part = CommunityPartition({v: i % 7 for i, v in enumerate(net.nodes)},
-                              0.0, 1.0, 0)
+    communities = np.arange(len(net.nodes)) % 7
     rng = random.Random(4)
-    lay = LayoutResult({v: (rng.uniform(-1, 1), phi)
-                        for v, phi in d.potentials.phi.items()})
+    lay = LayoutResult(np.array([rng.uniform(-1, 1) for _ in net.nodes]),
+                       d.potentials.phi)
     tracemalloc.start()
     try:
-        doc = export_graph(net, decomp=d, partition=part, layout_result=lay,
-                           format="json_graph")
+        doc = export_graph(net, decomp=d, communities=communities,
+                           layout_result=lay, format="json_graph")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -208,16 +216,25 @@ def test_layout_deterministic(feed_forward_triangle):
     pv = potentials_for(feed_forward_triangle)
     a = layout(feed_forward_triangle, pv, seed=9)
     b = layout(feed_forward_triangle, pv, seed=9)
-    assert a == b
+    assert layout_positions(feed_forward_triangle, a) == \
+        layout_positions(feed_forward_triangle, b)
+    assert a.energy_history == b.energy_history
+
+
+def apply_jitter(points, nodes, jitter, min_sep, rng):
+    """``_apply_jitter`` of {node: (x, y)}, with the nodes in the order
+    of ``nodes``."""
+    x, y = (np.array([points[v][k] for v in nodes]) for k in (0, 1))
+    return by_node(nodes, x, _apply_jitter(nodes, x, y, jitter, min_sep, rng))
 
 
 def test_jitter_bounded_and_targeted():
-    positions = {"A": (0.0, 0.0), "B": (0.0, 0.0), "C": (9.0, 5.0)}
-    out = _apply_jitter(positions, ["A", "B", "C"], jitter=0.01,
-                        min_sep=1e-3, rng=random.Random(1))
+    points = {"A": (0.0, 0.0), "B": (0.0, 0.0), "C": (9.0, 5.0)}
+    out = apply_jitter(points, ["A", "B", "C"], jitter=0.01, min_sep=1e-3,
+                       rng=random.Random(1))
     # A and B coincide exactly; C is far from both
     for node in ("A", "B"):
-        assert abs(out[node][1] - positions[node][1]) <= 0.01
+        assert abs(out[node][1] - points[node][1]) <= 0.01
     assert out["A"][1] != out["B"][1]
     assert out["C"] == (9.0, 5.0)
 
@@ -242,7 +259,7 @@ def test_jitter_matches_brute_force(seed):
     nodes = sorted(positions, key=lambda v: rng.random())
     expected = brute_force_jitter(positions, nodes, 4e-4, 1e-3,
                                   random.Random(seed))
-    got = _apply_jitter(positions, nodes, 4e-4, 1e-3, random.Random(seed))
+    got = apply_jitter(positions, nodes, 4e-4, 1e-3, random.Random(seed))
     assert got == expected
     moved = sum(got[v] != positions[v] for v in positions)
     assert 0 < moved < len(positions)
@@ -255,8 +272,8 @@ def test_jitter_of_20k_points_is_fast():
     for k in range(0, 200, 2):  # 100 exact pairs
         positions[f"V{k + 1:05d}"] = positions[f"V{k:05d}"]
     start = time.perf_counter()
-    out = _apply_jitter(positions, list(positions), 1e-3, 1e-6,
-                        random.Random(1))
+    out = apply_jitter(positions, list(positions), 1e-3, 1e-6,
+                       random.Random(1))
     assert time.perf_counter() - start < 2.0
     # the first of each pair is jittered off the second, which then has room
     moved = {v for v in positions if out[v] != positions[v]}
@@ -265,15 +282,22 @@ def test_jitter_of_20k_points_is_fast():
 
 def test_zero_jitter_leaves_y_exact_even_with_overlaps():
     net = make_network([], nodes=("A", "B"))
-    pv = PotentialVector(phi={"A": 0.0, "B": 0.0}, component={"A": 0, "B": 1})
+    pv = make_potentials(net.nodes, {"A": 0.0, "B": 0.0})
     result = layout(net, pv, seed=3, jitter=0.0)
-    assert all(y == 0.0 for _, y in result.positions.values())
+    assert all(y == 0.0 for _, y in layout_positions(net, result).values())
 
 
-def test_missing_potential_errors(feed_forward_triangle):
-    pv = PotentialVector(phi={"A": 0.0}, component={"A": 0})
-    with pytest.raises(PipelineError):
-        layout(feed_forward_triangle, pv)
+@pytest.mark.parametrize("jitter", [math.nan, math.inf, -1.0])
+def test_jitter_must_be_finite_and_non_negative(feed_forward_triangle, jitter):
+    pv = potentials_for(feed_forward_triangle)
+    with pytest.raises(PipelineError, match="jitter"):
+        layout(feed_forward_triangle, pv, jitter=jitter)
+
+
+def test_potentials_missing_a_node_are_refused(feed_forward_triangle):
+    text = "node,component,potential\nA,0,0.0\n"
+    with pytest.raises(PipelineError, match=r"node\(s\) \['B', 'C'\]"):
+        read_node_table(text, feed_forward_triangle.nodes)
 
 
 def test_potential_table_sorted(feed_forward_triangle):
@@ -298,43 +322,35 @@ def test_potential_table_ranks_by_the_printed_value():
     # b and a both print 0.123, d and c print 0.000 and -0.000: each pair
     # ties, so a potential moving below the printed precision keeps the rows
     phi = {"b": 0.1234, "a": 0.12339, "d": 1e-5, "c": -1e-5}
-    pv = PotentialVector(phi=phi, component=dict.fromkeys(phi, 0))
-    text = write_potential_table(potential_table(make_decomposition(pv)))
+    text = write_potential_table(potential_table(make_decomposition(phi)))
     assert text.splitlines()[1:] == ["1,a,0.123,", "2,b,0.123,",
                                      "3,c,-0.000,", "4,d,0.000,"]
 
 
 def test_scatter_constant_column_flag():
-    rank = RankVector(scores={"A": 0.5, "B": 0.5}, damping=0.85,
-                      iterations_used=1)
-    pv = PotentialVector(phi={"A": 0.5, "B": -0.5}, component={"A": 0, "B": 0})
-    data = scatter_data(rank, pv)
+    data = scatter_data(("A", "B"), np.array([0.5, 0.5]),
+                        np.array([0.5, -0.5]))
     assert data.constant_column
     assert data.correlation == 0.0
     assert "constant_column" in write_scatter(data)
 
 
 def test_scatter_identical_vectors():
-    rank = RankVector(scores={"A": 0.2, "B": 0.3, "C": 0.5}, damping=0.85,
-                      iterations_used=1)
-    pv = PotentialVector(phi={"A": 0.2, "B": 0.3, "C": 0.5},
-                         component={"A": 0, "B": 0, "C": 0})
-    data = scatter_data(rank, pv)
+    values = np.array([0.2, 0.3, 0.5])
+    data = scatter_data(("A", "B", "C"), values, values)
     assert data.correlation == pytest.approx(1.0)
 
 
-def test_scatter_node_mismatch():
-    rank = RankVector(scores={"A": 1.0}, damping=0.85, iterations_used=1)
-    pv = PotentialVector(phi={"B": 0.0}, component={"B": 0})
-    with pytest.raises(PipelineError):
-        scatter_data(rank, pv)
+def test_scatter_pagerank_of_other_nodes_is_refused():
+    with pytest.raises(PipelineError, match="line 2: column 'node'"):
+        read_ranks("node,pagerank\nA,1.0\n", ("B",))
 
 
 def test_scatter_composed_from_modules(feed_forward_triangle):
-    from sanctionflow import pagerank
     d = solve(symmetrize(feed_forward_triangle, "unit"))
     pr = pagerank(feed_forward_triangle)
-    data = scatter_data(pr, d.potentials)
+    data = scatter_data(feed_forward_triangle.nodes, pr.scores,
+                        d.potentials.phi)
     assert len(data.rows) == 3
     assert not data.constant_column
 
@@ -357,13 +373,20 @@ def edge_table_network(doc):
                         level, [r[0] for r in rows if len(r) == 5])
 
 
+def communities_of(net, seed):
+    """Louvain's community label of each node of ``net``, in node order."""
+    assignment = louvain(net, seed=seed).assignment
+    return np.array([assignment[v] for v in net.nodes])
+
+
 def test_edge_table_round_trip(feed_forward_triangle):
     d = solve(symmetrize(feed_forward_triangle, "unit"))
-    part = louvain(feed_forward_triangle, seed=0)
+    communities = communities_of(feed_forward_triangle, seed=0)
     pv = d.potentials
     lay = layout(feed_forward_triangle, pv, seed=0)
-    doc = export_graph(feed_forward_triangle, decomp=d, partition=part,
-                       layout_result=lay, format="edge_table")
+    doc = export_graph(feed_forward_triangle, decomp=d,
+                       communities=communities, layout_result=lay,
+                       format="edge_table")
     assert network_fields(edge_table_network(doc)) == \
         network_fields(feed_forward_triangle)
     # bare export round-trips too
@@ -375,8 +398,8 @@ def test_edge_table_round_trip(feed_forward_triangle):
 def test_json_graph_attributes(feed_forward_triangle):
     import json
     d = solve(symmetrize(feed_forward_triangle, "unit"))
-    part = louvain(feed_forward_triangle, seed=0)
-    doc = export_graph(feed_forward_triangle, decomp=d, partition=part,
+    doc = export_graph(feed_forward_triangle, decomp=d,
+                       communities=communities_of(feed_forward_triangle, 0),
                        format="json_graph")
     obj = json.loads(doc)
     assert {n["id"] for n in obj["nodes"]} == {"A", "B", "C"}
@@ -410,7 +433,7 @@ def test_json_graph_matches_the_reference(with_decomp, with_partition,
     d = solve(symmetrize(net, "mean"))
     inputs = dict(
         decomp=d if with_decomp else None,
-        partition=louvain(net, seed=0) if with_partition else None,
+        communities=communities_of(net, 0) if with_partition else None,
         layout_result=(layout(net, d.potentials, seed=0) if with_layout
                        else None))
     doc = export_graph(net, format="json_graph", **inputs)
@@ -423,11 +446,11 @@ def test_json_graph_matches_the_reference(with_decomp, with_partition,
     make_network([], nodes=[]),
 ], ids=["no links", "single node", "empty"])
 def test_json_graph_without_links_matches_the_reference(net):
-    d = make_decomposition(
-        PotentialVector({v: 0.0 for v in net.nodes}, {v: 0 for v in net.nodes}))
-    part = CommunityPartition({v: 0 for v in net.nodes}, 0.0, 1.0, 0)
-    lay = LayoutResult({v: (0.0, 0.0) for v in net.nodes})
-    for inputs in ({}, dict(decomp=d, partition=part, layout_result=lay)):
+    n = len(net.nodes)
+    d = make_decomposition({v: 0.0 for v in net.nodes})
+    lay = LayoutResult(np.zeros(n), np.zeros(n))
+    for inputs in ({}, dict(decomp=d, communities=np.zeros(n, int),
+                            layout_result=lay)):
         doc = export_graph(net, format="json_graph", **inputs)
         assert doc == json_graph_reference(net, **inputs)
 
@@ -443,15 +466,14 @@ def test_json_graph_spells_floats_as_json_does():
     rot = values[5:] + values[:5]
     keys = [*zip(ids, ids[1:]), (ids[0], ids[-1]), (ids[2], ids[4])]
     d = make_decomposition(
-        PotentialVector(dict(zip(ids, values)), {v: 0 for v in ids}),
-        symmetrize(net, "mean"), dict(zip(keys, [*rot, 2.5])),
-        dict(zip(keys, [*values[::-1], -0.5])))
-    lay = LayoutResult(dict(zip(ids, zip(values[::-1], rot))))
-    part = CommunityPartition({v: k for k, v in enumerate(ids)}, 0.0, 1.0, 0)
+        dict(zip(ids, values)), symmetrize(net, "mean"),
+        dict(zip(keys, [*rot, 2.5])), dict(zip(keys, [*values[::-1], -0.5])))
+    lay = LayoutResult(np.array(values[::-1]), np.array(rot))
+    communities = np.arange(len(ids))
     with np.errstate(over="ignore"):  # F = F_grad + F_circ may overflow
-        doc = export_graph(net, decomp=d, partition=part, layout_result=lay,
-                           format="json_graph")
-    assert doc == json_graph_reference(net, decomp=d, partition=part,
+        doc = export_graph(net, decomp=d, communities=communities,
+                           layout_result=lay, format="json_graph")
+    assert doc == json_graph_reference(net, decomp=d, communities=communities,
                                        layout_result=lay)
     assert "NaN" in doc and "-Infinity" in doc and "-0.0" in doc
 

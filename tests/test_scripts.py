@@ -1,0 +1,62 @@
+"""The scripts and the benchmark's in-process tracer run against the
+current package."""
+
+import contextlib
+import io
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from sanctionflow import cli
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args, cwd):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name),
+                           *args], cwd=cwd, env=env, capture_output=True,
+                          text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_planted_hierarchy_experiment_runs(tmp_path):
+    out = run_script("planted_hierarchy_experiment.py", "--seeds", "2",
+                     cwd=tmp_path)
+    assert out.splitlines()[0].split() == ["copy_prob", "mean_tau",
+                                           "mean_grad_ratio"]
+    assert len(out.splitlines()) == 6
+
+
+def test_synth_pipeline_script_runs(tmp_path):
+    run_script("run_synth_pipeline.py", str(tmp_path / "run"), cwd=tmp_path)
+    assert (tmp_path / "run" / "report" / "graph.json").is_file()
+
+
+def test_benchmark_tracer_records_every_count(tmp_path, monkeypatch):
+    # imported as scripts/run_bench_artifacts.py does: perfbench on sys.path
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import inproc
+    from workloads import Workload, stages, synth_argv
+
+    tiny = Workload("tiny", "institution", "json_graph", True,
+                    (12, 400, 1, 0.7))
+    events = tmp_path / "events.csv"
+    codes = {}
+    tracer = inproc.Tracer()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run(synth_argv(tiny, 1, events)) == 0
+        for stage in stages(tiny, events, tmp_path):
+            tracer.install()
+            try:
+                codes[stage.name] = cli.run(stage.argv)
+            finally:
+                assert tracer.restore() == []
+    assert codes == dict.fromkeys(codes, 0)
+    assert "layout" in codes and "report" in codes
+    recorded = {key for span in tracer.spans for key in span["counts"]}
+    assert [metric for metric, key in inproc.FIRST_COUNTS.items()
+            if key not in recorded] == []

@@ -4,7 +4,8 @@ import io
 import pytest
 
 from sanctionflow import PipelineError
-from sanctionflow.table import preamble, read_table, write_table
+from sanctionflow.table import (finite, preamble, read_node_columns,
+                                read_table, write_table)
 
 IDS = ["Korea, Republic of", "node", "#Other", 'say "hi"', "a b", "é"]
 
@@ -54,3 +55,28 @@ def test_line_numbers_count_physical_lines():
     text = 'node,x\n"multi\nline",1\nB,oops\n'
     with pytest.raises(PipelineError, match="line 4: column 'x'"):
         read_table(text, ("node", "x"), (str, int))
+
+
+def test_repeated_key_names_its_second_line():
+    text = 'node,x\nA,1\n"multi\nline",2\nA,3\n'
+    with pytest.raises(PipelineError, match="line 5: repeated node 'A'"):
+        read_table(text, ("node", "x"), (str, int))
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "1e999"])
+def test_finite_refuses_nan_and_infinities(cell):
+    with pytest.raises(PipelineError, match="line 2: column 'x': bad value"):
+        read_table(f"node,x\nA,{cell}\n", ("node", "x"), (str, finite))
+
+
+def test_node_columns_come_in_node_order():
+    text = "node,k,x\nA,1,0.5\nB,2,-1\nC,3,2.5\n"
+    k, x = read_node_columns(text, ("C", "A", "B"), ("node", "k", "x"),
+                             (int, finite))
+    assert k.tolist() == [3, 1, 2] and x.tolist() == [2.5, 0.5, -1.0]
+    with pytest.raises(PipelineError, match="line 3: column 'node': bad "
+                                            "value 'B'"):
+        read_node_columns(text, ("C", "A"), ("node", "k", "x"), (int, finite))
+    with pytest.raises(PipelineError, match=r"no row for node\(s\) \['D'\]"):
+        read_node_columns(text, ("A", "B", "C", "D"), ("node", "k", "x"),
+                          (int, finite))
