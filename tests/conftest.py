@@ -48,9 +48,14 @@ def by_node(nodes, *values):
     return dict(zip(nodes, columns[0] if len(columns) == 1 else zip(*columns)))
 
 
+def in_node_order(nodes, mapping):
+    """The array of ``mapping``'s value for each of ``nodes``, in order."""
+    return np.array([mapping[v] for v in nodes])
+
+
 def make_potentials(nodes, phi):
     """The potentials {node: phi} over ``nodes``, all in one component."""
-    return PotentialVector(np.array([phi[v] for v in nodes], float),
+    return PotentialVector(in_node_order(nodes, phi).astype(float),
                            np.zeros(len(nodes), np.intp))
 
 

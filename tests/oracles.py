@@ -25,7 +25,7 @@ import numpy as np
 from sanctionflow.community import CommunityPartition, modularity
 from sanctionflow.report import _EPS, _GRAVITY
 
-from conftest import by_node, pairs_of, split_of
+from conftest import by_node, in_node_order, pairs_of, split_of
 
 
 def flow_components(nodes, pairs):
@@ -350,9 +350,9 @@ def louvain_reference(net, resolution=1.0, seed=0):
     for node in nodes:
         relabel.setdefault(assignment[node], len(relabel))
     assignment = {node: relabel[c] for node, c in assignment.items()}
-    q = modularity(net, [assignment[v] for v in nodes], resolution)
+    q = modularity(net, in_node_order(nodes, assignment), resolution)
     single = {node: 0 for node in nodes}
-    q_single = modularity(net, [single[v] for v in nodes], resolution)
+    q_single = modularity(net, in_node_order(nodes, single), resolution)
     if q < q_single:
         assignment, q = single, q_single
     return CommunityPartition(assignment=assignment, modularity=q,

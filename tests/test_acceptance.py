@@ -19,8 +19,8 @@ from sanctionflow import (EventSet, SynthConfig,
                           assemble_laplacian, build_institution_network,
                           build_list_network, louvain, modularity, pagerank,
                           solve, solve_potentials, symmetrize, synth_generate)
-from conftest import (FIXTURES, by_node, ev, make_flow, make_network,
-                      pairs_of, random_flow, split_of)
+from conftest import (FIXTURES, by_node, ev, in_node_order, make_flow,
+                      make_network, pairs_of, random_flow, split_of)
 from oracles import (best_partition_bruteforce, brute_force_counts,
                      connected_edge_subsets, dense_pagerank_oracle,
                      dense_potential_oracle, oracle_ratios)
@@ -198,7 +198,7 @@ def test_criterion_6_community_detection():
         assert abs(attained - best_q) <= 1e-9, name
         for p in results:
             recomputed = modularity(
-                net, [p.assignment[v] for v in net.nodes], p.resolution)
+                net, in_node_order(net.nodes, p.assignment), p.resolution)
             assert abs(p.modularity - recomputed) <= 1e-12
     ok(6, "louvain attains the brute-force optimum (incl. Q=0.5 and Q=5/14) "
           "and returned Q matches recomputation")

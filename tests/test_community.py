@@ -4,33 +4,27 @@ import pytest
 
 from sanctionflow import (PipelineError, louvain,
                           modularity, read_partition, write_partition)
-from conftest import by_node, make_network
+from conftest import by_node, in_node_order, make_network
 from oracles import (best_partition_bruteforce, louvain_reference,
                      modularity_oracle)
 
 
-def labels(net, assignment):
-    """The community label of each node of ``net``, in node order."""
-    return [assignment[v] for v in net.nodes]
-
-
 def test_two_triangles_partition_value(two_triangles):
     assignment = {f"N{i}": 0 if i < 3 else 1 for i in range(6)}
-    assert modularity(two_triangles, labels(two_triangles, assignment)) == \
-        pytest.approx(0.5)
+    labels = in_node_order(two_triangles.nodes, assignment)
+    assert modularity(two_triangles, labels) == pytest.approx(0.5)
 
 
 def test_single_community_is_one_minus_resolution(two_triangles):
-    assignment = labels(two_triangles, {n: 0 for n in two_triangles.nodes})
+    assignment = [0] * len(two_triangles.nodes)
     assert modularity(two_triangles, assignment, 1.0) == pytest.approx(0.0)
     assert modularity(two_triangles, assignment, 0.7) == pytest.approx(0.3)
 
 
 def test_bridged_triangles_value(bridged_triangles):
     assignment = {f"N{i}": 0 if i < 3 else 1 for i in range(6)}
-    assert modularity(bridged_triangles, labels(bridged_triangles,
-                                                assignment)) == \
-        pytest.approx(5 / 14)
+    labels = in_node_order(bridged_triangles.nodes, assignment)
+    assert modularity(bridged_triangles, labels) == pytest.approx(5 / 14)
 
 
 def test_modularity_matches_oracle_random():
@@ -44,7 +38,8 @@ def test_modularity_matches_oracle_random():
             continue
         net = make_network(edges, nodes=[f"N{i}" for i in range(n)])
         assignment = {f"N{i}": rng.randint(0, 2) for i in range(n)}
-        assert modularity(net, labels(net, assignment), 1.3) == pytest.approx(
+        labels = in_node_order(net.nodes, assignment)
+        assert modularity(net, labels, 1.3) == pytest.approx(
             modularity_oracle(net, assignment, 1.3), abs=1e-12)
 
 
@@ -72,8 +67,8 @@ def test_louvain_bridged_triangles(bridged_triangles):
 def test_louvain_matches_recomputation(bridged_triangles):
     part = louvain(bridged_triangles, seed=3)
     assert part.modularity == pytest.approx(
-        modularity(bridged_triangles, labels(bridged_triangles,
-                                             part.assignment),
+        modularity(bridged_triangles,
+                   in_node_order(bridged_triangles.nodes, part.assignment),
                    part.resolution),
         abs=1e-12)
 

@@ -12,8 +12,8 @@ from sanctionflow import (PipelineError, export_graph, layout, louvain,
 from sanctionflow.hodge import read_node_table
 from sanctionflow.report import (_BLOCK_CELLS, _EPS, LayoutResult,
                                  _apply_jitter, _energy_kernel)
-from conftest import (by_node, make_decomposition, make_network,
-                      make_potentials, network_fields)
+from conftest import (by_node, in_node_order, make_decomposition,
+                      make_network, make_potentials, network_fields)
 from oracles import (brute_force_jitter, dense_layout_energy_oracle,
                      json_graph_reference)
 
@@ -163,7 +163,7 @@ def test_layout_sums_both_directions_into_one_pair_weight():
     result = layout(net, make_potentials(net.nodes, phi), seed=7, max_steps=0)
     rng = random.Random(7)
     x = np.array([rng.uniform(-1.0, 1.0) for _ in range(5)])
-    y = np.array([phi[v] for v in net.nodes])
+    y = in_node_order(net.nodes, phi)
     want, _ = dense_layout_energy_oracle(x, y, np.array([0, 0, 1]),
                                          np.array([1, 3, 2]),
                                          np.array([5.0, 4.0, 1.0]))
@@ -375,8 +375,7 @@ def edge_table_network(doc):
 
 def communities_of(net, seed):
     """Louvain's community label of each node of ``net``, in node order."""
-    assignment = louvain(net, seed=seed).assignment
-    return np.array([assignment[v] for v in net.nodes])
+    return in_node_order(net.nodes, louvain(net, seed=seed).assignment)
 
 
 def test_edge_table_round_trip(feed_forward_triangle):
