@@ -418,6 +418,8 @@ def test_bad_per_node_input_exits_one_naming_the_file(stage_inputs, capsys,
     (["--start", "2010-13-01"], "2010-13-01"),
     (["--window-days", "0"], "window_days"),
     (["--window-days", "-3"], "window_days"),
+    (["--start", "9999-12-30"], "9999-12-31"),
+    (["--window-days", "4000000"], "9999-12-31"),
 ])
 def test_bad_synth_settings_exit_one(tmp_path, capsys, flags, message):
     out = tmp_path / "events.csv"
@@ -443,3 +445,44 @@ def test_non_utf8_input_exits_one_naming_the_file(tmp_path, capsys, stage):
     assert status == 1
     assert_one_error_line(capsys, str(bad), "UTF-8")
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("stage, edges, fragments", [
+    ("pagerank", ["A\tB\t99999999999999999999999"], ["line 4", "int64"]),
+    ("decompose", ["A\tB\t9007199254740992", "B\tA\t5"],
+     ["component 0", "singular"]),
+])
+def test_network_counts_numpy_cannot_hold_or_solve_exit_one(
+        tmp_path, capsys, stage, edges, fragments):
+    net = tmp_path / "net.tsv"
+    net.write_text("\n".join(["# level\tinstitution", "A", "B", *edges])
+                   + "\n")
+    status = run([stage, "--net", str(net), "--out", str(tmp_path / "out")])
+    assert status == 1
+    assert_one_error_line(capsys, *fragments)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("node, label", [("A", "77"), ("C", "0")])
+@pytest.mark.parametrize("stage", ["layout", "report"])
+def test_mislabelled_component_exits_one_naming_the_line(tmp_path, capsys,
+                                                        stage, node, label):
+    # components {A, B} (label 0) and {C, D} (label 1)
+    net = tmp_path / "net.tsv"
+    net.write_text("# level\tinstitution\nA\nB\nC\nD\nA\tB\t2\nC\tD\t1\n")
+    hodge = tmp_path / "hodge"
+    assert run(["decompose", "--net", str(net), "--out", str(hodge)]) == 0
+    nodes = hodge / "nodes.csv"
+    lines = nodes.read_text(encoding="utf-8").split("\n")
+    at = next(k for k, line in enumerate(lines) if line.startswith(f"{node},"))
+    name, _, phi = lines[at].split(",")
+    lines[at] = f"{name},{label},{phi}"
+    nodes.write_text("\n".join(lines), encoding="utf-8")
+    out = tmp_path / "out"
+    flags = (["--potentials", str(nodes), "--out", str(out / "layout.csv")]
+             if stage == "layout" else ["--decomp", str(hodge), "--out", str(out)])
+    capsys.readouterr()
+    status = run([stage, "--net", str(net), *flags])
+    assert status == 1
+    assert_one_error_line(capsys, f"{nodes}: line {at + 1}: ", "component")
+    assert not out.exists()
