@@ -52,10 +52,6 @@ def _load_events(path: str, fmt: str) -> events.EventSet:
         return events.parse_events(fh, format=fmt)
 
 
-def _load_network(path: str) -> netbuild.InfluenceNetwork:
-    return _read(path, netbuild.read_network)
-
-
 def cmd_ingest(args):
     evs = _load_events(args.events, args.format)
     reportv = events.validate_events(evs)
@@ -78,8 +74,8 @@ def cmd_synth(args):
         start=start, window_days=args.window_days)
     evs = synth.synth_generate(config, args.seed)
     _write(args.out, preamble(_header(args)), events.serialize_events(evs))
-    print(f"{len(evs)} events, {len(evs.issuers)} issuers, "
-          f"{len(evs.entities)} entities")
+    print(f"{len(evs)} events, {len(evs.issuer.names)} issuers, "
+          f"{len(evs.entity_id.names)} entities")
     return 0
 
 
@@ -106,7 +102,7 @@ def cmd_build(args):
 
 
 def cmd_symmetrize(args):
-    net = _load_network(args.net)
+    net = _read(args.net, netbuild.read_network)
     flow = netbuild.symmetrize(net, mode=args.mode)
     _write(args.out, netbuild.write_flow(flow, header=_header(args)))
     print(f"{len(flow.nodes)} nodes, {len(flow.lo)} pairs, mode {args.mode}")
@@ -114,7 +110,7 @@ def cmd_symmetrize(args):
 
 
 def cmd_decompose(args):
-    net = _load_network(args.net)
+    net = _read(args.net, netbuild.read_network)
     flow = netbuild.symmetrize(net, mode=args.mode)
     decomp = hodge.solve(flow, tol=args.tol)
     head = _header(args)
@@ -129,7 +125,7 @@ def cmd_decompose(args):
 
 
 def cmd_communities(args):
-    net = _load_network(args.net)
+    net = _read(args.net, netbuild.read_network)
     partition = community.louvain(net, resolution=args.resolution,
                                   seed=args.seed)
     _write(args.out, community.write_partition(partition, header=_header(args)))
@@ -140,7 +136,7 @@ def cmd_communities(args):
 
 
 def cmd_pagerank(args):
-    net = _load_network(args.net)
+    net = _read(args.net, netbuild.read_network)
     ranks = rank.pagerank(net, damping=args.damping, tol=args.tol)
     _write(args.out, rank.write_ranks(ranks, net.nodes, header=_header(args)))
     print(f"{len(net.nodes)} nodes, {ranks.iterations_used} iterations")
@@ -148,8 +144,8 @@ def cmd_pagerank(args):
 
 
 def cmd_layout(args):
-    net = _load_network(args.net)
-    potentials = _read(args.potentials, hodge.read_node_table, net.nodes)
+    net = _read(args.net, netbuild.read_network)
+    potentials = _read(args.potentials, hodge.read_node_table, net)
     result = report.layout(net, potentials, seed=args.seed, jitter=args.jitter)
     _write(args.out, write_table(
         _header(args), ("node", "x", "y"),
@@ -160,13 +156,13 @@ def cmd_layout(args):
 
 
 def cmd_report(args):
-    net = _load_network(args.net)
+    net = _read(args.net, netbuild.read_network)
     if args.pagerank and not args.decomp:
         raise PipelineError("scatter output needs --decomp")
     decomp = communities = layout_result = scores = None
     if args.decomp:
         potentials = _read(Path(args.decomp) / "nodes.csv",
-                           hodge.read_node_table, net.nodes)
+                           hodge.read_node_table, net)
         decomp = hodge.decompose(netbuild.symmetrize(net, mode=args.mode),
                                  potentials)
     if args.partition:

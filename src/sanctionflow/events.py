@@ -55,7 +55,7 @@ class EventSet:
     names its events use, in sorted order, so codes compare as names do;
     ``day`` holds date ordinals. Events are stored sorted by (date, issuer,
     list_id, entity_id), so two EventSets built from permuted inputs compare
-    equal. Build one with ``from_columns`` or ``from_events``.
+    equal. ``from_columns`` builds one.
     """
 
     issuer: Column
@@ -87,14 +87,6 @@ class EventSet:
             array.flags.writeable = False  # the set is frozen
         return EventSet(iss, lst, ent, cat, day)
 
-    @staticmethod
-    def from_events(raw: Iterable[SanctionEvent]) -> "EventSet":
-        raw = list(raw)
-        return EventSet.from_columns(
-            *(_column(getattr(ev, field) for ev in raw) for field in
-              ("issuer", "list_id", "entity_id", "category")),
-            [ev.date.toordinal() for ev in raw])
-
     def __len__(self) -> int:
         return len(self.day)
 
@@ -120,27 +112,6 @@ class EventSet:
                 self.issuer.codes.tolist(), self.list_id.codes.tolist(),
                 self.entity_id.codes.tolist(), self.day.tolist(),
                 self.category.codes.tolist()))
-
-    @cached_property
-    def issuers(self) -> frozenset[str]:
-        return frozenset(self.issuer.names)
-
-    @cached_property
-    def lists(self) -> frozenset[str]:
-        return frozenset(self.list_id.names)
-
-    @cached_property
-    def entities(self) -> frozenset[str]:
-        return frozenset(self.entity_id.names)
-
-
-def _column(values: Iterable[str | None]) -> Column:
-    """The column of ``values``, its names in order of first appearance;
-    None codes as -1."""
-    index: dict[str | None, int] = {None: -1}
-    codes = [index.setdefault(v, len(index) - 1) for v in values]
-    del index[None]
-    return Column(tuple(index), codes)
 
 
 def _run_starts(*keys: np.ndarray) -> np.ndarray:

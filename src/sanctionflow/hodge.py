@@ -15,8 +15,8 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ConvergenceError, PipelineError
-from .netbuild import FlowNetwork, named_nodes, named_rows
-from .table import finite, read_node_columns, write_table
+from .netbuild import FlowNetwork, InfluenceNetwork, named_nodes, named_rows
+from .table import finite, node_columns, read_table, write_table
 
 DENSE_LIMIT = 64  # components up to this size use a direct solve
 
@@ -49,7 +49,9 @@ class HodgeDecomposition:
     residual_norm: float
 
 
-def _components(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
+def _components(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Each node's connected-component label over the pairs (lo, hi), the
+    components numbered in order of their smallest node."""
     parent = list(range(n))
 
     def find(x):
@@ -58,23 +60,24 @@ def _components(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, ..
             x = parent[x]
         return x
 
-    for i, j in pairs:
+    for i, j in zip(lo.tolist(), hi.tolist()):
         ri, rj = find(i), find(j)
         if ri != rj:
             parent[max(ri, rj)] = min(ri, rj)
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return tuple(tuple(groups[r]) for r in sorted(groups))
+    # a root is its component's smallest node
+    return np.unique([find(i) for i in range(n)], return_inverse=True)[1]
 
 
 def assemble_laplacian(flow: FlowNetwork) -> LaplacianSystem:
     """Build L (implicitly, via pair weights) and the net-outflow vector."""
     n = len(flow.nodes)
+    groups: dict[int, list[int]] = {}
+    for i, label in enumerate(_components(n, flow.lo, flow.hi).tolist()):
+        groups.setdefault(label, []).append(i)
     return LaplacianSystem(
         nodes=flow.nodes, weights=(flow.lo, flow.hi, flow.w),
         rhs=_net_out(flow.lo, flow.hi, flow.F, n),
-        components=_components(n, zip(flow.lo.tolist(), flow.hi.tolist())))
+        components=tuple(map(tuple, groups.values())))
 
 
 def _net_out(rows, cols, values, n):
@@ -261,7 +264,12 @@ def solve_potentials(system: LaplacianSystem, tol: float = 1e-10) -> PotentialVe
         args = (local[rows[sel]], local[cols[sel]], wvec[sel],
                 system.rhs[members])
         if len(comp) <= DENSE_LIMIT:
-            sol = _dense_solve(*args)
+            try:
+                sol = _dense_solve(*args)
+            except np.linalg.LinAlgError:
+                raise ConvergenceError(
+                    f"component {cid} ({len(comp)} nodes) is numerically "
+                    "singular", residual=np.inf) from None
         else:
             sol = _sparse_solve(*args, tol, cid)
         phi[members] = sol - sol.mean()
@@ -328,7 +336,23 @@ def write_summary(decomp: HodgeDecomposition, header: Iterable[str] = ()) -> str
                        [[f"{v:.17g}" for v in values]])
 
 
-def read_node_table(text: str, nodes: tuple[str, ...]) -> PotentialVector:
-    component, phi = read_node_columns(
-        text, nodes, ("node", "component", "potential"), (int, finite))
+def read_node_table(text: str, net: InfluenceNetwork) -> PotentialVector:
+    """The potentials of a ``write_node_table`` file over ``net``'s nodes;
+    a component label other than ``solve_potentials``' is a bad value."""
+    label = _components(len(net.nodes), net.view.lo, net.view.hi).tolist()
+    index = {node: k for k, node in enumerate(net.nodes)}
+    row = [0]  # the node of the row read; a row's cells convert in order
+
+    def node(cell):
+        row[0] = index[cell]
+        return row[0]
+
+    def checked_label(cell):
+        if int(cell) != label[row[0]]:
+            raise ValueError(cell)
+        return int(cell)
+
+    component, phi = node_columns(read_table(
+        text, ("node", "component", "potential"),
+        (node, checked_label, finite)), net.nodes, 3)
     return PotentialVector(phi=phi, component=component)

@@ -115,9 +115,10 @@ def _precedence_network(events: EventSet, level: str, column: Column,
     node, entity, day = column.codes, events.entity_id.codes, events.day
     if lists is not None:
         index = {name: k for k, name in enumerate(events.list_id.names)}
-        selected = np.zeros(len(index), bool)
-        selected[[index[name] for name in lists]] = True
-        keep = selected[events.list_id.codes]
+        unknown = sorted(set(lists).difference(index))
+        if unknown:
+            raise PipelineError(f"unknown list_id(s) in filter: {unknown}")
+        keep = np.isin(events.list_id.codes, [index[name] for name in lists])
         node, entity, day = node[keep], entity[keep], day[keep]
     present = np.unique(node)
     local = np.zeros(len(column.names), np.int64)
@@ -184,10 +185,6 @@ def build_list_network(events: EventSet) -> InfluenceNetwork:
 def build_institution_network(events: EventSet,
                               lists: set[str] | None = None) -> InfluenceNetwork:
     """Institution-level network over the selected lists (all by default)."""
-    if lists is not None:
-        unknown = sorted(lists - events.lists)
-        if unknown:
-            raise PipelineError(f"unknown list_id(s) in filter: {unknown}")
     return _precedence_network(events, INSTITUTION_LEVEL, events.issuer,
                                lists)
 
@@ -195,7 +192,7 @@ def build_institution_network(events: EventSet,
 def filter_by_category(events: EventSet, category_map: Mapping[str, str],
                        label: str) -> set[str]:
     """Lists carrying the given category label, for category subnetworks."""
-    unknown = sorted(set(category_map) - events.lists)
+    unknown = sorted(set(category_map).difference(events.list_id.names))
     if unknown:
         raise PipelineError(f"category map names unknown list_id(s): {unknown}")
     selected = {l for l, lab in category_map.items() if lab == label}
@@ -297,6 +294,8 @@ def read_network(text: str) -> InfluenceNetwork:
                 raise PipelineError(f"line {line_no}: bad count '{fields[2]}'")
             if count <= 0:
                 raise PipelineError(f"line {line_no}: non-positive count")
+            if count >= 2 ** 63:
+                raise PipelineError(f"line {line_no}: count does not fit int64")
             edges[key] = count
         else:
             raise PipelineError(f"line {line_no}: expected 1 or 3 fields, "

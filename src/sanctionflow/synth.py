@@ -10,11 +10,13 @@ recoverable from the influence network's potentials.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from datetime import date as Date, timedelta
+from dataclasses import dataclass
+from datetime import date as Date
+
+import numpy as np
 
 from .errors import ConfigError
-from .events import EventSet, SanctionEvent
+from .events import Column, EventSet
 
 
 @dataclass(frozen=True)
@@ -50,26 +52,32 @@ def synth_generate(config: SynthConfig, seed: int) -> EventSet:
         raise ConfigError("ranks must be a permutation-free assignment, "
                           "one distinct rank per issuer")
 
-    rng = random.Random(seed)
-    issuers = [f"ISS{i:03d}" for i in range(config.n_issuers)]
-    lists = {iss: [f"{iss}-L{k}" for k in range(config.lists_per_issuer)]
-             for iss in issuers}
-    by_rank = sorted(range(config.n_issuers), key=lambda i: ranks[i])
+    n, k = config.n_issuers, config.lists_per_issuer
+    start = config.start.toordinal()
+    # the last day: start + (window_days - 1) + the largest gap, n - 1
+    if start + config.window_days + n - 2 > Date.max.toordinal():
+        raise ConfigError(f"synthetic dates run past {Date.max}")
 
-    events = []
+    rng = random.Random(seed)
+    by_rank = sorted(range(n), key=lambda i: ranks[i])
+    list_codes = [range(i * k, (i + 1) * k) for i in range(n)]
+    issuer, list_id, entity, day = [], [], [], []
     for e in range(config.n_entities):
-        entity = f"ENT{e:05d}"
-        origin_pos = rng.randrange(config.n_issuers)  # position in rank order
-        t0 = config.start + timedelta(days=rng.randrange(config.window_days))
-        for pos in range(origin_pos, config.n_issuers):
+        origin_pos = rng.randrange(n)  # position in rank order
+        t0 = start + rng.randrange(config.window_days)
+        for pos in range(origin_pos, n):
             gap = pos - origin_pos
             if gap > 0 and rng.random() >= config.copy_prob ** gap:
                 continue
-            iss = issuers[by_rank[pos]]
-            events.append(SanctionEvent(
-                issuer=iss,
-                list_id=rng.choice(lists[iss]),
-                entity_id=entity,
-                date=t0 + timedelta(days=gap),
-            ))
-    return EventSet.from_events(events)
+            iss = by_rank[pos]
+            issuer.append(iss)
+            list_id.append(rng.choice(list_codes[iss]))
+            entity.append(e)
+            day.append(t0 + gap)
+    issuers = [f"ISS{i:03d}" for i in range(n)]
+    return EventSet.from_columns(
+        Column(tuple(issuers), issuer),
+        Column(tuple(f"{iss}-L{j}" for iss in issuers for j in range(k)),
+               list_id),
+        Column(tuple(f"ENT{e:05d}" for e in range(config.n_entities)), entity),
+        Column((), np.full(len(day), -1)), day)

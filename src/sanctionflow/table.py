@@ -53,7 +53,7 @@ def finite(cell: str) -> float:
 def read_table(text: str, columns: Sequence[str],
                types: Sequence[Callable[[str], object]]) -> list[tuple]:
     """The rows under the header ``columns``, each cell converted by its
-    entry of ``types`` (a ValueError or KeyError marks a bad value). The
+    entry of ``types``, left to right (a ValueError or KeyError marks a bad value). The
     first column is a key. A wrong header, field count or value, or a
     repeated key, raises PipelineError naming the line (and the column of a
     bad value)."""
@@ -92,16 +92,22 @@ def read_table(text: str, columns: Sequence[str],
 def read_node_columns(text: str, nodes: Sequence[str], columns: Sequence[str],
                       types: Sequence[Callable[[str], object]]
                       ) -> tuple[np.ndarray, ...]:
-    """The columns after the first of a table keyed by node name, each
-    converted by its entry of ``types`` into an array in ``nodes`` order.
-    A name that is not one of ``nodes`` is a bad value; a node without a
-    row raises PipelineError."""
+    """The ``node_columns`` of a table keyed by node name, each column after
+    the first converted by its entry of ``types``. A name that is not one
+    of ``nodes`` is a bad value."""
     index = {node: k for k, node in enumerate(nodes)}
-    rows = read_table(text, columns, (index.__getitem__, *types))
+    return node_columns(read_table(text, columns, (index.__getitem__, *types)),
+                        nodes, len(columns))
+
+
+def node_columns(rows: Sequence[tuple], nodes: Sequence[str], width: int
+                 ) -> tuple[np.ndarray, ...]:
+    """Columns 1..width-1 of ``rows`` keyed by node index, as arrays in
+    ``nodes`` order; a node without a row raises PipelineError."""
     at = np.full(len(nodes), -1)
     at[[row[0] for row in rows]] = np.arange(len(rows))
     missing = [nodes[k] for k in np.flatnonzero(at < 0)[:5].tolist()]
     if missing:
         raise PipelineError(f"no row for node(s) {missing}")
     return tuple(np.array([row[k] for row in rows])[at]
-                 for k in range(1, len(columns)))
+                 for k in range(1, width))

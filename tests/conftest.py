@@ -11,6 +11,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from sanctionflow import (EventSet, FlowNetwork, HodgeDecomposition,
                           InfluenceNetwork, PotentialVector, SanctionEvent)
+from sanctionflow.events import Column
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -27,6 +28,21 @@ def csv_data_rows(path):
 def ev(issuer, list_id, entity, day, category=None):
     return SanctionEvent(issuer=issuer, list_id=list_id, entity_id=entity,
                          date=date.fromisoformat(day), category=category)
+
+
+def make_events(rows):
+    """The EventSet of ``ev(...)`` rows: each field coded into a column in
+    order of first appearance (no category codes -1), through
+    ``EventSet.from_columns``."""
+    rows = list(rows)
+    columns = []
+    for field in ("issuer", "list_id", "entity_id", "category"):
+        index = {}
+        codes = [-1 if value is None else index.setdefault(value, len(index))
+                 for value in (getattr(row, field) for row in rows)]
+        columns.append(Column(tuple(index), codes))
+    return EventSet.from_columns(*columns,
+                                 [row.date.toordinal() for row in rows])
 
 
 def make_network(edges, level="institution", nodes=None):
@@ -150,7 +166,7 @@ def bridged_triangles(two_triangles):
 
 @pytest.fixture
 def small_events():
-    return EventSet.from_events([
+    return make_events([
         ev("EU", "EU-TERR-1", "ACME", "2010-03-05"),
         ev("EU", "EU-TERR-1", "GLOBO", "2010-04-01"),
         ev("US", "US-SDN-1", "ACME", "2010-06-01"),

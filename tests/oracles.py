@@ -8,7 +8,8 @@ first written, on Python neighbour lists and dicts, and
 ``serialize_events_reference`` the canonical event file as first written,
 from event objects through ``csv.writer``. ``json_graph_reference`` is
 ``graph.json`` as first written: one dict per node and per link, through
-``json.dumps(indent=2, sort_keys=True)``.
+``json.dumps(indent=2, sort_keys=True)``. ``synth_reference`` is the
+synthetic generator as first written, one event object per listing.
 """
 
 from __future__ import annotations
@@ -19,13 +20,15 @@ import itertools
 import json
 import math
 import random
+from datetime import timedelta
 
 import numpy as np
 
 from sanctionflow.community import CommunityPartition, modularity
 from sanctionflow.report import _EPS, _GRAVITY
 
-from conftest import by_node, in_node_order, pairs_of, split_of
+from conftest import (by_node, ev, in_node_order, make_events, pairs_of,
+                      split_of)
 
 
 def flow_components(nodes, pairs):
@@ -153,6 +156,32 @@ def serialize_events_reference(raw):
         writer.writerow([e.issuer, e.list_id, e.entity_id,
                          e.date.isoformat(), e.category or ""])
     return out.getvalue()
+
+
+def synth_reference(config, seed):
+    """The EventSet of ``synth_generate(config, seed)``, built from one
+    event per listing: the same ``random.Random`` calls in the same order,
+    the list drawn by ``rng.choice`` from its issuer's list names."""
+    rng = random.Random(seed)
+    ranks = config.issuer_ranks()
+    issuers = [f"ISS{i:03d}" for i in range(config.n_issuers)]
+    lists = {iss: [f"{iss}-L{k}" for k in range(config.lists_per_issuer)]
+             for iss in issuers}
+    by_rank = sorted(range(config.n_issuers), key=lambda i: ranks[i])
+    events = []
+    for e in range(config.n_entities):
+        entity = f"ENT{e:05d}"
+        origin_pos = rng.randrange(config.n_issuers)
+        t0 = config.start + timedelta(days=rng.randrange(config.window_days))
+        for pos in range(origin_pos, config.n_issuers):
+            gap = pos - origin_pos
+            if gap > 0 and rng.random() >= config.copy_prob ** gap:
+                continue
+            iss = issuers[by_rank[pos]]
+            day = t0 + timedelta(days=gap)
+            events.append(ev(iss, rng.choice(lists[iss]), entity,
+                             day.isoformat()))
+    return make_events(events)
 
 
 def json_graph_reference(net, decomp=None, communities=None,

@@ -15,12 +15,12 @@ import pytest
 from scipy.stats import kendalltau
 
 import sanctionflow
-from sanctionflow import (EventSet, SynthConfig,
-                          assemble_laplacian, build_institution_network,
-                          build_list_network, louvain, modularity, pagerank,
-                          solve, solve_potentials, symmetrize, synth_generate)
-from conftest import (FIXTURES, by_node, ev, in_node_order, make_flow,
-                      make_network, pairs_of, random_flow, split_of)
+from sanctionflow import (SynthConfig, assemble_laplacian,
+                          build_institution_network, build_list_network,
+                          louvain, modularity, pagerank, solve,
+                          solve_potentials, symmetrize, synth_generate)
+from conftest import (FIXTURES, by_node, ev, in_node_order, make_events,
+                      make_flow, make_network, pairs_of, random_flow, split_of)
 from oracles import (best_partition_bruteforce, brute_force_counts,
                      connected_edge_subsets, dense_pagerank_oracle,
                      dense_potential_oracle, oracle_ratios)
@@ -157,14 +157,14 @@ def test_criterion_5_network_construction_brute_force():
             raw.append(ev(iss, f"{iss}-L{rng.randint(0, 2)}",
                           f"e{rng.randint(0, 5)}",
                           f"2010-01-{rng.randint(1, 15):02d}"))
-        events = EventSet.from_events(raw)
+        events = make_events(raw)
         assert dict(build_list_network(events).adjacency) == \
             brute_force_counts(events, "list")
         assert dict(build_institution_network(events).adjacency) == \
             brute_force_counts(events, "institution")
     # same-date tie rule
-    tie = EventSet.from_events([ev("A", "A-L", "e", "2010-01-01"),
-                                ev("B", "B-L", "e", "2010-01-01")])
+    tie = make_events([ev("A", "A-L", "e", "2010-01-01"),
+                       ev("B", "B-L", "e", "2010-01-01")])
     assert build_list_network(tie).adjacency == {}
     assert build_institution_network(tie).adjacency == {}
     ok(5, "edge counts match the brute-force double loop; same-date pairs "

@@ -96,14 +96,33 @@ def test_all_zero_flow_ratios_error():
 
 
 def test_node_table_of_other_nodes_is_refused():
-    flow = make_flow({("A", "B"): (1, 1)})
+    net = make_network([("A", "B", 1)])
     other = make_flow({("A", "C"): (1, 1)})
     text = hodge.write_node_table(solve(other))
-    assert by_node(flow.nodes, hodge.read_node_table(
-        hodge.write_node_table(solve(flow)), flow.nodes).phi) == {
+    assert by_node(net.nodes, hodge.read_node_table(
+        hodge.write_node_table(solve(symmetrize(net, "unit"))), net).phi) == {
         "A": 0.5, "B": -0.5}
     with pytest.raises(PipelineError, match="line 3: column 'node'"):
-        hodge.read_node_table(text, flow.nodes)
+        hodge.read_node_table(text, net)
+
+
+def test_node_table_components_must_be_the_solved_labels():
+    # components numbered by their first node in node order: {D, E} is 0,
+    # {A, B, C} is 1 and the isolated Z is 2
+    net = make_network([("C", "A", 1), ("B", "C", 2), ("E", "D", 1)],
+                       nodes=("E", "C", "Z", "A", "D", "B"))
+    decomp = solve(symmetrize(net, "mean"))
+    text = hodge.write_node_table(decomp)
+    read = hodge.read_node_table(text, net)
+    assert by_node(net.nodes, read.component) == {
+        "A": 1, "B": 1, "C": 1, "D": 0, "E": 0, "Z": 2}
+    assert np.array_equal(read.phi, decomp.potentials.phi)
+    lines = text.split("\n")
+    at = next(k for k, line in enumerate(lines) if line.startswith("Z,"))
+    lines[at] = lines[at].replace("Z,2,", "Z,1,")
+    with pytest.raises(PipelineError,
+                       match=f"line {at + 1}: column 'component'"):
+        hodge.read_node_table("\n".join(lines), net)
 
 
 def test_isolated_nodes_get_zero_potential():

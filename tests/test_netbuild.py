@@ -4,15 +4,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sanctionflow import netbuild
-from sanctionflow import (EventSet, PipelineError, build_institution_network,
+from sanctionflow import (PipelineError, build_institution_network,
                           build_list_network, filter_by_category, read_network,
                           symmetrize, write_flow, write_network)
-from conftest import FIXTURES, ev, make_flow, make_network, network_fields, pairs_of
+from conftest import (FIXTURES, ev, make_events, make_flow, make_network,
+                      network_fields, pairs_of)
 from oracles import brute_force_counts
 
 
 def test_list_edge_from_earlier_inclusion():
-    es = EventSet.from_events([
+    es = make_events([
         ev("A", "L1", "e", "2010-01-01"),
         ev("B", "L2", "e", "2010-02-01"),
     ])
@@ -21,7 +22,7 @@ def test_list_edge_from_earlier_inclusion():
 
 
 def test_same_date_gives_no_edge():
-    es = EventSet.from_events([
+    es = make_events([
         ev("A", "L1", "e", "2010-01-01"),
         ev("B", "L2", "e", "2010-01-01"),
     ])
@@ -29,7 +30,7 @@ def test_same_date_gives_no_edge():
 
 
 def test_counts_accumulate_per_entity():
-    es = EventSet.from_events([
+    es = make_events([
         ev("A", "L1", "e1", "2010-01-01"),
         ev("B", "L2", "e1", "2010-02-01"),
         ev("A", "L1", "e2", "2010-03-01"),
@@ -39,7 +40,7 @@ def test_counts_accumulate_per_entity():
 
 
 def test_institution_edge_uses_first_dates():
-    es = EventSet.from_events([
+    es = make_events([
         ev("P", "P-L1", "e", "2010-01-01"),
         ev("Q", "Q-L1", "e", "2010-03-01"),
     ])
@@ -49,7 +50,7 @@ def test_institution_edge_uses_first_dates():
 
 
 def test_institution_own_lists_never_self_loop():
-    es = EventSet.from_events([
+    es = make_events([
         ev("P", "P-L1", "e", "2010-01-01"),
         ev("P", "P-L2", "e", "2010-02-01"),
     ])
@@ -57,7 +58,7 @@ def test_institution_own_lists_never_self_loop():
 
 
 def test_opposing_edges_accumulate_independently():
-    es = EventSet.from_events([
+    es = make_events([
         ev("P", "P-L1", "e1", "2010-01-01"),
         ev("Q", "Q-L1", "e1", "2010-02-01"),
         ev("Q", "Q-L1", "e2", "2010-01-01"),
@@ -69,7 +70,7 @@ def test_opposing_edges_accumulate_independently():
 
 def test_multi_list_institution_counts_once():
     # two overlapping lists of P must not double the P->Q count
-    es = EventSet.from_events([
+    es = make_events([
         ev("P", "P-L1", "e", "2010-01-01"),
         ev("P", "P-L2", "e", "2010-01-15"),
         ev("Q", "Q-L1", "e", "2010-03-01"),
@@ -79,7 +80,7 @@ def test_multi_list_institution_counts_once():
 
 def test_institution_nodes_are_issuers_with_lists(small_events):
     net = build_institution_network(small_events)
-    assert set(net.nodes) == small_events.issuers
+    assert set(net.nodes) == set(small_events.issuer.names)
 
 
 def test_restriction_to_unknown_list_errors(small_events):
@@ -88,7 +89,7 @@ def test_restriction_to_unknown_list_errors(small_events):
 
 
 def test_filter_by_category():
-    es = EventSet.from_events([
+    es = make_events([
         ev("A", "L1", "e1", "2010-01-01"),
         ev("B", "L2", "e1", "2010-02-01"),
         ev("C", "L3", "e2", "2010-03-01"),
@@ -144,7 +145,7 @@ raw_events = st.lists(
 @settings(deadline=None)
 @given(raw_events)
 def test_counts_match_brute_force(raw):
-    events = EventSet.from_events([
+    events = make_events([
         ev(iss, f"{iss}-L{k}", ent, f"2010-01-{d:02d}")
         for iss, k, ent, d in raw])
     for level, build in (("list", build_list_network),
@@ -167,7 +168,7 @@ def test_chunked_counts_match_brute_force(monkeypatch, budget):
             iss = rng.choice(issuers)
             raw.append(ev(iss, f"{iss}-L{rng.randrange(2)}", f"e{e}",
                           f"2010-01-{rng.randint(1, 9):02d}"))
-    events = EventSet.from_events(raw)
+    events = make_events(raw)
     selected = {f"{iss}-L0" for iss in issuers[::3]} | {"I07-L1"}
     for level, net, lists in (
             ("list", build_list_network(events), None),
@@ -186,10 +187,10 @@ def test_chunked_counts_match_brute_force(monkeypatch, budget):
 @given(raw_events, st.permutations(["P", "Q", "R", "S"]))
 def test_relabeling_commutes(raw, perm):
     mapping = dict(zip(["P", "Q", "R", "S"], perm))
-    events = EventSet.from_events([
+    events = make_events([
         ev(iss, f"{iss}-L{k}", ent, f"2010-01-{d:02d}")
         for iss, k, ent, d in raw])
-    renamed = EventSet.from_events([
+    renamed = make_events([
         ev(mapping[iss], f"{mapping[iss]}-L{k}", ent, f"2010-01-{d:02d}")
         for iss, k, ent, d in raw])
     net = build_institution_network(events)
@@ -260,11 +261,17 @@ def test_read_network_sorts_shuffled_edges_by_node_index():
     (["A\tC\t1", "A", "B\tA\t2", "A\tB"], "line 4: expected 1 or 3"),
     (["A\tC\t1", "A", "A\tB\t2", "B"], "edge (A, C) references undeclared"),
     (["A\tB\t0", "A", "B"], "line 1: non-positive count"),
+    (["A", "B", "A\tB\t9223372036854775808"], "line 3: count does not fit"),
 ])
 def test_read_network_reports_the_first_bad_line(lines, message):
     with pytest.raises(PipelineError) as info:
         read_network("\n".join(lines) + "\n")
     assert str(info.value).startswith(message), str(info.value)
+
+
+def test_read_network_holds_the_largest_int64_count():
+    net = read_network("A\nB\nA\tB\t9223372036854775807\n")
+    assert net.count.tolist() == [2 ** 63 - 1]
 
 
 def test_write_network_refuses_ids_it_cannot_read_back():

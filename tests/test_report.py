@@ -297,7 +297,7 @@ def test_jitter_must_be_finite_and_non_negative(feed_forward_triangle, jitter):
 def test_potentials_missing_a_node_are_refused(feed_forward_triangle):
     text = "node,component,potential\nA,0,0.0\n"
     with pytest.raises(PipelineError, match=r"node\(s\) \['B', 'C'\]"):
-        read_node_table(text, feed_forward_triangle.nodes)
+        read_node_table(text, feed_forward_triangle)
 
 
 def test_potential_table_sorted(feed_forward_triangle):

@@ -1,6 +1,9 @@
+from datetime import date
+
 import pytest
 
 from sanctionflow import ConfigError, SynthConfig, synth_generate
+from oracles import synth_reference
 
 
 def shared_fraction(events):
@@ -57,6 +60,38 @@ def test_invalid_configs():
         with pytest.raises(ConfigError, match="window_days"):
             synth_generate(SynthConfig(n_issuers=2, n_entities=5,
                                        window_days=days), seed=0)
+
+
+def test_dates_must_end_by_the_last_date():
+    # the latest listing: start + (window_days - 1) + (n_issuers - 1) days
+    last = SynthConfig(n_issuers=3, n_entities=5, copy_prob=1.0,
+                       start=date(9999, 12, 29), window_days=1)
+    assert int(synth_generate(last, seed=0).day.max()) == \
+        date.max.toordinal()
+    for config in (SynthConfig(n_issuers=4, n_entities=5,
+                               start=date(9999, 12, 29), window_days=1),
+                   SynthConfig(n_issuers=3, n_entities=5,
+                               start=date(9999, 12, 29), window_days=2)):
+        with pytest.raises(ConfigError, match="9999-12-31"):
+            synth_generate(config, seed=0)
+
+
+@pytest.mark.parametrize("config", [
+    SynthConfig(n_issuers=8, n_entities=300),
+    SynthConfig(n_issuers=6, n_entities=120, ranks=(3, 1, 6, 2, 5, 4)),
+    SynthConfig(n_issuers=5, n_entities=80, ranks=(5, 4, 3, 2, 1),
+                copy_prob=0.9),
+    *(SynthConfig(n_issuers=6, n_entities=60, lists_per_issuer=k,
+                  copy_prob=0.7) for k in range(1, 6)),
+    SynthConfig(n_issuers=5, n_entities=50, lists_per_issuer=2, copy_prob=0.0),
+    SynthConfig(n_issuers=5, n_entities=50, lists_per_issuer=3, copy_prob=1.0),
+    SynthConfig(n_issuers=7, n_entities=80, lists_per_issuer=2, window_days=1),
+    SynthConfig(n_issuers=40, n_entities=500, lists_per_issuer=5,
+                copy_prob=0.9, start=date(1999, 2, 28)),
+])
+@pytest.mark.parametrize("seed", [1, 7])
+def test_columns_match_the_object_building_reference(config, seed):
+    assert synth_generate(config, seed) == synth_reference(config, seed)
 
 
 def test_shared_fraction_monotone_in_copy_prob():
