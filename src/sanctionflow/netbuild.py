@@ -295,7 +295,7 @@ def read_network(text: str) -> InfluenceNetwork:
             if count <= 0:
                 raise PipelineError(f"line {line_no}: non-positive count")
             if count >= 2 ** 63:
-                raise PipelineError(f"line {line_no}: count does not fit int64")
+                raise PipelineError(f"line {line_no}: count exceeds int64")
             edges[key] = count
         else:
             raise PipelineError(f"line {line_no}: expected 1 or 3 fields, "

@@ -74,9 +74,9 @@ def synth_generate(config: SynthConfig, seed: int) -> EventSet:
             list_id.append(rng.choice(list_codes[iss]))
             entity.append(e)
             day.append(t0 + gap)
-    issuers = [f"ISS{i:03d}" for i in range(n)]
+    issuers = tuple(f"ISS{i:03d}" for i in range(n))
     return EventSet.from_columns(
-        Column(tuple(issuers), issuer),
+        Column(issuers, issuer),
         Column(tuple(f"{iss}-L{j}" for iss in issuers for j in range(k)),
                list_id),
         Column(tuple(f"ENT{e:05d}" for e in range(config.n_entities)), entity),

@@ -52,11 +52,11 @@ def finite(cell: str) -> float:
 
 def read_table(text: str, columns: Sequence[str],
                types: Sequence[Callable[[str], object]]) -> list[tuple]:
-    """The rows under the header ``columns``, each cell converted by its
-    entry of ``types``, left to right (a ValueError or KeyError marks a bad value). The
-    first column is a key. A wrong header, field count or value, or a
-    repeated key, raises PipelineError naming the line (and the column of a
-    bad value)."""
+    """The rows under the header ``columns``, each cell converted, left to
+    right, by its entry of ``types`` (a ValueError or KeyError marks a bad
+    value). The first column is a key. A wrong header, field count or
+    value, or a repeated key, raises PipelineError naming the line (and the
+    column of a bad value)."""
     skipped, lines = skip_preamble(io.StringIO(text))
     reader = csv.reader(lines)
     rows = []

@@ -480,7 +480,8 @@ def test_mislabelled_component_exits_one_naming_the_line(tmp_path, capsys,
     nodes.write_text("\n".join(lines), encoding="utf-8")
     out = tmp_path / "out"
     flags = (["--potentials", str(nodes), "--out", str(out / "layout.csv")]
-             if stage == "layout" else ["--decomp", str(hodge), "--out", str(out)])
+             if stage == "layout" else
+             ["--decomp", str(hodge), "--out", str(out)])
     capsys.readouterr()
     status = run([stage, "--net", str(net), *flags])
     assert status == 1

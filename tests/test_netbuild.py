@@ -261,7 +261,7 @@ def test_read_network_sorts_shuffled_edges_by_node_index():
     (["A\tC\t1", "A", "B\tA\t2", "A\tB"], "line 4: expected 1 or 3"),
     (["A\tC\t1", "A", "A\tB\t2", "B"], "edge (A, C) references undeclared"),
     (["A\tB\t0", "A", "B"], "line 1: non-positive count"),
-    (["A", "B", "A\tB\t9223372036854775808"], "line 3: count does not fit"),
+    (["A", "B", "A\tB\t9223372036854775808"], "line 3: count exceeds int64"),
 ])
 def test_read_network_reports_the_first_bad_line(lines, message):
     with pytest.raises(PipelineError) as info:
