@@ -19,6 +19,7 @@ from .netbuild import FlowNetwork, InfluenceNetwork, named_nodes, named_rows
 from .table import finite, node_columns, read_table, write_table
 
 DENSE_LIMIT = 64  # components up to this size use a direct solve
+PCG_STALL = 50  # PCG iterations without a new least residual before it stops
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,7 +135,10 @@ def _pcg(rows, cols, wvec, rhs, threshold, max_iter):
     """Jacobi-preconditioned CG on a connected Laplacian, one matvec per
     iteration. Stops when the recurrence residual meets ``threshold`` and a
     true residual confirms it; a true residual that misses restarts the
-    recurrence from it. Returns (x, iterations, max|L x - rhs|)."""
+    recurrence from it. Else it stops at ``max_iter``, at a breakdown, or
+    after PCG_STALL iterations with neither a new least recurrence residual
+    nor a new least true one at a restart, and returns the better of those
+    two iterates. Returns (x, iterations, max|L x - rhs|)."""
     n = len(rhs)
 
     def matvec(x):
@@ -144,20 +148,23 @@ def _pcg(rows, cols, wvec, rhs, threshold, max_iter):
                       + np.bincount(cols, wvec, minlength=n))
     b = rhs - rhs.mean()
     x = np.zeros(n)
-    r = b.copy()
-    z = inv_diag * r
-    d = z.copy()
-    rz = float(r @ z)
+    r = b
+    best, best_x, true_best, true_x, last_new = np.inf, x, np.inf, x, 0
     for it in range(max_iter + 1):
-        if np.abs(r).max(initial=0.0) <= threshold:
+        r_max = float(np.abs(r).max(initial=0.0))
+        if it == 0 or r_max <= threshold:  # (re)start from a true residual
             r = b - matvec(x)
             residual = float(np.abs(r).max(initial=0.0))
             if residual <= threshold:
                 return x, it, residual
+            if residual < true_best:
+                true_best, true_x, last_new = residual, x.copy(), it
             z = inv_diag * r
             d = z.copy()
             rz = float(r @ z)
-        if it == max_iter:
+        elif r_max < best:
+            best, best_x, last_new = r_max, x.copy(), it
+        if it == max_iter or it - last_new >= PCG_STALL:
             break
         ad = matvec(d)
         dad = float(d @ ad)
@@ -170,7 +177,8 @@ def _pcg(rows, cols, wvec, rhs, threshold, max_iter):
         rz_new = float(r @ z)
         d = z + (rz_new / rz) * d
         rz = rz_new
-    return x, it, float(np.abs(b - matvec(x)).max(initial=0.0))
+    best = float(np.abs(b - matvec(best_x)).max(initial=0.0))
+    return (true_x, it, true_best) if true_best < best else (best_x, it, best)
 
 
 def _backward_bound(rows, cols, wvec, rhs, phi, tol):

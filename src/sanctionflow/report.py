@@ -3,7 +3,9 @@ data, and graph exports (edge table / dot / json).
 
 Layout convention: y is the node's potential (optionally jittered to break
 exact overlaps); x minimizes a LinLog-style energy (distance attraction,
-log-distance repulsion, weak quadratic gravity) by seeded descent.
+log-distance repulsion, weak quadratic gravity) by L-BFGS from a seeded
+start, accepting no trial that raises the energy. It stops at a vanishing
+gradient, a stalled energy, max_steps accepted steps or an underflowed step.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import io
 import math
 import random
 from bisect import bisect_left, bisect_right
+from collections import deque
 from dataclasses import dataclass
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
@@ -28,6 +31,10 @@ _EPS = 1e-9
 _GRAVITY = 0.01
 # cells in one row block of the layout's all-pairs term
 _BLOCK_CELLS = 1 << 16
+# the descent stops once max|grad| < _GRAD_TOL, or once the energy fell by
+# at most _STALL_TOL * |energy| over the last _STALL_STEPS accepted steps
+_GRAD_TOL, _STALL_TOL, _STALL_STEPS = 1e-12, 1e-7, 5
+_LBFGS_PAIRS = 10  # curvature pairs kept by L-BFGS
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,7 +93,7 @@ def _energy_kernel(y, rows, cols, wgt):
 def layout(net: InfluenceNetwork, potentials: PotentialVector, seed: int = 0,
            jitter: float = 0.0, min_sep: float = 1e-6,
            max_steps: int = 200) -> LayoutResult:
-    """1-D LinLog descent on x with y fixed at the potential."""
+    """1-D LinLog descent on x by L-BFGS, with y fixed at the potential."""
     if not 0.0 <= jitter < np.inf:
         raise PipelineError("jitter must be finite and non-negative")
     n = len(net.nodes)
@@ -103,26 +110,49 @@ def layout(net: InfluenceNetwork, potentials: PotentialVector, seed: int = 0,
     energy, grad = energy_and_grad(x)
     history = [energy]
     step = 0.1
-    for _ in range(max_steps):
-        gnorm = float(np.abs(grad).max(initial=0.0))
-        if gnorm < 1e-12:
-            break
-        # backtracking so the recorded energy never increases
-        while step > 1e-14:
+    pairs = deque(maxlen=_LBFGS_PAIRS)  # (s, dg) with s.dg > 0, oldest first
+    while len(history) <= max_steps and np.abs(grad).max() >= _GRAD_TOL and (
+            len(history) <= _STALL_STEPS or history[-1 - _STALL_STEPS]
+            - energy > _STALL_TOL * abs(energy)):
+        # one L-BFGS trial at unit step; else a backtracking gradient step
+        direction = _lbfgs_direction(grad, pairs) if pairs else grad
+        accepted = False
+        if float(grad @ direction) < 0.0:
+            trial = x + direction
+            e_trial, g_trial = energy_and_grad(trial)
+            accepted = e_trial <= energy
+        while not accepted and step > 1e-14:
+            pairs.clear()
             trial = x - step * grad
             e_trial, g_trial = energy_and_grad(trial)
-            if e_trial <= energy:
-                x, energy, grad = trial, e_trial, g_trial
-                history.append(energy)
-                step *= 1.5
-                break
-            step *= 0.5
-        else:
+            accepted = e_trial <= energy
+            step *= 1.5 if accepted else 0.5
+        if not accepted:
             break
+        s, dg = trial - x, g_trial - grad
+        if float(s @ dg) > 0.0:
+            pairs.append((s, dg))
+        x, energy, grad = trial, e_trial, g_trial
+        history.append(energy)
 
     if jitter > 0.0:
         y = _apply_jitter(net.nodes, x, y, jitter, min_sep, rng)
     return LayoutResult(x=x, y=y, energy_history=tuple(history))
+
+
+def _lbfgs_direction(grad, pairs):
+    """-H grad by the two-loop recursion, H0 = s.dg / dg.dg of the newest
+    pair (Nocedal & Wright, Numerical Optimization, 2006, Alg. 7.4)."""
+    q = -grad
+    alphas = []
+    for s, dg in reversed(pairs):
+        alphas.append(float(s @ q) / float(s @ dg))
+        q -= alphas[-1] * dg
+    s, dg = pairs[-1]
+    q *= float(s @ dg) / float(dg @ dg)
+    for (s, dg), alpha in zip(pairs, reversed(alphas)):
+        q += (alpha - float(dg @ q) / float(s @ dg)) * s
+    return q
 
 
 def _apply_jitter(nodes, x, y, jitter, min_sep, rng):

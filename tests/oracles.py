@@ -10,6 +10,8 @@ from event objects through ``csv.writer``. ``json_graph_reference`` is
 ``graph.json`` as first written: one dict per node and per link, through
 ``json.dumps(indent=2, sort_keys=True)``. ``synth_reference`` is the
 synthetic generator as first written, one event object per listing.
+``layout_reference`` is the layout's first descent: backtracking gradient
+steps on the same energy kernel, always running to ``max_steps``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,9 @@ from datetime import timedelta
 import numpy as np
 
 from sanctionflow.community import CommunityPartition, modularity
-from sanctionflow.report import _EPS, _GRAVITY
+from sanctionflow.errors import PipelineError
+from sanctionflow.report import (_EPS, _GRAVITY, LayoutResult, _apply_jitter,
+                                 _energy_kernel)
 
 from conftest import (by_node, ev, in_node_order, make_events, pairs_of,
                       split_of)
@@ -446,3 +450,44 @@ def brute_force_jitter(positions, nodes, jitter, min_sep, rng):
         if crowded:
             out[v] = (xv, yv + rng.uniform(-jitter, jitter))
     return out
+
+
+def layout_reference(net, potentials, seed=0, jitter=0.0, min_sep=1e-6,
+                     max_steps=200):
+    """1-D LinLog descent on x with y fixed at the potential."""
+    if not 0.0 <= jitter < np.inf:
+        raise PipelineError("jitter must be finite and non-negative")
+    n = len(net.nodes)
+    y = potentials.phi
+    rng = random.Random(seed)
+    if n < 2:
+        return LayoutResult(x=np.zeros(n), y=y)
+    x = np.array([rng.uniform(-1.0, 1.0) for _ in range(n)])
+
+    # one weight per unordered pair, summing both directions' counts
+    v = net.view
+    energy_and_grad = _energy_kernel(y, v.lo, v.hi, v.fwd + v.back)
+
+    energy, grad = energy_and_grad(x)
+    history = [energy]
+    step = 0.1
+    for _ in range(max_steps):
+        gnorm = float(np.abs(grad).max(initial=0.0))
+        if gnorm < 1e-12:
+            break
+        # backtracking so the recorded energy never increases
+        while step > 1e-14:
+            trial = x - step * grad
+            e_trial, g_trial = energy_and_grad(trial)
+            if e_trial <= energy:
+                x, energy, grad = trial, e_trial, g_trial
+                history.append(energy)
+                step *= 1.5
+                break
+            step *= 0.5
+        else:
+            break
+
+    if jitter > 0.0:
+        y = _apply_jitter(net.nodes, x, y, jitter, min_sep, rng)
+    return LayoutResult(x=x, y=y, energy_history=tuple(history))

@@ -392,6 +392,16 @@ def test_unreachable_tolerance_names_the_component():
     assert info.value.residual > 0.0
 
 
+def test_unreachable_tolerance_reports_the_best_iterate():
+    # PCG stops once its residual stagnates, instead of drifting on until
+    # a breakdown, and reports the residual of the best iterate it saw
+    rng = random.Random(123)
+    flow = random_flow(rng, 150, edge_prob=0.08)
+    with pytest.raises(ConvergenceError) as info:
+        solve_potentials(assemble_laplacian(flow), 1e-300)
+    assert info.value.residual < 1e-10
+
+
 def test_decompose_residual_without_reassembly(monkeypatch):
     rng = random.Random(21)
     flow = random_flow(rng, 40)

@@ -49,25 +49,25 @@ DIGESTS = {
     "hodge/summary.csv":
         "214ed8a17f06db9b4d5098e6417612a16fa95b0ddd4f0fcb46bc826af4a312eb",
     "layout.csv":
-        "55ec3ac2750e26b2c9bda73f14593007b771c34d3cb81588f03283084b97798c",
+        "5f84d091a9e7756e671a77267afb77838c6962c327d43a5c673d2bb7cf1e3ea0",
     "net.tsv":
         "209b8882d84f2ccca119d9e00aa0f8b8e7ddc5c6e7d3d3fbd3cd43c811c79f44",
     "pagerank.csv":
         "c283f47e4fdcd32a688c2a1338cb8995767ccc9da5bbf97a37e30e4e02c34010",
     "report_dot/graph.dot":
-        "0efa69e70d06accb9f0102b1b26e77f2c219d15734f02c9a86d4a2f66b93bd3f",
+        "a1f61d46090cc609dd36e006e6ea34f12cfcc6fdee3caddff2c2dd3b24994851",
     "report_dot/potential_table.csv":
         "b76d882b9980720bce996427501e0b2bcc335cf2b890e0c5f53a12bbcbb7276a",
     "report_dot/scatter.csv":
         "1202c277bb451c87eaae51aaa27465b9c55a388aee80fd9a09485fd0329cd56e",
     "report_edge_table/graph.tsv":
-        "1e0c4a66f6f825d126a8fc4a2bb06095c60437a92d9c9f5d266fb5759f6e3d8f",
+        "f7d376f773fd1852aedf3ef3da4c1b47fdd2f8894939e62a01b5d14fb78f1ec3",
     "report_edge_table/potential_table.csv":
         "2523193cb0d7c4ab936705f766de6891497a476515cf2a37e40d3d99c18a5170",
     "report_edge_table/scatter.csv":
         "f8608cedd12cf8886a1386b3c14061d89d626496b021dd44d0ea2d6527b95f62",
     "report_json_graph/graph.json":
-        "2f95c7547d7fbc198ae5ba837029fec028da0abf18968c28ee142b1ed89bd951",
+        "27a32f089e7606bc35a03362336e7aa332519dd73d7bb8743470513e1fd79ab7",
     "report_json_graph/potential_table.csv":
         "df7868a588b1638db6f292a757c377d92916e4754fd913611f5a9b3f66f73f3e",
     "report_json_graph/scatter.csv":

@@ -5,17 +5,18 @@ import time
 import numpy as np
 import pytest
 
-from sanctionflow import (PipelineError, export_graph, layout, louvain,
-                          pagerank, potential_table, read_ranks, scatter_data,
-                          solve, symmetrize, write_potential_table,
-                          write_scatter)
+from sanctionflow import (PipelineError, SynthConfig,
+                          build_institution_network, export_graph, layout,
+                          louvain, pagerank, potential_table, read_ranks,
+                          scatter_data, solve, symmetrize, synth_generate,
+                          write_potential_table, write_scatter)
 from sanctionflow.hodge import read_node_table
-from sanctionflow.report import (_BLOCK_CELLS, _EPS, LayoutResult,
-                                 _apply_jitter, _energy_kernel)
+from sanctionflow.report import (_BLOCK_CELLS, _EPS, _STALL_STEPS, _STALL_TOL,
+                                 LayoutResult, _apply_jitter, _energy_kernel)
 from conftest import (by_node, in_node_order, make_decomposition,
                       make_network, make_potentials, network_fields)
 from oracles import (brute_force_jitter, dense_layout_energy_oracle,
-                     json_graph_reference)
+                     json_graph_reference, layout_reference)
 
 # nodes at which one row block is exactly square: BLOCK_SIDE rows of
 # BLOCK_SIDE cells
@@ -154,6 +155,46 @@ def test_multi_block_layout_descends_with_y_at_the_potential():
     phi = by_node(net.nodes, pv.phi)
     placed = layout_positions(net, result)
     assert all(y == phi[v] for v, (_, y) in placed.items())
+
+
+def synth_institutions(n_issuers, n_entities):
+    """The institution network of a seed-1 synth run (copy-prob 0.9) and
+    its mean-mode potentials, as the CLI pipeline makes them."""
+    events = synth_generate(SynthConfig(n_issuers, n_entities,
+                                        copy_prob=0.9), seed=1)
+    net = build_institution_network(events)
+    return net, potentials_for(net, "mean")
+
+
+@pytest.mark.parametrize("n_issuers, n_entities", [(100, 2000), (500, 5000)])
+def test_layout_ends_no_higher_than_the_reference_descent(n_issuers,
+                                                          n_entities):
+    # the pinned 100-node network and the issuers_500 benchmark network
+    net, pv = synth_institutions(n_issuers, n_entities)
+    assert len(net.nodes) == n_issuers
+    result = layout(net, pv, seed=0)
+    reference = layout_reference(net, pv, seed=0)
+    assert result.energy_history[-1] <= reference.energy_history[-1]
+    assert np.array_equal(result.y, reference.y)
+
+
+def test_layout_stops_at_a_stalled_energy_before_max_steps():
+    net, pv = synth_institutions(100, 2000)
+    hist = layout(net, pv, seed=0, max_steps=200).energy_history
+    assert len(hist) - 1 < 200
+    k = _STALL_STEPS
+    assert hist[-1 - k] - hist[-1] <= _STALL_TOL * abs(hist[-1])
+    assert all(hist[i - k] - hist[i] > _STALL_TOL * abs(hist[i])
+               for i in range(k, len(hist) - 1))
+
+
+def test_tied_ring_layout_never_increases_at_full_max_steps():
+    # 17 potential levels make many exact ties, where L-BFGS trials fail
+    # and the descent falls back to gradient steps
+    net, pv = ring_with_chords(3 * BLOCK_SIDE)
+    hist = layout(net, pv, seed=5).energy_history
+    assert len(hist) > 41
+    assert all(hist[i + 1] <= hist[i] for i in range(len(hist) - 1))
 
 
 def test_layout_sums_both_directions_into_one_pair_weight():
