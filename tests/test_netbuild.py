@@ -262,6 +262,19 @@ def test_read_network_sorts_shuffled_edges_by_node_index():
     (["A\tC\t1", "A", "A\tB\t2", "B"], "edge (A, C) references undeclared"),
     (["A\tB\t0", "A", "B"], "line 1: non-positive count"),
     (["A", "B", "A\tB\t9223372036854775808"], "line 3: count exceeds int64"),
+    # within one line the checks keep their order
+    (["A", "B", "A\tA\tx"], "line 3: self-loop on 'A'"),
+    (["A", "B", "A\tB\tx", "A"], "line 3: bad count 'x'"),
+    # comment and whitespace-only lines are skipped but counted
+    (["A", "# a note", " \t ", "B", "", "\r", "A\tB\t1", "B\tB\t1"],
+     "line 8: self-loop on 'B'"),
+    # a count reads as int() reads it
+    (["A", "B", "A\tB\t+5", "B\tA\t 5", "A\tB\t5_0"],
+     "line 5: duplicate edge (A, B)"),
+    (["A", "B", "A\tB\t5\r", "B\tA\t5_"], "line 4: bad count '5_'"),
+    (["A", "B", "A\tB\t-0_5"], "line 3: non-positive count"),
+    # an undeclared endpoint is found only after every line reads well
+    (["A", "A\tC\t1", "A\tB"], "line 3: expected 1 or 3 fields, got 2"),
 ])
 def test_read_network_reports_the_first_bad_line(lines, message):
     with pytest.raises(PipelineError) as info:
@@ -272,6 +285,12 @@ def test_read_network_reports_the_first_bad_line(lines, message):
 def test_read_network_holds_the_largest_int64_count():
     net = read_network("A\nB\nA\tB\t9223372036854775807\n")
     assert net.count.tolist() == [2 ** 63 - 1]
+
+
+def test_read_network_reads_counts_as_int_does():
+    net = read_network("A\nB\nC\nA\tB\t+5\nB\tC\t 6\nC\tA\t7_0\n"
+                       "A\tC\t8\r\n")
+    assert net.count.tolist() == [5, 8, 6, 70]
 
 
 def test_write_network_refuses_ids_it_cannot_read_back():
