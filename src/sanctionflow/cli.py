@@ -1,6 +1,7 @@
 """Pipeline driver. Stages communicate only through files; every output
 starts with comment-prefixed metadata (tool version + the exact flags) so
-any artifact can be regenerated from its header."""
+any artifact can be regenerated from its header. Each ``cmd_*`` imports the
+modules its stage runs, so a stage process loads no other."""
 
 from __future__ import annotations
 
@@ -12,7 +13,6 @@ from pathlib import Path
 
 from . import __version__
 from .errors import ConfigError, PipelineError
-from . import community, events, hodge, netbuild, rank, report, synth
 from .table import finite, preamble, read_node_columns, read_table, write_table
 
 
@@ -47,12 +47,14 @@ def _read(path, parse, *args):
         return parse(Path(path).read_text(encoding="utf-8"), *args)
 
 
-def _load_events(path: str, fmt: str) -> events.EventSet:
+def _load_events(path: str, fmt: str):
+    from . import events
     with _named(path), open(path, "r", encoding="utf-8") as fh:
         return events.parse_events(fh, format=fmt)
 
 
 def cmd_ingest(args):
+    from . import events
     evs = _load_events(args.events, args.format)
     reportv = events.validate_events(evs)
     _write(args.out, preamble(_header(args)), events.serialize_events(evs))
@@ -63,6 +65,7 @@ def cmd_ingest(args):
 
 
 def cmd_synth(args):
+    from . import events, synth
     try:
         start = Date.fromisoformat(args.start)
     except ValueError:
@@ -80,6 +83,7 @@ def cmd_synth(args):
 
 
 def cmd_build(args):
+    from . import netbuild
     evs = _load_events(args.events, args.format)
     selected = None
     if args.category_map or args.label:
@@ -102,6 +106,7 @@ def cmd_build(args):
 
 
 def cmd_symmetrize(args):
+    from . import netbuild
     net = _read(args.net, netbuild.read_network)
     flow = netbuild.symmetrize(net, mode=args.mode)
     _write(args.out, netbuild.write_flow(flow, header=_header(args)))
@@ -110,6 +115,7 @@ def cmd_symmetrize(args):
 
 
 def cmd_decompose(args):
+    from . import hodge, netbuild
     net = _read(args.net, netbuild.read_network)
     flow = netbuild.symmetrize(net, mode=args.mode)
     decomp = hodge.solve(flow, tol=args.tol)
@@ -125,6 +131,7 @@ def cmd_decompose(args):
 
 
 def cmd_communities(args):
+    from . import community, netbuild
     net = _read(args.net, netbuild.read_network)
     partition = community.louvain(net, resolution=args.resolution,
                                   seed=args.seed)
@@ -136,6 +143,7 @@ def cmd_communities(args):
 
 
 def cmd_pagerank(args):
+    from . import netbuild, rank
     net = _read(args.net, netbuild.read_network)
     ranks = rank.pagerank(net, damping=args.damping, tol=args.tol)
     _write(args.out, rank.write_ranks(ranks, net.nodes, header=_header(args)))
@@ -144,6 +152,7 @@ def cmd_pagerank(args):
 
 
 def cmd_layout(args):
+    from . import hodge, netbuild, report
     net = _read(args.net, netbuild.read_network)
     potentials = _read(args.potentials, hodge.read_node_table, net)
     result = report.layout(net, potentials, seed=args.seed, jitter=args.jitter)
@@ -156,6 +165,7 @@ def cmd_layout(args):
 
 
 def cmd_report(args):
+    from . import community, hodge, netbuild, rank, report
     net = _read(args.net, netbuild.read_network)
     if args.pagerank and not args.decomp:
         raise PipelineError("scatter output needs --decomp")

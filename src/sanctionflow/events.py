@@ -17,12 +17,12 @@ from dataclasses import dataclass
 from datetime import date as Date
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, TextIO
+from typing import TextIO
 
 import numpy as np
 
 from .errors import EventParseError, PipelineError
-from .table import skip_preamble
+from .table import _cells, _run_starts, skip_preamble
 
 _ISO_DATE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
 _HEADER = ("issuer", "list_id", "entity_id", "date")
@@ -112,15 +112,6 @@ class EventSet:
                 self.issuer.codes.tolist(), self.list_id.codes.tolist(),
                 self.entity_id.codes.tolist(), self.day.tolist(),
                 self.category.codes.tolist()))
-
-
-def _run_starts(*keys: np.ndarray) -> np.ndarray:
-    """Where a run of equal key tuples begins, in arrays sorted by them."""
-    start = np.zeros(len(keys[0]), bool)
-    start[:1] = True
-    for key in keys:
-        start[1:] |= key[1:] != key[:-1]
-    return start
 
 
 def _sorted_column(names: tuple[str, ...], codes: np.ndarray) -> Column:
@@ -296,19 +287,6 @@ def parse_events(stream: str | TextIO, format: str = "delimited") -> EventSet:
     if format == "line_record":
         return _parse_line_records(text)
     raise PipelineError(f"unknown event format '{format}'")
-
-
-def _cells(names: Iterable[str]) -> list[str]:
-    """Each name as csv.writer writes it in a row of more than one cell."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    cells = []
-    for name in names:
-        buf.seek(0)
-        buf.truncate()
-        writer.writerow((name, ""))
-        cells.append(buf.getvalue()[:-2])  # the ",\n" of the empty cell
-    return cells
 
 
 def serialize_events(events: EventSet) -> str:

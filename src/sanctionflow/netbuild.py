@@ -8,15 +8,19 @@ contribute nothing (direction is ambiguous at day resolution).
 from __future__ import annotations
 
 from collections import namedtuple
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from itertools import count as counter, repeat
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
 
 from .errors import PipelineError
-from .events import Column, EventSet, _run_starts
-from .table import preamble
+from .table import _run_starts, preamble
+
+if TYPE_CHECKING:  # a stage that only reads net.tsv never loads events
+    from .events import Column, EventSet
 
 LIST_LEVEL = "list"
 INSTITUTION_LEVEL = "institution"
@@ -227,23 +231,24 @@ def _write_records(header: Iterable[str], nodes: tuple[str, ...],
     return "".join([preamble(header), *(n + "\n" for n in nodes), *edges])
 
 
-def named_nodes(nodes: tuple[str, ...], *values: np.ndarray):
-    """Per node, in the order of the node names: the name, then the node's
-    entry of each of ``values``, arrays in node order."""
-    columns = [v.tolist() for v in values]
-    return ((nodes[k], *(c[k] for c in columns))
+def named_nodes(nodes: tuple[str, ...], *values: np.ndarray, labels=None):
+    """Per node, in the order of the node names: the name (or its label),
+    then the node's entry of each of ``values``, arrays in node order."""
+    columns, label = [v.tolist() for v in values], labels or nodes
+    return ((label[k], *(c[k] for c in columns))
             for k in sorted(range(len(nodes)), key=nodes.__getitem__))
 
 
 def named_rows(nodes: tuple[str, ...], first: np.ndarray,
-               second: np.ndarray, *values: np.ndarray):
+               second: np.ndarray, *values: np.ndarray, labels=None):
     """Per row of node indices (first, second), in the order of their node
-    names: the two names, then the row's entry of each of ``values``."""
+    names: the two names (or labels), then the row's entry of each of
+    ``values``."""
     rank = np.empty(len(nodes), np.int64)
     rank[sorted(range(len(nodes)), key=nodes.__getitem__)] = \
         np.arange(len(nodes))
     order = np.lexsort((rank[second], rank[first]))
-    name = nodes.__getitem__
+    name = (labels or nodes).__getitem__
     return zip(map(name, first[order].tolist()),
                map(name, second[order].tolist()),
                *(v[order].tolist() for v in values))
@@ -262,57 +267,57 @@ def read_network(text: str) -> InfluenceNetwork:
     node per single-field line and ``src<TAB>dst<TAB>count`` per edge line.
 
     A repeated node, a repeated edge and an edge from a node to itself are
-    errors naming their line, as is an edge to an undeclared node.
+    errors naming their line, as is an edge to an undeclared node. The
+    lines are read in one bulk pass; the earliest faulty line is reported,
+    its checks taken in the order self-loop, repeated edge, then count.
     """
-    level = INSTITUTION_LEVEL
-    code: dict[str, int] = {}  # every name met, numbered in order
-    nodes: dict[str, int] = {}  # the code of each node line's name
-    edges: dict[tuple[int, int], int] = {}  # (src code, dst code) -> count
-    for line_no, line in enumerate(text.split("\n"), start=1):
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            parts = line[1:].strip().split("\t")
-            if parts[0] == "level" and len(parts) == 2:
-                level = parts[1]
-            continue
-        fields = line.split("\t")
-        if len(fields) == 1:
-            if line in nodes:
-                raise PipelineError(f"line {line_no}: duplicate node '{line}'")
-            nodes[line] = code.setdefault(line, len(code))
-        elif len(fields) == 3:
-            a, b = fields[0], fields[1]
-            if a == b:
-                raise PipelineError(f"line {line_no}: self-loop on '{a}'")
-            key = code.setdefault(a, len(code)), code.setdefault(b, len(code))
-            if key in edges:
-                raise PipelineError(f"line {line_no}: duplicate edge ({a}, {b})")
-            try:
-                count = int(fields[2])
-            except ValueError:
-                raise PipelineError(f"line {line_no}: bad count '{fields[2]}'")
-            if count <= 0:
-                raise PipelineError(f"line {line_no}: non-positive count")
-            if count >= 2 ** 63:
-                raise PipelineError(f"line {line_no}: count exceeds int64")
-            edges[key] = count
-        else:
-            raise PipelineError(f"line {line_no}: expected 1 or 3 fields, "
-                                f"got {len(fields)}")
-    index = np.full(len(code), -1)
-    index[list(nodes.values())] = np.arange(len(nodes))
-    ends = np.fromiter((c for key in edges for c in key), np.int64,
-                       2 * len(edges))
-    src, dst = index[ends[0::2]], index[ends[1::2]]
-    undeclared = np.flatnonzero((src < 0) | (dst < 0))
+    lines = text.split("\n")
+    rows, size = np.array(lines, object), len(lines)
+    tabs = np.fromiter(map(str.count, lines, repeat("\t")), np.int64, size)
+    comment = np.fromiter(map(str.startswith, lines, repeat("#")), bool, size)
+    data = np.fromiter(map(bool, map(str.strip, lines)), bool, size) & ~comment
+    marks = [line[1:].strip().split("\t") for line in rows[comment].tolist()]
+    level = [INSTITUTION_LEVEL, *(mark[1] for mark in marks  # the last wins
+                                  if mark[0] == "level" and len(mark) == 2)][-1]
+    node_at, edge_at = (np.flatnonzero(data & (tabs == t)) for t in (0, 2))
+    wrong_at = np.flatnonzero(data & (tabs != 0) & (tabs != 2))
+    names = rows[node_at].tolist()
+    n, m = len(names), len(edge_at)
+    code = dict(zip(reversed(names), range(n - 1, -1, -1)))  # first line's
+    cells = "\t".join(rows[edge_at].tolist()).split("\t") if m else []
+    a, b, cells = cells[0::3], cells[1::3], cells[2::3]
+    # one code per name: its first node line, or one of its own from n on
+    src = np.fromiter(map(code.setdefault, a, counter(n)), np.int64, m)
+    dst = np.fromiter(map(code.setdefault, b, counter(n + m)), np.int64, m)
+    key = src * (n + 2 * m) + dst
+    order = np.argsort(key, kind="stable")  # a repeat sorts after its first
+    repeated = np.zeros(m, bool)
+    repeated[order[1:]] = np.diff(key[order]) == 0
+    counts = []  # the counts before the first that int() refuses
+    with suppress(ValueError):
+        counts.extend(map(int, cells))
+    count = np.array(counts, object)  # a count may lie beyond int64
+    first = np.fromiter(map(code.__getitem__, names), np.int64, n)
+    checks = [  # in each line's check order
+        (node_at, first != np.arange(n), lambda i: f"duplicate node '{names[i]}'"),
+        (edge_at, src == dst, lambda e: f"self-loop on '{a[e]}'"),
+        (edge_at, repeated, lambda e: f"duplicate edge ({a[e]}, {b[e]})"),
+        (edge_at, np.arange(m) == len(counts), lambda e: f"bad count '{cells[e]}'"),
+        (edge_at, count <= 0, lambda e: "non-positive count"),
+        (edge_at, count >= 2 ** 63, lambda e: "count exceeds int64"),
+        (wrong_at, np.ones(len(wrong_at), bool),
+         lambda i: f"expected 1 or 3 fields, got {tabs[wrong_at[i]] + 1}")]
+    faults = [(at[k], message(k)) for at, marked, message in checks
+              for k in np.flatnonzero(marked)[:1].tolist()]
+    if faults:  # the earliest line's first fault
+        line, message = min(faults, key=lambda fault: fault[0])
+        raise PipelineError(f"line {line + 1}: {message}")
+    undeclared = np.flatnonzero((src >= n) | (dst >= n))
     if len(undeclared):
-        a, b = (list(code)[c] for c in ends[2 * undeclared[0]:][:2])
-        raise PipelineError(f"edge ({a}, {b}) references undeclared node")
-    order = np.argsort(src * len(nodes) + dst)
-    count = np.fromiter(edges.values(), np.int64, len(edges))
-    return InfluenceNetwork(level, tuple(nodes), src[order], dst[order],
-                            count[order])
+        e = undeclared[0]
+        raise PipelineError(f"edge ({a[e]}, {b[e]}) references undeclared node")
+    return InfluenceNetwork(level, tuple(names), src[order], dst[order],
+                            count[order].astype(np.int64))
 
 
 def write_flow(flow: FlowNetwork, header: Iterable[str] = ()) -> str:

@@ -20,6 +20,28 @@ def preamble(header: Iterable[str]) -> str:
     return "".join(f"# {line}\n" for line in header)
 
 
+def _cells(names: Iterable[str]) -> list[str]:
+    """Each name as csv.writer writes it in a row of more than one cell."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    cells = []
+    for name in names:
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow((name, ""))
+        cells.append(buf.getvalue()[:-2])  # the ",\n" of the empty cell
+    return cells
+
+
+def _run_starts(*keys: np.ndarray) -> np.ndarray:
+    """Where a run of equal key tuples begins, in arrays sorted by them."""
+    start = np.zeros(len(keys[0]), bool)
+    start[:1] = True
+    for key in keys:
+        start[1:] |= key[1:] != key[:-1]
+    return start
+
+
 def write_table(header: Iterable[str], columns: Sequence[str],
                 rows: Iterable[Sequence[object]]) -> str:
     """Preamble, header row, then the rows, each cell already formatted."""
