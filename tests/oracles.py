@@ -12,6 +12,8 @@ from event objects through ``csv.writer``. ``json_graph_reference`` is
 synthetic generator as first written, one event object per listing.
 ``layout_reference`` is the layout's first descent: backtracking gradient
 steps on the same energy kernel, always running to ``max_steps``.
+``read_network_reference`` is the ``net.tsv`` reader as first written,
+checking one line at a time.
 """
 
 from __future__ import annotations
@@ -491,3 +493,45 @@ def layout_reference(net, potentials, seed=0, jitter=0.0, min_sep=1e-6,
     if jitter > 0.0:
         y = _apply_jitter(net.nodes, x, y, jitter, min_sep, rng)
     return LayoutResult(x=x, y=y, energy_history=tuple(history))
+
+
+def read_network_reference(text):
+    """The level, node names and sorted (src, dst, count) index triples of
+    a ``net.tsv`` text, read line by line; the first bad line raises."""
+    level, nodes, edges = "institution", {}, {}
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            continue
+        if line.startswith("#"):
+            parts = line[1:].strip().split("\t")
+            if parts[0] == "level" and len(parts) == 2:
+                level = parts[1]
+            continue
+        fields = line.split("\t")
+        if len(fields) == 1:
+            if line in nodes:
+                raise PipelineError(f"line {line_no}: duplicate node '{line}'")
+            nodes[line] = len(nodes)
+        elif len(fields) == 3:
+            a, b, cell = fields
+            if a == b:
+                raise PipelineError(f"line {line_no}: self-loop on '{a}'")
+            if (a, b) in edges:
+                raise PipelineError(f"line {line_no}: duplicate edge ({a}, {b})")
+            try:
+                count = int(cell)
+            except ValueError:
+                raise PipelineError(f"line {line_no}: bad count '{cell}'")
+            if count <= 0:
+                raise PipelineError(f"line {line_no}: non-positive count")
+            if count >= 2 ** 63:
+                raise PipelineError(f"line {line_no}: count exceeds int64")
+            edges[a, b] = count
+        else:
+            raise PipelineError(f"line {line_no}: expected 1 or 3 fields, "
+                                f"got {len(fields)}")
+    for a, b in edges:
+        if a not in nodes or b not in nodes:
+            raise PipelineError(f"edge ({a}, {b}) references undeclared node")
+    return level, tuple(nodes), sorted((nodes[a], nodes[b], count)
+                                       for (a, b), count in edges.items())

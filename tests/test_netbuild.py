@@ -9,7 +9,7 @@ from sanctionflow import (PipelineError, build_institution_network,
                           symmetrize, write_flow, write_network)
 from conftest import (FIXTURES, ev, make_events, make_flow, make_network,
                       network_fields, pairs_of)
-from oracles import brute_force_counts
+from oracles import brute_force_counts, read_network_reference
 
 
 def test_list_edge_from_earlier_inclusion():
@@ -280,6 +280,41 @@ def test_read_network_reports_the_first_bad_line(lines, message):
     with pytest.raises(PipelineError) as info:
         read_network("\n".join(lines) + "\n")
     assert str(info.value).startswith(message), str(info.value)
+
+
+def _read_outcome(read, text):
+    try:
+        return read(text)
+    except PipelineError as exc:
+        return str(exc)
+
+
+def test_read_network_agrees_with_the_line_by_line_reference():
+    """Random short files over few names and odd counts, good and bad:
+    the bulk reader returns what the reference returns, or raises its
+    message."""
+    rng = random.Random(14)
+    names = ["A", "B", "C", "D", "A ", "", "#C"]
+    good = ["1", "7", "+5", " 5", "5_0", "5\r", "9223372036854775807",
+            "\u0663"]
+    bad = ["0", "-3", "x", "", "5_", "9223372036854775808"]
+    lines = [*names, " ", "\t", "# level\tlist", "#\tlevel\tx", "A\tB"]
+    for _ in range(3000):
+        rows = ["A", "B", "C"] if rng.random() < 0.7 else []
+        for _ in range(rng.randint(0, 6)):
+            pool = names[:4] if rng.random() < 0.8 else names
+            a, b = rng.choices(pool, k=2)
+            count = rng.choice(good if rng.random() < 0.8 else bad)
+            rows.append(rng.choice(lines) if rng.random() < 0.2 else
+                        f"{a}\t{b}\t{count}")
+        rng.shuffle(rows)
+        text = "\n".join(rows)
+        got = _read_outcome(read_network, text)
+        if not isinstance(got, str):
+            got = (got.level, got.nodes,
+                   list(zip(got.src.tolist(), got.dst.tolist(),
+                            got.count.tolist())))
+        assert got == _read_outcome(read_network_reference, text), repr(text)
 
 
 def test_read_network_holds_the_largest_int64_count():
