@@ -13,7 +13,9 @@ synthetic generator as first written, one event object per listing.
 ``layout_reference`` is the layout's first descent: backtracking gradient
 steps on the same energy kernel, always running to ``max_steps``.
 ``read_network_reference`` is the ``net.tsv`` reader as first written,
-checking one line at a time.
+checking one line at a time. ``export_graph_reference`` is the graph
+export (edge table, dot, json) that tested each optional attribute for
+``None`` on every node and edge line.
 """
 
 from __future__ import annotations
@@ -25,6 +27,9 @@ import json
 import math
 import random
 from datetime import timedelta
+from itertools import repeat
+from json.encoder import encode_basestring_ascii
+from typing import Iterable
 
 import numpy as np
 
@@ -32,6 +37,7 @@ from sanctionflow.community import CommunityPartition, modularity
 from sanctionflow.errors import PipelineError
 from sanctionflow.report import (_EPS, _GRAVITY, LayoutResult, _apply_jitter,
                                  _energy_kernel)
+from sanctionflow.table import preamble
 
 from conftest import (by_node, ev, in_node_order, make_events, pairs_of,
                       split_of)
@@ -535,3 +541,131 @@ def read_network_reference(text):
             raise PipelineError(f"edge ({a}, {b}) references undeclared node")
     return level, tuple(nodes), sorted((nodes[a], nodes[b], count)
                                        for (a, b), count in edges.items())
+
+
+def export_graph_reference(net, decomp=None, communities=None,
+                           layout_result=None, format="edge_table",
+                           header=()):
+    """``report.export_graph`` with a per-row ``None`` for each absent
+    attribute, formatted by a branch on every node and edge line."""
+    if format not in ("edge_table", "dot", "json_graph"):
+        raise PipelineError(f"unknown export format '{format}'")
+    if decomp is not None and (decomp.flow.nodes != net.nodes or not (
+            np.array_equal(decomp.flow.lo, net.view.lo)
+            and np.array_equal(decomp.flow.hi, net.view.hi))):
+        raise PipelineError("decomposition's nodes and pairs are not the "
+                            "network's")
+    # per node, in node order: (potential, community, (x, y)), None if absent
+    none = [None] * len(net.nodes)
+    node_attrs = list(zip(
+        none if decomp is None else decomp.potentials.phi.tolist(),
+        none if communities is None else communities.tolist(),
+        none if layout_result is None else zip(layout_result.x.tolist(),
+                                               layout_result.y.tolist())))
+
+    flows = repeat(None) if decomp is None else _link_flows(net, decomp)
+    if format == "json_graph":
+        return _export_json(net, node_attrs, flows)
+    links = zip(map(net.nodes.__getitem__, net.src.tolist()),
+                map(net.nodes.__getitem__, net.dst.tolist()),
+                net.count.tolist(), flows)
+    if format == "dot":
+        return _export_dot(net, node_attrs, links)
+    return _export_edge_table(net, node_attrs, links, header)
+
+
+def _link_flows(net, decomp):
+    pair = net.view.pair
+    sign = np.where(net.src < net.dst, 1.0, -1.0)
+    fp, fc = sign * decomp.gradient[pair], sign * decomp.circular[pair]
+    return zip((fp + fc).tolist(), fp.tolist(), fc.tolist())
+
+
+def _fmt(value):
+    return "-" if value is None else f"{value:.17g}"
+
+
+def _export_edge_table(net, node_attrs, links, header):
+    out = io.StringIO()
+    out.write(preamble([*header, "node columns\tid\tpotential\tcommunity\tx\ty",
+                        "edge columns\tsrc\tdst\tcount\tF\tw\tF_grad\tF_circ",
+                        f"level\t{net.level}"]))
+    for v, (phi, comm, pos) in zip(net.nodes, node_attrs):
+        x, y = pos if pos else (None, None)
+        comm_s = "-" if comm is None else str(comm)
+        out.write(f"{v}\t{_fmt(phi)}\t{comm_s}\t{_fmt(x)}\t{_fmt(y)}\n")
+    view = net.view
+    half = ((view.fwd + view.back)[view.pair] / 2.0).tolist()
+    for (a, b, count, attrs), w in zip(links, half):
+        f, fp, fc = attrs if attrs else (None, None, None)
+        out.write(f"{a}\t{b}\t{count}\t{_fmt(f)}\t{w:.17g}\t"
+                  f"{_fmt(fp)}\t{_fmt(fc)}\n")
+    return out.getvalue()
+
+
+def _dot_quote(s):
+    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def _export_dot(net, node_attrs, links):
+    out = io.StringIO()
+    out.write("digraph influence {\n")
+    for v, (phi, comm, pos) in zip(net.nodes, node_attrs):
+        attrs = []
+        if phi is not None:
+            attrs.append(f'potential="{phi:.6g}"')
+        if comm is not None:
+            attrs.append(f'community="{comm}"')
+        if pos is not None:
+            attrs.append(f'pos="{pos[0]:.6g},{pos[1]:.6g}"')
+        suffix = f" [{', '.join(attrs)}]" if attrs else ""
+        out.write(f"  {_dot_quote(v)}{suffix};\n")
+    for a, b, count, pair in links:
+        attrs = [f'weight="{count}"']
+        if pair is not None:
+            f, fp, fc = pair
+            attrs.append(f'F="{f:.6g}"')
+            attrs.append(f'F_grad="{fp:.6g}"')
+            attrs.append(f'F_circ="{fc:.6g}"')
+        out.write(f"  {_dot_quote(a)} -> {_dot_quote(b)} "
+                  f"[{', '.join(attrs)}];\n")
+    out.write("}\n")
+    return out.getvalue()
+
+
+def _json_float(x: float) -> str:
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+def _json_list(items: Iterable[str]) -> str:
+    body = ",\n".join(items)
+    return f"[\n{body}\n  ]" if body else "[]"
+
+
+def _export_json(net, node_attrs, flows):
+    num = _json_float
+    names = list(map(encode_basestring_ascii, net.nodes))
+
+    def node_items():
+        for name, (phi, comm, pos) in zip(names, node_attrs):
+            comm_s = "" if comm is None else f'"community": {comm},\n      '
+            phi_s = "" if phi is None else f',\n      "potential": {num(phi)}'
+            pos_s = ("" if pos is None else f',\n      "x": {num(pos[0])},'
+                     f'\n      "y": {num(pos[1])}')
+            yield f'    {{\n      {comm_s}"id": {name}{phi_s}{pos_s}\n    }}'
+
+    def link_items():
+        for a, b, count, attrs in zip(net.src.tolist(), net.dst.tolist(),
+                                      net.count.tolist(), flows):
+            flow_s = "" if attrs is None else (
+                f'"F": {num(attrs[0])},\n      "F_circ": {num(attrs[2])},'
+                f'\n      "F_grad": {num(attrs[1])},\n      ')
+            yield (f'    {{\n      {flow_s}"count": {count},\n      '
+                   f'"source": {names[a]},\n      "target": {names[b]}\n    }}')
+
+    links = _json_list(link_items())
+    return (f'{{\n  "directed": true,\n  "level": '
+            f'{encode_basestring_ascii(net.level)},\n  "links": {links},'
+            f'\n  "nodes": {_json_list(node_items())}\n}}\n')

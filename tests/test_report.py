@@ -16,7 +16,8 @@ from sanctionflow.report import (_BLOCK_CELLS, _EPS, _STALL_STEPS, _STALL_TOL,
 from conftest import (by_node, in_node_order, make_decomposition,
                       make_network, make_potentials, network_fields)
 from oracles import (brute_force_jitter, dense_layout_energy_oracle,
-                     json_graph_reference, layout_reference)
+                     export_graph_reference, json_graph_reference,
+                     layout_reference)
 
 # nodes at which one row block is exactly square: BLOCK_SIDE rows of
 # BLOCK_SIDE cells
@@ -516,6 +517,48 @@ def test_json_graph_spells_floats_as_json_does():
     assert doc == json_graph_reference(net, decomp=d, communities=communities,
                                        layout_result=lay)
     assert "NaN" in doc and "-Infinity" in doc and "-0.0" in doc
+
+
+def export_inputs(name):
+    """A network and its decomposition, communities and layout: a synthetic
+    network, a hand-written one with awkward identifiers and an isolated
+    node, or one with no edges."""
+    if name == "synth":
+        net = build_institution_network(synth_generate(
+            SynthConfig(n_issuers=10, n_entities=150, copy_prob=0.8), 5))
+    elif name == "awkward":
+        ids = ['q"uote', "back\\slash", "com,ma", "-", "Zürich", "Ωmega",
+               "plain", "alone"]
+        net = make_network([(ids[0], ids[1], 3), (ids[1], ids[2], 1),
+                            (ids[2], ids[0], 2), (ids[3], ids[4], 5),
+                            (ids[4], ids[3], 1), (ids[5], ids[6], 4),
+                            (ids[6], ids[1], 2)], level="list, \"é\"",
+                           nodes=ids[::-1])
+    else:
+        net = make_network([], nodes=["B\u00e9", "-", "A"])
+    n = len(net.nodes)
+    if net.src.size:
+        d = solve(symmetrize(net, "mean"))
+        return net, d, communities_of(net, 0), layout(net, d.potentials,
+                                                      seed=0)
+    return (net, make_decomposition({v: 0.25 * k for k, v
+                                     in enumerate(net.nodes)}),
+            np.arange(n) % 2, LayoutResult(np.linspace(-1, 1, n), np.ones(n)))
+
+
+@pytest.mark.parametrize("with_decomp", [False, True])
+@pytest.mark.parametrize("with_partition", [False, True])
+@pytest.mark.parametrize("with_layout", [False, True])
+@pytest.mark.parametrize("fmt", ["edge_table", "dot", "json_graph"])
+@pytest.mark.parametrize("name", ["synth", "awkward", "no edges"])
+def test_export_matches_the_reference(name, fmt, with_layout, with_partition,
+                                      with_decomp):
+    net, d, communities, lay = export_inputs(name)
+    inputs = dict(decomp=d if with_decomp else None,
+                  communities=communities if with_partition else None,
+                  layout_result=lay if with_layout else None,
+                  format=fmt, header=("sanctionflow test", "report --x=1"))
+    assert export_graph(net, **inputs) == export_graph_reference(net, **inputs)
 
 
 @pytest.mark.parametrize("other", [
