@@ -487,3 +487,86 @@ def test_mislabelled_component_exits_one_naming_the_line(tmp_path, capsys,
     assert status == 1
     assert_one_error_line(capsys, f"{nodes}: line {at + 1}: ", "component")
     assert not out.exists()
+
+
+# reciprocal pairs, so the mean and unit modes give different flows
+MODE_NET = "\n".join(["# level\tinstitution", "A", "B", "C", "A\tB\t3",
+                      "A\tC\t4", "B\tA\t1", "B\tC\t2", "C\tA\t1"]) + "\n"
+
+
+@pytest.mark.parametrize("decompose_mode, report_mode, count, status", [
+    ("unit", "mean", "3", 1),
+    ("mean", "unit", "3", 1),
+    ("unit", "unit", "3", 0),
+    ("mean", "mean", "3", 0),
+    ("mean", "mean", "5", 1),
+], ids=["unit then mean", "mean then unit", "unit", "mean", "count changed"])
+def test_report_refuses_a_decomposition_of_another_mode_or_network(
+        tmp_path, capsys, decompose_mode, report_mode, count, status):
+    net = tmp_path / "net.tsv"
+    net.write_text(MODE_NET)
+    hodge = tmp_path / "hodge"
+    assert run(["decompose", "--net", str(net), "--mode", decompose_mode,
+                "--out", str(hodge)]) == 0
+    net.write_text(MODE_NET.replace("A\tB\t3", f"A\tB\t{count}"))
+    out = tmp_path / "report"
+    capsys.readouterr()
+    assert run(["report", "--net", str(net), "--mode", report_mode,
+                "--decomp", str(hodge), "--out", str(out)]) == status
+    if status:
+        assert_one_error_line(capsys, str(hodge / "summary.csv"),
+                              f"--mode {report_mode}")
+        assert not out.exists()
+
+
+EVENT_ROWS = [("EU", "EU-1", "X", "2010-01-01"), ("US", "US-1", "X",
+               "2010-02-01"), ("EU", "EU-1", "Y", "2010-01-05"),
+              ("Zürich", "CH-1", "Y", "2010-03-01")]
+
+
+def with_and_without_bom(tmp_path, monkeypatch, text, argv):
+    """The bytes each run of ``argv`` writes to ``out``, run in a directory
+    of its own on ``in`` holding ``text``, with and without a BOM."""
+    written = []
+    for prefix in ("", "\ufeff"):
+        work = tmp_path / ("bom" if prefix else "plain")
+        work.mkdir(parents=True)
+        (work / "in").write_text(prefix + text, encoding="utf-8")
+        monkeypatch.chdir(work)
+        assert run(argv) == 0
+        written.append((work / "out").read_bytes())
+    return written
+
+
+@pytest.mark.parametrize("fmt", ["delimited", "line_record"])
+def test_events_starting_with_a_bom_ingest_as_without(tmp_path, monkeypatch,
+                                                      fmt):
+    if fmt == "delimited":
+        text = "issuer,list_id,entity_id,date\n" + "".join(
+            ",".join(row) + "\n" for row in EVENT_ROWS)
+    else:
+        keys = ("issuer", "list_id", "entity_id", "date")
+        text = "".join(json.dumps(dict(zip(keys, row))) + "\n"
+                       for row in EVENT_ROWS)
+    plain, bom = with_and_without_bom(
+        tmp_path, monkeypatch, text,
+        ["ingest", "--events", "in", "--format", fmt, "--out", "out"])
+    assert bom == plain
+    assert not bom.startswith("\ufeff".encode())
+
+
+def test_a_category_map_and_a_network_starting_with_a_bom_are_read(
+        tmp_path, monkeypatch):
+    cmap = "list_id,label\nEU-1,terror\nUS-1,terror\nCH-1,other\n"
+    events = tmp_path / "events.csv"
+    write_events(events, EVENT_ROWS)
+    plain, bom = with_and_without_bom(
+        tmp_path / "map", monkeypatch, cmap,
+        ["build", "--level", "institution", "--events", str(events),
+         "--category-map", "in", "--label", "terror", "--out", "out"])
+    assert bom == plain
+    assert plain.decode().split("\n")[-4:] == ["EU", "US", "EU\tUS\t1", ""]
+    plain, bom = with_and_without_bom(
+        tmp_path / "net", monkeypatch, MODE_NET,
+        ["pagerank", "--net", "in", "--out", "out"])
+    assert bom == plain

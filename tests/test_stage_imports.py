@@ -87,6 +87,20 @@ def test_each_stage_loads_only_its_modules(stage_imports, stage):
         {"cli", "errors", "table"} | STAGE_MODULES[stage]
 
 
+@pytest.mark.parametrize("argv, status", [
+    (["--version"], 0), (["--help"], 0), (["report", "--net"], 2)],
+    ids=["version", "help", "argument error"])
+def test_version_help_and_argument_errors_load_no_numpy(tmp_path, argv,
+                                                        status):
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "sanctionflow", *argv],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True, text=True)
+    assert done.returncode == status, done.stderr[-2000:]
+    assert "sanctionflow.cli" in done.stderr
+    assert not re.search(r"\|\s*numpy$", done.stderr, re.M)
+
+
 def test_the_package_resolves_every_name_it_exports():
     for module, names in EXPORTS.items():
         home = importlib.import_module(f"sanctionflow.{module}")
