@@ -243,7 +243,8 @@ def write_scatter(data: ScatterData, header: Iterable[str] = ()) -> str:
 # ---------------------------------------------------------------------------
 # Graph export. edge_table: node lines with 5 tab-separated fields
 # (id, potential, community, x, y), edge lines with 7 (src, dst, count,
-# F, w, F_grad, F_circ); '-' marks an unavailable attribute.
+# F, w, F_grad, F_circ); '-' marks an unavailable attribute. An optional
+# attribute is None if absent, else a tuple of its per-row lists.
 
 def export_graph(net: InfluenceNetwork,
                  decomp: HodgeDecomposition | None = None,
@@ -258,54 +259,51 @@ def export_graph(net: InfluenceNetwork,
             and np.array_equal(decomp.flow.hi, net.view.hi))):
         raise PipelineError("decomposition's nodes and pairs are not the "
                             "network's")
-    # per node, in node order: (potential, community, (x, y)), None if absent
-    none = [None] * len(net.nodes)
-    node_attrs = list(zip(
-        none if decomp is None else decomp.potentials.phi.tolist(),
-        none if communities is None else communities.tolist(),
-        none if layout_result is None else zip(layout_result.x.tolist(),
-                                               layout_result.y.tolist())))
-
-    flows = repeat(None) if decomp is None else _link_flows(net, decomp)
+    phi = None if decomp is None else (decomp.potentials.phi.tolist(),)
+    flows = None if decomp is None else _link_flows(net, decomp)
+    comm = None if communities is None else (communities.tolist(),)
+    pos = None if layout_result is None else (layout_result.x.tolist(),
+                                              layout_result.y.tolist())
     if format == "json_graph":
-        return _export_json(net, node_attrs, flows)
-    links = zip(map(net.nodes.__getitem__, net.src.tolist()),
-                map(net.nodes.__getitem__, net.dst.tolist()),
-                net.count.tolist(), flows)
+        return _export_json(net, phi, comm, pos, flows)
     if format == "dot":
-        return _export_dot(net, node_attrs, links)
-    return _export_edge_table(net, node_attrs, links, header)
+        return _export_dot(net, phi, comm, pos, flows)
+    return _export_edge_table(net, phi, comm, pos, flows, header)
 
 
 def _link_flows(net, decomp):
-    """(F, F_grad, F_circ) of each directed edge, from the decomposition's
-    parts on the edge's pair with the edge's sign."""
+    """The lists F, F_grad and F_circ over the directed edges, from the
+    decomposition's parts on each edge's pair with the edge's sign."""
     pair = net.view.pair
     sign = np.where(net.src < net.dst, 1.0, -1.0)
     fp, fc = sign * decomp.gradient[pair], sign * decomp.circular[pair]
-    return zip((fp + fc).tolist(), fp.tolist(), fc.tolist())
+    return (fp + fc).tolist(), fp.tolist(), fc.tolist()
 
 
-def _fmt(value):
-    return "-" if value is None else f"{value:.17g}"
+def _column(values, cell, absent):
+    """The lazy column of an optional attribute's cells: ``cell(*row)`` for
+    each row of ``values``, or ``absent`` on every row if it is None."""
+    return repeat(absent) if values is None else map(cell, *values)
 
 
-def _export_edge_table(net, node_attrs, links, header):
+def _export_edge_table(net, phi, comm, pos, flows, header):
     out = io.StringIO()
     out.write(preamble([*header, "node columns\tid\tpotential\tcommunity\tx\ty",
                         "edge columns\tsrc\tdst\tcount\tF\tw\tF_grad\tF_circ",
                         f"level\t{net.level}"]))
-    for v, (phi, comm, pos) in zip(net.nodes, node_attrs):
-        x, y = pos if pos else (None, None)
-        comm_s = "-" if comm is None else str(comm)
-        out.write(f"{v}\t{_fmt(phi)}\t{comm_s}\t{_fmt(x)}\t{_fmt(y)}\n")
+    out.writelines(map("{}\t{}\t{}\t{}\n".format, net.nodes,
+                       _column(phi, "{:.17g}".format, "-"),
+                       _column(comm, str, "-"),
+                       _column(pos, "{:.17g}\t{:.17g}".format, "-\t-")))
     view = net.view
     # w recoverable from the pair tables; emit half-sum of counts here
     half = ((view.fwd + view.back)[view.pair] / 2.0).tolist()
-    for (a, b, count, attrs), w in zip(links, half):
-        f, fp, fc = attrs if attrs else (None, None, None)
-        out.write(f"{a}\t{b}\t{count}\t{_fmt(f)}\t{w:.17g}\t"
-                  f"{_fmt(fp)}\t{_fmt(fc)}\n")
+    out.writelines(map(
+        "{}\t{}\t{}\t{}\t{:.17g}\t{}\n".format,
+        map(net.nodes.__getitem__, net.src.tolist()),
+        map(net.nodes.__getitem__, net.dst.tolist()), net.count.tolist(),
+        _column(flows, "{0:.17g}".format, "-"), half,
+        _column(flows, "{1:.17g}\t{2:.17g}".format, "-\t-")))
     return out.getvalue()
 
 
@@ -313,28 +311,23 @@ def _dot_quote(s):
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _export_dot(net, node_attrs, links):
+def _export_dot(net, phi, comm, pos, flows):
+    quoted = list(map(_dot_quote, net.nodes))
+    # a node lists its present attributes in brackets, if it has any
+    cells = [map(cell.format, *values) for cell, values in (
+        ('potential="{:.6g}"', phi), ('community="{}"', comm),
+        ('pos="{:.6g},{:.6g}"', pos)) if values is not None]
+    attrs = (map(" [{}]".format, map(", ".join, zip(*cells))) if cells
+             else repeat(""))
     out = io.StringIO()
     out.write("digraph influence {\n")
-    for v, (phi, comm, pos) in zip(net.nodes, node_attrs):
-        attrs = []
-        if phi is not None:
-            attrs.append(f'potential="{phi:.6g}"')
-        if comm is not None:
-            attrs.append(f'community="{comm}"')
-        if pos is not None:
-            attrs.append(f'pos="{pos[0]:.6g},{pos[1]:.6g}"')
-        suffix = f" [{', '.join(attrs)}]" if attrs else ""
-        out.write(f"  {_dot_quote(v)}{suffix};\n")
-    for a, b, count, pair in links:
-        attrs = [f'weight="{count}"']
-        if pair is not None:
-            f, fp, fc = pair
-            attrs.append(f'F="{f:.6g}"')
-            attrs.append(f'F_grad="{fp:.6g}"')
-            attrs.append(f'F_circ="{fc:.6g}"')
-        out.write(f"  {_dot_quote(a)} -> {_dot_quote(b)} "
-                  f"[{', '.join(attrs)}];\n")
+    out.writelines(map("  {}{};\n".format, quoted, attrs))
+    out.writelines(map('  {} -> {} [weight="{}"{}];\n'.format,
+                       map(quoted.__getitem__, net.src.tolist()),
+                       map(quoted.__getitem__, net.dst.tolist()),
+                       net.count.tolist(), _column(
+                           flows, ', F="{:.6g}", F_grad="{:.6g}", '
+                           'F_circ="{:.6g}"'.format, "")))
     out.write("}\n")
     return out.getvalue()
 
@@ -353,31 +346,25 @@ def _json_list(items: Iterable[str]) -> str:
     return f"[\n{body}\n  ]" if body else "[]"
 
 
-def _export_json(net, node_attrs, flows):
+def _export_json(net, phi, comm, pos, flows):
     """``json.dumps({"directed", "level", "links", "nodes"}, indent=2,
     sort_keys=True) + "\n"``, written one f-string per node and per link
     from the arrays, so no dict per link or encoder chunk list is made."""
     num = _json_float
     names = list(map(encode_basestring_ascii, net.nodes))
-
-    def node_items():
-        for name, (phi, comm, pos) in zip(names, node_attrs):
-            comm_s = "" if comm is None else f'"community": {comm},\n      '
-            phi_s = "" if phi is None else f',\n      "potential": {num(phi)}'
-            pos_s = ("" if pos is None else f',\n      "x": {num(pos[0])},'
-                     f'\n      "y": {num(pos[1])}')
-            yield f'    {{\n      {comm_s}"id": {name}{phi_s}{pos_s}\n    }}'
-
-    def link_items():
-        for a, b, count, attrs in zip(net.src.tolist(), net.dst.tolist(),
-                                      net.count.tolist(), flows):
-            flow_s = "" if attrs is None else (
-                f'"F": {num(attrs[0])},\n      "F_circ": {num(attrs[2])},'
-                f'\n      "F_grad": {num(attrs[1])},\n      ')
-            yield (f'    {{\n      {flow_s}"count": {count},\n      '
-                   f'"source": {names[a]},\n      "target": {names[b]}\n    }}')
-
-    links = _json_list(link_items())
+    nodes = map(
+        '    {{\n      {}"id": {}{}{}\n    }}'.format,
+        _column(comm, '"community": {},\n      '.format, ""), names,
+        _column(phi, lambda p: f',\n      "potential": {num(p)}', ""),
+        _column(pos, lambda x, y: f',\n      "x": {num(x)},\n      '
+                f'"y": {num(y)}', ""))
+    links = map(
+        '    {{\n      {}"count": {},\n      "source": {},\n      '
+        '"target": {}\n    }}'.format,
+        _column(flows, lambda f, fp, fc: f'"F": {num(f)},\n      "F_circ": '
+                f'{num(fc)},\n      "F_grad": {num(fp)},\n      ', ""),
+        net.count.tolist(), map(names.__getitem__, net.src.tolist()),
+        map(names.__getitem__, net.dst.tolist()))
     return (f'{{\n  "directed": true,\n  "level": '
-            f'{encode_basestring_ascii(net.level)},\n  "links": {links},'
-            f'\n  "nodes": {_json_list(node_items())}\n}}\n')
+            f'{encode_basestring_ascii(net.level)},\n  "links": '
+            f'{_json_list(links)},\n  "nodes": {_json_list(nodes)}\n}}\n')
