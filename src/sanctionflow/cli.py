@@ -1,7 +1,8 @@
 """Pipeline driver. Stages communicate only through files; every output
 starts with comment-prefixed metadata (tool version + the exact flags) so
 any artifact can be regenerated from its header. Each ``cmd_*`` imports the
-modules its stage runs, so a stage process loads no other."""
+modules its stage runs, so a stage process loads no other (and --version
+loads no numpy); any input may start with a UTF-8 byte-order mark."""
 
 from __future__ import annotations
 
@@ -13,7 +14,6 @@ from pathlib import Path
 
 from . import __version__
 from .errors import ConfigError, PipelineError
-from .table import finite, preamble, read_node_columns, read_table, write_table
 
 
 def _header(args: argparse.Namespace) -> list[str]:
@@ -44,20 +44,21 @@ def _named(path):
 
 def _read(path, parse, *args):
     with _named(path):
-        return parse(Path(path).read_text(encoding="utf-8"), *args)
+        return parse(Path(path).read_text(encoding="utf-8-sig"), *args)
 
 
 def _load_events(path: str, fmt: str):
     from . import events
-    with _named(path), open(path, "r", encoding="utf-8") as fh:
+    with _named(path), open(path, "r", encoding="utf-8-sig") as fh:
         return events.parse_events(fh, format=fmt)
 
 
 def cmd_ingest(args):
-    from . import events
+    from . import events, table
     evs = _load_events(args.events, args.format)
     reportv = events.validate_events(evs)
-    _write(args.out, preamble(_header(args)), events.serialize_events(evs))
+    _write(args.out, table.preamble(_header(args)),
+           events.serialize_events(evs))
     print(reportv.summary())
     for warning in reportv.warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -65,7 +66,7 @@ def cmd_ingest(args):
 
 
 def cmd_synth(args):
-    from . import events, synth
+    from . import events, synth, table
     try:
         start = Date.fromisoformat(args.start)
     except ValueError:
@@ -76,20 +77,21 @@ def cmd_synth(args):
         lists_per_issuer=args.lists_per_issuer, copy_prob=args.copy_prob,
         start=start, window_days=args.window_days)
     evs = synth.synth_generate(config, args.seed)
-    _write(args.out, preamble(_header(args)), events.serialize_events(evs))
+    _write(args.out, table.preamble(_header(args)),
+           events.serialize_events(evs))
     print(f"{len(evs)} events, {len(evs.issuer.names)} issuers, "
           f"{len(evs.entity_id.names)} entities")
     return 0
 
 
 def cmd_build(args):
-    from . import netbuild
+    from . import netbuild, table
     evs = _load_events(args.events, args.format)
     selected = None
     if args.category_map or args.label:
         if not (args.category_map and args.label):
             raise PipelineError("--category-map and --label go together")
-        mapping = dict(_read(args.category_map, read_table,
+        mapping = dict(_read(args.category_map, table.read_table,
                              ("list_id", "label"), (str.strip, str.strip)))
         selected = netbuild.filter_by_category(evs, mapping, args.label)
     if args.level == "institution":
@@ -152,11 +154,11 @@ def cmd_pagerank(args):
 
 
 def cmd_layout(args):
-    from . import hodge, netbuild, report
+    from . import hodge, netbuild, report, table
     net = _read(args.net, netbuild.read_network)
     potentials = _read(args.potentials, hodge.read_node_table, net)
     result = report.layout(net, potentials, seed=args.seed, jitter=args.jitter)
-    _write(args.out, write_table(
+    _write(args.out, table.write_table(
         _header(args), ("node", "x", "y"),
         ((node, f"{x:.17g}", f"{y:.17g}") for node, x, y
          in netbuild.named_nodes(net.nodes, result.x, result.y))))
@@ -165,7 +167,7 @@ def cmd_layout(args):
 
 
 def cmd_report(args):
-    from . import community, hodge, netbuild, rank, report
+    from . import community, hodge, netbuild, rank, report, table
     net = _read(args.net, netbuild.read_network)
     if args.pagerank and not args.decomp:
         raise PipelineError("scatter output needs --decomp")
@@ -175,13 +177,21 @@ def cmd_report(args):
                            hodge.read_node_table, net)
         decomp = hodge.decompose(netbuild.symmetrize(net, mode=args.mode),
                                  potentials)
+        # bit for bit on the same net and mode: phi round-trips by %.17g
+        summary = Path(args.decomp) / "summary.csv"
+        stored = _read(summary, table.read_table, ("gradient_ratio",
+                       "loop_ratio", "residual_norm"), (float,) * 3)
+        if stored != [(decomp.gradient_ratio, decomp.loop_ratio,
+                       decomp.residual_norm)]:
+            raise PipelineError(f"{summary}: not the decomposition of "
+                                f"{args.net} at --mode {args.mode}")
     if args.partition:
         communities = _read(args.partition, community.read_partition,
                             net.nodes)
     if args.layout:
         layout_result = report.LayoutResult(*_read(
-            args.layout, read_node_columns, net.nodes, ("node", "x", "y"),
-            (finite, finite)))
+            args.layout, table.read_node_columns, net.nodes,
+            ("node", "x", "y"), (table.finite, table.finite)))
     if args.pagerank:
         scores = _read(args.pagerank, rank.read_ranks, net.nodes)
     head = _header(args)

@@ -8,12 +8,15 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# the top-level modules that importing the CLI adds; modules that the
-# interpreter's site setup loaded before it are not the program's
+# the top-level modules that importing the CLI and every module its stages
+# load adds; modules that the interpreter's site setup loaded before it are
+# not the program's
 PROBE = """
 import json, sys
 before = set(sys.modules)
 import sanctionflow.cli
+from sanctionflow import (community, events, hodge, netbuild, rank, report,
+                          synth, table)
 print(json.dumps(sorted({m.partition(".")[0]
                          for m in set(sys.modules) - before})))
 """
