@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Median wall time and peak RSS of each pipeline stage on the L workload.
+"""Median wall time and peak RSS of each pipeline stage on one workload.
 
-L is 3000 issuers x 30k entities x 1 list per issuer, copy-prob 0.9 (about
-299k events; 3000 nodes and 127k edges at the institution level). The
-script makes its events once with ``synth``, then runs the benchmark's
-stage list (``perfbench/workloads.py``: ingest through layout and a
-``json_graph`` report) ``--repeat`` times. Each stage is its own
+``--workload`` is L (the default) or any benchmark workload of
+``perfbench/workloads.py``. L is 3000 issuers x 30k entities x 1 list per
+issuer, copy-prob 0.9 (about 299k events; 3000 nodes and 127k edges at the
+institution level), with a ``json_graph`` report. The script makes the
+events once, with ``synth`` or, for fragments_10k, with
+``workloads.write_fragments``, then runs the workload's stage list
+(ingest through report) ``--repeat`` times. Each stage is its own
 ``python -m sanctionflow`` process, run from WORKDIR with relative paths,
 and its wall time and peak RSS come from ``os.wait4``; the table gives
 each stage's median wall time with its range, and its median peak RSS.
@@ -16,11 +18,11 @@ Given several ``--src`` trees, the repeats alternate between them (the
 first tree first on even repeats, the last first on odd ones), so a
 parent/change comparison sees the same machine conditions:
 
-    python3 scripts/stage_rss.py /tmp/L --repeat 5 \\
-        --src ../parent/src --src src
+    python3 scripts/stage_rss.py /tmp/frag --workload fragments_10k \\
+        --repeat 5 --src ../parent/src --src src
 
-Usage: python3 scripts/stage_rss.py WORKDIR [--seed N] [--repeat R]
-       [--src DIR ...]
+Usage: python3 scripts/stage_rss.py WORKDIR [--workload NAME] [--seed N]
+       [--repeat R] [--src DIR ...]
 """
 
 import argparse
@@ -35,9 +37,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-from workloads import Workload, stages, synth_argv
+from workloads import WORKLOADS, Workload, stages, synth_argv
 
 L = Workload("L", "institution", "json_graph", True, (3000, 30_000, 1, 0.9))
+FRAGMENTS = ("import sys; from workloads import write_fragments; "
+             "write_fragments(sys.argv[1], int(sys.argv[2]))")
 
 
 def run_stage(src: Path, argv: list[str], cwd: Path) -> tuple[float, float]:
@@ -63,6 +67,7 @@ def run_stage(src: Path, argv: list[str], cwd: Path) -> tuple[float, float]:
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("workdir")
+    parser.add_argument("--workload", choices=["L", *WORKLOADS], default="L")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--repeat", type=int, default=3)
     parser.add_argument("--src", action="append", type=Path,
@@ -72,17 +77,26 @@ def main():
     work = Path(args.workdir).resolve()
     work.mkdir(parents=True, exist_ok=True)
 
+    workload = WORKLOADS.get(args.workload, L)
     events = Path("events.csv")
-    wall, rss = run_stage(trees[0], synth_argv(L, args.seed, events), work)
-    print(f"synth: {wall:.2f} s, {rss:.1f} MB", flush=True)
-    names = [stage.name for stage in stages(L, events, Path("."))]
+    if workload.synth is None:
+        # in a child, so this process's peak stays below every stage's
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "perfbench"))
+        subprocess.run([sys.executable, "-c", FRAGMENTS, str(events),
+                        str(args.seed)], cwd=work, env=env, check=True)
+        print("events: workloads.write_fragments", flush=True)
+    else:
+        wall, rss = run_stage(trees[0], synth_argv(workload, args.seed,
+                                                   events), work)
+        print(f"synth: {wall:.2f} s, {rss:.1f} MB", flush=True)
+    names = [stage.name for stage in stages(workload, events, Path("."))]
     runs = {(t, name): [] for t in range(len(trees)) for name in names}
     for r in range(args.repeat):
         order = range(len(trees))
         if r % 2:
             order = reversed(order)
         for t in order:
-            for stage in stages(L, events, Path(f"run{t}")):
+            for stage in stages(workload, events, Path(f"run{t}")):
                 runs[t, stage.name].append(
                     run_stage(trees[t], stage.argv, work))
         print(f"repeat {r + 1} of {args.repeat} done", flush=True)
@@ -100,7 +114,7 @@ def main():
                   f"{rss:>13.1f}")
             result.append({"src": str(src), "stage": name, "wall_s": wall,
                            "walls_s": walls, "rss_mb": rss})
-    print(json.dumps({"workload": "L", "seed": args.seed,
+    print(json.dumps({"workload": workload.name, "seed": args.seed,
                       "repeat": args.repeat, "stages": result}))
 
 

@@ -3,6 +3,7 @@ current package."""
 
 import contextlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -34,6 +35,18 @@ def test_planted_hierarchy_experiment_runs(tmp_path):
 def test_synth_pipeline_script_runs(tmp_path):
     run_script("run_synth_pipeline.py", str(tmp_path / "run"), cwd=tmp_path)
     assert (tmp_path / "run" / "report" / "graph.json").is_file()
+
+
+def test_stage_rss_runs_a_benchmark_workload(tmp_path):
+    out = run_script("stage_rss.py", str(tmp_path / "work"), "--workload",
+                     "fragments_10k", "--repeat", "1", cwd=tmp_path)
+    result = json.loads(out.splitlines()[-1])
+    assert result["workload"] == "fragments_10k"
+    assert [row["stage"] for row in result["stages"]] == [
+        "ingest", "build", "symmetrize", "decompose", "communities",
+        "pagerank", "report"]
+    assert all(row["rss_mb"] > 0 for row in result["stages"])
+    assert (tmp_path / "work" / "run0" / "report" / "graph.tsv").is_file()
 
 
 def test_benchmark_tracer_records_every_count(tmp_path, monkeypatch):
