@@ -307,12 +307,9 @@ def _export_edge_table(net, phi, comm, pos, flows, header):
     return out.getvalue()
 
 
-def _dot_quote(s):
-    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
 def _export_dot(net, phi, comm, pos, flows):
-    quoted = list(map(_dot_quote, net.nodes))
+    quoted = ['"' + v.replace("\\", "\\\\").replace('"', '\\"') + '"'
+              for v in net.nodes]
     # a node lists its present attributes in brackets, if it has any
     cells = [map(cell.format, *values) for cell, values in (
         ('potential="{:.6g}"', phi), ('community="{}"', comm),
