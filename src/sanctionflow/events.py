@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from datetime import date as Date
 from functools import cached_property
 from operator import itemgetter
-from typing import TextIO
+from typing import Iterable
 
 import numpy as np
 
@@ -219,7 +219,7 @@ def _row_getter(header: list[str], width: int):
     return itemgetter(*(where[name] for name in _FIELDS))
 
 
-def _parse_delimited(text: TextIO) -> EventSet:
+def _parse_delimited(text: Iterable[str]) -> EventSet:
     skipped, lines = skip_preamble(text)
     reader = csv.reader(lines)
     columns = _Columns()
@@ -248,7 +248,7 @@ def _parse_delimited(text: TextIO) -> EventSet:
     return columns.event_set()
 
 
-def _parse_line_records(text: TextIO) -> EventSet:
+def _parse_line_records(text: Iterable[str]) -> EventSet:
     columns = _Columns()
     for line_no, line in enumerate(text, start=1):
         line = line.strip()
@@ -274,9 +274,10 @@ def _parse_line_records(text: TextIO) -> EventSet:
     return columns.event_set()
 
 
-def parse_events(stream: str | TextIO, format: str = "delimited") -> EventSet:
-    """Parse a delimited or line-record event text or text stream into an
-    EventSet.
+def parse_events(stream: str | Iterable[str],
+                 format: str = "delimited") -> EventSet:
+    """Parse a delimited or line-record event text, or its lines (a text
+    stream, say), into an EventSet.
 
     Duplicate (list_id, entity_id) pairs collapse to the earliest date.
     Raises EventParseError naming the line and field on malformed input.

@@ -345,7 +345,7 @@ def _json_list(items: Iterable[str]) -> str:
 
 def _export_json(net, phi, comm, pos, flows):
     """``json.dumps({"directed", "level", "links", "nodes"}, indent=2,
-    sort_keys=True) + "\n"``, written one f-string per node and per link
+    sort_keys=True) + "\n"``, written one string per node and per link
     from the arrays, so no dict per link or encoder chunk list is made."""
     num = _json_float
     names = list(map(encode_basestring_ascii, net.nodes))
