@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from sanctionflow import __version__
 from sanctionflow.cli import run
 from conftest import FIXTURES, csv_data_rows
 
@@ -44,12 +45,50 @@ def test_communities_two_triangles(tmp_path, capsys):
 
 
 def test_outputs_carry_metadata_header(tmp_path):
-    out = tmp_path / "net.tsv"
-    run(["build", "--level", "institution",
-         "--events", str(FIXTURES / "events_pair.csv"), "--out", str(out)])
-    head = Path(out).read_text().splitlines()[:2]
-    assert head[0].startswith("# sanctionflow ")
-    assert "--level=institution" in head[1]
+    """Every .csv and .tsv a stage writes starts with the tool version and
+    the stage's command and flags; dot and json have no comment lines."""
+    w = tmp_path
+    stages = [
+        ["synth", "--issuers", "5", "--entities", "40", "--seed", "3",
+         "--out", w / "synth.csv"],
+        ["ingest", "--events", w / "synth.csv", "--out", w / "canonical.csv"],
+        ["build", "--level", "institution", "--events", w / "canonical.csv",
+         "--out", w / "net.tsv"],
+        ["symmetrize", "--net", w / "net.tsv", "--mode", "unit",
+         "--out", w / "flow.tsv"],
+        ["decompose", "--net", w / "net.tsv", "--out", w / "hodge"],
+        ["communities", "--net", w / "net.tsv", "--seed", "1",
+         "--out", w / "communities.csv"],
+        ["pagerank", "--net", w / "net.tsv", "--out", w / "pagerank.csv"],
+        ["layout", "--net", w / "net.tsv",
+         "--potentials", w / "hodge" / "nodes.csv", "--out", w / "layout.csv"],
+        *(["report", "--net", w / "net.tsv", "--decomp", w / "hodge",
+           "--pagerank", w / "pagerank.csv",
+           "--partition", w / "communities.csv", "--layout", w / "layout.csv",
+           "--graph-format", fmt, "--out", w / fmt]
+          for fmt in ("edge_table", "dot", "json_graph")),
+    ]
+    written = {}
+    for argv in stages:
+        argv = [str(arg) for arg in argv]
+        before = set(w.rglob("*"))
+        assert run(argv) == 0, argv
+        written.update(dict.fromkeys(
+            (p for p in set(w.rglob("*")) - before if p.is_file()), argv))
+    assert {p.suffix for p in written} == {".csv", ".tsv", ".dot", ".json"}
+    for path, argv in written.items():
+        text = path.read_text(encoding="utf-8")
+        if path.suffix == ".dot":
+            assert text.startswith("digraph"), path
+            continue
+        if path.suffix == ".json":
+            assert text.startswith("{"), path
+            continue
+        version, flags = text.splitlines()[:2]
+        assert version == f"# sanctionflow {__version__}", path
+        assert flags.startswith(f"# {argv[0]} "), path
+        for flag, value in zip(argv[1::2], argv[2::2]):
+            assert f" {flag}={value}" in flags, (path, flag)
 
 
 def test_ingest_round_trip(tmp_path, capsys):
