@@ -1,5 +1,5 @@
-"""Pipeline driver. Stages communicate only through files; every output
-starts with comment-prefixed metadata (tool version + the exact flags) so
+"""Pipeline driver. Stages communicate only through files; each .csv and
+.tsv output starts with _header's lines (tool version + the exact flags) so
 any artifact can be regenerated from its header. Each ``cmd_*`` imports the
 modules its stage runs, so a stage process loads no other (and --version
 loads no numpy); any input may start with a UTF-8 byte-order mark."""
@@ -17,10 +17,10 @@ from . import __version__
 from .errors import ConfigError, PipelineError
 
 
-def _header(args: argparse.Namespace) -> list[str]:
+def _header(args: argparse.Namespace) -> str:
     flags = " ".join(f"--{k.replace('_', '-')}={v}"
                      for k, v in sorted(vars(args).items()) if v is not None)
-    return [f"sanctionflow {__version__}", f"{args.command} {flags}"]
+    return f"# sanctionflow {__version__}\n# {args.command} {flags}\n"
 
 
 def _write(path: str, *parts: str) -> None:
@@ -58,11 +58,10 @@ def _load_events(path: str, fmt: str):
 
 
 def cmd_ingest(args):
-    from . import events, table
+    from . import events
     evs = _load_events(args.events, args.format)
     reportv = events.validate_events(evs)
-    _write(args.out, table.preamble(_header(args)),
-           events.serialize_events(evs))
+    _write(args.out, _header(args), events.serialize_events(evs))
     print(reportv.summary())
     for warning in reportv.warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -70,7 +69,7 @@ def cmd_ingest(args):
 
 
 def cmd_synth(args):
-    from . import events, synth, table
+    from . import events, synth
     try:
         start = Date.fromisoformat(args.start)
     except ValueError:
@@ -81,8 +80,7 @@ def cmd_synth(args):
         lists_per_issuer=args.lists_per_issuer, copy_prob=args.copy_prob,
         start=start, window_days=args.window_days)
     evs = synth.synth_generate(config, args.seed)
-    _write(args.out, table.preamble(_header(args)),
-           events.serialize_events(evs))
+    _write(args.out, _header(args), events.serialize_events(evs))
     print(f"{len(evs)} events, {len(evs.issuer.names)} issuers, "
           f"{len(evs.entity_id.names)} entities")
     return 0
@@ -105,7 +103,7 @@ def cmd_build(args):
             raise PipelineError("category filtering applies to the "
                                 "institution level")
         net = netbuild.build_list_network(evs)
-    _write(args.out, netbuild.write_network(net, header=_header(args)))
+    _write(args.out, _header(args), netbuild.write_network(net))
     print(f"{len(net.nodes)} nodes, {len(net.src)} edges, "
           f"total count {net.total_count()}")
     return 0
@@ -115,7 +113,7 @@ def cmd_symmetrize(args):
     from . import netbuild
     net = _read(args.net, netbuild.read_network)
     flow = netbuild.symmetrize(net, mode=args.mode)
-    _write(args.out, netbuild.write_flow(flow, header=_header(args)))
+    _write(args.out, _header(args), netbuild.write_flow(flow))
     print(f"{len(flow.nodes)} nodes, {len(flow.lo)} pairs, mode {args.mode}")
     return 0
 
@@ -127,9 +125,9 @@ def cmd_decompose(args):
     decomp = hodge.solve(flow, tol=args.tol)
     head = _header(args)
     outdir = Path(args.out)
-    _write(str(outdir / "nodes.csv"), hodge.write_node_table(decomp, head))
-    _write(str(outdir / "pairs.csv"), hodge.write_pair_table(decomp, head))
-    _write(str(outdir / "summary.csv"), hodge.write_summary(decomp, head))
+    _write(str(outdir / "nodes.csv"), head, hodge.write_node_table(decomp))
+    _write(str(outdir / "pairs.csv"), head, hodge.write_pair_table(decomp))
+    _write(str(outdir / "summary.csv"), head, hodge.write_summary(decomp))
     print(f"{len(flow.nodes)} nodes, {len(flow.lo)} pairs, "
           f"gradient_ratio {decomp.gradient_ratio:.4f}, "
           f"loop_ratio {decomp.loop_ratio:.4f}")
@@ -141,7 +139,7 @@ def cmd_communities(args):
     net = _read(args.net, netbuild.read_network)
     partition = community.louvain(net, resolution=args.resolution,
                                   seed=args.seed)
-    _write(args.out, community.write_partition(partition, header=_header(args)))
+    _write(args.out, _header(args), community.write_partition(partition))
     n_comm = len(set(partition.assignment.values()))
     print(f"{len(net.nodes)} nodes, {n_comm} communities, "
           f"Q {partition.modularity:.4f}")
@@ -152,7 +150,7 @@ def cmd_pagerank(args):
     from . import netbuild, rank
     net = _read(args.net, netbuild.read_network)
     ranks = rank.pagerank(net, damping=args.damping, tol=args.tol)
-    _write(args.out, rank.write_ranks(ranks, net.nodes, header=_header(args)))
+    _write(args.out, _header(args), rank.write_ranks(ranks, net.nodes))
     print(f"{len(net.nodes)} nodes, {ranks.iterations_used} iterations")
     return 0
 
@@ -162,8 +160,8 @@ def cmd_layout(args):
     net = _read(args.net, netbuild.read_network)
     potentials = _read(args.potentials, hodge.read_node_table, net)
     result = report.layout(net, potentials, seed=args.seed, jitter=args.jitter)
-    _write(args.out, table.write_table(
-        _header(args), ("node", "x", "y"),
+    _write(args.out, _header(args), table.write_table(
+        (), ("node", "x", "y"),
         ((node, f"{x:.17g}", f"{y:.17g}") for node, x, y
          in netbuild.named_nodes(net.nodes, result.x, result.y))))
     print(f"{len(net.nodes)} nodes, {len(result.energy_history)} energy steps")
@@ -203,16 +201,17 @@ def cmd_report(args):
     if decomp is not None:
         rows = report.potential_table(
             decomp, highlight=set(args.highlight or []))
-        _write(str(outdir / "potential_table.csv"),
-               report.write_potential_table(rows, head))
+        _write(str(outdir / "potential_table.csv"), head,
+               report.write_potential_table(rows))
     if scores is not None:
         data = report.scatter_data(net.nodes, scores, decomp.potentials.phi)
-        _write(str(outdir / "scatter.csv"), report.write_scatter(data, head))
+        _write(str(outdir / "scatter.csv"), head, report.write_scatter(data))
     ext = {"edge_table": "tsv", "dot": "dot", "json_graph": "json"}[args.graph_format]
     doc = report.export_graph(net, decomp=decomp, communities=communities,
                               layout_result=layout_result,
-                              format=args.graph_format, header=head)
-    _write(str(outdir / f"graph.{ext}"), doc)
+                              format=args.graph_format)
+    # dot and json have no '#' comments, so no provenance lines
+    _write(str(outdir / f"graph.{ext}"), head if ext == "tsv" else "", doc)
     print(f"report written to {outdir}")
     return 0
 

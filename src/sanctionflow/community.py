@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -168,11 +167,10 @@ def louvain(net: InfluenceNetwork, resolution: float = 1.0,
                               resolution, seed, tuple(pass_q))
 
 
-def write_partition(partition: CommunityPartition,
-                    header: Iterable[str] = ()) -> str:
+def write_partition(partition: CommunityPartition) -> str:
     meta = (f"Q\t{partition.modularity:.17g}\tresolution\t"
             f"{partition.resolution:.17g}\tseed\t{partition.seed}")
-    return write_table([*header, meta], ("node", "community"),
+    return write_table([meta], ("node", "community"),
                        sorted(partition.assignment.items()))
 
 

@@ -10,13 +10,12 @@ zero within each connected component.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
 from .errors import ConvergenceError, PipelineError
 from .netbuild import FlowNetwork, InfluenceNetwork, named_nodes, named_rows
-from .table import _cells, finite, node_columns, preamble, read_table, write_table
+from .table import _cells, finite, node_columns, read_table, write_table
 
 DENSE_LIMIT = 64  # components up to this size use a direct solve
 PCG_STALL = 50  # PCG iterations without a new least residual before it stops
@@ -321,26 +320,25 @@ def solve(flow: FlowNetwork, tol: float = 1e-10) -> HodgeDecomposition:
 # ---------------------------------------------------------------------------
 # Delimited export: node table, pair table, summary (17 significant digits).
 
-def write_node_table(decomp: HodgeDecomposition, header: Iterable[str] = ()) -> str:
+def write_node_table(decomp: HodgeDecomposition) -> str:
     pot, nodes = decomp.potentials, decomp.flow.nodes
-    return "".join([preamble(header), "node,component,potential\n", *(
+    return "".join(["node,component,potential\n", *(
         f"{v},{c},{phi:.17g}\n" for v, c, phi in named_nodes(
             nodes, pot.component, pot.phi, labels=_cells(nodes)))])
 
 
-def write_pair_table(decomp: HodgeDecomposition,
-                     header: Iterable[str] = ()) -> str:
+def write_pair_table(decomp: HodgeDecomposition) -> str:
     flow = decomp.flow
-    return "".join([preamble(header), "i,j,F,w,F_grad,F_circ\n", *(
+    return "".join(["i,j,F,w,F_grad,F_circ\n", *(
         f"{i},{j},{f:.17g},{w:.17g},{g:.17g},{c:.17g}\n"
         for i, j, f, w, g, c in named_rows(
             flow.nodes, flow.lo, flow.hi, flow.F, flow.w, decomp.gradient,
             decomp.circular, labels=_cells(flow.nodes)))])
 
 
-def write_summary(decomp: HodgeDecomposition, header: Iterable[str] = ()) -> str:
+def write_summary(decomp: HodgeDecomposition) -> str:
     values = (decomp.gradient_ratio, decomp.loop_ratio, decomp.residual_norm)
-    return write_table(header, ("gradient_ratio", "loop_ratio", "residual_norm"),
+    return write_table((), ("gradient_ratio", "loop_ratio", "residual_norm"),
                        [[f"{v:.17g}" for v in values]])
 
 

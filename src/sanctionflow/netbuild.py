@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 import numpy as np
 
 from .errors import PipelineError
-from .table import _run_starts, preamble
+from .table import _run_starts
 
 if TYPE_CHECKING:  # a stage that only reads net.tsv never loads events
     from .events import Column, EventSet
@@ -222,13 +222,13 @@ def symmetrize(net: InfluenceNetwork, mode: str = "mean") -> FlowNetwork:
 # src<TAB>dst<TAB>count (flow pairs: i<TAB>j<TAB>F<TAB>w). Lines starting
 # with '#' are metadata and ignored on read, except the level marker.
 
-def _write_records(header: Iterable[str], nodes: tuple[str, ...],
+def _write_records(meta: str, nodes: tuple[str, ...],
                    edges: Iterable[str]) -> str:
     for node in nodes:
         if node.startswith("#") or "\t" in node or "\n" in node:
             raise PipelineError(f"node id {node!r} starts with '#' or "
                                 "contains tab/newline")
-    return "".join([preamble(header), *(n + "\n" for n in nodes), *edges])
+    return "".join([f"# {meta}\n", *(n + "\n" for n in nodes), *edges])
 
 
 def named_nodes(nodes: tuple[str, ...], *values: np.ndarray, labels=None):
@@ -254,9 +254,9 @@ def named_rows(nodes: tuple[str, ...], first: np.ndarray,
                *(v[order].tolist() for v in values))
 
 
-def write_network(net: InfluenceNetwork, header: Iterable[str] = ()) -> str:
+def write_network(net: InfluenceNetwork) -> str:
     return _write_records(
-        [*header, f"level\t{net.level}"], net.nodes,
+        f"level\t{net.level}", net.nodes,
         # both endpoints are nodes, whose lines are checked
         (f"{a}\t{b}\t{c}\n"
          for a, b, c in named_rows(net.nodes, net.src, net.dst, net.count)))
@@ -320,9 +320,9 @@ def read_network(text: str) -> InfluenceNetwork:
                             count[order].astype(np.int64))
 
 
-def write_flow(flow: FlowNetwork, header: Iterable[str] = ()) -> str:
+def write_flow(flow: FlowNetwork) -> str:
     return _write_records(
-        [*header, f"mode\t{flow.weight_mode}"], flow.nodes,
+        f"mode\t{flow.weight_mode}", flow.nodes,
         (f"{i}\t{j}\t{f:.17g}\t{w:.17g}\n"
          for i, j, f, w in named_rows(flow.nodes, flow.lo, flow.hi, flow.F,
                                        flow.w)))

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -54,9 +53,8 @@ def pagerank(net: InfluenceNetwork, damping: float = 0.85,
     raise ConvergenceError("pagerank hit the iteration cap", residual=delta)
 
 
-def write_ranks(rank: RankVector, nodes: tuple[str, ...],
-                header: Iterable[str] = ()) -> str:
-    return write_table(header, ("node", "pagerank"),
+def write_ranks(rank: RankVector, nodes: tuple[str, ...]) -> str:
+    return write_table((), ("node", "pagerank"),
                        ((node, f"{score:.17g}")
                         for node, score in named_nodes(nodes, rank.scores)))
 

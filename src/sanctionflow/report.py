@@ -25,7 +25,7 @@ import numpy as np
 from .errors import PipelineError
 from .hodge import HodgeDecomposition, PotentialVector
 from .netbuild import InfluenceNetwork, named_nodes
-from .table import preamble, write_table
+from .table import write_table
 
 _EPS = 1e-9
 _GRAVITY = 0.01
@@ -204,9 +204,8 @@ def potential_table(decomp: HodgeDecomposition,
             for i, (node, phi) in enumerate(entries)]
 
 
-def write_potential_table(rows: list[TableRow],
-                          header: Iterable[str] = ()) -> str:
-    return write_table(header, ("rank", "name", "potential", "highlighted"),
+def write_potential_table(rows: list[TableRow]) -> str:
+    return write_table((), ("rank", "name", "potential", "highlighted"),
                        ((row.rank, row.node, _printed(row.potential),
                          "*" if row.highlighted else "") for row in rows))
 
@@ -232,10 +231,10 @@ def scatter_data(nodes: tuple[str, ...], pagerank: np.ndarray,
     return ScatterData(rows=rows, correlation=corr, constant_column=constant)
 
 
-def write_scatter(data: ScatterData, header: Iterable[str] = ()) -> str:
+def write_scatter(data: ScatterData) -> str:
     flag = "\tconstant_column" if data.constant_column else ""
     meta = f"pearson\t{data.correlation:.17g}{flag}"
-    return write_table([*header, meta], ("node", "pagerank", "potential"),
+    return write_table([meta], ("node", "pagerank", "potential"),
                        ((node, f"{pr:.17g}", f"{phi:.17g}")
                         for node, pr, phi in data.rows))
 
@@ -250,8 +249,7 @@ def export_graph(net: InfluenceNetwork,
                  decomp: HodgeDecomposition | None = None,
                  communities: np.ndarray | None = None,
                  layout_result: LayoutResult | None = None,
-                 format: str = "edge_table",
-                 header: Iterable[str] = ()) -> str:
+                 format: str = "edge_table") -> str:
     if format not in ("edge_table", "dot", "json_graph"):
         raise PipelineError(f"unknown export format '{format}'")
     if decomp is not None and (decomp.flow.nodes != net.nodes or not (
@@ -268,7 +266,7 @@ def export_graph(net: InfluenceNetwork,
         return _export_json(net, phi, comm, pos, flows)
     if format == "dot":
         return _export_dot(net, phi, comm, pos, flows)
-    return _export_edge_table(net, phi, comm, pos, flows, header)
+    return _export_edge_table(net, phi, comm, pos, flows)
 
 
 def _link_flows(net, decomp):
@@ -286,11 +284,11 @@ def _column(values, cell, absent):
     return repeat(absent) if values is None else map(cell, *values)
 
 
-def _export_edge_table(net, phi, comm, pos, flows, header):
+def _export_edge_table(net, phi, comm, pos, flows):
     out = io.StringIO()
-    out.write(preamble([*header, "node columns\tid\tpotential\tcommunity\tx\ty",
-                        "edge columns\tsrc\tdst\tcount\tF\tw\tF_grad\tF_circ",
-                        f"level\t{net.level}"]))
+    out.write("# node columns\tid\tpotential\tcommunity\tx\ty\n"
+              "# edge columns\tsrc\tdst\tcount\tF\tw\tF_grad\tF_circ\n"
+              f"# level\t{net.level}\n")
     out.writelines(map("{}\t{}\t{}\t{}\n".format, net.nodes,
                        _column(phi, "{:.17g}".format, "-"),
                        _column(comm, str, "-"),

@@ -42,11 +42,11 @@ def _run_starts(*keys: np.ndarray) -> np.ndarray:
     return start
 
 
-def write_table(header: Iterable[str], columns: Sequence[str],
+def write_table(meta: Iterable[str], columns: Sequence[str],
                 rows: Iterable[Sequence[object]]) -> str:
-    """Preamble, header row, then the rows, each cell already formatted."""
+    """``meta`` as '# ' lines, the header row, then rows of formatted cells."""
     out = io.StringIO()
-    out.write(preamble(header))
+    out.write(preamble(meta))
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(columns)
     writer.writerows(rows)

@@ -201,10 +201,10 @@ def test_relabeling_commutes(raw, perm):
 
 def test_network_round_trip(small_events):
     net = build_institution_network(small_events)
-    text = write_network(net, header=["fixture"])
+    text = write_network(net)
     back = read_network(text)
     assert network_fields(back) == network_fields(net)
-    assert write_network(back, header=["fixture"]) == text
+    assert write_network(back) == text
 
 
 def flow_tsv_network(text):
