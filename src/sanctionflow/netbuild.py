@@ -225,9 +225,10 @@ def symmetrize(net: InfluenceNetwork, mode: str = "mean") -> FlowNetwork:
 def _write_records(meta: str, nodes: tuple[str, ...],
                    edges: Iterable[str]) -> str:
     for node in nodes:
-        if node.startswith("#") or "\t" in node or "\n" in node:
+        # a reader's universal newlines end a line at CR as at LF
+        if node.startswith("#") or any(c in node for c in "\t\n\r"):
             raise PipelineError(f"node id {node!r} starts with '#' or "
-                                "contains tab/newline")
+                                "contains tab/CR/LF")
     return "".join([f"# {meta}\n", *(n + "\n" for n in nodes), *edges])
 
 

@@ -329,7 +329,7 @@ def test_read_network_reads_counts_as_int_does():
 
 
 def test_write_network_refuses_ids_it_cannot_read_back():
-    for bad in ("#x", "a\tb", "a\nb"):
+    for bad in ("#x", "a\tb", "a\nb", "a\rb"):
         net = make_network([("A", bad, 1)], nodes=("A", bad))
         with pytest.raises(PipelineError, match="node id"):
             write_network(net)
