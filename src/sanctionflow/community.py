@@ -111,7 +111,7 @@ def louvain(net: InfluenceNetwork, resolution: float = 1.0,
     """Greedy modularity maximization with graph aggregation.
 
     Deterministic for a fixed (network, resolution, seed); the returned Q
-    is recomputed from scratch and never below the single-community baseline.
+    is scored from scratch and never below the single-community baseline.
     Each level is pair arrays (lo, hi, w) over its super-nodes plus their
     self-weights; every weight is a sum of integer counts, so each float
     sum is exact in any order.
@@ -158,7 +158,7 @@ def louvain(net: InfluenceNetwork, resolution: float = 1.0,
         lo, hi = np.divmod(keys, k)
         n = k
 
-    q = modularity(net, membership, resolution)
+    q = pass_q[-1]
     single = np.zeros_like(membership)
     q_single = modularity(net, single, resolution)
     if q < q_single:
