@@ -173,6 +173,8 @@ def cmd_report(args):
     net = _read(args.net, netbuild.read_network)
     if args.pagerank and not args.decomp:
         raise PipelineError("scatter output needs --decomp")
+    if args.highlight is not None and not args.decomp:
+        raise PipelineError("--highlight needs --decomp")
     decomp = communities = layout_result = scores = None
     if args.decomp:
         potentials = _read(Path(args.decomp) / "nodes.csv",

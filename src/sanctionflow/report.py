@@ -197,6 +197,9 @@ def potential_table(decomp: HodgeDecomposition,
     a potential moving below the printed precision keeps its row's place
     (-0.000 and 0.000 tie)."""
     marked = set(highlight)
+    unknown = sorted(marked.difference(decomp.flow.nodes))
+    if unknown:
+        raise PipelineError(f"highlight names unknown node(s): {unknown[:5]}")
     entries = sorted(zip(decomp.flow.nodes, decomp.potentials.phi.tolist()),
                      key=lambda t: (-float(_printed(t[1])), t[0]))
     return [TableRow(rank=i + 1, node=node, potential=phi,
@@ -242,8 +245,9 @@ def write_scatter(data: ScatterData) -> str:
 # ---------------------------------------------------------------------------
 # Graph export. edge_table: node lines with 5 tab-separated fields
 # (id, potential, community, x, y), edge lines with 7 (src, dst, count,
-# F, w, F_grad, F_circ); '-' marks an unavailable attribute. An optional
-# attribute is None if absent, else a tuple of its per-row lists.
+# F, w, F_grad, F_circ); '-' marks an unavailable attribute, and w is the
+# decomposition's pair weight, else the half-sum of the pair's counts. An
+# optional attribute is None if absent, else a tuple of its per-row lists.
 
 def export_graph(net: InfluenceNetwork,
                  decomp: HodgeDecomposition | None = None,
@@ -266,7 +270,9 @@ def export_graph(net: InfluenceNetwork,
         return _export_json(net, phi, comm, pos, flows)
     if format == "dot":
         return _export_dot(net, phi, comm, pos, flows)
-    return _export_edge_table(net, phi, comm, pos, flows)
+    v = net.view
+    w = (v.fwd + v.back) / 2.0 if decomp is None else decomp.flow.w
+    return _export_edge_table(net, phi, comm, pos, flows, w)
 
 
 def _link_flows(net, decomp):
@@ -284,7 +290,7 @@ def _column(values, cell, absent):
     return repeat(absent) if values is None else map(cell, *values)
 
 
-def _export_edge_table(net, phi, comm, pos, flows):
+def _export_edge_table(net, phi, comm, pos, flows, pair_w):
     out = io.StringIO()
     out.write("# node columns\tid\tpotential\tcommunity\tx\ty\n"
               "# edge columns\tsrc\tdst\tcount\tF\tw\tF_grad\tF_circ\n"
@@ -293,14 +299,12 @@ def _export_edge_table(net, phi, comm, pos, flows):
                        _column(phi, "{:.17g}".format, "-"),
                        _column(comm, str, "-"),
                        _column(pos, "{:.17g}\t{:.17g}".format, "-\t-")))
-    view = net.view
-    # w recoverable from the pair tables; emit half-sum of counts here
-    half = ((view.fwd + view.back)[view.pair] / 2.0).tolist()
     out.writelines(map(
         "{}\t{}\t{}\t{}\t{:.17g}\t{}\n".format,
         map(net.nodes.__getitem__, net.src.tolist()),
         map(net.nodes.__getitem__, net.dst.tolist()), net.count.tolist(),
-        _column(flows, "{0:.17g}".format, "-"), half,
+        _column(flows, "{0:.17g}".format, "-"),
+        pair_w[net.view.pair].tolist(),
         _column(flows, "{1:.17g}\t{2:.17g}".format, "-\t-")))
     return out.getvalue()
 

@@ -609,3 +609,44 @@ def test_a_category_map_and_a_network_starting_with_a_bom_are_read(
         tmp_path / "net", monkeypatch, MODE_NET,
         ["pagerank", "--net", "in", "--out", "out"])
     assert bom == plain
+
+
+@pytest.mark.parametrize("mode", ["mean", "unit"])
+def test_edge_table_weight_is_the_decomposition_weight(tmp_path, mode):
+    net = tmp_path / "net.tsv"
+    net.write_text(MODE_NET)
+    hodge, out = tmp_path / "hodge", tmp_path / "report"
+    for argv in (["decompose", "--net", net, "--mode", mode, "--out", hodge],
+                 ["report", "--net", net, "--mode", mode, "--decomp", hodge,
+                  "--out", out]):
+        assert run([str(arg) for arg in argv]) == 0, argv
+    pair_w = {frozenset(row[:2]): row[3]
+              for row in csv_data_rows(hodge / "pairs.csv")}
+    edges = [line.split("\t") for line in read_data_lines(out / "graph.tsv")
+             if line.count("\t") == 6]
+    assert len(edges) == 5
+    for src, dst, _, _, w, _, _ in edges:
+        assert w == pair_w[frozenset((src, dst))], (src, dst)
+
+
+def test_report_refuses_highlight_without_decomp(tmp_path, capsys):
+    net = tmp_path / "net.tsv"
+    net.write_text(MODE_NET)
+    out = tmp_path / "report"
+    assert run(["report", "--net", str(net), "--highlight", "A",
+                "--out", str(out)]) == 1
+    assert_one_error_line(capsys, "--highlight needs --decomp")
+    assert not out.exists()
+
+
+def test_report_refuses_to_highlight_unknown_nodes(tmp_path, capsys):
+    net = tmp_path / "net.tsv"
+    net.write_text(MODE_NET)
+    hodge, out = tmp_path / "hodge", tmp_path / "report"
+    assert run(["decompose", "--net", str(net), "--out", str(hodge)]) == 0
+    unknown = ["U1", "U2", "U3", "U4", "U5", "U6"]
+    capsys.readouterr()
+    assert run(["report", "--net", str(net), "--decomp", str(hodge),
+                "--highlight", "B", *unknown[::-1], "--out", str(out)]) == 1
+    assert_one_error_line(capsys, "highlight", *map(repr, unknown[:5]))
+    assert not out.exists()
