@@ -195,7 +195,7 @@ def potential_table(decomp: HodgeDecomposition,
                     highlight: Iterable[str] = ()) -> list[TableRow]:
     """Rows ranked by descending printed potential, ties broken by node, so
     a potential moving below the printed precision keeps its row's place
-    (-0.000 and 0.000 tie)."""
+    (-0.000 and 0.000 tie). A highlight name that is not a node is an error."""
     marked = set(highlight)
     unknown = sorted(marked.difference(decomp.flow.nodes))
     if unknown:
