@@ -240,7 +240,7 @@ def _parse_delimited(text: Iterable[str]) -> EventSet:
                     raise EventParseError(
                         f"expected {len(header)} fields, got {len(row)}",
                         line=skipped + reader.line_num,
-                        field=_HEADER[min(len(row), 3)])
+                        field=_HEADER[len(row)] if len(row) < 4 else None)
                 get = getters[len(row)] = _row_getter(header, len(row))
             add(get(row), skipped + reader.line_num)
     except csv.Error as exc:

@@ -58,6 +58,18 @@ def test_malformed_row_names_line_and_field():
         parse_events("issuer,list_id,entity_id,date\nEU,L1\n")
 
 
+def test_long_row_names_no_field():
+    text = ("issuer,list_id,entity_id,date,category\n"
+            "EU,L1,X,2010-01-01,\n"
+            "EU,L1,Y,2010-01-01,a,b\n")
+    with pytest.raises(EventParseError) as err:
+        parse_events(text)
+    assert str(err.value) == "line 3: expected 5 fields, got 6"
+    assert err.value.field is None
+    with pytest.raises(EventParseError, match="line 2: field 'date'"):
+        parse_events("issuer,list_id,entity_id,date,category\nEU,L1,X\n")
+
+
 def test_empty_identifier_rejected():
     with pytest.raises(EventParseError, match="entity_id"):
         parse_events("issuer,list_id,entity_id,date\nEU,L1, ,2010-01-01\n")
