@@ -15,7 +15,9 @@ steps on the same energy kernel, always running to ``max_steps``.
 ``read_network_reference`` is the ``net.tsv`` reader as first written,
 checking one line at a time. ``export_graph_reference`` is the graph
 export (edge table, dot, json) that tested each optional attribute for
-``None`` on every node and edge line.
+``None`` on every node and edge line. ``parse_events_reference`` is the
+delimited event parser that read one ``csv.reader`` row and coded one
+event at a time.
 """
 
 from __future__ import annotations
@@ -29,15 +31,18 @@ import random
 from datetime import timedelta
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import Iterable
 
 import numpy as np
 
 from sanctionflow.community import CommunityPartition, modularity
-from sanctionflow.errors import PipelineError
+from sanctionflow.errors import EventParseError, PipelineError
+from sanctionflow.events import (_FIELDS, _HEADER, Column, EventSet,
+                                 _checked_category, _checked_id, _parse_date)
 from sanctionflow.report import (_EPS, _GRAVITY, LayoutResult, _apply_jitter,
                                  _energy_kernel)
-from sanctionflow.table import preamble
+from sanctionflow.table import preamble, skip_preamble
 
 from conftest import (by_node, ev, in_node_order, make_events, pairs_of,
                       split_of)
@@ -669,3 +674,82 @@ def _export_json(net, node_attrs, flows):
     return (f'{{\n  "directed": true,\n  "level": '
             f'{encode_basestring_ascii(net.level)},\n  "links": {links},'
             f'\n  "nodes": {_json_list(node_items())}\n}}\n')
+
+
+class _Columns:
+    """Event columns in input order, as they are parsed. Each distinct raw
+    value of a field is checked and coded on its first occurrence only, so
+    an error still names the first line and field that hold a bad value."""
+
+    def __init__(self):
+        # per field of _FIELDS: name -> code (dates have no names), and
+        # raw value -> code (date: ordinal)
+        self.names = ({}, {}, {}, None, {})
+        self.seen = ({}, {}, {}, {}, {None: -1})
+        self.codes = ([], [], [], [], [])
+
+    def add(self, values: tuple, line: int) -> None:
+        """One event's raw (issuer, list_id, entity_id, date, category);
+        the category may be None. Fields are checked category first."""
+        seen, codes = self.seen, self.codes
+        for k in (4, 0, 1, 2, 3):
+            value = values[k]
+            code = seen[k].get(value)
+            if code is None:
+                code = seen[k][value] = self._code(k, value, line)
+            codes[k].append(code)
+
+    def _code(self, k: int, value, line: int) -> int:
+        if k == 3:
+            return _parse_date(value, line)
+        name = (_checked_category(value, line) if k == 4
+                else _checked_id(value, _FIELDS[k], line))
+        if name is None:
+            return -1
+        names = self.names[k]
+        return names.setdefault(name, len(names))
+
+    def event_set(self) -> EventSet:
+        return EventSet.from_columns(
+            *(Column(tuple(self.names[k]), self.codes[k]) for k in (0, 1, 2, 4)),
+            self.codes[3])
+
+
+def _row_getter(header: list[str], width: int):
+    """The (issuer, list_id, entity_id, date, category) cells of a row of
+    ``width`` cells; a repeated header name reads its last column."""
+    where = {name: k for k, name in enumerate(header[:width])}
+    get = itemgetter(*(where[name] for name in _HEADER))
+    if "category" not in where:
+        return lambda row: (*get(row), None)
+    return itemgetter(*(where[name] for name in _FIELDS))
+
+
+def parse_events_reference(text: str | Iterable[str]) -> EventSet:
+    text = io.StringIO(text) if isinstance(text, str) else text
+    skipped, lines = skip_preamble(text)
+    reader = csv.reader(lines)
+    columns = _Columns()
+    add = columns.add
+    getters = {}  # row width -> cell getter
+    try:
+        header = [c.strip() for c in next(reader, [])]
+        if tuple(header[:4]) != _HEADER:
+            raise EventParseError(
+                f"bad header {header!r}; expected issuer,list_id,entity_id,"
+                "date[,category]", line=skipped + 1)
+        for row in reader:
+            get = getters.get(len(row))
+            if get is None:
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) < 4 or len(row) > len(header):
+                    raise EventParseError(
+                        f"expected {len(header)} fields, got {len(row)}",
+                        line=skipped + reader.line_num,
+                        field=_HEADER[len(row)] if len(row) < 4 else None)
+                get = getters[len(row)] = _row_getter(header, len(row))
+            add(get(row), skipped + reader.line_num)
+    except csv.Error as exc:
+        raise EventParseError(str(exc), line=skipped + reader.line_num) from None
+    return columns.event_set()

@@ -2,13 +2,14 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sanctionflow import (EventParseError, EventSet, PipelineError,
-                          parse_events, serialize_events, validate_events)
+                          events, parse_events, serialize_events,
+                          validate_events)
 from sanctionflow.events import Column
 from conftest import ev, make_events
-from oracles import serialize_events_reference
+from oracles import parse_events_reference, serialize_events_reference
 
 CSV = """issuer,list_id,entity_id,date,category
 EU,EU-TERR-1,ACME-CORP,2010-03-05,terror
@@ -182,6 +183,87 @@ def test_unclosed_quote_past_field_limit_is_a_parse_error():
             + "EU,L1,X,2010-01-01\n" * 8000)
     with pytest.raises(EventParseError, match="field larger than field limit"):
         parse_events(text)
+
+
+# headers: the minimal and canonical ones, padded names, an extra column
+# before or after the category, a repeated name (a 6-cell row reads its
+# issuer from the last column, a 5-cell row from the first), a quoted name
+# with a line break, and a bad one
+_DIFF_HEADERS = [
+    ["issuer", "list_id", "entity_id", "date"],
+    ["issuer", "list_id", "entity_id", "date", "category"],
+    [" issuer", "list_id ", "entity_id", " date ", "category"],
+    ["issuer", "list_id", "entity_id", "date", "category", "note"],
+    ["issuer", "list_id", "entity_id", "date", "note", "category"],
+    ["issuer", "list_id", "entity_id", "date", "category", "issuer"],
+    ["issuer", "list_id", "entity_id", "date", "date"],
+    ["issuer", "list_id", "entity_id", "date", "note\nx"],
+    ["issuer", "list", "entity_id", "date"],
+]
+_LIST_OWNER = {"L1": "A", "L2": "B", " L3": " A", "L,4": "B"}
+_BAD_CELLS = ["", " ", "#x", "a\tb", "x\ny", "2010-13-01", "2010-02-30",
+              "x", "a\rb"]
+
+
+def _cell(text: str, quote: bool) -> str:
+    if quote or any(c in text for c in ',"\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text  # a CR left unquoted is a csv error
+
+
+@st.composite
+def _event_texts(draw):
+    """Delimited event texts mixing every row shape the parser meets."""
+    header = draw(st.sampled_from(_DIFF_HEADERS))
+    quote = st.sampled_from([False, False, False, True])
+    lines = draw(st.lists(st.sampled_from(["# note", "", "  ", "#a,b"]),
+                          max_size=2))
+    lines.append(",".join(_cell(c, draw(quote)) for c in header))
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["row"] * 8 + ["blank", "space", "width"]))
+        if kind in ("blank", "space"):
+            lines.append("" if kind == "blank" else " \t ")
+            continue
+        lst = draw(st.sampled_from(sorted(_LIST_OWNER)))
+        cells = [_LIST_OWNER[lst], lst,
+                 draw(st.sampled_from(["X", "Y", " X", "a,b", 'say "z"',
+                                       "\x00"])),
+                 draw(st.sampled_from(["2010-01-02", "2010-01-01",
+                                       " 2010-01-03"])),
+                 *draw(st.lists(st.sampled_from(["", "c", " c ", "c,d",
+                                                 "c\nd", "A"]),
+                                min_size=len(header) - 4,
+                                max_size=len(header) - 4))]
+        if kind == "width":
+            cells = cells[:draw(st.integers(1, len(cells) + 2))]
+            cells += ["n"] * max(0, draw(st.integers(-1, 2)))
+        if draw(st.integers(0, 11)) == 0:
+            cells[draw(st.integers(0, len(cells) - 1))] = \
+                draw(st.sampled_from(_BAD_CELLS))
+        lines.append(",".join(_cell(c, draw(quote)) for c in cells))
+    ends = [draw(st.sampled_from(["\n", "\n", "\r\n"])) for _ in lines]
+    if draw(st.booleans()):
+        ends[-1] = ""  # a last line without LF
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except PipelineError as exc:
+        return (type(exc), str(exc), getattr(exc, "line", None),
+                getattr(exc, "field", None))
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, None])
+@settings(max_examples=150, deadline=None)
+@given(_event_texts())
+def test_parse_matches_the_row_by_row_reference(chunk, text):
+    with pytest.MonkeyPatch.context() as patch:
+        if chunk is not None:
+            patch.setattr(events, "_LINE_CHUNK", chunk, raising=False)
+        got = _outcome(parse_events, text)
+    assert got == _outcome(parse_events_reference, text)
 
 
 @pytest.mark.parametrize("field,value", [
