@@ -16,8 +16,9 @@ from collections import namedtuple
 from dataclasses import dataclass
 from datetime import date as Date
 from functools import cached_property
+from itertools import chain, islice, repeat
 from operator import itemgetter
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -29,6 +30,9 @@ _HEADER = ("issuer", "list_id", "entity_id", "date")
 _FIELDS = (*_HEADER, "category")
 # events serialized into one string at a time
 _ROW_CHUNK = 1 << 14
+# lines of an event file parsed and coded at a time; a chunk's cells are
+# alive at once, and on 156k events 1024 lines held one 1 MiB arena more
+_LINE_CHUNK = 256
 
 # One column of an EventSet: its distinct names, and per event an int32 code
 # indexing them (-1 for none).
@@ -170,108 +174,143 @@ def _checked_category(value: str | None, line: int) -> str | None:
     return category or None
 
 
-class _Columns:
-    """Event columns in input order, as they are parsed. Each distinct raw
-    value of a field is checked and coded on its first occurrence only, so
-    an error still names the first line and field that hold a bad value."""
+def _code(k: int, value, names: dict | None, line: int) -> int:
+    """The code of raw ``value`` of field ``_FIELDS[k]`` (a date: its
+    ordinal), named in ``names`` if new; a bad value raises."""
+    if k == 3:
+        return _parse_date(value, line)
+    name = (_checked_category(value, line) if k == 4
+            else _checked_id(value, _FIELDS[k], line))
+    return -1 if name is None else names.setdefault(name, len(names))
 
-    def __init__(self):
-        # per field of _FIELDS: name -> code (dates have no names), and
-        # raw value -> code (date: ordinal)
-        self.names = ({}, {}, {}, None, {})
-        self.seen = ({}, {}, {}, {}, {None: -1})
-        self.codes = ([], [], [], [], [])
 
-    def add(self, values: tuple, line: int) -> None:
-        """One event's raw (issuer, list_id, entity_id, date, category);
-        the category may be None. Fields are checked category first."""
-        seen, codes = self.seen, self.codes
-        for k in (4, 0, 1, 2, 3):
-            value = values[k]
-            code = seen[k].get(value)
-            if code is None:
-                code = seen[k][value] = self._code(k, value, line)
-            codes[k].append(code)
-
-    def _code(self, k: int, value, line: int) -> int:
-        if k == 3:
-            return _parse_date(value, line)
-        name = (_checked_category(value, line) if k == 4
-                else _checked_id(value, _FIELDS[k], line))
-        if name is None:
-            return -1
-        names = self.names[k]
-        return names.setdefault(name, len(names))
-
-    def event_set(self) -> EventSet:
-        return EventSet.from_columns(
-            *(Column(tuple(self.names[k]), self.codes[k]) for k in (0, 1, 2, 4)),
-            self.codes[3])
+def _coded(chunks: Iterable[Iterable[Sequence]]) -> EventSet:
+    """The EventSet of rows given a chunk at a time, as columns: the raw
+    issuer, list_id, entity_id, date and category, and each row's line.
+    Each distinct raw value of a field is checked once, when first met; an
+    error names the first line holding a bad value, its category first."""
+    # per field of _FIELDS: name -> code (none for dates), raw value -> code
+    names = ({}, {}, {}, None, {})
+    seen = ({}, {}, {}, {}, {None: -1})
+    codes, n = np.empty((5, 0), np.int32), 0  # per field, each row's code
+    for *columns, lines in chunks:
+        bad = []
+        for order, k in enumerate((4, 0, 1, 2, 3)):
+            for value in set(columns[k]).difference(seen[k]):
+                try:
+                    seen[k][value] = _code(k, value, names[k], 0)
+                except EventParseError:
+                    bad.append((columns[k].index(value), order, k, value))
+        if bad:
+            row, _, k, value = min(bad)
+            _code(k, value, names[k], lines[row])  # raises, naming the line
+        m = len(lines)
+        if n + m > codes.shape[1]:  # double the room
+            codes = np.hstack((codes[:, :n], np.empty((5, n + m), np.int32)))
+        for k, column in enumerate(columns):
+            codes[k, n:n + m] = np.fromiter(map(seen[k].__getitem__, column),
+                                            np.int32, m)
+        n += m
+    return EventSet.from_columns(
+        *(Column(tuple(names[k]), codes[k, :n]) for k in (0, 1, 2, 4)),
+        codes[3, :n])
 
 
 def _row_getter(header: list[str], width: int):
     """The (issuer, list_id, entity_id, date, category) cells of a row of
-    ``width`` cells; a repeated header name reads its last column."""
+    ``width`` cells and one cell more, which a missing category column
+    reads; a repeated header name reads its last column."""
     where = {name: k for k, name in enumerate(header[:width])}
-    get = itemgetter(*(where[name] for name in _HEADER))
-    if "category" not in where:
-        return lambda row: (*get(row), None)
-    return itemgetter(*(where[name] for name in _FIELDS))
+    return itemgetter(*(where.get(name, width) for name in _FIELDS))
 
 
-def _parse_delimited(text: Iterable[str]) -> EventSet:
-    skipped, lines = skip_preamble(text)
+def _delimited_chunks(text: Iterable[str]):
+    """The rows of a delimited text for ``_coded``, a chunk of
+    ``_LINE_CHUNK`` lines at a time. A chunk with no quote or CR and one
+    cell per header column on each line is cut by one split; any other
+    goes row by row through csv.reader, which may read past its end to
+    close a quoted field."""
+    line, lines = skip_preamble(text)
     reader = csv.reader(lines)
-    columns = _Columns()
-    add = columns.add
-    getters = {}  # row width -> cell getter
     try:
         header = [c.strip() for c in next(reader, [])]
-        if tuple(header[:4]) != _HEADER:
-            raise EventParseError(
-                f"bad header {header!r}; expected issuer,list_id,entity_id,"
-                "date[,category]", line=skipped + 1)
-        for row in reader:
-            get = getters.get(len(row))
-            if get is None:
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                if len(row) < 4 or len(row) > len(header):
-                    raise EventParseError(
-                        f"expected {len(header)} fields, got {len(row)}",
-                        line=skipped + reader.line_num,
-                        field=_HEADER[len(row)] if len(row) < 4 else None)
-                get = getters[len(row)] = _row_getter(header, len(row))
-            add(get(row), skipped + reader.line_num)
     except csv.Error as exc:
-        raise EventParseError(str(exc), line=skipped + reader.line_num) from None
-    return columns.event_set()
-
-
-def _parse_line_records(text: Iterable[str]) -> EventSet:
-    columns = _Columns()
-    for line_no, line in enumerate(text, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
+        raise EventParseError(str(exc), line=line + reader.line_num) from None
+    if tuple(header[:4]) != _HEADER:
+        raise EventParseError(
+            f"bad header {header!r}; expected issuer,list_id,entity_id,"
+            "date[,category]", line=line + 1)
+    line, width = line + reader.line_num, len(header)
+    getters = {width: _row_getter(header, width)}  # row width -> getter
+    while chunk := list(islice(lines, _LINE_CHUNK)):
+        n, text = len(chunk), "".join(chunk)
+        if ('"' not in text and "\r" not in text
+                and set(map(str.count, chunk, repeat(","))) == {width - 1}
+                and max(map(len, chunk)) <= csv.field_size_limit()):
+            cells = text.replace("\n", ",").split(",")
+            yield (*getters[width]([*(cells[j:width * n:width]
+                                      for j in range(width)), [None] * n]),
+                   range(line + 1, line + n + 1))
+            line += n
             continue
+        reader = csv.reader(chain(chunk, lines))
+        rows = []  # each row's raw fields and line
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise EventParseError(f"invalid JSON: {exc.msg}", line=line_no)
-        if not isinstance(obj, dict):
-            raise EventParseError("record is not an object", line=line_no)
-        for key in _HEADER:
-            if key not in obj:
-                raise EventParseError("missing key", line=line_no, field=key)
-        for key in _FIELDS:
-            value = obj.get(key)
-            if not (isinstance(value, str)
-                    or (key == "category" and value is None)):
-                raise EventParseError("expected a JSON string, got "
-                                      f"{json.dumps(value)[:40]}",
-                                      line=line_no, field=key)
-        columns.add(tuple(obj.get(key) for key in _FIELDS), line_no)
-    return columns.event_set()
+            for row in reader:
+                get = getters.get(len(row))
+                if get is None and (len(row) > 1 or row and row[0].strip()):
+                    if len(row) < 4 or len(row) > width:
+                        raise EventParseError(
+                            f"expected {width} fields, got {len(row)}",
+                            line=line + reader.line_num,
+                            field=_HEADER[len(row)] if len(row) < 4 else None)
+                    get = getters[len(row)] = _row_getter(header, len(row))
+                if get is not None:
+                    row.append(None)
+                    rows.append((*get(row), line + reader.line_num))
+                if reader.line_num >= n:
+                    break
+        except csv.Error as exc:
+            raise EventParseError(str(exc), line=line + reader.line_num) from None
+        finally:  # the rows before an error are coded before it is raised
+            if rows:
+                yield zip(*rows)
+        line += reader.line_num
+
+
+def _record_chunks(text: Iterable[str]):
+    """The rows of a line-record text for ``_coded``, by chunks of lines."""
+    numbered = enumerate(text, start=1)
+    while chunk := list(islice(numbered, _LINE_CHUNK)):
+        rows = []  # each row's raw fields and line
+        try:
+            for line_no, line in chunk:
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise EventParseError(f"invalid JSON: {exc.msg}",
+                                          line=line_no)
+                if not isinstance(obj, dict):
+                    raise EventParseError("record is not an object",
+                                          line=line_no)
+                for key in _HEADER:
+                    if key not in obj:
+                        raise EventParseError("missing key", line=line_no,
+                                              field=key)
+                for key in _FIELDS:
+                    value = obj.get(key)
+                    if not (isinstance(value, str)
+                            or (key == "category" and value is None)):
+                        raise EventParseError(
+                            "expected a JSON string, got "
+                            f"{json.dumps(value)[:40]}", line=line_no, field=key)
+                rows.append((*map(obj.get, _FIELDS), line_no))
+        finally:  # the rows before an error are coded before it is raised
+            if rows:
+                yield zip(*rows)
 
 
 def parse_events(stream: str | Iterable[str],
@@ -283,11 +322,10 @@ def parse_events(stream: str | Iterable[str],
     Raises EventParseError naming the line and field on malformed input.
     """
     text = io.StringIO(stream) if isinstance(stream, str) else stream
-    if format == "delimited":
-        return _parse_delimited(text)
-    if format == "line_record":
-        return _parse_line_records(text)
-    raise PipelineError(f"unknown event format '{format}'")
+    if format not in ("delimited", "line_record"):
+        raise PipelineError(f"unknown event format '{format}'")
+    return _coded(_delimited_chunks(text) if format == "delimited"
+                  else _record_chunks(text))
 
 
 def serialize_events(events: EventSet) -> str:

@@ -261,7 +261,7 @@ def _outcome(parse, text):
 def test_parse_matches_the_row_by_row_reference(chunk, text):
     with pytest.MonkeyPatch.context() as patch:
         if chunk is not None:
-            patch.setattr(events, "_LINE_CHUNK", chunk, raising=False)
+            patch.setattr(events, "_LINE_CHUNK", chunk)
         got = _outcome(parse_events, text)
     assert got == _outcome(parse_events_reference, text)
 
@@ -278,6 +278,23 @@ def test_line_record_non_string_value_rejected(field, value):
                              "string"):
         parse_events("# exported\n" + json.dumps(row) + "\n",
                      format="line_record")
+
+
+@pytest.mark.parametrize("chunk", [1, 2, None])
+def test_line_record_error_names_the_first_bad_line(chunk):
+    good = json.dumps({"issuer": "EU", "list_id": "L1", "entity_id": "X",
+                       "date": "2010-01-01"})
+    bad_id = good.replace('"X"', '"#x"')
+    with pytest.MonkeyPatch.context() as patch:
+        if chunk is not None:
+            patch.setattr(events, "_LINE_CHUNK", chunk)
+        with pytest.raises(EventParseError,
+                           match="^line 2: field 'entity_id'"):
+            parse_events("\n".join([good, bad_id, "{oops"]),
+                         format="line_record")
+        with pytest.raises(EventParseError, match="^line 3: invalid JSON"):
+            parse_events("\n".join([good, good, "{oops", bad_id]),
+                         format="line_record")
 
 
 def test_line_record_null_category_is_absent():
@@ -357,12 +374,13 @@ def test_serialize_matches_the_reference_on_arbitrary_events(rows):
             == serialize_events_reference(raw))
 
 
-def test_serialize_memory_is_bounded():
-    import tracemalloc
+def _events_150k() -> EventSet:
+    """150k events shaped like the benchmark's lists_m: 40 issuers with 5
+    lists each, 20k entities and an optional category."""
     n = 150_000
     rng = np.random.default_rng(1)
     issuer = rng.integers(0, 40, n)
-    es = EventSet.from_columns(
+    return EventSet.from_columns(
         Column(tuple(f"ISS{i:03d}" for i in range(40)), issuer),
         Column(tuple(f"ISS{i:03d}-L{k}" for i in range(40) for k in range(5)),
                issuer * 5 + rng.integers(0, 5, n)),
@@ -370,11 +388,31 @@ def test_serialize_memory_is_bounded():
                rng.integers(0, 20_000, n)),
         Column(("a", "b"), rng.integers(-1, 2, n)),
         733_000 + rng.integers(0, 365, n))
+
+
+def _traced_peak(call):
+    import tracemalloc
     tracemalloc.start()
     try:
-        text = serialize_events(es)
+        result = call()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return result, peak
+
+
+def test_serialize_memory_is_bounded():
+    es = _events_150k()
+    text, peak = _traced_peak(lambda: serialize_events(es))
     # the text itself, plus its pieces while they are joined
     assert peak < 3.5 * len(text)
+
+
+def test_parse_memory_is_bounded(tmp_path):
+    path = tmp_path / "events.csv"
+    path.write_text(serialize_events(_events_150k()), encoding="utf-8")
+    with open(path, encoding="utf-8") as fh:
+        es, peak = _traced_peak(lambda: parse_events(fh))
+    assert len(es) > 140_000
+    # the parser that coded one csv.reader row at a time peaked at 18.2 MB
+    assert peak < 18_000_000
