@@ -24,12 +24,14 @@ def _header(args: argparse.Namespace) -> str:
 
 
 def _write(path: str, *parts: str) -> None:
-    """Write the parts one after another, so a preamble and a large body are
-    never copied into one string."""
+    """Write the parts one after another, each in slices of 1 MiB, so a
+    preamble and a large body are never copied into one string, nor a body
+    encoded whole."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         for part in parts:
-            fh.write(part)
+            for lo in range(0, len(part), 1 << 20):
+                fh.write(part[lo:lo + (1 << 20)])
 
 
 @contextmanager
