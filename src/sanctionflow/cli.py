@@ -18,8 +18,11 @@ from .errors import ConfigError, PipelineError
 
 
 def _header(args: argparse.Namespace) -> str:
+    # repr() keeps a value holding a line break on the provenance line
+    values = {k: repr(v) if "\r" in str(v) or "\n" in str(v) else v
+              for k, v in vars(args).items() if v is not None}
     flags = " ".join(f"--{k.replace('_', '-')}={v}"
-                     for k, v in sorted(vars(args).items()) if v is not None)
+                     for k, v in sorted(values.items()))
     return f"# sanctionflow {__version__}\n# {args.command} {flags}\n"
 
 

@@ -91,6 +91,27 @@ def test_outputs_carry_metadata_header(tmp_path):
             assert f" {flag}={value}" in flags, (path, flag)
 
 
+@pytest.mark.parametrize("name", ["pr\nx.csv", "pr\rx.csv"])
+def test_a_line_break_in_a_flag_value_keeps_the_provenance_line(tmp_path,
+                                                                name):
+    w = tmp_path
+    pr = w / name
+    for argv in (["synth", "--issuers", "6", "--entities", "60", "--seed", "2",
+                  "--out", w / "ev.csv"],
+                 ["build", "--level", "institution", "--events", w / "ev.csv",
+                  "--out", w / "net.tsv"],
+                 ["decompose", "--net", w / "net.tsv", "--out", w / "hodge"],
+                 ["pagerank", "--net", w / "net.tsv", "--out", pr],
+                 ["report", "--net", w / "net.tsv", "--decomp", w / "hodge",
+                  "--pagerank", pr, "--out", w / "report"]):
+        assert run([str(arg) for arg in argv]) == 0, argv
+    lines = pr.read_text(encoding="utf-8").split("\n")
+    assert lines[1] == ("# pagerank --command=pagerank --damping=0.85 "
+                        f"--net={w / 'net.tsv'} "
+                        f"--out={str(pr)!r} --tol=1e-12")
+    assert lines[2] == "node,pagerank"
+
+
 def test_ingest_round_trip(tmp_path, capsys):
     out = tmp_path / "canonical.csv"
     status = run(["ingest", "--events", str(FIXTURES / "events_small.csv"),
