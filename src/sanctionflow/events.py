@@ -18,7 +18,7 @@ from datetime import date as Date
 from functools import cached_property
 from itertools import chain, islice, repeat
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -226,10 +226,10 @@ def _row_getter(header: list[str], width: int):
 
 def _delimited_chunks(text: Iterable[str]):
     """The rows of a delimited text for ``_coded``, a chunk of
-    ``_LINE_CHUNK`` lines at a time. A chunk with no quote or CR and one
-    cell per header column on each line is cut by one split; any other
-    goes row by row through csv.reader, which may read past its end to
-    close a quoted field."""
+    ``_LINE_CHUNK`` lines at a time. A chunk with no quote or CR, each line
+    ending in its one LF (the last may have none) and holding one cell per
+    header column, is cut by one split; any other goes row by row through
+    csv.reader, which may read past its end to close a quoted field."""
     line, lines = skip_preamble(text)
     reader = csv.reader(lines)
     try:
@@ -245,6 +245,7 @@ def _delimited_chunks(text: Iterable[str]):
     while chunk := list(islice(lines, _LINE_CHUNK)):
         n, text = len(chunk), "".join(chunk)
         if ('"' not in text and "\r" not in text
+                and text.count("\n") == n - (not text.endswith("\n"))
                 and set(map(str.count, chunk, repeat(","))) == {width - 1}
                 and max(map(len, chunk)) <= csv.field_size_limit()):
             cells = text.replace("\n", ",").split(",")
@@ -321,7 +322,7 @@ def parse_events(stream: str | Iterable[str],
     Duplicate (list_id, entity_id) pairs collapse to the earliest date.
     Raises EventParseError naming the line and field on malformed input.
     """
-    text = io.StringIO(stream) if isinstance(stream, str) else stream
+    text = io.StringIO(stream) if isinstance(stream, str) else iter(stream)
     if format not in ("delimited", "line_record"):
         raise PipelineError(f"unknown event format '{format}'")
     return _coded(_delimited_chunks(text) if format == "delimited"

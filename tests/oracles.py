@@ -726,7 +726,7 @@ def _row_getter(header: list[str], width: int):
 
 
 def parse_events_reference(text: str | Iterable[str]) -> EventSet:
-    text = io.StringIO(text) if isinstance(text, str) else text
+    text = io.StringIO(text) if isinstance(text, str) else iter(text)
     skipped, lines = skip_preamble(text)
     reader = csv.reader(lines)
     columns = _Columns()

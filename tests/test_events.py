@@ -202,7 +202,7 @@ _DIFF_HEADERS = [
 ]
 _LIST_OWNER = {"L1": "A", "L2": "B", " L3": " A", "L,4": "B"}
 _BAD_CELLS = ["", " ", "#x", "a\tb", "x\ny", "2010-13-01", "2010-02-30",
-              "x", "a\rb"]
+              "x", "a\rb", "a\rb"]
 
 
 def _cell(text: str, quote: bool) -> str:
@@ -215,33 +215,37 @@ def _cell(text: str, quote: bool) -> str:
 def _event_texts(draw):
     """Delimited event texts mixing every row shape the parser meets."""
     header = draw(st.sampled_from(_DIFF_HEADERS))
-    quote = st.sampled_from([False, False, False, True])
+    # half the texts quote only the cells that need it, and use LF alone
+    plain = draw(st.booleans())
+    quote = st.just(False) if plain else st.booleans()
     lines = draw(st.lists(st.sampled_from(["# note", "", "  ", "#a,b"]),
                           max_size=2))
     lines.append(",".join(_cell(c, draw(quote)) for c in header))
-    for _ in range(draw(st.integers(0, 12))):
-        kind = draw(st.sampled_from(["row"] * 8 + ["blank", "space", "width"]))
+    for _ in range(draw(st.integers(0, 16))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["blank", "space", "width",
+                                                    "narrow", "wide"]))
         if kind in ("blank", "space"):
             lines.append("" if kind == "blank" else " \t ")
             continue
         lst = draw(st.sampled_from(sorted(_LIST_OWNER)))
         cells = [_LIST_OWNER[lst], lst,
-                 draw(st.sampled_from(["X", "Y", " X", "a,b", 'say "z"',
-                                       "\x00"])),
+                 draw(st.sampled_from(["X", "Y", " X", "\x00", "Z", "a,b",
+                                       'say "z"'])),
                  draw(st.sampled_from(["2010-01-02", "2010-01-01",
                                        " 2010-01-03"])),
-                 *draw(st.lists(st.sampled_from(["", "c", " c ", "c,d",
-                                                 "c\nd", "A"]),
+                 *draw(st.lists(st.sampled_from(["", "c", " c ", "A", "",
+                                                 "c", "c,d", "c\nd"]),
                                 min_size=len(header) - 4,
                                 max_size=len(header) - 4))]
         if kind == "width":
             cells = cells[:draw(st.integers(1, len(cells) + 2))]
             cells += ["n"] * max(0, draw(st.integers(-1, 2)))
-        if draw(st.integers(0, 11)) == 0:
+        cells = {"narrow": cells[:-1], "wide": cells + ["n"]}.get(kind, cells)
+        if draw(st.integers(0, 7)) == 0:
             cells[draw(st.integers(0, len(cells) - 1))] = \
                 draw(st.sampled_from(_BAD_CELLS))
         lines.append(",".join(_cell(c, draw(quote)) for c in cells))
-    ends = [draw(st.sampled_from(["\n", "\n", "\r\n"])) for _ in lines]
+    ends = [draw(quote.map(lambda b: "\r\n" if b else "\n")) for _ in lines]
     if draw(st.booleans()):
         ends[-1] = ""  # a last line without LF
     return "".join(line + end for line, end in zip(lines, ends))
@@ -259,11 +263,21 @@ def _outcome(parse, text):
 @settings(max_examples=150, deadline=None)
 @given(_event_texts())
 def test_parse_matches_the_row_by_row_reference(chunk, text):
-    with pytest.MonkeyPatch.context() as patch:
-        if chunk is not None:
-            patch.setattr(events, "_LINE_CHUNK", chunk)
-        got = _outcome(parse_events, text)
-    assert got == _outcome(parse_events_reference, text)
+    # the text, and its lines without their LFs
+    for given in (text, text.split("\n")):
+        with pytest.MonkeyPatch.context() as patch:
+            if chunk is not None:
+                patch.setattr(events, "_LINE_CHUNK", chunk)
+            got = _outcome(parse_events, given)
+        assert got == _outcome(parse_events_reference, given)
+
+
+def test_unquoted_field_past_field_limit_is_a_parse_error():
+    text = ("issuer,list_id,entity_id,date\nEU,L1,X,2010-01-01\n"
+            f"EU,L1,{'E' * 140_000},2010-01-01\n")
+    with pytest.raises(EventParseError,
+                       match="^line 3: field larger than field limit"):
+        parse_events(text)
 
 
 @pytest.mark.parametrize("field,value", [
