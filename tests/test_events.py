@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -405,7 +406,6 @@ def _events_150k() -> EventSet:
 
 
 def _traced_peak(call):
-    import tracemalloc
     tracemalloc.start()
     try:
         result = call()
