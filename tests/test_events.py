@@ -265,12 +265,12 @@ def _outcome(parse, text):
 @given(_event_texts())
 def test_parse_matches_the_row_by_row_reference(chunk, text):
     # the text, and its lines without their LFs
-    for given in (text, text.split("\n")):
+    for source in (text, text.split("\n")):
         with pytest.MonkeyPatch.context() as patch:
             if chunk is not None:
                 patch.setattr(events, "_LINE_CHUNK", chunk)
-            got = _outcome(parse_events, given)
-        assert got == _outcome(parse_events_reference, given)
+            got = _outcome(parse_events, source)
+        assert got == _outcome(parse_events_reference, source)
 
 
 def test_unquoted_field_past_field_limit_is_a_parse_error():
