@@ -7,10 +7,13 @@ issuer, copy-prob 0.9 (about 299k events; 3000 nodes and 127k edges at the
 institution level), with a ``json_graph`` report. The script makes the
 events once, with ``synth`` or, for fragments_10k, with
 ``workloads.write_fragments``, then runs the workload's stage list
-(ingest through report) ``--repeat`` times. Each stage is its own
-``python -m sanctionflow`` process, run from WORKDIR with relative paths,
-and its wall time and peak RSS come from ``os.wait4``; the table gives
-each stage's median wall time with its range, and its median peak RSS.
+(ingest through report) ``--repeat`` times; ``--stages ingest,build``
+runs only the named stages and the stages that make their inputs, so a
+comparison of the early stages on L skips its long layout. Each stage is
+its own ``python -m sanctionflow`` process, run from WORKDIR with relative
+paths, and its wall time and peak RSS come from ``os.wait4``; the table
+gives each stage's median wall time with its range, and its median peak
+RSS.
 This process imports only the standard library, because a child's
 ``ru_maxrss`` starts from its parent's peak at exec time.
 
@@ -22,7 +25,7 @@ parent/change comparison sees the same machine conditions:
         --repeat 5 --src ../parent/src --src src
 
 Usage: python3 scripts/stage_rss.py WORKDIR [--workload NAME] [--seed N]
-       [--repeat R] [--src DIR ...]
+       [--repeat R] [--stages NAME,...] [--src DIR ...]
 """
 
 import argparse
@@ -64,21 +67,45 @@ def run_stage(src: Path, argv: list[str], cwd: Path) -> tuple[float, float]:
     return wall, usage.ru_maxrss / 1024.0
 
 
+def with_inputs(listed, wanted: set[str]) -> list[str]:
+    """The names of the ``wanted`` stages of ``listed`` (one pipeline's
+    stages, in order, run from "."), and of every stage whose output one of
+    them reads, in pipeline order."""
+    keep = set(wanted)
+    for stage in reversed(listed):  # a stage's inputs are made before it
+        if stage.name in keep:
+            keep.update(other.name for other in listed
+                        if any(arg == other.output
+                               or arg.startswith(other.output + "/")
+                               for arg in stage.argv))
+    return [stage.name for stage in listed if stage.name in keep]
+
+
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("workdir")
     parser.add_argument("--workload", choices=["L", *WORKLOADS], default="L")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--repeat", type=int, default=3)
+    parser.add_argument("--stages", help="comma-separated stage names "
+                        "(default: all); their input stages run too")
     parser.add_argument("--src", action="append", type=Path,
                         help="a tree's src directory (default: this tree's)")
     args = parser.parse_args()
     trees = [p.resolve() for p in args.src or [ROOT / "src"]]
+    workload = WORKLOADS.get(args.workload, L)
+    events = Path("events.csv")
+    listed = stages(workload, events, Path("."))
+    names = [stage.name for stage in listed]
+    if args.stages is not None:
+        wanted = set(args.stages.split(","))
+        if not wanted <= set(names):
+            parser.error(f"--stages: {workload.name} runs only "
+                         f"{','.join(names)}")
+        names = with_inputs(listed, wanted)
     work = Path(args.workdir).resolve()
     work.mkdir(parents=True, exist_ok=True)
 
-    workload = WORKLOADS.get(args.workload, L)
-    events = Path("events.csv")
     if workload.synth is None:
         # in a child, so this process's peak stays below every stage's
         env = dict(os.environ, PYTHONPATH=str(ROOT / "perfbench"))
@@ -89,7 +116,6 @@ def main():
         wall, rss = run_stage(trees[0], synth_argv(workload, args.seed,
                                                    events), work)
         print(f"synth: {wall:.2f} s, {rss:.1f} MB", flush=True)
-    names = [stage.name for stage in stages(workload, events, Path("."))]
     runs = {(t, name): [] for t in range(len(trees)) for name in names}
     for r in range(args.repeat):
         order = range(len(trees))
@@ -97,8 +123,9 @@ def main():
             order = reversed(order)
         for t in order:
             for stage in stages(workload, events, Path(f"run{t}")):
-                runs[t, stage.name].append(
-                    run_stage(trees[t], stage.argv, work))
+                if stage.name in names:
+                    runs[t, stage.name].append(
+                        run_stage(trees[t], stage.argv, work))
         print(f"repeat {r + 1} of {args.repeat} done", flush=True)
 
     result = []

@@ -24,10 +24,11 @@ if TYPE_CHECKING:  # a stage that only reads net.tsv never loads events
 
 LIST_LEVEL = "list"
 INSTITUTION_LEVEL = "institution"
-# precedence pairs generated at once: one entity held by thousands of
-# nodes is counted in several chunks. Each chunk makes about three int64
-# arrays of its length, so 2^18 pairs keep the temporaries near 6 MB.
-_PAIR_CELLS = 1 << 18
+# events taken, and precedence pairs generated, at once: entities are
+# counted a block at a time, and one held by thousands of nodes in several
+# chunks. Counting a chunk of 2^16 pairs traces about 2.6 MiB (40 bytes a
+# pair), a block of 2^16 events about as much.
+_PAIR_CELLS = 1 << 16
 
 
 # The pair fold of an InfluenceNetwork, over indices into its nodes:
@@ -114,7 +115,9 @@ def _precedence_network(events: EventSet, level: str, column: Column,
 
     Precedence compares each node's earliest date per entity, so one entity
     contributes at most 1 to any ordered pair; a node meets each entity
-    once, so a pair (a, b) with da < db never has a == b.
+    once, so a pair (a, b) with da < db never has a == b. Entities are
+    counted a block of whole entities at a time, a block's pairs a chunk
+    at a time, and each chunk's counts are folded into the sorted totals.
     """
     node, entity, day = column.codes, events.entity_id.codes, events.day
     if lists is not None:
@@ -124,28 +127,40 @@ def _precedence_network(events: EventSet, level: str, column: Column,
             raise PipelineError(f"unknown list_id(s) in filter: {unknown}")
         keep = np.isin(events.list_id.codes, [index[name] for name in lists])
         node, entity, day = node[keep], entity[keep], day[keep]
-    present = np.unique(node)
+    present = np.flatnonzero(np.bincount(node, minlength=len(column.names)))
     local = np.zeros(len(column.names), np.int64)
     local[present] = np.arange(len(present))
     n = len(present)
-    # each node's first listing of each entity, by entity and then date
-    order = np.lexsort((day, entity))
-    _, first = np.unique(entity[order] * np.int64(n) + local[node[order]],
-                         return_index=True)  # a stable sort: earliest wins
-    order = order[np.sort(first)]
-    node, entity, day = local[node[order]], entity[order], day[order]
-    # a holder precedes every holder of the entity after its same-day run
-    later = _run_ends(entity, day)
-    count = _run_ends(entity) - later
-    chunks = [np.unique(_pair_keys(node, later, count, lo, hi, n),
-                        return_counts=True)
-              for lo, hi in _chunks(count, _PAIR_CELLS)]
-    keys = np.concatenate([np.empty(0, np.int64), *(k for k, _ in chunks)])
-    total = np.concatenate([np.empty(0, np.int64), *(c for _, c in chunks)])
-    if len(chunks) > 1:  # a pair counted in several chunks: sum its counts
-        order = np.argsort(keys, kind="stable")
-        start = np.flatnonzero(_run_starts(keys[order]))
-        keys, total = keys[order][start], np.add.reduceat(total[order], start)
+    # events come date first, so a stable sort by entity orders them by
+    # (entity, date); a block holds whole entities
+    order = np.argsort(entity, kind="stable")
+    size = np.bincount(entity, minlength=len(events.entity_id.names))
+    end = np.cumsum(size)
+    keys, total = np.empty(0, np.int64), np.empty(0, np.int64)
+    for lo, hi in _chunks(size, _PAIR_CELLS):
+        block = order[end[lo - 1] if lo else 0:end[hi - 1]]
+        if not len(block):
+            continue
+        # each node's first listing of each entity: unique indexes the
+        # first occurrence, which is the earliest
+        ent, holder = entity[block], local[node[block]]
+        _, first = np.unique((ent - ent[0]) * np.int64(n) + holder,
+                             return_index=True)
+        first.sort()
+        ent, holder, when = ent[first], holder[first], day[block[first]]
+        # a holder precedes every holder of the entity after its
+        # same-day run
+        later = _run_ends(ent, when)
+        count = _run_ends(ent) - later
+        for a, b in _chunks(count, _PAIR_CELLS):
+            chunk, tally = np.unique(_pair_keys(holder, later, count, a, b, n),
+                                     return_counts=True)
+            at = np.searchsorted(keys, chunk)
+            old = at < len(keys)
+            old[old] = keys[at[old]] == chunk[old]
+            total[at[old]] += tally[old]
+            keys = np.insert(keys, at[~old], chunk[~old])
+            total = np.insert(total, at[~old], tally[~old])
     nodes = tuple(column.names[k] for k in present.tolist())
     src, dst = np.divmod(keys, max(n, 1))
     return InfluenceNetwork(level, nodes, src, dst, total)

@@ -1,6 +1,7 @@
 import csv
 import random
 import sys
+import tracemalloc
 from datetime import date
 from pathlib import Path
 
@@ -43,6 +44,33 @@ def make_events(rows):
         columns.append(Column(tuple(index), codes))
     return EventSet.from_columns(*columns,
                                  [row.date.toordinal() for row in rows])
+
+
+def events_150k() -> EventSet:
+    """150k events shaped like the benchmark's lists_m: 40 issuers with 5
+    lists each, 20k entities and an optional category."""
+    n = 150_000
+    rng = np.random.default_rng(1)
+    issuer = rng.integers(0, 40, n)
+    return EventSet.from_columns(
+        Column(tuple(f"ISS{i:03d}" for i in range(40)), issuer),
+        Column(tuple(f"ISS{i:03d}-L{k}" for i in range(40) for k in range(5)),
+               issuer * 5 + rng.integers(0, 5, n)),
+        Column(tuple(f"ENT{i:05d}" for i in range(20_000)),
+               rng.integers(0, 20_000, n)),
+        Column(("a", "b"), rng.integers(-1, 2, n)),
+        733_000 + rng.integers(0, 365, n))
+
+
+def traced_peak(call):
+    """``call()``'s result and the peak of memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def make_network(edges, level="institution", nodes=None):

@@ -1,5 +1,4 @@
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ from sanctionflow import (EventParseError, EventSet, PipelineError,
                           events, parse_events, serialize_events,
                           validate_events)
 from sanctionflow.events import Column
-from conftest import ev, make_events
+from conftest import ev, events_150k, make_events, traced_peak
 from oracles import parse_events_reference, serialize_events_reference
 
 CSV = """issuer,list_id,entity_id,date,category
@@ -93,9 +92,9 @@ def test_whitespace_trimmed():
 
 
 def test_serialize_parse_round_trip(small_events):
-    text = serialize_events(small_events)
+    text = "".join(serialize_events(small_events))
     assert parse_events(text) == small_events
-    assert serialize_events(parse_events(text)) == text
+    assert "".join(serialize_events(parse_events(text))) == text
 
 
 ids = st.text(alphabet="ABCDEFG", min_size=1, max_size=3)
@@ -127,7 +126,7 @@ def test_parse_is_order_insensitive(raw, rnd):
 @given(st.lists(event_strategy, max_size=30))
 def test_round_trip_on_arbitrary_sets(raw):
     es = make_events(_consistent_issuers(raw))
-    assert parse_events(serialize_events(es)) == es
+    assert parse_events("".join(serialize_events(es))) == es
 
 
 def test_validation_counts_cross_list_entity():
@@ -345,16 +344,16 @@ def test_every_accepted_category_survives_serialization(category, as_json):
     except EventParseError as exc:
         assert exc.field == "category" and "\r" in category
         return
-    assert parse_events(serialize_events(es)) == es
+    assert parse_events("".join(serialize_events(es))) == es
 
 
-# ids csv.writer must quote, or must leave alone: a comma, a quote, a
-# leading space, non-ASCII text, NEL and LINE SEPARATOR (line breaks to
+# ids csv.writer must quote, or must leave alone: a comma, a quote, an
+# inner space, non-ASCII text, NEL and LINE SEPARATOR (line breaks to
 # str.splitlines, not to csv), and a trailing NUL beside the same id without
-# it (a numpy U array would merge the two). Each stays distinct when ingest
-# strips its whitespace.
-_AWKWARD = ["A", "A\x00", "a,b", 'say "x"', " lead", "Zürich", "\u00e9t\u00e9",
-            "x\x85y", "x\u2028y", "\x85z"]
+# it (a numpy U array would merge the two). Each reads back unchanged; an id
+# with whitespace at an edge, which ingest strips, is refused (below).
+_AWKWARD = ["A", "A\x00", "a,b", 'say "x"', "in side", "Zürich",
+            "\u00e9t\u00e9", "x\x85y", "x\u2028y", "z\x85z"]
 
 
 def test_serialize_matches_the_csv_writer_reference():
@@ -365,7 +364,7 @@ def test_serialize_matches_the_csv_writer_reference():
                       category))
         raw.append(ev(name, name + "/L", "shared", "2010-02-01"))
     es = make_events(raw)
-    text = serialize_events(es)
+    text = "".join(serialize_events(es))
     assert text == serialize_events_reference(raw)
     issuers = set(es.issuer.names)
     assert {"A", "A\x00"} <= issuers and len(issuers) == len(_AWKWARD)
@@ -375,7 +374,7 @@ def test_serialize_matches_the_csv_writer_reference():
 
 
 _awkward_ids = st.sampled_from(_AWKWARD + ["B", "B\x00", '"', ",", "\x00",
-                                          "\x85", "\u2028"])
+                                          "\x00\x85\x00", "\x00\u2028\x00"])
 
 
 @given(st.lists(st.tuples(_awkward_ids, st.integers(0, 1), _awkward_ids,
@@ -385,48 +384,63 @@ _awkward_ids = st.sampled_from(_AWKWARD + ["B", "B\x00", '"', ",", "\x00",
 def test_serialize_matches_the_reference_on_arbitrary_events(rows):
     raw = [ev(iss, f"{iss}/L{k}", ent, f"2010-01-{d:02d}", cat)
            for iss, k, ent, d, cat in rows]
-    assert (serialize_events(make_events(raw))
+    assert ("".join(serialize_events(make_events(raw)))
             == serialize_events_reference(raw))
 
 
-def _events_150k() -> EventSet:
-    """150k events shaped like the benchmark's lists_m: 40 issuers with 5
-    lists each, 20k entities and an optional category."""
-    n = 150_000
-    rng = np.random.default_rng(1)
-    issuer = rng.integers(0, 40, n)
-    return EventSet.from_columns(
-        Column(tuple(f"ISS{i:03d}" for i in range(40)), issuer),
-        Column(tuple(f"ISS{i:03d}-L{k}" for i in range(40) for k in range(5)),
-               issuer * 5 + rng.integers(0, 5, n)),
-        Column(tuple(f"ENT{i:05d}" for i in range(20_000)),
-               rng.integers(0, 20_000, n)),
-        Column(("a", "b"), rng.integers(-1, 2, n)),
-        733_000 + rng.integers(0, 365, n))
-
-
-def _traced_peak(call):
-    tracemalloc.start()
-    try:
-        result = call()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return result, peak
+@pytest.mark.parametrize("field, name", [
+    ("issuer", "A\rB"), ("category", "x\ry"), ("list_id", "#A"),
+    ("entity_id", "A\tB"), ("issuer", " A")])
+def test_serialize_refuses_a_name_that_would_not_read_back(field, name):
+    # each is refused or changed by parse_events; from_columns takes it
+    fields = {"issuer": "EU", "list_id": "L1", "entity_id": "X",
+              "category": "c", field: name}
+    es = make_events([ev(fields["issuer"], fields["list_id"],
+                         fields["entity_id"], "2010-01-01",
+                         fields["category"])])
+    with pytest.raises(PipelineError) as err:
+        serialize_events(es)  # before a first piece is asked for
+    assert str(err.value) == (f"{field} {name!r} would not read back from "
+                              "the canonical form")
 
 
 def test_serialize_memory_is_bounded():
-    es = _events_150k()
-    text, peak = _traced_peak(lambda: serialize_events(es))
+    es = events_150k()
+    text, peak = traced_peak(lambda: "".join(serialize_events(es)))
     # the text itself, plus its pieces while they are joined
     assert peak < 3.5 * len(text)
 
 
 def test_parse_memory_is_bounded(tmp_path):
     path = tmp_path / "events.csv"
-    path.write_text(serialize_events(_events_150k()), encoding="utf-8")
+    path.write_text("".join(serialize_events(events_150k())),
+                    encoding="utf-8")
     with open(path, encoding="utf-8") as fh:
-        es, peak = _traced_peak(lambda: parse_events(fh))
+        es, peak = traced_peak(lambda: parse_events(fh))
     assert len(es) > 140_000
     # the parser that coded one csv.reader row at a time peaked at 18.2 MB
     assert peak < 18_000_000
+
+
+def test_parse_memory_meets_the_in_place_buffer_bound(tmp_path):
+    path = tmp_path / "events.csv"
+    path.write_text("".join(serialize_events(events_150k())),
+                    encoding="utf-8")
+    with open(path, encoding="utf-8") as fh:
+        es, peak = traced_peak(lambda: parse_events(fh))
+    assert len(es) > 140_000
+    # 14.9 MiB while the code buffer doubled by np.hstack; 12.7 MiB when it
+    # grows and shrinks in place
+    assert peak < 13.5 * 2 ** 20
+
+
+def test_streamed_serialize_holds_at_most_half_the_joined_peak():
+    es = events_150k()
+
+    def consume():
+        return sum(map(len, serialize_events(es)))
+
+    text, joined = traced_peak(lambda: "".join(serialize_events(es)))
+    size, streamed = traced_peak(consume)
+    assert size == len(text)
+    assert streamed <= joined / 2

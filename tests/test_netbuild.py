@@ -7,8 +7,8 @@ from sanctionflow import netbuild
 from sanctionflow import (PipelineError, build_institution_network,
                           build_list_network, filter_by_category, read_network,
                           symmetrize, write_flow, write_network)
-from conftest import (FIXTURES, ev, make_events, make_flow, make_network,
-                      network_fields, pairs_of)
+from conftest import (FIXTURES, ev, events_150k, make_events, make_flow,
+                      make_network, network_fields, pairs_of, traced_peak)
 from oracles import brute_force_counts, read_network_reference
 
 
@@ -181,6 +181,52 @@ def test_chunked_counts_match_brute_force(monkeypatch, budget):
             {getattr(e, attr) for e in events.events
              if lists is None or e.list_id in lists}))
     assert build_list_network(events).total_count() > 20 * budget
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(66, 90), st.lists(st.tuples(st.integers(0, 29),
+                                               st.integers(0, 1),
+                                               st.integers(0, 9),
+                                               st.integers(1, 6)),
+                                     max_size=80),
+       st.sets(st.integers(0, 59), min_size=1), st.randoms())
+def test_blocks_and_chunks_never_change_the_network(holders, scatter,
+                                                    picked, rnd):
+    # a hub entity held by more lists than the largest small budget, listed
+    # over 4 days so most holders tie, plus small entities; the raw events
+    # are shuffled out of canonical order
+    raw = [ev(f"I{h // 2:02d}", f"I{h // 2:02d}-L{h % 2}", "hub",
+              f"2010-01-{rnd.randint(1, 4):02d}") for h in range(holders)]
+    raw += [ev(f"I{i:02d}", f"I{i:02d}-L{k}", f"e{e}", f"2010-01-{d:02d}")
+            for i, k, e, d in scatter]
+    rnd.shuffle(raw)
+    events = make_events(raw)
+    selected = {f"I{p // 2:02d}-L{p % 2}" for p in picked}
+    selected &= set(events.list_id.names)
+
+    def networks():
+        nets = [build_list_network(events), build_institution_network(events)]
+        if selected:
+            nets.append(build_institution_network(events, selected))
+        return [(net.nodes, net.src.tolist(), net.dst.tolist(),
+                 net.count.tolist()) for net in nets]
+
+    expected = networks()
+    for budget in (1, 3, 64):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(netbuild, "_PAIR_CELLS", budget)
+            assert networks() == expected
+
+
+@pytest.mark.parametrize("build", [build_list_network,
+                                   build_institution_network])
+def test_build_memory_is_bounded(build):
+    es = events_150k()
+    net, peak = traced_peak(lambda: build(es))
+    assert net.total_count() > 100_000
+    # 16.7 MiB (list) and 14.4 MiB (institution) when the whole event set
+    # was sorted at once and every chunk's counts were merged at the end
+    assert peak < 10 * 2 ** 20
 
 
 @settings(deadline=None, max_examples=40)

@@ -49,6 +49,29 @@ def test_stage_rss_runs_a_benchmark_workload(tmp_path):
     assert (tmp_path / "work" / "run0" / "report" / "graph.tsv").is_file()
 
 
+def test_stage_rss_runs_the_named_stages_and_their_inputs(tmp_path):
+    out = run_script("stage_rss.py", str(tmp_path / "work"), "--workload",
+                     "issuers_500", "--repeat", "1", "--stages",
+                     "symmetrize,decompose", cwd=tmp_path)
+    result = json.loads(out.splitlines()[-1])
+    assert [row["stage"] for row in result["stages"]] == [
+        "ingest", "build", "symmetrize", "decompose"]
+    run = tmp_path / "work" / "run0"
+    assert (run / "hodge" / "summary.csv").is_file()
+    assert not (run / "pagerank.csv").exists()
+
+
+def test_stage_rss_refuses_a_stage_the_workload_lacks(tmp_path):
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" /
+                                               "stage_rss.py"),
+                           str(tmp_path / "work"), "--workload",
+                           "fragments_10k", "--stages", "build,layout"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "fragments_10k runs only ingest,build," in proc.stderr
+    assert not (tmp_path / "work").exists()
+
+
 def test_benchmark_tracer_records_every_count(tmp_path, monkeypatch):
     # imported as scripts/run_bench_artifacts.py does: perfbench on sys.path
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
