@@ -24,6 +24,17 @@ parent/change comparison sees the same machine conditions:
     python3 scripts/stage_rss.py /tmp/frag --workload fragments_10k \\
         --repeat 5 --src ../parent/src --src src
 
+Each child inherits this process's environment. So a run under
+``MALLOC_MMAP_THRESHOLD_=131072`` freezes glibc's mmap threshold in every
+stage: a freed large numpy array can no longer raise it and leave later
+arrays on the heap. A per-stage peak RSS difference between two trees that
+vanishes under that setting is heap layout, not memory in use; one that
+stays is memory in use:
+
+    MALLOC_MMAP_THRESHOLD_=131072 python3 scripts/stage_rss.py /tmp/m \\
+        --workload lists_m --stages ingest,build --repeat 5 \\
+        --src ../parent/src --src src
+
 Usage: python3 scripts/stage_rss.py WORKDIR [--workload NAME] [--seed N]
        [--repeat R] [--stages NAME,...] [--src DIR ...]
 """

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import re
 from collections import namedtuple
 from dataclasses import dataclass
@@ -74,23 +75,31 @@ class EventSet:
                      category: Column, day) -> "EventSet":
         """The EventSet of events given as columns in input order; each
         column's names may be in any order and need not all be used."""
-        iss, lst, ent, cat = (np.asarray(c.codes, np.int32)
-                              for c in (issuer, list_id, entity_id, category))
+        columns = (issuer, list_id, entity_id, category)
+        codes = [np.asarray(c.codes, np.int32) for c in columns]
         day = np.asarray(day, np.int32)
-        # lexsort is stable, so the first given leads each same-day run
-        order = np.lexsort((day, ent, lst))
-        keep = order[_run_starts(lst[order], ent[order])]
-        iss, lst, ent, cat = (_sorted_column(c.names, codes[keep]) for c, codes
-                              in ((issuer, iss), (list_id, lst),
-                                  (entity_id, ent), (category, cat)))
-        order = np.lexsort((ent.codes, lst.codes, iss.codes, day[keep]))
-        iss, lst, ent, cat = (Column(c.names, c.codes[order])
-                              for c in (iss, lst, ent, cat))
-        _check_owners(iss, lst)
-        day = day[keep][order]
-        for array in (iss.codes, lst.codes, ent.codes, cat.codes, day):
+        low = int(day.min()) if len(day) else 0
+        day = day - low  # days since the first, a packed key's field
+        span = int(day.max(initial=0)) + 1
+        # the stable sort keeps the first given first in each same-day run
+        order = _stable_order((codes[1], codes[2], day),
+                              (len(list_id.names), len(entity_id.names), span))
+        keep = np.zeros(len(day), bool)
+        keep[order[_run_starts(codes[1][order], codes[2][order])]] = True
+        keep, order = np.flatnonzero(keep), None  # in input order
+        day = day[keep]
+        kept = [_ranked(c.names, k[keep]) for c, k in zip(columns, codes)]
+        codes = keep = None  # freed before the second sort
+        # rows given in canonical order are one run: a linear pass
+        order = _stable_order((day, *(c.codes for c in kept[:3])),
+                              (span, *(len(c.names) for c in kept[:3])))
+        day = day[order] + low
+        for k in range(4):  # one column's copy alive at a time
+            kept[k] = Column(kept[k].names, kept[k].codes[order])
+        _check_owners(*kept[:2])
+        for array in (*(c.codes for c in kept), day):
             array.flags.writeable = False  # the set is frozen
-        return EventSet(iss, lst, ent, cat, day)
+        return EventSet(*kept, day)
 
     def __len__(self) -> int:
         return len(self.day)
@@ -119,30 +128,44 @@ class EventSet:
                 self.category.codes.tolist()))
 
 
-def _sorted_column(names: tuple[str, ...], codes: np.ndarray) -> Column:
-    """The column over only the names ``codes`` uses, ranked by Python's
-    string order (a numpy ``U`` array would drop trailing NULs)."""
-    used = np.flatnonzero(np.bincount(codes[codes >= 0], minlength=len(names)))
-    ranked = sorted(used.tolist(), key=names.__getitem__)
-    recode = np.full(len(names) + 1, -1, np.int32)  # code -1 reads the last
-    recode[ranked] = np.arange(len(ranked))
-    return Column(tuple(names[k] for k in ranked), recode[codes])
+def _ranked(names: tuple[str, ...], codes: np.ndarray) -> Column:
+    """The column over only the names ``codes`` uses (-1: none), ranked by
+    Python's string order (a numpy ``U`` array would drop trailing NULs)."""
+    used = np.zeros(len(names) + 1, bool)
+    used[codes] = True  # code -1 marks the last
+    by_name = sorted(np.flatnonzero(used[:-1]).tolist(), key=names.__getitem__)
+    rank = np.full(len(names) + 1, -1, np.int32)  # code -1 reads the last
+    rank[by_name] = np.arange(len(by_name))
+    return Column(tuple(map(names.__getitem__, by_name)), rank[codes])
+
+
+def _stable_order(keys: tuple, sizes: tuple[int, ...]) -> np.ndarray:
+    """The stable order of rows by ``keys``, key k in range(sizes[k]): an
+    argsort of them packed into an int64, or a lexsort if that overflows."""
+    if math.prod(sizes) >= 2 ** 63:
+        return np.lexsort(keys[::-1])
+    packed = np.zeros(len(keys[0]), np.int64)
+    for key, size in zip(keys, sizes):
+        packed *= size
+        packed += key
+    return np.argsort(packed, kind="stable")
 
 
 def _check_owners(issuer: Column, list_id: Column) -> None:
     """Every list is held by one issuer: the one of its first event in
     canonical order. The first event with another issuer is the error."""
-    lists, first = np.unique(list_id.codes, return_index=True)
     owner = np.empty(len(list_id.names), np.int32)
+    owner[list_id.codes] = issuer.codes  # an issuer of each list
+    if np.array_equal(owner[list_id.codes], issuer.codes):
+        return
+    lists, first = np.unique(list_id.codes, return_index=True)
     owner[lists] = issuer.codes[first]
-    clash = np.flatnonzero(issuer.codes != owner[list_id.codes])
-    if len(clash):
-        k = clash[0]
-        lst = list_id.codes[k]
-        raise PipelineError(
-            f"list '{list_id.names[lst]}' appears under two issuers: "
-            f"'{issuer.names[owner[lst]]}' and "
-            f"'{issuer.names[issuer.codes[k]]}'")
+    k = np.flatnonzero(issuer.codes != owner[list_id.codes])[0]
+    lst = list_id.codes[k]
+    raise PipelineError(
+        f"list '{list_id.names[lst]}' appears under two issuers: "
+        f"'{issuer.names[owner[lst]]}' and "
+        f"'{issuer.names[issuer.codes[k]]}'")
 
 
 def _checked_id(value: str, field: str, line: int) -> str:
@@ -339,21 +362,21 @@ def serialize_events(events: EventSet) -> Iterator[str]:
     the EventSet's order, (date, issuer, list, entity), one piece per
     ``_ROW_CHUNK`` events, so the whole text is never held at once.
 
-    Every name is checked first, before any piece is made: an id that
-    ``parse_events`` would refuse or read back changed (an edge space, a
-    leading '#', a tab, CR or LF), or a category it would refuse, raises
+    Every name is checked first, before any piece is made: a name that
+    ``parse_events`` would refuse or read back changed (an edge space, an
+    empty category, an id's leading '#', tab or LF, a CR) raises
     PipelineError naming its column and value.
     """
     for field in ("issuer", "list_id", "entity_id", "category"):
         for name in getattr(events, field).names:
             try:
-                if field == "category":
-                    _checked_category(name, 0)
-                elif _checked_id(name, field, 0) != name:
-                    raise EventParseError("changed on reading")
+                read = (_checked_category(name, 0) if field == "category"
+                        else _checked_id(name, field, 0))
             except EventParseError:
+                read = None
+            if read != name:
                 raise PipelineError(f"{field} {name!r} would not read back "
-                                    "from the canonical form") from None
+                                    "from the canonical form")
     return _pieces(events)
 
 

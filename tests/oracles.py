@@ -17,7 +17,8 @@ checking one line at a time. ``export_graph_reference`` is the graph
 export (edge table, dot, json) that tested each optional attribute for
 ``None`` on every node and edge line. ``parse_events_reference`` is the
 delimited event parser that read one ``csv.reader`` row and coded one
-event at a time.
+event at a time. ``from_columns_reference`` is the EventSet constructor
+that ordered its rows by two multi-key ``lexsort`` passes.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from sanctionflow.events import (_FIELDS, _HEADER, Column, EventSet,
                                  _checked_category, _checked_id, _parse_date)
 from sanctionflow.report import (_EPS, _GRAVITY, LayoutResult, _apply_jitter,
                                  _energy_kernel)
-from sanctionflow.table import preamble, skip_preamble
+from sanctionflow.table import _run_starts, preamble, skip_preamble
 
 from conftest import (by_node, ev, in_node_order, make_events, pairs_of,
                       split_of)
@@ -199,6 +200,48 @@ def synth_reference(config, seed):
             events.append(ev(iss, rng.choice(lists[iss]), entity,
                              day.isoformat()))
     return make_events(events)
+
+
+def from_columns_reference(issuer, list_id, entity_id, category, day):
+    """``EventSet.from_columns`` as first written: a ``lexsort`` on (list,
+    entity, day) to keep each pair's first event, a ``sorted`` of each
+    column's used names, then a ``lexsort`` into canonical order."""
+    iss, lst, ent, cat = (np.asarray(c.codes, np.int32)
+                          for c in (issuer, list_id, entity_id, category))
+    day = np.asarray(day, np.int32)
+    # lexsort is stable, so the first given leads each same-day run
+    order = np.lexsort((day, ent, lst))
+    keep = order[_run_starts(lst[order], ent[order])]
+    iss, lst, ent, cat = (_sorted_column(c.names, codes[keep]) for c, codes
+                          in ((issuer, iss), (list_id, lst),
+                              (entity_id, ent), (category, cat)))
+    order = np.lexsort((ent.codes, lst.codes, iss.codes, day[keep]))
+    iss, lst, ent, cat = (Column(c.names, c.codes[order])
+                          for c in (iss, lst, ent, cat))
+    _check_owners_reference(iss, lst)
+    return EventSet(iss, lst, ent, cat, day[keep][order])
+
+
+def _sorted_column(names, codes):
+    used = np.flatnonzero(np.bincount(codes[codes >= 0], minlength=len(names)))
+    ranked = sorted(used.tolist(), key=names.__getitem__)
+    recode = np.full(len(names) + 1, -1, np.int32)  # code -1 reads the last
+    recode[ranked] = np.arange(len(ranked))
+    return Column(tuple(names[k] for k in ranked), recode[codes])
+
+
+def _check_owners_reference(issuer, list_id):
+    lists, first = np.unique(list_id.codes, return_index=True)
+    owner = np.empty(len(list_id.names), np.int32)
+    owner[lists] = issuer.codes[first]
+    clash = np.flatnonzero(issuer.codes != owner[list_id.codes])
+    if len(clash):
+        k = clash[0]
+        lst = list_id.codes[k]
+        raise PipelineError(
+            f"list '{list_id.names[lst]}' appears under two issuers: "
+            f"'{issuer.names[owner[lst]]}' and "
+            f"'{issuer.names[issuer.codes[k]]}'")
 
 
 def json_graph_reference(net, decomp=None, communities=None,
