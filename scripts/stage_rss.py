@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
 """Median wall time and peak RSS of each pipeline stage on one workload.
 
-``--workload`` is L (the default) or any benchmark workload of
+``--workload`` is L (the default), P or any benchmark workload of
 ``perfbench/workloads.py``. L is 3000 issuers x 30k entities x 1 list per
 issuer, copy-prob 0.9 (about 299k events; 3000 nodes and 127k edges at the
-institution level), with a ``json_graph`` report. The script makes the
+institution level), with a ``json_graph`` report. P is the paper's scale:
+85 issuers x 20k entities x 20 lists per issuer, copy-prob 0.9, built at
+the list level (1,700 lists, about 179k events and 438k edges), with a
+``json_graph`` report. The script makes the
 events once, with ``synth`` or, for fragments_10k, with
 ``workloads.write_fragments``, then runs the workload's stage list
 (ingest through report) ``--repeat`` times; ``--stages ingest,build``
@@ -54,6 +57,8 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from workloads import WORKLOADS, Workload, stages, synth_argv
 
 L = Workload("L", "institution", "json_graph", True, (3000, 30_000, 1, 0.9))
+P = Workload("P", "list", "json_graph", True, (85, 20_000, 20, 0.9))
+CHOICES = {"L": L, "P": P, **WORKLOADS}
 FRAGMENTS = ("import sys; from workloads import write_fragments; "
              "write_fragments(sys.argv[1], int(sys.argv[2]))")
 
@@ -95,7 +100,7 @@ def with_inputs(listed, wanted: set[str]) -> list[str]:
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("workdir")
-    parser.add_argument("--workload", choices=["L", *WORKLOADS], default="L")
+    parser.add_argument("--workload", choices=CHOICES, default="L")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--repeat", type=int, default=3)
     parser.add_argument("--stages", help="comma-separated stage names "
@@ -104,7 +109,7 @@ def main():
                         help="a tree's src directory (default: this tree's)")
     args = parser.parse_args()
     trees = [p.resolve() for p in args.src or [ROOT / "src"]]
-    workload = WORKLOADS.get(args.workload, L)
+    workload = CHOICES[args.workload]
     events = Path("events.csv")
     listed = stages(workload, events, Path("."))
     names = [stage.name for stage in listed]

@@ -10,6 +10,7 @@ zero within each connected component.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -51,33 +52,27 @@ class HodgeDecomposition:
 
 def _components(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Each node's connected-component label over the pairs (lo, hi), the
-    components numbered in order of their smallest node."""
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, j in zip(lo.tolist(), hi.tolist()):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
+    components numbered in order of their smallest node, by hooking roots
+    and pointer jumping (Shiloach & Vishkin 1982) in O(log n) rounds."""
+    root = np.arange(n)
+    while not np.array_equal(a := root[lo], b := root[hi]):
+        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+        while not np.array_equal(jumped := root[root], root):
+            root = jumped
     # a root is its component's smallest node
-    return np.unique([find(i) for i in range(n)], return_inverse=True)[1]
+    return (np.cumsum(root == np.arange(n)) - 1)[root]
 
 
 def assemble_laplacian(flow: FlowNetwork) -> LaplacianSystem:
     """Build L (implicitly, via pair weights) and the net-outflow vector."""
     n = len(flow.nodes)
-    groups: dict[int, list[int]] = {}
-    for i, label in enumerate(_components(n, flow.lo, flow.hi).tolist()):
-        groups.setdefault(label, []).append(i)
+    label = _components(n, flow.lo, flow.hi)
+    members = iter(np.argsort(label, kind="stable").tolist())
     return LaplacianSystem(
         nodes=flow.nodes, weights=(flow.lo, flow.hi, flow.w),
         rhs=_net_out(flow.lo, flow.hi, flow.F, n),
-        components=tuple(map(tuple, groups.values())))
+        components=tuple(tuple(islice(members, size))
+                         for size in np.bincount(label).tolist()))
 
 
 def _net_out(rows, cols, values, n):
@@ -86,16 +81,17 @@ def _net_out(rows, cols, values, n):
             - np.bincount(cols, values, minlength=n))
 
 
-def _dense_solve(rows, cols, wvec, rhs):
-    """Direct solve of (L + J/n) phi = f; the J/n shift pins the mean to 0."""
-    n = len(rhs)
-    lap = np.full((n, n), 1.0 / n)
-    for a, b, w in zip(rows.tolist(), cols.tolist(), wvec.tolist()):
-        lap[a, a] += w
-        lap[b, b] += w
-        lap[a, b] -= w
-        lap[b, a] -= w
-    return np.linalg.solve(lap, rhs)
+def _solve_stack(lap, rhs, cids):
+    """Solve lap[k] x = rhs[k] per component cids[k], naming a singular one."""
+    try:
+        return np.linalg.solve(lap, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        if len(cids) > 1:
+            return np.concatenate([_solve_stack(*one) for one in zip(
+                lap[:, None], rhs[:, None], [[cid] for cid in cids])])
+        raise ConvergenceError(
+            f"component {cids[0]} ({rhs.shape[1]} nodes) is numerically "
+            "singular", residual=np.inf) from None
 
 
 def _eliminate_leaves(rows, cols, n):
@@ -202,16 +198,13 @@ def _sparse_solve(rows, cols, wvec, rhs, tol, cid):
         # to the parent's row removes phi_leaf from the system
         f[parent] += f[leaf]
     core = np.ones(n, dtype=bool)
+    core[[leaf for leaf, _, _ in order]] = False
     core_pairs = np.ones(len(rows), dtype=bool)
-    if order:
-        leaves, _, pairs = zip(*order)
-        core[list(leaves)] = False
-        core_pairs[list(pairs)] = False
+    core_pairs[[e for _, _, e in order]] = False
     members = np.flatnonzero(core)
     phi = np.zeros(n)
     if len(members) > 1:
-        local = np.empty(n, dtype=np.intp)
-        local[members] = np.arange(len(members))
+        local = np.cumsum(core) - 1
         threshold = tol * max(1.0, float(np.abs(rhs).max(initial=0.0)))
         max_iter = 10 * len(members)
         reduced = (local[rows[core_pairs]], local[cols[core_pairs]],
@@ -233,14 +226,14 @@ def _sparse_solve(rows, cols, wvec, rhs, tol, cid):
 def solve_potentials(system: LaplacianSystem, tol: float = 1e-10) -> PotentialVector:
     """Minimum-norm, per-component mean-zero solution of L phi = f.
 
-    Components up to DENSE_LIMIT nodes get a direct solve. Larger ones
-    have their degree-1 vertices eliminated exactly and the remaining
-    core solved by Jacobi-PCG, which stops once max|L phi - f| <=
-    tol * max(1, max|f|). A solution is accepted when its normwise
-    backward error is at most ``tol``: max|L phi - f| <= tol * (||L||_inf
-    * max|phi| + max|f|), with ||L||_inf = 2 max L_ii. Raises
-    ConvergenceError if the whole system misses that, or a core misses it
-    within its iteration cap (naming the component, its core and the
+    Components up to DENSE_LIMIT nodes get a direct solve, up to DENSE_LIMIT
+    of one size at once. Larger ones have their degree-1 vertices eliminated
+    exactly and the remaining core solved by Jacobi-PCG, which stops once
+    max|L phi - f| <= tol * max(1, max|f|). A solution is accepted when its
+    normwise backward error is at most ``tol``: max|L phi - f| <= tol *
+    (2 max L_ii * max|phi| + max|f|). Raises ConvergenceError if a small
+    component is singular, the whole system misses that, or a core misses
+    it within its iteration cap (naming the component, its core and the
     residual reached). Isolated nodes get phi = 0.
     """
     if not 0.0 < tol < np.inf:
@@ -248,45 +241,49 @@ def solve_potentials(system: LaplacianSystem, tol: float = 1e-10) -> PotentialVe
     n = len(system.nodes)
     comps = system.components
     rows, cols, wvec = system.weights
-    # component label and position within the component of every node
     sizes = np.fromiter(map(len, comps), dtype=np.intp, count=len(comps))
-    flat = np.fromiter((i for comp in comps for i in comp), dtype=np.intp,
-                       count=n)
-    label = np.empty(n, dtype=np.intp)
-    label[flat] = np.repeat(np.arange(len(comps)), sizes)
-    local = np.empty(n, dtype=np.intp)
-    local[flat] = np.arange(n) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    # every pair into its component's bucket, pair order kept
-    pair_label = label[rows]
-    by_comp = np.argsort(pair_label, kind="stable")
-    bounds = np.cumsum(np.bincount(pair_label, minlength=len(comps))).tolist()
+    # the components by size, those above DENSE_LIMIT last in cid order
+    by_size = np.argsort(np.minimum(sizes, DENSE_LIMIT + 1), kind="stable")
+    sizes = sizes[by_size]
+    nodes = np.fromiter((i for c in by_size.tolist() for i in comps[c]),
+                        dtype=np.intp, count=n)  # in tuple order
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+    at = np.argsort(nodes)  # each node's place in nodes
+    slot = np.repeat(np.arange(len(comps)), sizes)[at]  # its place in by_size
+    local = at - starts[slot]  # its place in its component
+    pairs = np.argsort(slot[rows], kind="stable")  # by slot, in pair order
+    pair_slot = slot[rows[pairs]]
     phi = np.zeros(n)
-    start = 0
-    for cid, comp in enumerate(comps):
-        sel = by_comp[start:bounds[cid]]
-        start = bounds[cid]
-        if len(comp) == 1:
-            continue
-        members = list(comp)
-        args = (local[rows[sel]], local[cols[sel]], wvec[sel],
-                system.rhs[members])
-        if len(comp) <= DENSE_LIMIT:
-            try:
-                sol = _dense_solve(*args)
-            except np.linalg.LinAlgError:
-                raise ConvergenceError(
-                    f"component {cid} ({len(comp)} nodes) is numerically "
-                    "singular", residual=np.inf) from None
-        else:
-            sol = _sparse_solve(*args, tol, cid)
-        phi[members] = sol - sol.mean()
+    # a component above DENSE_LIMIT alone, else up to DENSE_LIMIT of one size
+    first = int(np.count_nonzero(sizes == 1))
+    while first < len(comps):
+        size = int(sizes[first])
+        last = first + (1 if size > DENSE_LIMIT else int(np.count_nonzero(
+            sizes[first:first + DENSE_LIMIT] == size)))
+        members = nodes[starts[first]:starts[last]]
+        sel = pairs[slice(*np.searchsorted(pair_slot, (first, last)))]
+        a, b, w = local[rows[sel]], local[cols[sel]], wvec[sel]
+        f = system.rhs[members].reshape(-1, size)
+        if size > DENSE_LIMIT:
+            sol = _sparse_solve(a, b, w, f[0], tol, int(by_size[first]))
+        else:  # (L + J/size) phi = f: the J/size shift pins the mean to 0
+            lap = np.full((last - first, size, size), 1.0 / size)
+            # pair by pair, (a, a), (b, b), (a, b), (b, a): each cell sums its
+            # terms in pair order, the order its rounding depends on
+            np.add.at(lap, (slot[rows[sel], None] - first,
+                            np.stack([a, b, a, b], axis=1),
+                            np.stack([a, b, b, a], axis=1)),
+                      np.stack([w, w, -w, -w], axis=1))
+            sol = _solve_stack(lap, f, by_size[first:last].tolist())
+        phi[members] = (sol - sol.mean(axis=-1, keepdims=True)).ravel()
+        first = last
 
     residual = float(np.abs(_net_out(rows, cols, wvec * (phi[rows] - phi[cols]),
                                      n) - system.rhs).max(initial=0.0))
     if residual > _backward_bound(rows, cols, wvec, system.rhs, phi, tol):
         raise ConvergenceError("potential solve did not reach tolerance",
                                residual=residual)
-    return PotentialVector(phi=phi, component=label)
+    return PotentialVector(phi=phi, component=by_size[slot])
 
 
 def decompose(flow: FlowNetwork, potentials: PotentialVector) -> HodgeDecomposition:

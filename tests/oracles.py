@@ -19,6 +19,10 @@ export (edge table, dot, json) that tested each optional attribute for
 delimited event parser that read one ``csv.reader`` row and coded one
 event at a time. ``from_columns_reference`` is the EventSet constructor
 that ordered its rows by two multi-key ``lexsort`` passes.
+``components_reference`` is the component labelling as first written, a
+Python union-find over the pairs, and ``solve_potentials_reference`` the
+potential solve that filled and solved one dense matrix per small
+component, pair by pair.
 """
 
 from __future__ import annotations
@@ -38,9 +42,13 @@ from typing import Iterable
 import numpy as np
 
 from sanctionflow.community import CommunityPartition, modularity
-from sanctionflow.errors import EventParseError, PipelineError
+from sanctionflow.errors import (ConvergenceError, EventParseError,
+                                 PipelineError)
 from sanctionflow.events import (_FIELDS, _HEADER, Column, EventSet,
                                  _checked_category, _checked_id, _parse_date)
+from sanctionflow.hodge import (DENSE_LIMIT, LaplacianSystem,
+                                PotentialVector, _backward_bound, _net_out,
+                                _sparse_solve)
 from sanctionflow.report import (_EPS, _GRAVITY, LayoutResult, _apply_jitter,
                                  _energy_kernel)
 from sanctionflow.table import _run_starts, preamble, skip_preamble
@@ -796,3 +804,82 @@ def parse_events_reference(text: str | Iterable[str]) -> EventSet:
     except csv.Error as exc:
         raise EventParseError(str(exc), line=skipped + reader.line_num) from None
     return columns.event_set()
+
+
+def components_reference(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Each node's connected-component label over the pairs (lo, hi), the
+    components numbered in order of their smallest node."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i, j in zip(lo.tolist(), hi.tolist()):
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[max(ri, rj)] = min(ri, rj)
+    # a root is its component's smallest node
+    return np.unique([find(i) for i in range(n)], return_inverse=True)[1]
+
+
+def _dense_solve_reference(rows, cols, wvec, rhs):
+    """Direct solve of (L + J/n) phi = f; the J/n shift pins the mean to 0."""
+    n = len(rhs)
+    lap = np.full((n, n), 1.0 / n)
+    for a, b, w in zip(rows.tolist(), cols.tolist(), wvec.tolist()):
+        lap[a, a] += w
+        lap[b, b] += w
+        lap[a, b] -= w
+        lap[b, a] -= w
+    return np.linalg.solve(lap, rhs)
+
+
+def solve_potentials_reference(system: LaplacianSystem,
+                               tol: float = 1e-10) -> PotentialVector:
+    if not 0.0 < tol < np.inf:
+        raise PipelineError("tolerance must be positive and finite")
+    n = len(system.nodes)
+    comps = system.components
+    rows, cols, wvec = system.weights
+    # component label and position within the component of every node
+    sizes = np.fromiter(map(len, comps), dtype=np.intp, count=len(comps))
+    flat = np.fromiter((i for comp in comps for i in comp), dtype=np.intp,
+                       count=n)
+    label = np.empty(n, dtype=np.intp)
+    label[flat] = np.repeat(np.arange(len(comps)), sizes)
+    local = np.empty(n, dtype=np.intp)
+    local[flat] = np.arange(n) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    # every pair into its component's bucket, pair order kept
+    pair_label = label[rows]
+    by_comp = np.argsort(pair_label, kind="stable")
+    bounds = np.cumsum(np.bincount(pair_label, minlength=len(comps))).tolist()
+    phi = np.zeros(n)
+    start = 0
+    for cid, comp in enumerate(comps):
+        sel = by_comp[start:bounds[cid]]
+        start = bounds[cid]
+        if len(comp) == 1:
+            continue
+        members = list(comp)
+        args = (local[rows[sel]], local[cols[sel]], wvec[sel],
+                system.rhs[members])
+        if len(comp) <= DENSE_LIMIT:
+            try:
+                sol = _dense_solve_reference(*args)
+            except np.linalg.LinAlgError:
+                raise ConvergenceError(
+                    f"component {cid} ({len(comp)} nodes) is numerically "
+                    "singular", residual=np.inf) from None
+        else:
+            sol = _sparse_solve(*args, tol, cid)
+        phi[members] = sol - sol.mean()
+
+    residual = float(np.abs(_net_out(rows, cols, wvec * (phi[rows] - phi[cols]),
+                                     n) - system.rhs).max(initial=0.0))
+    if residual > _backward_bound(rows, cols, wvec, system.rhs, phi, tol):
+        raise ConvergenceError("potential solve did not reach tolerance",
+                               residual=residual)
+    return PotentialVector(phi=phi, component=label)

@@ -4,13 +4,16 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sanctionflow import (ConvergenceError, PipelineError,
                           assemble_laplacian, decompose, hodge, solve,
                           solve_potentials, symmetrize)
+from sanctionflow.netbuild import FlowNetwork
 from conftest import (by_node, make_flow, make_network, pairs_of, random_flow,
-                      split_of)
-from oracles import dense_potential_oracle, oracle_ratios
+                      split_of, traced_peak)
+from oracles import (components_reference, dense_potential_oracle,
+                     oracle_ratios, solve_potentials_reference)
 
 TOL = 1e-10
 
@@ -316,10 +319,116 @@ def test_small_flows_on_large_weights_are_solved_without_raising():
 
 def test_solution_beyond_the_backward_error_bound_raises(monkeypatch):
     flow = make_flow({("A", "B"): (1, 1), ("B", "C"): (2, 1)})
-    monkeypatch.setattr(hodge, "_dense_solve",
-                        lambda rows, cols, wvec, rhs: np.zeros(len(rhs)))
+    monkeypatch.setattr(hodge, "_solve_stack",
+                        lambda lap, rhs, cids: np.zeros_like(rhs))
     with pytest.raises(ConvergenceError):
         solve_potentials(assemble_laplacian(flow), TOL)
+
+
+def test_singular_component_in_a_stack_is_named():
+    # five 2-node components solved as one stack; only component 3's
+    # counts make its (L + J/2) singular in float64
+    edges = [(f"C{c}a", f"C{c}b", 2 ** 53 if c == 3 else 2)
+             for c in range(5)]
+    edges += [(f"C{c}b", f"C{c}a", 5 if c == 3 else 1) for c in range(5)]
+    system = assemble_laplacian(symmetrize(make_network(edges), "mean"))
+    assert [len(comp) for comp in system.components] == [2] * 5
+    with pytest.raises(ConvergenceError,
+                       match=r"^component 3 \(2 nodes\) is numerically "
+                             "singular"):
+        solve_potentials(system, TOL)
+
+
+@st.composite
+def pair_sets(draw):
+    n = draw(st.integers(0, 40))
+    node = st.integers(0, max(n - 1, 0))
+    pairs = draw(st.lists(st.tuples(node, node), max_size=0 if n == 0 else 80))
+    lo, hi = (np.array([p[k] for p in pairs], np.int64) for k in range(2))
+    return n, lo, hi
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair_sets())
+def test_components_match_the_union_find(case):
+    # any pair set: n = 0, isolated nodes, repeated, reversed and self pairs
+    n, lo, hi = case
+    assert np.array_equal(hodge._components(n, lo, hi),
+                          components_reference(n, lo, hi))
+
+
+def test_components_of_a_permuted_path_match_the_union_find():
+    # a path whose nodes are numbered at random needs the most jump rounds
+    n = 5000
+    path = np.random.default_rng(3).permutation(n)
+    lo, hi = np.minimum(path[:-1], path[1:]), np.maximum(path[:-1], path[1:])
+    label = hodge._components(n, lo, hi)
+    assert np.array_equal(label, components_reference(n, lo, hi))
+    assert not label.any()
+
+
+def _component_flow(rng, sizes, chords):
+    """A flow of one random tree plus up to ``chords`` extra pairs per
+    component of each size, its nodes numbered at random so that the
+    components' pairs interleave in (lo, hi) order, with fractional flows
+    and weights."""
+    n = sum(sizes)
+    perm = rng.permutation(n)
+    pairs, start = set(), 0
+    for size in sizes:
+        ids = perm[start:start + size].tolist()
+        start += size
+        for k in range(1, size):
+            pairs.add((ids[int(rng.integers(k))], ids[k]))
+        for _ in range(chords if size > 2 else 0):
+            a, b = rng.choice(size, 2, replace=False).tolist()
+            pairs.add((ids[a], ids[b]))
+    keys = sorted({(min(p), max(p)) for p in pairs})
+    lo, hi = (np.array([k[j] for k in keys], np.int64) for j in range(2))
+    return FlowNetwork(tuple(f"N{i:06d}" for i in range(n)), lo, hi,
+                       rng.uniform(-3.0, 3.0, len(keys)),
+                       rng.uniform(1e-3, 2.0, len(keys)), "mean")
+
+
+def _assert_solves_match_the_reference(flow):
+    system = assemble_laplacian(flow)
+    label = components_reference(len(flow.nodes), flow.lo, flow.hi)
+    assert system.components == tuple(
+        tuple(np.flatnonzero(label == c).tolist())
+        for c in range(label.max(initial=-1) + 1))
+    pv, ref = solve_potentials(system, TOL), solve_potentials_reference(
+        system, TOL)
+    assert np.array_equal(pv.phi, ref.phi)
+    assert np.array_equal(pv.component, ref.component)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, hodge.DENSE_LIMIT + 8), min_size=1,
+                max_size=8),
+       st.integers(0, 6), st.integers(0, 2 ** 32 - 1))
+def test_stacked_solves_match_the_per_component_reference(sizes, chords, seed):
+    _assert_solves_match_the_reference(
+        _component_flow(np.random.default_rng(seed), sizes, chords))
+
+
+def test_stacks_split_at_the_batch_cap_match_the_reference():
+    # 150 components of 3 nodes and 70 of 5 fill several capped stacks
+    rng = np.random.default_rng(11)
+    sizes = [3] * 150 + [5] * 70 + [1] * 5 + [2, 64, 65, 90]
+    _assert_solves_match_the_reference(
+        _component_flow(rng, rng.permutation(sizes).tolist(), 3))
+
+
+def test_stacked_solve_memory_is_bounded():
+    # 2000 components of 64 nodes, each a random tree plus 8 chords; one
+    # stack of every component would hold 2000 64 x 64 matrices (62.5 MiB)
+    flow = _component_flow(np.random.default_rng(8), [64] * 2000, 8)
+    assert len(flow.lo) > 140_000
+    system = assemble_laplacian(flow)
+    pv, peak = traced_peak(lambda: solve_potentials(system, TOL))
+    assert decompose(flow, pv).residual_norm < 1e-9
+    # 10.3 MiB when each component was solved alone
+    assert peak < 16 * 2 ** 20
 
 def _cyclic_core_with_trees(rng, core=100):
     """A ring with chords (every core node has degree >= 2), plus chains
