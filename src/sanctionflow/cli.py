@@ -166,10 +166,8 @@ def cmd_layout(args):
     net = _read(args.net, netbuild.read_network)
     potentials = _read(args.potentials, hodge.read_node_table, net)
     result = report.layout(net, potentials, seed=args.seed, jitter=args.jitter)
-    _write(args.out, (_header(args), table.write_table(
-        (), ("node", "x", "y"),
-        ((node, f"{x:.17g}", f"{y:.17g}") for node, x, y
-         in netbuild.named_nodes(net.nodes, result.x, result.y)))))
+    _write(args.out, (_header(args), table.write_node_columns(
+        (), ("node", "x", "y"), net.nodes, result.x, result.y)))
     print(f"{len(net.nodes)} nodes, {len(result.energy_history)} energy steps")
     return 0
 
@@ -201,19 +199,18 @@ def cmd_report(args):
     if args.layout:
         layout_result = report.LayoutResult(*_read(
             args.layout, table.read_node_columns, net.nodes,
-            ("node", "x", "y"), (table.finite, table.finite)))
+            ("node", "x", "y"), (float, float)))
     if args.pagerank:
         scores = _read(args.pagerank, rank.read_ranks, net.nodes)
     head = _header(args)
     outdir = Path(args.out)
     if decomp is not None:
-        rows = report.potential_table(
-            decomp, highlight=set(args.highlight or []))
         _write(str(outdir / "potential_table.csv"),
-               (head, report.write_potential_table(rows)))
+               (head, report.write_potential_table(report.potential_table(
+                   decomp, highlight=set(args.highlight or [])))))
     if scores is not None:
-        data = report.scatter_data(net.nodes, scores, decomp.potentials.phi)
-        _write(str(outdir / "scatter.csv"), (head, report.write_scatter(data)))
+        _write(str(outdir / "scatter.csv"), (head, report.write_scatter(
+            report.scatter_data(net.nodes, scores, decomp.potentials.phi))))
     ext = {"edge_table": "tsv", "dot": "dot", "json_graph": "json"}[args.graph_format]
     doc = report.export_graph(net, decomp=decomp, communities=communities,
                               layout_result=layout_result,

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import PipelineError
 from .netbuild import InfluenceNetwork
-from .table import read_node_columns, write_table
+from .table import read_node_columns, write_node_columns
 
 
 @dataclass(frozen=True)
@@ -170,8 +170,9 @@ def louvain(net: InfluenceNetwork, resolution: float = 1.0,
 def write_partition(partition: CommunityPartition) -> str:
     meta = (f"Q\t{partition.modularity:.17g}\tresolution\t"
             f"{partition.resolution:.17g}\tseed\t{partition.seed}")
-    return write_table([meta], ("node", "community"),
-                       sorted(partition.assignment.items()))
+    labels = partition.assignment
+    return write_node_columns([meta], ("node", "community"), tuple(labels),
+                              np.array(list(labels.values()), np.int64))
 
 
 def read_partition(text: str, nodes: tuple[str, ...]) -> np.ndarray:

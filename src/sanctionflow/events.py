@@ -24,17 +24,11 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import EventParseError, PipelineError
-from .table import _cells, _run_starts, skip_preamble
+from .table import _LINE_CHUNK, _ROW_CHUNK, _cells, _run_starts, skip_preamble
 
 _ISO_DATE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
 _HEADER = ("issuer", "list_id", "entity_id", "date")
 _FIELDS = (*_HEADER, "category")
-# events serialized into one text piece at a time; writing the pieces of
-# 150k events traced 2.3 MiB at 4096 and 5.0 MiB at 16384
-_ROW_CHUNK = 1 << 12
-# lines of an event file parsed and coded at a time; a chunk's cells are
-# alive at once, and on 156k events 1024 lines held one 1 MiB arena more
-_LINE_CHUNK = 256
 
 # One column of an EventSet: its distinct names, and per event an int32 code
 # indexing them (-1 for none).

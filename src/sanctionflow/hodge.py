@@ -15,8 +15,9 @@ from itertools import islice
 import numpy as np
 
 from .errors import ConvergenceError, PipelineError
-from .netbuild import FlowNetwork, InfluenceNetwork, named_nodes, named_rows
-from .table import _cells, finite, node_columns, read_table, write_table
+from .netbuild import FlowNetwork, InfluenceNetwork, pair_columns
+from .table import (_cells, read_node_columns, write_columns,
+                    write_node_columns)
 
 DENSE_LIMIT = 64  # components up to this size use a direct solve
 PCG_STALL = 50  # PCG iterations without a new least residual before it stops
@@ -318,44 +319,29 @@ def solve(flow: FlowNetwork, tol: float = 1e-10) -> HodgeDecomposition:
 # Delimited export: node table, pair table, summary (17 significant digits).
 
 def write_node_table(decomp: HodgeDecomposition) -> str:
-    pot, nodes = decomp.potentials, decomp.flow.nodes
-    return "".join(["node,component,potential\n", *(
-        f"{v},{c},{phi:.17g}\n" for v, c, phi in named_nodes(
-            nodes, pot.component, pot.phi, labels=_cells(nodes)))])
+    pot = decomp.potentials
+    return write_node_columns((), ("node", "component", "potential"),
+                              decomp.flow.nodes, pot.component, pot.phi)
 
 
 def write_pair_table(decomp: HodgeDecomposition) -> str:
     flow = decomp.flow
-    return "".join(["i,j,F,w,F_grad,F_circ\n", *(
-        f"{i},{j},{f:.17g},{w:.17g},{g:.17g},{c:.17g}\n"
-        for i, j, f, w, g, c in named_rows(
-            flow.nodes, flow.lo, flow.hi, flow.F, flow.w, decomp.gradient,
-            decomp.circular, labels=_cells(flow.nodes)))])
+    return write_columns((), ("i", "j", "F", "w", "F_grad", "F_circ"), pair_columns(
+        flow.nodes, flow.lo, flow.hi, flow.F, flow.w, decomp.gradient,
+        decomp.circular, labels=_cells(flow.nodes)), ("", "") + (".17g",) * 4)
 
 
 def write_summary(decomp: HodgeDecomposition) -> str:
     values = (decomp.gradient_ratio, decomp.loop_ratio, decomp.residual_norm)
-    return write_table((), ("gradient_ratio", "loop_ratio", "residual_norm"),
-                       [[f"{v:.17g}" for v in values]])
+    return write_columns((), ("gradient_ratio", "loop_ratio", "residual_norm"),
+                         [[v] for v in values], (".17g",) * 3)
 
 
 def read_node_table(text: str, net: InfluenceNetwork) -> PotentialVector:
     """The potentials of a ``write_node_table`` file over ``net``'s nodes;
     a component label other than ``solve_potentials``' is a bad value."""
-    label = _components(len(net.nodes), net.view.lo, net.view.hi).tolist()
-    index = {node: k for k, node in enumerate(net.nodes)}
-    row = [0]  # the node of the row read; a row's cells convert in order
-
-    def node(cell):
-        row[0] = index[cell]
-        return row[0]
-
-    def checked_label(cell):
-        if int(cell) != label[row[0]]:
-            raise ValueError(cell)
-        return int(cell)
-
-    component, phi = node_columns(read_table(
-        text, ("node", "component", "potential"),
-        (node, checked_label, finite)), net.nodes, 3)
+    label = _components(len(net.nodes), net.view.lo, net.view.hi)
+    component, phi = read_node_columns(
+        text, net.nodes, ("node", "component", "potential"), (int, float),
+        expect={"component": label})
     return PotentialVector(phi=phi, component=component)

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 import numpy as np
 
 from .errors import PipelineError
-from .table import _run_starts
+from .table import _run_starts, name_order
 
 if TYPE_CHECKING:  # a stage that only reads net.tsv never loads events
     from .events import Column, EventSet
@@ -247,35 +247,25 @@ def _write_records(meta: str, nodes: tuple[str, ...],
     return "".join([f"# {meta}\n", *(n + "\n" for n in nodes), *edges])
 
 
-def named_nodes(nodes: tuple[str, ...], *values: np.ndarray, labels=None):
-    """Per node, in the order of the node names: the name (or its label),
-    then the node's entry of each of ``values``, arrays in node order."""
-    columns, label = [v.tolist() for v in values], labels or nodes
-    return ((label[k], *(c[k] for c in columns))
-            for k in sorted(range(len(nodes)), key=nodes.__getitem__))
-
-
-def named_rows(nodes: tuple[str, ...], first: np.ndarray,
-               second: np.ndarray, *values: np.ndarray, labels=None):
-    """Per row of node indices (first, second), in the order of their node
-    names: the two names (or labels), then the row's entry of each of
-    ``values``."""
+def pair_columns(nodes: tuple[str, ...], first: np.ndarray,
+                 second: np.ndarray, *values: np.ndarray, labels=None):
+    """The columns of the rows of node indices (first, second), in the
+    order of their node names: the two names (or labels), then the rows'
+    entries of each of ``values``."""
     rank = np.empty(len(nodes), np.int64)
-    rank[sorted(range(len(nodes)), key=nodes.__getitem__)] = \
-        np.arange(len(nodes))
+    rank[name_order(nodes)] = np.arange(len(nodes))
     order = np.lexsort((rank[second], rank[first]))
     name = (labels or nodes).__getitem__
-    return zip(map(name, first[order].tolist()),
-               map(name, second[order].tolist()),
-               *(v[order].tolist() for v in values))
+    return [*(list(map(name, ends[order].tolist())) for ends in (first, second)),
+            *(v[order].tolist() for v in values)]
 
 
 def write_network(net: InfluenceNetwork) -> str:
     return _write_records(
         f"level\t{net.level}", net.nodes,
         # both endpoints are nodes, whose lines are checked
-        (f"{a}\t{b}\t{c}\n"
-         for a, b, c in named_rows(net.nodes, net.src, net.dst, net.count)))
+        (f"{a}\t{b}\t{c}\n" for a, b, c in
+         zip(*pair_columns(net.nodes, net.src, net.dst, net.count))))
 
 
 def read_network(text: str) -> InfluenceNetwork:
@@ -339,6 +329,5 @@ def read_network(text: str) -> InfluenceNetwork:
 def write_flow(flow: FlowNetwork) -> str:
     return _write_records(
         f"mode\t{flow.weight_mode}", flow.nodes,
-        (f"{i}\t{j}\t{f:.17g}\t{w:.17g}\n"
-         for i, j, f, w in named_rows(flow.nodes, flow.lo, flow.hi, flow.F,
-                                       flow.w)))
+        (f"{i}\t{j}\t{f:.17g}\t{w:.17g}\n" for i, j, f, w in
+         zip(*pair_columns(flow.nodes, flow.lo, flow.hi, flow.F, flow.w))))

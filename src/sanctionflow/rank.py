@@ -7,8 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, PipelineError
-from .netbuild import InfluenceNetwork, named_nodes
-from .table import finite, read_node_columns, write_table
+from .netbuild import InfluenceNetwork
+from .table import read_node_columns, write_node_columns
 
 MAX_ITERATIONS = 10_000
 
@@ -54,11 +54,9 @@ def pagerank(net: InfluenceNetwork, damping: float = 0.85,
 
 
 def write_ranks(rank: RankVector, nodes: tuple[str, ...]) -> str:
-    return write_table((), ("node", "pagerank"),
-                       ((node, f"{score:.17g}")
-                        for node, score in named_nodes(nodes, rank.scores)))
+    return write_node_columns((), ("node", "pagerank"), nodes, rank.scores)
 
 
 def read_ranks(text: str, nodes: tuple[str, ...]) -> np.ndarray:
     """The PageRank scores of a ``write_ranks`` table, in ``nodes`` order."""
-    return read_node_columns(text, nodes, ("node", "pagerank"), (finite,))[0]
+    return read_node_columns(text, nodes, ("node", "pagerank"), (float,))[0]

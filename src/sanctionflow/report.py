@@ -18,14 +18,14 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .errors import PipelineError
 from .hodge import HodgeDecomposition, PotentialVector
-from .netbuild import InfluenceNetwork, named_nodes
-from .table import write_table
+from .netbuild import InfluenceNetwork
+from .table import _cells, name_order, write_columns
 
 _EPS = 1e-9
 _GRAVITY = 0.01
@@ -179,16 +179,12 @@ def _apply_jitter(nodes, x, y, jitter, min_sep, rng):
     return np.array(y)
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     rank: int
     node: str
     potential: float
     highlighted: bool
-
-
-def _printed(phi: float) -> str:
-    return f"{phi:.3f}"
+    printed: str  # the potential as the table writes it
 
 
 def potential_table(decomp: HodgeDecomposition,
@@ -196,21 +192,25 @@ def potential_table(decomp: HodgeDecomposition,
     """Rows ranked by descending printed potential, ties broken by node, so
     a potential moving below the printed precision keeps its row's place
     (-0.000 and 0.000 tie). A highlight name that is not a node is an error."""
-    marked = set(highlight)
-    unknown = sorted(marked.difference(decomp.flow.nodes))
+    marked, nodes = set(highlight), decomp.flow.nodes
+    unknown = sorted(marked.difference(nodes))
     if unknown:
         raise PipelineError(f"highlight names unknown node(s): {unknown[:5]}")
-    entries = sorted(zip(decomp.flow.nodes, decomp.potentials.phi.tolist()),
-                     key=lambda t: (-float(_printed(t[1])), t[0]))
-    return [TableRow(rank=i + 1, node=node, potential=phi,
-                     highlighted=node in marked)
-            for i, (node, phi) in enumerate(entries)]
+    phi = decomp.potentials.phi.tolist()
+    printed = list(map("{:.3f}".format, phi))
+    by_name = np.array(name_order(nodes), np.int64)
+    at = by_name[np.argsort(-np.array(printed, float)[by_name], kind="stable")].tolist()
+    names = list(map(nodes.__getitem__, at))
+    return list(map(TableRow, range(1, len(at) + 1), names,
+                    map(phi.__getitem__, at), map(marked.__contains__, names),
+                    map(printed.__getitem__, at)))
 
 
 def write_potential_table(rows: list[TableRow]) -> str:
-    return write_table((), ("rank", "name", "potential", "highlighted"),
-                       ((row.rank, row.node, _printed(row.potential),
-                         "*" if row.highlighted else "") for row in rows))
+    rank, node, _, highlighted, printed = zip(*rows) if rows else ((),) * 5
+    return write_columns((), ("rank", "name", "potential", "highlighted"), (
+        rank, _cells(node), printed, ["*" if h else "" for h in highlighted]),
+        ("",) * 4)
 
 
 @dataclass(frozen=True)
@@ -222,24 +222,22 @@ class ScatterData:
 
 def scatter_data(nodes: tuple[str, ...], pagerank: np.ndarray,
                  potential: np.ndarray) -> ScatterData:
-    """Per-node (pagerank, potential) pairs with a Pearson summary."""
-    rows = list(named_nodes(nodes, pagerank, potential))
-    xs = np.array([r[1] for r in rows])
-    ys = np.array([r[2] for r in rows])
+    """Per-node (pagerank, potential) pairs, in the order of the node
+    names, with a Pearson summary."""
+    order = name_order(nodes)
+    xs, ys = pagerank[order], potential[order]
+    rows = list(zip(map(nodes.__getitem__, order), xs.tolist(), ys.tolist()))
     constant = bool(len(rows) < 2 or np.ptp(xs) == 0.0 or np.ptp(ys) == 0.0)
-    if constant:
-        corr = 0.0
-    else:
-        corr = float(np.corrcoef(xs, ys)[0, 1])
+    corr = 0.0 if constant else float(np.corrcoef(xs, ys)[0, 1])
     return ScatterData(rows=rows, correlation=corr, constant_column=constant)
 
 
 def write_scatter(data: ScatterData) -> str:
     flag = "\tconstant_column" if data.constant_column else ""
     meta = f"pearson\t{data.correlation:.17g}{flag}"
-    return write_table([meta], ("node", "pagerank", "potential"),
-                       ((node, f"{pr:.17g}", f"{phi:.17g}")
-                        for node, pr, phi in data.rows))
+    node, pr, phi = zip(*data.rows) if data.rows else ((),) * 3
+    return write_columns([meta], ("node", "pagerank", "potential"),
+                         (_cells(node), pr, phi), ("", ".17g", ".17g"))
 
 
 # ---------------------------------------------------------------------------

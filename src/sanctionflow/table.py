@@ -1,19 +1,29 @@
 """The comma-separated table format of every ``.csv`` artifact: ``# ``
 metadata lines, a header row naming the columns, then RFC 4180 rows, where
 a cell holding a comma, quote or line break is quoted and reads back as
-itself. Blank and ``#`` lines are comments only before the header."""
+itself. Blank and ``#`` lines are comments only before the header. Tables
+are read and written by whole columns."""
 
 from __future__ import annotations
 
 import csv
 import io
 import math
-from itertools import chain
-from typing import Callable, Iterable, Iterator, Sequence
+from contextlib import suppress
+from itertools import chain, islice
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import PipelineError
+
+# lines of a table or an event file read at a time; a chunk's cells are
+# alive at once, and on 156k events 1024 lines held one 1 MiB arena more
+_LINE_CHUNK = 256
+# rows of a table, or events, made into one text piece at a time; writing
+# the pieces of 150k events traced 2.3 MiB at 4096 and 5.0 MiB at 16384
+_ROW_CHUNK = 1 << 12
+_QUOTED = (",", '"', "\n", "\r")  # a cell holding one may be quoted
 
 
 def preamble(header: Iterable[str]) -> str:
@@ -21,15 +31,17 @@ def preamble(header: Iterable[str]) -> str:
 
 
 def _cells(names: Iterable[str]) -> list[str]:
-    """Each name as csv.writer writes it in a row of more than one cell."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    cells = []
-    for name in names:
-        buf.seek(0)
-        buf.truncate()
-        writer.writerow((name, ""))
-        cells.append(buf.getvalue()[:-2])  # the ",\n" of the empty cell
+    """Each name as csv.writer writes it in a row of more than one cell;
+    only a name holding a comma, quote, CR or LF goes through csv.writer."""
+    cells = list(names)
+    joined = "".join(cells)
+    if not any(c in joined for c in _QUOTED):
+        return cells
+    for k, name in enumerate(cells):
+        if any(c in name for c in _QUOTED):
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\n").writerow((name, ""))
+            cells[k] = buf.getvalue()[:-2]  # the ",\n" of the empty cell
     return cells
 
 
@@ -42,15 +54,33 @@ def _run_starts(*keys: np.ndarray) -> np.ndarray:
     return start
 
 
-def write_table(meta: Iterable[str], columns: Sequence[str],
-                rows: Iterable[Sequence[object]]) -> str:
-    """``meta`` as '# ' lines, the header row, then rows of formatted cells."""
-    out = io.StringIO()
-    out.write(preamble(meta))
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows(rows)
-    return out.getvalue()
+def name_order(names: Sequence[str]) -> list[int]:
+    """The indices of ``names`` in the order of the names."""
+    return sorted(range(len(names)), key=names.__getitem__)
+
+
+def write_columns(meta: Iterable[str], header: Sequence[str],
+                  columns: Sequence[Sequence], specs: Sequence[str]) -> str:
+    """``meta`` as '# ' lines, the header row, then one row per entry of the
+    equal-length ``columns``, each value formatted by its column's spec in
+    ``specs`` (a string must be a cell as ``_cells`` makes it). Rows are
+    joined ``_ROW_CHUNK`` at a time, and each chunk's row strings freed."""
+    row = ",".join(f"{{:{spec}}}" for spec in specs) + "\n"
+    return "".join([preamble(meta), ",".join(_cells(header)), "\n", *(
+        "".join(map(row.format, *(c[lo:lo + _ROW_CHUNK] for c in columns)))
+        for lo in range(0, len(columns[0]), _ROW_CHUNK))])
+
+
+def write_node_columns(meta: Iterable[str], header: Sequence[str],
+                       nodes: Sequence[str], *columns: np.ndarray) -> str:
+    """``write_columns`` with one row per node, in the order of the names:
+    the node's name, then its entry of each array of ``columns`` (in
+    ``nodes`` order), a float with 17 significant digits."""
+    order = name_order(nodes)
+    return write_columns(meta, header, [
+        _cells(map(nodes.__getitem__, order)),
+        *(column[order].tolist() for column in columns)],
+        ["", *(".17g" if c.dtype.kind == "f" else "" for c in columns)])
 
 
 def skip_preamble(lines: Iterator[str]) -> tuple[int, Iterator[str]]:
@@ -72,64 +102,91 @@ def finite(cell: str) -> float:
     return value
 
 
-def read_table(text: str, columns: Sequence[str],
-               types: Sequence[Callable[[str], object]]) -> list[tuple]:
-    """The rows under the header ``columns``, each cell converted, left to
-    right, by its entry of ``types`` (a ValueError or KeyError marks a bad
-    value). The first column is a key. A wrong header, field count or
-    value, or a repeated key, raises PipelineError naming the line (and the
-    column of a bad value)."""
+def read_columns(text: str, columns: Sequence[str],
+                 types: Sequence[Callable[[str], object]],
+                 bad: Callable[[int, list[list]], bool] = lambda j, v: False
+                 ) -> list[list]:
+    """The columns under the header ``columns``, each converted by a map of
+    its entry of ``types`` (a ValueError or KeyError marks a bad value);
+    ``bad(j, values)`` finds another in column j of a chunk's converted
+    columns 0..j. The first column is a key. A wrong header, field count or
+    value, or a repeated key, raises PipelineError naming the earliest
+    faulty line (and the column of a bad value), and in a line the field
+    count, then the columns left to right, then the key."""
+    with suppress(PipelineError):  # rows scanned one by one name its line
+        values = _read_columns(text, columns, types, bad, _LINE_CHUNK)
+        if len(set(values[0])) == len(values[0]):
+            return values
+    return _read_columns(text, columns, types, bad, 1)
+
+
+def _read_columns(text, columns, types, bad, chunk):
+    """``read_columns``, converting ``chunk`` rows at a time; a fault names
+    the last line of its chunk, and keys are checked only row by row."""
     skipped, lines = skip_preamble(io.StringIO(text))
     reader = csv.reader(lines)
-    rows = []
-    keys = set()
+    values, keys = [[] for _ in columns], set()
     try:
         head = next(reader, None)
         if head is None or [c.strip() for c in head] != list(columns):
             raise PipelineError(f"line {skipped + 1}: expected header "
                                 f"{','.join(columns)}, got {head!r}")
-        for row in reader:
+        while rows := list(islice(reader, chunk)):
             line = skipped + reader.line_num
-            if len(row) != len(columns):
-                raise PipelineError(f"line {line}: expected {len(columns)} "
-                                    f"fields ({','.join(columns)}), "
-                                    f"got {len(row)}")
-            values = []
-            for name, convert, cell in zip(columns, types, row):
+            if set(map(len, rows)) != {len(columns)}:
+                raise PipelineError(f"line {line}: expected {len(columns)} fields "
+                                    f"({','.join(columns)}), got {len(rows[0])}")
+            got = []
+            for j, (name, convert, cells) in enumerate(zip(columns, types, zip(*rows))):
                 try:
-                    values.append(convert(cell))
+                    got.append(list(map(convert, cells)))
+                    if bad(j, got):
+                        raise ValueError
                 except (KeyError, ValueError):
                     raise PipelineError(f"line {line}: column '{name}': "
-                                        f"bad value {cell!r}") from None
-            if values[0] in keys:
-                raise PipelineError(f"line {line}: repeated {columns[0]} "
-                                    f"{row[0]!r}")
-            keys.add(values[0])
-            rows.append(tuple(values))
+                                        f"bad value {cells[0]!r}") from None
+            if chunk == 1:  # a chunked read checks its keys at the end
+                if got[0][0] in keys:
+                    raise PipelineError(f"line {line}: repeated {columns[0]} "
+                                        f"{rows[0][0]!r}")
+                keys.add(got[0][0])
+            for column, part in zip(values, got):
+                column.extend(part)
     except csv.Error as exc:
         raise PipelineError(f"line {skipped + reader.line_num}: {exc}") from None
-    return rows
+    return values
+
+
+def read_table(text: str, columns: Sequence[str],
+               types: Sequence[Callable[[str], object]]) -> list[tuple]:
+    """The rows of ``read_columns``, as tuples."""
+    return list(zip(*read_columns(text, columns, types)))
 
 
 def read_node_columns(text: str, nodes: Sequence[str], columns: Sequence[str],
-                      types: Sequence[Callable[[str], object]]
+                      types: Sequence[Callable[[str], object]],
+                      expect: Mapping[str, np.ndarray] | None = None
                       ) -> tuple[np.ndarray, ...]:
-    """The ``node_columns`` of a table keyed by node name, each column after
-    the first converted by its entry of ``types``. A name that is not one
-    of ``nodes`` is a bad value."""
+    """The columns after the first of a ``read_columns`` table keyed by
+    node name, each converted by its entry of ``types``, as arrays in
+    ``nodes`` order. A name that is not one of ``nodes``, a nan or infinite
+    float and, in a column named in ``expect``, a value other than the
+    row's node's entry of its array (in ``nodes`` order) are bad values. A
+    node without a row raises PipelineError."""
     index = {node: k for k, node in enumerate(nodes)}
-    return node_columns(read_table(text, columns, (index.__getitem__, *types)),
-                        nodes, len(columns))
 
+    def bad(j, values):
+        column = np.asarray(values[j])
+        if column.dtype.kind == "f" and not np.isfinite(column).all():
+            return True
+        want = (expect or {}).get(columns[j])
+        return want is not None and bool((column != want[values[0]]).any())
 
-def node_columns(rows: Sequence[tuple], nodes: Sequence[str], width: int
-                 ) -> tuple[np.ndarray, ...]:
-    """Columns 1..width-1 of ``rows`` keyed by node index, as arrays in
-    ``nodes`` order; a node without a row raises PipelineError."""
+    key, *values = read_columns(text, columns, (index.__getitem__, *types),
+                                bad)
     at = np.full(len(nodes), -1)
-    at[[row[0] for row in rows]] = np.arange(len(rows))
+    at[key] = np.arange(len(key))
     missing = [nodes[k] for k in np.flatnonzero(at < 0)[:5].tolist()]
     if missing:
         raise PipelineError(f"no row for node(s) {missing}")
-    return tuple(np.array([row[k] for row in rows])[at]
-                 for k in range(1, width))
+    return tuple(np.array(column)[at] for column in values)

@@ -22,7 +22,11 @@ that ordered its rows by two multi-key ``lexsort`` passes.
 ``components_reference`` is the component labelling as first written, a
 Python union-find over the pairs, and ``solve_potentials_reference`` the
 potential solve that filled and solved one dense matrix per small
-component, pair by pair.
+component, pair by pair. ``read_table_reference``,
+``read_node_columns_reference`` and ``read_node_table_reference`` are the
+``.csv`` readers that converted and checked one row at a time, and
+``write_table_reference`` the writer that sent every row through
+``csv.writer``.
 """
 
 from __future__ import annotations
@@ -51,7 +55,8 @@ from sanctionflow.hodge import (DENSE_LIMIT, LaplacianSystem,
                                 _sparse_solve)
 from sanctionflow.report import (_EPS, _GRAVITY, LayoutResult, _apply_jitter,
                                  _energy_kernel)
-from sanctionflow.table import _run_starts, preamble, skip_preamble
+from sanctionflow.table import (_run_starts, finite, preamble,
+                               skip_preamble)
 
 from conftest import (by_node, ev, in_node_order, make_events, pairs_of,
                       split_of)
@@ -883,3 +888,87 @@ def solve_potentials_reference(system: LaplacianSystem,
         raise ConvergenceError("potential solve did not reach tolerance",
                                residual=residual)
     return PotentialVector(phi=phi, component=label)
+
+
+def read_table_reference(text, columns, types):
+    skipped, lines = skip_preamble(io.StringIO(text))
+    reader = csv.reader(lines)
+    rows = []
+    keys = set()
+    try:
+        head = next(reader, None)
+        if head is None or [c.strip() for c in head] != list(columns):
+            raise PipelineError(f"line {skipped + 1}: expected header "
+                                f"{','.join(columns)}, got {head!r}")
+        for row in reader:
+            line = skipped + reader.line_num
+            if len(row) != len(columns):
+                raise PipelineError(f"line {line}: expected {len(columns)} "
+                                    f"fields ({','.join(columns)}), "
+                                    f"got {len(row)}")
+            values = []
+            for name, convert, cell in zip(columns, types, row):
+                try:
+                    values.append(convert(cell))
+                except (KeyError, ValueError):
+                    raise PipelineError(f"line {line}: column '{name}': "
+                                        f"bad value {cell!r}") from None
+            if values[0] in keys:
+                raise PipelineError(f"line {line}: repeated {columns[0]} "
+                                    f"{row[0]!r}")
+            keys.add(values[0])
+            rows.append(tuple(values))
+    except csv.Error as exc:
+        raise PipelineError(f"line {skipped + reader.line_num}: {exc}") from None
+    return rows
+
+
+def read_node_columns_reference(text, nodes, columns, types):
+    index = {node: k for k, node in enumerate(nodes)}
+    return _node_columns_reference(
+        read_table_reference(text, columns, (index.__getitem__, *types)),
+        nodes, len(columns))
+
+
+def _node_columns_reference(rows, nodes, width):
+    at = np.full(len(nodes), -1)
+    at[[row[0] for row in rows]] = np.arange(len(rows))
+    missing = [nodes[k] for k in np.flatnonzero(at < 0)[:5].tolist()]
+    if missing:
+        raise PipelineError(f"no row for node(s) {missing}")
+    return tuple(np.array([row[k] for row in rows])[at]
+                 for k in range(1, width))
+
+
+def read_node_table_reference(text, net):
+    """The potentials of a node table, each component label checked
+    against the labelling of ``net``'s pairs as its row is read."""
+    label = components_reference(len(net.nodes), net.view.lo,
+                                 net.view.hi).tolist()
+    index = {node: k for k, node in enumerate(net.nodes)}
+    row = [0]  # the node of the row read; a row's cells convert in order
+
+    def node(cell):
+        row[0] = index[cell]
+        return row[0]
+
+    def checked_label(cell):
+        if int(cell) != label[row[0]]:
+            raise ValueError(cell)
+        return int(cell)
+
+    component, phi = _node_columns_reference(read_table_reference(
+        text, ("node", "component", "potential"),
+        (node, checked_label, finite)), net.nodes, 3)
+    return PotentialVector(phi=phi, component=component)
+
+
+def write_table_reference(meta, columns, rows):
+    """``meta`` as '# ' lines, then the header and ``rows`` through
+    csv.writer."""
+    out = io.StringIO()
+    out.write(preamble(meta))
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(rows)
+    return out.getvalue()

@@ -139,6 +139,37 @@ def test_louvain_matches_the_reference_exactly():
         assert louvain(net, resolution, seed) == want
 
 
+def _disconnected_communities(net, assignment):
+    """The communities whose nodes the network's links, taken undirected,
+    do not join into one piece."""
+    parent = {v: v for v in net.nodes}
+
+    def root(v):
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    for i, j in zip(net.view.lo.tolist(), net.view.hi.tolist()):
+        a, b = net.nodes[i], net.nodes[j]
+        if assignment[a] == assignment[b]:
+            parent[root(a)] = root(b)
+    pieces = {}
+    for v in net.nodes:
+        pieces.setdefault(assignment[v], set()).add(root(v))
+    return sorted(c for c, roots in pieces.items() if len(roots) > 1)
+
+
+def test_every_louvain_community_is_connected():
+    apart = make_network([("a", "b", 1), ("c", "d", 1)])
+    assert _disconnected_communities(apart, dict.fromkeys(apart.nodes, 0)) == [0]
+    rng = random.Random(5)
+    for trial in range(40):
+        net = random_hierarchy(rng)
+        resolution = rng.choice([0.5, 1.0, 1.6])
+        part = louvain(net, resolution, seed=trial)
+        assert _disconnected_communities(net, part.assignment) == []
+
+
 def test_louvain_never_below_single_community(two_triangles):
     part = louvain(two_triangles, resolution=2.5, seed=0)
     single = modularity(two_triangles, [0] * len(two_triangles.nodes), 2.5)

@@ -76,5 +76,8 @@ def test_identifiers_round_trip_or_fail_at_ingest(tmp_path_factory, capsys,
     for artifact in ("hodge/nodes.csv", "pagerank.csv", "communities.csv",
                      "layout.csv", "report/scatter.csv"):
         assert [row[0] for row in csv_data_rows(w / artifact)] == expected
+    # ranked by potential, so its names are compared as a sorted list
+    assert sorted(row[1] for row in csv_data_rows(
+        w / "report/potential_table.csv")) == expected
     stored = {(row[0], row[1], row[2]) for row in csv_data_rows(w / "canonical.csv")}
     assert stored == {(a.strip(), b.strip(), c.strip()) for a, b, c, _ in rows}

@@ -1,18 +1,29 @@
 import csv
 import io
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sanctionflow import PipelineError
-from sanctionflow.table import (finite, preamble, read_node_columns,
-                                read_table, write_table)
+from sanctionflow import (CommunityPartition, FlowNetwork, HodgeDecomposition,
+                          InfluenceNetwork, PipelineError, PotentialVector,
+                          RankVector, hodge, potential_table, scatter_data,
+                          symmetrize, write_partition, write_potential_table,
+                          write_ranks, write_scatter)
+from sanctionflow.table import (_cells, finite, preamble, read_node_columns,
+                                read_table, write_columns, write_node_columns)
+from conftest import make_network, traced_peak
+from oracles import (components_reference, read_node_columns_reference,
+                     read_node_table_reference, read_table_reference,
+                     write_table_reference)
 
 IDS = ["Korea, Republic of", "node", "#Other", 'say "hi"', "a b", "é"]
 
 
 def test_round_trip_of_awkward_identifiers():
-    rows = [(node, i, f"{i / 3:.17g}") for i, node in enumerate(IDS)]
-    text = write_table(["tool 1", 'flags --x="a,b"'], ("node", "k", "v"), rows)
+    k = list(range(len(IDS)))
+    text = write_columns(["tool 1", 'flags --x="a,b"'], ("node", "k", "v"),
+                         (_cells(IDS), k, [i / 3 for i in k]), ("", "", ".17g"))
     back = read_table(text, ("node", "k", "v"), (str, int, float))
     assert back == [(node, i, i / 3) for i, node in enumerate(IDS)]
     # any RFC 4180 reader sees the same cells after the preamble
@@ -21,7 +32,8 @@ def test_round_trip_of_awkward_identifiers():
 
 
 def test_plain_cells_are_written_unquoted():
-    text = write_table(["meta"], ("node", "x"), [("A", "1.5"), ("B", "")])
+    text = write_columns(["meta"], ("node", "x"),
+                         (_cells(["A", "B"]), ["1.5", ""]), ("", ""))
     assert text == "# meta\nnode,x\nA,1.5\nB,\n"
     assert preamble(["a", "b"]) == "# a\n# b\n"
 
@@ -80,3 +92,201 @@ def test_node_columns_come_in_node_order():
     with pytest.raises(PipelineError, match=r"no row for node\(s\) \['D'\]"):
         read_node_columns(text, ("A", "B", "C", "D"), ("node", "k", "x"),
                           (int, finite))
+
+
+# ---------------------------------------------------------------------------
+# The column reader against the row-at-a-time reader it replaced.
+
+HEADER = ("node", "component", "potential")
+# names with commas, quotes, line breaks, '#' and spaces among unicode
+_NAMES = st.lists(st.text(st.one_of(
+    st.sampled_from(list(',"\n\r# é')),
+    st.characters(blacklist_categories=("Cs",))), max_size=4),
+    min_size=1, max_size=5, unique=True)
+_NUMBERS = st.one_of(
+    st.sampled_from(["nan", "NaN", "inf", "-inf", "1e999", "-0.0", "x", "",
+                     " 1", "1_0"]),
+    st.floats().map(repr), st.integers(-2, 3).map(str))
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+_FAULTS = ("blank", "short", "long", "node", "component", "potential",
+           "repeat", "drop")
+
+
+@st.composite
+def _tables(draw):
+    """A network, and a node table over its nodes in any order: one good
+    row per node, then a few faults (blank lines, wrong field counts,
+    unknown names, bad numbers, wrong labels, repeated or missing rows),
+    written with either quoting."""
+    nodes = draw(_NAMES)
+    edges = draw(st.lists(st.tuples(st.sampled_from(nodes),
+                                    st.sampled_from(nodes)), max_size=6))
+    net = make_network([(a, b, 1) for a, b in dict.fromkeys(edges) if a != b],
+                       nodes=nodes)
+    label = components_reference(len(nodes), net.view.lo, net.view.hi)
+    rows = [[nodes[k], str(label[k]), draw(_FLOATS)]
+            for k in draw(st.permutations(range(len(nodes))))]
+    for fault in draw(st.lists(st.sampled_from(_FAULTS), max_size=3)):
+        at = draw(st.integers(0, len(rows)))
+        row = [nodes[0], "0", "0.5"]
+        if at < len(rows) and len(rows[at]) == 3:
+            row = list(rows[at])
+        if fault == "blank":
+            rows.insert(at, [])
+        elif fault in ("short", "long"):
+            rows.insert(at, row[:2] if fault == "short" else row + ["1"])
+        elif fault == "repeat":
+            rows.insert(at, row)
+        elif fault == "drop":
+            del rows[at:at + 1]
+        else:
+            k = HEADER.index(fault)
+            row[k] = draw(st.text(max_size=2) if k == 0 else _NUMBERS)
+            rows[at:at + 1] = [row]
+    buf = io.StringIO()
+    buf.write(draw(st.sampled_from(["", "# meta\n", "\n#x\n"])))
+    writer = csv.writer(buf, lineterminator="\n", quoting=draw(
+        st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])))
+    writer.writerow(draw(st.sampled_from([HEADER] * 9 + [("node", "x")])))
+    writer.writerows(rows)
+    return net, buf.getvalue()
+
+
+def _outcome(read, *args):
+    """What ``read`` returns, or the text of its PipelineError."""
+    try:
+        return read(*args)
+    except PipelineError as exc:
+        return str(exc)
+
+
+def _same(got, want):
+    if isinstance(want, str):
+        return got == want
+    return len(got) == len(want) and all(
+        np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(got, want))
+
+
+@settings(deadline=None, max_examples=400)
+@given(_tables())
+def test_column_readers_match_the_row_readers(table):
+    net, text = table
+    types = (str, int, finite)
+    assert (_outcome(read_table, text, HEADER, types)
+            == _outcome(read_table_reference, text, HEADER, types))
+    assert _same(
+        _outcome(read_node_columns, text, net.nodes, HEADER, (int, float)),
+        _outcome(read_node_columns_reference, text, net.nodes, HEADER,
+                 (int, finite)))
+    got = _outcome(hodge.read_node_table, text, net)
+    want = _outcome(read_node_table_reference, text, net)
+    assert _same(got if isinstance(got, str) else (got.phi, got.component),
+                 want if isinstance(want, str) else (want.phi, want.component))
+
+
+def test_a_fault_after_a_multi_line_cell_names_its_physical_line():
+    net = make_network([("a\nb", "c,d", 1)])
+    text = hodge.write_node_table(hodge.solve(symmetrize(net, "unit")))
+    assert text.count("\n") == 4  # header, two rows, one quoted LF
+    head, _, last = text.rpartition(",0,")
+    bad = f"{head},1,{last}"  # the row after the quoted LF
+    for read in (hodge.read_node_table, read_node_table_reference):
+        with pytest.raises(PipelineError, match="line 4: column 'component'"):
+            read(bad, net)
+
+
+def test_node_table_reading_and_writing_memory_is_bounded():
+    # 100k nodes in 50k two-node components; the text is 1.8 MiB. The
+    # row-at-a-time reader traced 33.2 MiB and the row writer 24.3 MiB.
+    n = 100_000
+    src = np.arange(0, n, 2)
+    net = InfluenceNetwork("institution",
+                           tuple(f"inst{k:06d}" for k in range(n)),
+                           src, src + 1, np.ones(len(src), np.int64))
+    decomp = hodge.solve(symmetrize(net, "mean"))
+    text, write_peak = traced_peak(lambda: hodge.write_node_table(decomp))
+    back, read_peak = traced_peak(lambda: hodge.read_node_table(text, net))
+    assert np.array_equal(back.phi, decomp.potentials.phi)
+    assert write_peak < 18 * 2**20
+    assert read_peak < 24 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# The column writers against csv.writer. The canonical event file's cells
+# are checked against its csv.writer reference in test_events.
+
+AWKWARD = ("Korea, Republic of", 'say "hi"', "#x", "é", "", "a\nb", "c\rd",
+           "plain")
+_ANY_FLOAT = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 1e-310, 1e308, -1e308, 0.0005, -0.0005]))
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.data())
+def test_column_writers_match_csv_writer(data):
+    nodes = tuple(data.draw(st.permutations(AWKWARD)))
+    n = len(nodes)
+
+    def floats():
+        return np.array(data.draw(st.lists(_ANY_FLOAT, min_size=n,
+                                           max_size=n)))
+
+    phi, pr, x, y = floats(), floats(), floats(), floats()
+    comp = np.array(data.draw(st.lists(st.integers(0, 9), min_size=n,
+                                       max_size=n)))
+    pairs = sorted(data.draw(st.sets(st.tuples(
+        st.integers(0, n - 2), st.integers(1, n - 1)).filter(
+        lambda t: t[0] < t[1]), max_size=10)))
+    m = len(pairs)
+    lo, hi = (np.array([p[k] for p in pairs], np.int64) for k in (0, 1))
+    F, g, c = (np.array(data.draw(st.lists(_ANY_FLOAT, min_size=m,
+                                           max_size=m))) for _ in range(3))
+    w = np.array(data.draw(st.lists(st.floats(5e-324, 1e308), min_size=m,
+                                    max_size=m)))
+    decomp = HodgeDecomposition(PotentialVector(phi, comp),
+                                FlowNetwork(nodes, lo, hi, F, w, "mean"),
+                                g, c, 0.25, 0.75, 1e-12)
+    by_name = sorted(range(n), key=nodes.__getitem__)
+    g17 = "{:.17g}".format
+
+    assert hodge.write_node_table(decomp) == write_table_reference(
+        (), ("node", "component", "potential"),
+        [(nodes[k], comp[k], g17(phi[k])) for k in by_name])
+    assert hodge.write_pair_table(decomp) == write_table_reference(
+        (), ("i", "j", "F", "w", "F_grad", "F_circ"),
+        sorted((nodes[i], nodes[j], *map(g17, (F[k], w[k], g[k], c[k])))
+               for k, (i, j) in enumerate(pairs)))
+    assert write_ranks(RankVector(pr, 0.85, 1), nodes) == write_table_reference(
+        (), ("node", "pagerank"), [(nodes[k], g17(pr[k])) for k in by_name])
+    partition = CommunityPartition(dict(zip(nodes, comp.tolist())), 0.5,
+                                   1.0, 3)
+    assert write_partition(partition) == write_table_reference(
+        ["Q\t0.5\tresolution\t1\tseed\t3"], ("node", "community"),
+        sorted(partition.assignment.items()))
+    # the layout stage's layout.csv
+    assert write_node_columns((), ("node", "x", "y"), nodes, x, y) == \
+        write_table_reference((), ("node", "x", "y"), [
+            (nodes[k], g17(x[k]), g17(y[k])) for k in by_name])
+
+    marked = set(data.draw(st.sets(st.sampled_from(nodes))))
+    ranked = sorted(zip(nodes, phi.tolist()),
+                    key=lambda t: (-float(f"{t[1]:.3f}"), t[0]))
+    assert write_potential_table(potential_table(decomp, marked)) == \
+        write_table_reference((), ("rank", "name", "potential", "highlighted"),
+                              [(i, node, f"{v:.3f}", "*" if node in marked
+                                else "") for i, (node, v) in
+                               enumerate(ranked, 1)])
+
+    with np.errstate(all="ignore"):  # a correlation may overflow to nan
+        scatter = scatter_data(nodes, pr, phi)
+    flag = "\tconstant_column" if scatter.constant_column else ""
+    assert scatter.rows == [(nodes[k], pr[k], phi[k]) for k in by_name]
+    if not scatter.constant_column:
+        with np.errstate(all="ignore"):
+            want = float(np.corrcoef(pr[by_name], phi[by_name])[0, 1])
+        assert f"{scatter.correlation:.17g}" == f"{want:.17g}"
+    assert write_scatter(scatter) == write_table_reference(
+        [f"pearson\t{scatter.correlation:.17g}{flag}"],
+        ("node", "pagerank", "potential"),
+        [(nodes[k], g17(pr[k]), g17(phi[k])) for k in by_name])
