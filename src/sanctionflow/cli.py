@@ -27,15 +27,13 @@ def _header(args: argparse.Namespace) -> str:
     return f"# sanctionflow {__version__}\n# {args.command} {flags}\n"
 
 
-def _write(path: str, parts: Iterable[str]) -> None:
-    """Write the parts one after another, each in slices of 1 MiB, so a
-    preamble and a large body are never copied into one string, nor a body
-    encoded whole; the parts may be made as they are written."""
+def _write(path: str, head: str, pieces: Iterable[str]) -> None:
+    """Write the provenance lines, then a writer's pieces one after
+    another, each made as it is written, so no body is held whole."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        for part in parts:
-            for lo in range(0, len(part), 1 << 20):
-                fh.write(part[lo:lo + (1 << 20)])
+        fh.write(head)
+        fh.writelines(pieces)
 
 
 @contextmanager
@@ -50,24 +48,20 @@ def _named(path):
 
 
 def _read(path, parse, *args):
-    with _named(path):
-        return parse(Path(path).read_text(encoding="utf-8-sig"), *args)
-
-
-def _load_events(path: str, fmt: str):
-    from . import events
+    """``parse(lines, *args)`` of the lines of a UTF-8 text file, as read.
+    The BOM is cut from the first line (utf-8-sig's stream decoder raised
+    build's peak RSS on 156k events by 0.2 MB), and a first line that held
+    only the BOM is no line."""
     with _named(path), open(path, "r", encoding="utf-8") as fh:
-        # the BOM is cut from the first line: utf-8-sig's stream decoder
-        # raised build's peak RSS on 156k events by 0.2 MB
-        lines = chain([next(fh, "").removeprefix("\ufeff")], fh)
-        return events.parse_events(lines, format=fmt)
+        first = next(fh, "").removeprefix("\ufeff")
+        return parse(chain([first] if first else [], fh), *args)
 
 
 def cmd_ingest(args):
     from . import events
-    evs = _load_events(args.events, args.format)
+    evs = _read(args.events, events.parse_events, args.format)
     reportv = events.validate_events(evs)
-    _write(args.out, chain((_header(args),), events.serialize_events(evs)))
+    _write(args.out, _header(args), events.serialize_events(evs))
     print(reportv.summary())
     for warning in reportv.warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -86,15 +80,15 @@ def cmd_synth(args):
         lists_per_issuer=args.lists_per_issuer, copy_prob=args.copy_prob,
         start=start, window_days=args.window_days)
     evs = synth.synth_generate(config, args.seed)
-    _write(args.out, chain((_header(args),), events.serialize_events(evs)))
+    _write(args.out, _header(args), events.serialize_events(evs))
     print(f"{len(evs)} events, {len(evs.issuer.names)} issuers, "
           f"{len(evs.entity_id.names)} entities")
     return 0
 
 
 def cmd_build(args):
-    from . import netbuild, table
-    evs = _load_events(args.events, args.format)
+    from . import events, netbuild, table
+    evs = _read(args.events, events.parse_events, args.format)
     selected = None
     if args.category_map or args.label:
         if not (args.category_map and args.label):
@@ -109,7 +103,7 @@ def cmd_build(args):
             raise PipelineError("category filtering applies to the "
                                 "institution level")
         net = netbuild.build_list_network(evs)
-    _write(args.out, (_header(args), netbuild.write_network(net)))
+    _write(args.out, _header(args), netbuild.write_network(net))
     print(f"{len(net.nodes)} nodes, {len(net.src)} edges, "
           f"total count {net.total_count()}")
     return 0
@@ -119,7 +113,7 @@ def cmd_symmetrize(args):
     from . import netbuild
     net = _read(args.net, netbuild.read_network)
     flow = netbuild.symmetrize(net, mode=args.mode)
-    _write(args.out, (_header(args), netbuild.write_flow(flow)))
+    _write(args.out, _header(args), netbuild.write_flow(flow))
     print(f"{len(flow.nodes)} nodes, {len(flow.lo)} pairs, mode {args.mode}")
     return 0
 
@@ -131,9 +125,9 @@ def cmd_decompose(args):
     decomp = hodge.solve(flow, tol=args.tol)
     head = _header(args)
     outdir = Path(args.out)
-    _write(str(outdir / "nodes.csv"), (head, hodge.write_node_table(decomp)))
-    _write(str(outdir / "pairs.csv"), (head, hodge.write_pair_table(decomp)))
-    _write(str(outdir / "summary.csv"), (head, hodge.write_summary(decomp)))
+    _write(str(outdir / "nodes.csv"), head, hodge.write_node_table(decomp))
+    _write(str(outdir / "pairs.csv"), head, hodge.write_pair_table(decomp))
+    _write(str(outdir / "summary.csv"), head, hodge.write_summary(decomp))
     print(f"{len(flow.nodes)} nodes, {len(flow.lo)} pairs, "
           f"gradient_ratio {decomp.gradient_ratio:.4f}, "
           f"loop_ratio {decomp.loop_ratio:.4f}")
@@ -145,7 +139,7 @@ def cmd_communities(args):
     net = _read(args.net, netbuild.read_network)
     partition = community.louvain(net, resolution=args.resolution,
                                   seed=args.seed)
-    _write(args.out, (_header(args), community.write_partition(partition)))
+    _write(args.out, _header(args), community.write_partition(partition))
     n_comm = len(set(partition.assignment.values()))
     print(f"{len(net.nodes)} nodes, {n_comm} communities, "
           f"Q {partition.modularity:.4f}")
@@ -156,7 +150,7 @@ def cmd_pagerank(args):
     from . import netbuild, rank
     net = _read(args.net, netbuild.read_network)
     ranks = rank.pagerank(net, damping=args.damping, tol=args.tol)
-    _write(args.out, (_header(args), rank.write_ranks(ranks, net.nodes)))
+    _write(args.out, _header(args), rank.write_ranks(ranks, net.nodes))
     print(f"{len(net.nodes)} nodes, {ranks.iterations_used} iterations")
     return 0
 
@@ -166,8 +160,8 @@ def cmd_layout(args):
     net = _read(args.net, netbuild.read_network)
     potentials = _read(args.potentials, hodge.read_node_table, net)
     result = report.layout(net, potentials, seed=args.seed, jitter=args.jitter)
-    _write(args.out, (_header(args), table.write_node_columns(
-        (), ("node", "x", "y"), net.nodes, result.x, result.y)))
+    _write(args.out, _header(args), table.write_node_columns(
+        (), ("node", "x", "y"), net.nodes, result.x, result.y))
     print(f"{len(net.nodes)} nodes, {len(result.energy_history)} energy steps")
     return 0
 
@@ -206,17 +200,17 @@ def cmd_report(args):
     outdir = Path(args.out)
     if decomp is not None:
         _write(str(outdir / "potential_table.csv"),
-               (head, report.write_potential_table(report.potential_table(
-                   decomp, highlight=set(args.highlight or [])))))
+               head, report.write_potential_table(report.potential_table(
+                   decomp, highlight=set(args.highlight or []))))
     if scores is not None:
-        _write(str(outdir / "scatter.csv"), (head, report.write_scatter(
-            report.scatter_data(net.nodes, scores, decomp.potentials.phi))))
+        _write(str(outdir / "scatter.csv"), head, report.write_scatter(
+            report.scatter_data(net.nodes, scores, decomp.potentials.phi)))
     ext = {"edge_table": "tsv", "dot": "dot", "json_graph": "json"}[args.graph_format]
     doc = report.export_graph(net, decomp=decomp, communities=communities,
                               layout_result=layout_result,
                               format=args.graph_format)
     # dot and json have no '#' comments, so no provenance lines
-    _write(str(outdir / f"graph.{ext}"), (head if ext == "tsv" else "", doc))
+    _write(str(outdir / f"graph.{ext}"), head if ext == "tsv" else "", doc)
     print(f"report written to {outdir}")
     return 0
 

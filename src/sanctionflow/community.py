@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -167,7 +168,7 @@ def louvain(net: InfluenceNetwork, resolution: float = 1.0,
                               resolution, seed, tuple(pass_q))
 
 
-def write_partition(partition: CommunityPartition) -> str:
+def write_partition(partition: CommunityPartition) -> Iterator[str]:
     meta = (f"Q\t{partition.modularity:.17g}\tresolution\t"
             f"{partition.resolution:.17g}\tseed\t{partition.seed}")
     labels = partition.assignment
@@ -175,6 +176,7 @@ def write_partition(partition: CommunityPartition) -> str:
                               np.array(list(labels.values()), np.int64))
 
 
-def read_partition(text: str, nodes: tuple[str, ...]) -> np.ndarray:
+def read_partition(text: str | Iterable[str],
+                   nodes: tuple[str, ...]) -> np.ndarray:
     """The labels of a ``write_partition`` table, in ``nodes`` order."""
     return read_node_columns(text, nodes, ("node", "community"), (int,))[0]

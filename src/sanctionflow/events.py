@@ -24,7 +24,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import EventParseError, PipelineError
-from .table import _LINE_CHUNK, _ROW_CHUNK, _cells, _run_starts, skip_preamble
+from .table import (_LINE_CHUNK, _ROW_CHUNK, _cells, _grow, _run_starts,
+                    skip_preamble)
 
 _ISO_DATE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
 _HEADER = ("issuer", "list_id", "entity_id", "date")
@@ -224,14 +225,9 @@ def _coded(chunks: Iterable[Iterable[Sequence]]) -> EventSet:
         if bad:
             row, _, k, value = min(bad)
             _code(k, value, names[k], lines[row])  # raises, naming the line
-        m = len(lines)
-        if n + m > len(codes[0]):  # double the room
-            for buffer in codes:
-                buffer.resize(2 * (n + m), refcheck=False)
-        for buffer, column, known in zip(codes, columns, seen):
-            buffer[n:n + m] = np.fromiter(map(known.__getitem__, column),
-                                          np.int32, m)
-        n += m
+        n = _grow(codes, n, *(np.fromiter(map(known.__getitem__, column),
+                                          np.int32, len(lines))
+                              for column, known in zip(columns, seen)))
     for buffer in codes:
         buffer.resize(n, refcheck=False)
     return EventSet.from_columns(

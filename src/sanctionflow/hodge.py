@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -137,8 +138,14 @@ def _pcg(rows, cols, wvec, rhs, threshold, max_iter):
     two iterates. Returns (x, iterations, max|L x - rhs|)."""
     n = len(rhs)
 
+    # reused by every matvec, so no iteration allocates a pair-sized array;
+    # take writes into out= unbuffered only in a mode other than "raise"
+    ends = np.empty((2, len(rows)))
+
     def matvec(x):
-        return _net_out(rows, cols, wvec * (x[rows] - x[cols]), n)
+        diff = np.subtract(x.take(rows, out=ends[0], mode="clip"),
+                           x.take(cols, out=ends[1], mode="clip"), out=ends[0])
+        return _net_out(rows, cols, np.multiply(wvec, diff, out=diff), n)
 
     inv_diag = 1.0 / (np.bincount(rows, wvec, minlength=n)
                       + np.bincount(cols, wvec, minlength=n))
@@ -318,26 +325,29 @@ def solve(flow: FlowNetwork, tol: float = 1e-10) -> HodgeDecomposition:
 # ---------------------------------------------------------------------------
 # Delimited export: node table, pair table, summary (17 significant digits).
 
-def write_node_table(decomp: HodgeDecomposition) -> str:
+def write_node_table(decomp: HodgeDecomposition) -> Iterator[str]:
     pot = decomp.potentials
     return write_node_columns((), ("node", "component", "potential"),
                               decomp.flow.nodes, pot.component, pot.phi)
 
 
-def write_pair_table(decomp: HodgeDecomposition) -> str:
+def write_pair_table(decomp: HodgeDecomposition) -> Iterator[str]:
     flow = decomp.flow
-    return write_columns((), ("i", "j", "F", "w", "F_grad", "F_circ"), pair_columns(
+    columns, order = pair_columns(
         flow.nodes, flow.lo, flow.hi, flow.F, flow.w, decomp.gradient,
-        decomp.circular, labels=_cells(flow.nodes)), ("", "") + (".17g",) * 4)
+        decomp.circular, labels=_cells(flow.nodes))
+    return write_columns((), ("i", "j", "F", "w", "F_grad", "F_circ"),
+                         columns, ("", "") + (".17g",) * 4, order)
 
 
-def write_summary(decomp: HodgeDecomposition) -> str:
+def write_summary(decomp: HodgeDecomposition) -> Iterator[str]:
     values = (decomp.gradient_ratio, decomp.loop_ratio, decomp.residual_norm)
     return write_columns((), ("gradient_ratio", "loop_ratio", "residual_norm"),
                          [[v] for v in values], (".17g",) * 3)
 
 
-def read_node_table(text: str, net: InfluenceNetwork) -> PotentialVector:
+def read_node_table(text: str | Iterable[str],
+                    net: InfluenceNetwork) -> PotentialVector:
     """The potentials of a ``write_node_table`` file over ``net``'s nodes;
     a component label other than ``solve_potentials``' is a bad value."""
     label = _components(len(net.nodes), net.view.lo, net.view.hi)

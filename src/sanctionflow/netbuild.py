@@ -7,17 +7,18 @@ contribute nothing (direction is ambiguous at day resolution).
 
 from __future__ import annotations
 
+import io
 from collections import namedtuple
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import count as counter, repeat
-from typing import TYPE_CHECKING, Iterable, Mapping
+from itertools import chain, islice, repeat
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 import numpy as np
 
 from .errors import PipelineError
-from .table import _run_starts, name_order
+from .table import _LINE_CHUNK, _grow, _row_pieces, _run_starts, name_order
 
 if TYPE_CHECKING:  # a stage that only reads net.tsv never loads events
     from .events import Column, EventSet
@@ -237,97 +238,143 @@ def symmetrize(net: InfluenceNetwork, mode: str = "mean") -> FlowNetwork:
 # src<TAB>dst<TAB>count (flow pairs: i<TAB>j<TAB>F<TAB>w). Lines starting
 # with '#' are metadata and ignored on read, except the level marker.
 
-def _write_records(meta: str, nodes: tuple[str, ...],
-                   edges: Iterable[str]) -> str:
+def _write_records(meta: str, nodes: tuple[str, ...], rows, columns: list,
+                   order: np.ndarray) -> Iterator[str]:
+    """The meta line, the node lines, then the ``_row_pieces`` of
+    ``columns``; every node id is checked when called."""
     for node in nodes:
         # a reader's universal newlines end a line at CR as at LF
         if node.startswith("#") or any(c in node for c in "\t\n\r"):
             raise PipelineError(f"node id {node!r} starts with '#' or "
                                 "contains tab/CR/LF")
-    return "".join([f"# {meta}\n", *(n + "\n" for n in nodes), *edges])
+    return chain([f"# {meta}\n"],
+                 _row_pieces(lambda names: "\n".join(names) + "\n", [nodes]),
+                 _row_pieces(rows, columns, order))
 
 
 def pair_columns(nodes: tuple[str, ...], first: np.ndarray,
                  second: np.ndarray, *values: np.ndarray, labels=None):
-    """The columns of the rows of node indices (first, second), in the
-    order of their node names: the two names (or labels), then the rows'
-    entries of each of ``values``."""
+    """The columns of the rows of node indices (first, second): the two
+    names (or labels) as object arrays, then ``values``; and the rows'
+    order by those names."""
     rank = np.empty(len(nodes), np.int64)
     rank[name_order(nodes)] = np.arange(len(nodes))
-    order = np.lexsort((rank[second], rank[first]))
-    name = (labels or nodes).__getitem__
-    return [*(list(map(name, ends[order].tolist())) for ends in (first, second)),
-            *(v[order].tolist() for v in values)]
+    name = np.array(labels or nodes, object)
+    return ([name[first], name[second], *values],
+            np.lexsort((rank[second], rank[first])))
 
 
-def write_network(net: InfluenceNetwork) -> str:
-    return _write_records(
-        f"level\t{net.level}", net.nodes,
-        # both endpoints are nodes, whose lines are checked
-        (f"{a}\t{b}\t{c}\n" for a, b, c in
-         zip(*pair_columns(net.nodes, net.src, net.dst, net.count))))
+def write_network(net: InfluenceNetwork) -> Iterator[str]:
+    # both endpoints are nodes, whose lines are checked
+    return _write_records(f"level\t{net.level}", net.nodes,
+                          lambda src, dst, count: "".join([
+                              f"{a}\t{b}\t{c}\n"
+                              for a, b, c in zip(src, dst, count)]),
+                          *pair_columns(net.nodes, net.src, net.dst, net.count))
 
 
-def read_network(text: str) -> InfluenceNetwork:
-    """The network of a ``write_network`` file: its ``# level`` marker, one
-    node per single-field line and ``src<TAB>dst<TAB>count`` per edge line.
+class _Codes(dict):
+    """Name -> code, a name met for the first time taking the next code."""
 
-    A repeated node, a repeated edge and an edge from a node to itself are
-    errors naming their line, as is an edge to an undeclared node. The
-    lines are read in one bulk pass; the earliest faulty line is reported,
-    its checks taken in the order self-loop, repeated edge, then count.
-    """
-    lines = text.split("\n")
-    rows, size = np.array(lines, object), len(lines)
-    tabs = np.fromiter(map(str.count, lines, repeat("\t")), np.int64, size)
-    comment = np.fromiter(map(str.startswith, lines, repeat("#")), bool, size)
-    data = np.fromiter(map(bool, map(str.strip, lines)), bool, size) & ~comment
-    marks = [line[1:].strip().split("\t") for line in rows[comment].tolist()]
-    level = [INSTITUTION_LEVEL, *(mark[1] for mark in marks  # the last wins
-                                  if mark[0] == "level" and len(mark) == 2)][-1]
-    node_at, edge_at = (np.flatnonzero(data & (tabs == t)) for t in (0, 2))
-    wrong_at = np.flatnonzero(data & (tabs != 0) & (tabs != 2))
-    names = rows[node_at].tolist()
-    n, m = len(names), len(edge_at)
-    code = dict(zip(reversed(names), range(n - 1, -1, -1)))  # first line's
-    cells = "\t".join(rows[edge_at].tolist()).split("\t") if m else []
-    a, b, cells = cells[0::3], cells[1::3], cells[2::3]
-    # one code per name: its first node line, or one of its own from n on
-    src = np.fromiter(map(code.setdefault, a, counter(n)), np.int64, m)
-    dst = np.fromiter(map(code.setdefault, b, counter(n + m)), np.int64, m)
-    key = src * (n + 2 * m) + dst
+    def __missing__(self, name):
+        self[name] = code = len(self)
+        return code
+
+
+def read_network(stream: str | Iterable[str]) -> InfluenceNetwork:
+    """The network of a ``write_network`` text or its lines, read
+    ``_LINE_CHUNK`` lines at a time; a chunk of only node or only edge
+    lines, with no '#' or blank line, is cut by one split. A repeated node
+    or edge, a self-loop, a bad count or field count names the earliest
+    faulty line (in a line: self-loop, repeated edge, then count), and an
+    edge to an undeclared node is an error after every line reads well."""
+    lines = io.StringIO(stream) if isinstance(stream, str) else iter(stream)
+    level, code, nodes, fault = INSTITUTION_LEVEL, _Codes(), {}, None
+    # per edge: its endpoints' codes, its count and its line
+    columns, m, line = [np.empty(0, np.int64) for _ in range(4)], 0, 0
+    while not fault and (chunk := list(islice(lines, _LINE_CHUNK))):
+        k, text = len(chunk), "\t".join(chunk)
+        tabs = set(map(str.count, chunk, repeat("\t")))
+        names = "#" not in text and tabs == {0} and all(map(str.strip, chunk)) \
+            and list(map(str.removesuffix, chunk, repeat("\n")))
+        if names and nodes.keys().isdisjoint(names) and len(set(names)) == k:
+            nodes.update(zip(names, range(len(nodes), len(nodes) + k)))
+            if code.keys().isdisjoint(names):  # coded at once
+                code.update(zip(names, range(len(code), len(code) + k)))
+            line += k
+            continue
+        if "#" not in text and tabs == {2}:  # a blank line's count is bad
+            cells = text.split("\t")  # a count cell keeps its line end
+            with suppress(ValueError, OverflowError):
+                count = np.fromiter(map(int, cells[2::3]), np.int64, k)
+                src, dst = (np.fromiter(map(code.__getitem__, cells[j::3]),
+                                        np.int64, k) for j in (0, 1))
+                if (count > 0).all() and (src != dst).all():
+                    m = _grow(columns, m, src, dst, count,
+                              np.arange(line + 1, line + k + 1))
+                    line += k
+                    continue
+        edges = []  # this chunk's, read line by line up to a fault
+        for line, row in enumerate(chunk, line + 1):
+            row = row.removesuffix("\n")
+            fields = row.split("\t")
+            if row.startswith("#"):
+                mark = row[1:].strip().split("\t")
+                if mark[0] == "level" and len(mark) == 2:
+                    level = mark[1]  # the last wins
+            elif not row.strip():
+                continue
+            elif len(fields) == 1:
+                fault = row in nodes and (line, 0, f"duplicate node '{row}'")
+                nodes.setdefault(row, len(nodes))
+            elif len(fields) != 3:
+                fault = (line, 0, f"expected 1 or 3 fields, got {len(fields)}")
+            elif fields[0] == fields[1]:
+                fault = (line, 0, f"self-loop on '{fields[0]}'")
+            else:
+                count = f"bad count '{fields[2]}'"
+                with suppress(ValueError):
+                    count = int(fields[2])
+                if isinstance(count, int) and not 0 < count < 2 ** 63:
+                    count = ("non-positive count" if count <= 0
+                             else "count exceeds int64")
+                fault = isinstance(count, str) and (line, 2, count)
+                edges.append((code[fields[0]], code[fields[1]],
+                              0 if fault else count, line))
+            if fault:
+                break
+        if edges:
+            m = _grow(columns, m, *zip(*edges))
+    for buffer in columns:
+        buffer.resize(m, refcheck=False)
+    src, dst, count, at = columns
+    declared = np.fromiter(map(code.__getitem__, nodes), np.int64, len(nodes))
+    n, names = len(nodes), list(code)  # names by code
+    size = n + len(names)  # each name's node index, an undeclared one's >= n
+    index = np.arange(n, size)
+    index[declared] = np.arange(n)
+    key = index[src] * size + index[dst]
     order = np.argsort(key, kind="stable")  # a repeat sorts after its first
-    repeated = np.zeros(m, bool)
-    repeated[order[1:]] = np.diff(key[order]) == 0
-    counts = []  # the counts before the first that int() refuses
-    with suppress(ValueError):
-        counts.extend(map(int, cells))
-    count = np.array(counts, object)  # a count may lie beyond int64
-    first = np.fromiter(map(code.__getitem__, names), np.int64, n)
-    checks = [  # in each line's check order
-        (node_at, first != np.arange(n), lambda i: f"duplicate node '{names[i]}'"),
-        (edge_at, src == dst, lambda e: f"self-loop on '{a[e]}'"),
-        (edge_at, repeated, lambda e: f"duplicate edge ({a[e]}, {b[e]})"),
-        (edge_at, np.arange(m) == len(counts), lambda e: f"bad count '{cells[e]}'"),
-        (edge_at, count <= 0, lambda e: "non-positive count"),
-        (edge_at, count >= 2 ** 63, lambda e: "count exceeds int64"),
-        (wrong_at, np.ones(len(wrong_at), bool),
-         lambda i: f"expected 1 or 3 fields, got {tabs[wrong_at[i]] + 1}")]
-    faults = [(at[k], message(k)) for at, marked, message in checks
-              for k in np.flatnonzero(marked)[:1].tolist()]
+    key = key[order]
+    e = order[1:][key[1:] == key[:-1]].min(initial=m)  # the first repeat
+    faults = [f for f in (fault, e < m and (at[e], 1, "duplicate edge "
+              f"({names[src[e]]}, {names[dst[e]]})")) if f]
     if faults:  # the earliest line's first fault
-        line, message = min(faults, key=lambda fault: fault[0])
-        raise PipelineError(f"line {line + 1}: {message}")
-    undeclared = np.flatnonzero((src >= n) | (dst >= n))
-    if len(undeclared):
-        e = undeclared[0]
-        raise PipelineError(f"edge ({a[e]}, {b[e]}) references undeclared node")
-    return InfluenceNetwork(level, tuple(names), src[order], dst[order],
-                            count[order].astype(np.int64))
+        line, _, message = min(faults)
+        raise PipelineError(f"line {line}: {message}")
+    undeclared = (index[src] >= n) | (index[dst] >= n)
+    if undeclared.any():
+        e = undeclared.argmax()
+        raise PipelineError(f"edge ({names[src[e]]}, {names[dst[e]]}) "
+                            "references undeclared node")
+    src, dst = np.divmod(key, max(size, 1))
+    return InfluenceNetwork(level, tuple(nodes), src, dst, count[order])
 
 
-def write_flow(flow: FlowNetwork) -> str:
+def write_flow(flow: FlowNetwork) -> Iterator[str]:
     return _write_records(
         f"mode\t{flow.weight_mode}", flow.nodes,
-        (f"{i}\t{j}\t{f:.17g}\t{w:.17g}\n" for i, j, f, w in
-         zip(*pair_columns(flow.nodes, flow.lo, flow.hi, flow.F, flow.w))))
+        lambda lo, hi, F, w: "".join([
+            f"{i}\t{j}\t{f:.17g}\t{v:.17g}\n"
+            for i, j, f, v in zip(lo, hi, F, w)]),
+        *pair_columns(flow.nodes, flow.lo, flow.hi, flow.F, flow.w))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -53,10 +54,11 @@ def pagerank(net: InfluenceNetwork, damping: float = 0.85,
     raise ConvergenceError("pagerank hit the iteration cap", residual=delta)
 
 
-def write_ranks(rank: RankVector, nodes: tuple[str, ...]) -> str:
+def write_ranks(rank: RankVector, nodes: tuple[str, ...]) -> Iterator[str]:
     return write_node_columns((), ("node", "pagerank"), nodes, rank.scores)
 
 
-def read_ranks(text: str, nodes: tuple[str, ...]) -> np.ndarray:
+def read_ranks(text: str | Iterable[str],
+               nodes: tuple[str, ...]) -> np.ndarray:
     """The PageRank scores of a ``write_ranks`` table, in ``nodes`` order."""
     return read_node_columns(text, nodes, ("node", "pagerank"), (float,))[0]

@@ -10,22 +10,21 @@ gradient, a stalled energy, max_steps accepted steps or an underflowed step.
 
 from __future__ import annotations
 
-import io
 import math
 import random
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import PipelineError
 from .hodge import HodgeDecomposition, PotentialVector
 from .netbuild import InfluenceNetwork
-from .table import _cells, name_order, write_columns
+from .table import _cells, _pieces, name_order, write_columns
 
 _EPS = 1e-9
 _GRAVITY = 0.01
@@ -58,6 +57,7 @@ def _energy_kernel(y, rows, cols, wgt):
     buffers = [np.empty((block, n)) for _ in range(3)]
     eps2 = _EPS * _EPS
     dy_edge2 = np.square(y[rows] - y[cols])
+    edge = np.empty((3, len(rows)))  # the edge terms, reused as in hodge._pcg
 
     def energy_and_grad(x):
         energy = _GRAVITY * float(x @ x)
@@ -80,10 +80,13 @@ def _energy_kernel(y, rows, cols, wgt):
             grad[start:stop] -= tmp.sum(axis=1)
         # full rows count each pair twice, and log d = log(d^2) / 2
         energy -= 0.25 * log_sum
-        dx_edge = x[rows] - x[cols]
-        d_edge = np.maximum(np.sqrt(dx_edge * dx_edge + dy_edge2), _EPS)
-        energy += float((wgt * d_edge).sum())
-        pull = wgt * dx_edge / d_edge
+        dx_edge, d_edge, tmp = edge
+        np.subtract(x.take(rows, out=dx_edge, mode="clip"),
+                    x.take(cols, out=tmp, mode="clip"), out=dx_edge)
+        np.add(np.square(dx_edge, out=d_edge), dy_edge2, out=d_edge)
+        np.maximum(np.sqrt(d_edge, out=d_edge), _EPS, out=d_edge)
+        energy += float(np.multiply(wgt, d_edge, out=tmp).sum())
+        pull = np.divide(np.multiply(wgt, dx_edge, out=tmp), d_edge, out=tmp)
         grad += np.bincount(rows, pull, n) - np.bincount(cols, pull, n)
         return energy, grad
 
@@ -206,7 +209,7 @@ def potential_table(decomp: HodgeDecomposition,
                     map(printed.__getitem__, at)))
 
 
-def write_potential_table(rows: list[TableRow]) -> str:
+def write_potential_table(rows: list[TableRow]) -> Iterator[str]:
     rank, node, _, highlighted, printed = zip(*rows) if rows else ((),) * 5
     return write_columns((), ("rank", "name", "potential", "highlighted"), (
         rank, _cells(node), printed, ["*" if h else "" for h in highlighted]),
@@ -232,7 +235,7 @@ def scatter_data(nodes: tuple[str, ...], pagerank: np.ndarray,
     return ScatterData(rows=rows, correlation=corr, constant_column=constant)
 
 
-def write_scatter(data: ScatterData) -> str:
+def write_scatter(data: ScatterData) -> Iterator[str]:
     flag = "\tconstant_column" if data.constant_column else ""
     meta = f"pearson\t{data.correlation:.17g}{flag}"
     node, pr, phi = zip(*data.rows) if data.rows else ((),) * 3
@@ -245,13 +248,16 @@ def write_scatter(data: ScatterData) -> str:
 # (id, potential, community, x, y), edge lines with 7 (src, dst, count,
 # F, w, F_grad, F_circ); '-' marks an unavailable attribute, and w is the
 # decomposition's pair weight, else the half-sum of the pair's counts. An
-# optional attribute is None if absent, else a tuple of its per-row lists.
+# optional attribute is None if absent, else a tuple of its per-row arrays.
 
 def export_graph(net: InfluenceNetwork,
                  decomp: HodgeDecomposition | None = None,
                  communities: np.ndarray | None = None,
                  layout_result: LayoutResult | None = None,
-                 format: str = "edge_table") -> str:
+                 format: str = "edge_table") -> Iterator[str]:
+    """The graph document as text pieces of at most ``_ROW_CHUNK`` node or
+    edge lines each. The format, and that the decomposition is the
+    network's, are checked first, before any piece is made."""
     if format not in ("edge_table", "dot", "json_graph"):
         raise PipelineError(f"unknown export format '{format}'")
     if decomp is not None and (decomp.flow.nodes != net.nodes or not (
@@ -259,11 +265,11 @@ def export_graph(net: InfluenceNetwork,
             and np.array_equal(decomp.flow.hi, net.view.hi))):
         raise PipelineError("decomposition's nodes and pairs are not the "
                             "network's")
-    phi = None if decomp is None else (decomp.potentials.phi.tolist(),)
+    phi = None if decomp is None else (decomp.potentials.phi,)
     flows = None if decomp is None else _link_flows(net, decomp)
-    comm = None if communities is None else (communities.tolist(),)
-    pos = None if layout_result is None else (layout_result.x.tolist(),
-                                              layout_result.y.tolist())
+    comm = None if communities is None else (communities,)
+    pos = None if layout_result is None else (layout_result.x,
+                                              layout_result.y)
     if format == "json_graph":
         return _export_json(net, phi, comm, pos, flows)
     if format == "dot":
@@ -274,59 +280,62 @@ def export_graph(net: InfluenceNetwork,
 
 
 def _link_flows(net, decomp):
-    """The lists F, F_grad and F_circ over the directed edges, from the
+    """The arrays F, F_grad and F_circ over the directed edges, from the
     decomposition's parts on each edge's pair with the edge's sign."""
     pair = net.view.pair
     sign = np.where(net.src < net.dst, 1.0, -1.0)
     fp, fc = sign * decomp.gradient[pair], sign * decomp.circular[pair]
-    return (fp + fc).tolist(), fp.tolist(), fc.tolist()
+    return fp + fc, fp, fc
 
 
-def _column(values, cell, absent):
-    """The lazy column of an optional attribute's cells: ``cell(*row)`` for
-    each row of ``values``, or ``absent`` on every row if it is None."""
-    return repeat(absent) if values is None else map(cell, *values)
+def _column(values, cell, absent, at):
+    """The lazy column of an optional attribute's cells on the rows ``at``:
+    ``cell(*row)`` for each of those rows of ``values``, or ``absent`` on
+    every row if it is None."""
+    return repeat(absent) if values is None else map(
+        cell, *(v[at].tolist() for v in values))
 
 
 def _export_edge_table(net, phi, comm, pos, flows, pair_w):
-    out = io.StringIO()
-    out.write("# node columns\tid\tpotential\tcommunity\tx\ty\n"
-              "# edge columns\tsrc\tdst\tcount\tF\tw\tF_grad\tF_circ\n"
-              f"# level\t{net.level}\n")
-    out.writelines(map("{}\t{}\t{}\t{}\n".format, net.nodes,
-                       _column(phi, "{:.17g}".format, "-"),
-                       _column(comm, str, "-"),
-                       _column(pos, "{:.17g}\t{:.17g}".format, "-\t-")))
-    out.writelines(map(
+    name, pair = net.nodes.__getitem__, net.view.pair
+    yield ("# node columns\tid\tpotential\tcommunity\tx\ty\n"
+           "# edge columns\tsrc\tdst\tcount\tF\tw\tF_grad\tF_circ\n"
+           f"# level\t{net.level}\n")
+    yield from _pieces(len(net.nodes), lambda at: "".join(map(
+        "{}\t{}\t{}\t{}\n".format, net.nodes[at],
+        _column(phi, "{:.17g}".format, "-", at), _column(comm, str, "-", at),
+        _column(pos, "{:.17g}\t{:.17g}".format, "-\t-", at))))
+    yield from _pieces(len(net.src), lambda at: "".join(map(
         "{}\t{}\t{}\t{}\t{:.17g}\t{}\n".format,
-        map(net.nodes.__getitem__, net.src.tolist()),
-        map(net.nodes.__getitem__, net.dst.tolist()), net.count.tolist(),
-        _column(flows, "{0:.17g}".format, "-"),
-        pair_w[net.view.pair].tolist(),
-        _column(flows, "{1:.17g}\t{2:.17g}".format, "-\t-")))
-    return out.getvalue()
+        map(name, net.src[at].tolist()), map(name, net.dst[at].tolist()),
+        net.count[at].tolist(), _column(flows, "{0:.17g}".format, "-", at),
+        pair_w[pair[at]].tolist(),
+        _column(flows, "{1:.17g}\t{2:.17g}".format, "-\t-", at))))
 
 
 def _export_dot(net, phi, comm, pos, flows):
     quoted = ['"' + v.replace("\\", "\\\\").replace('"', '\\"') + '"'
               for v in net.nodes]
     # a node lists its present attributes in brackets, if it has any
-    cells = [map(cell.format, *values) for cell, values in (
+    present = [(cell.format, values) for cell, values in (
         ('potential="{:.6g}"', phi), ('community="{}"', comm),
         ('pos="{:.6g},{:.6g}"', pos)) if values is not None]
-    attrs = (map(" [{}]".format, map(", ".join, zip(*cells))) if cells
-             else repeat(""))
-    out = io.StringIO()
-    out.write("digraph influence {\n")
-    out.writelines(map("  {}{};\n".format, quoted, attrs))
-    out.writelines(map('  {} -> {} [weight="{}"{}];\n'.format,
-                       map(quoted.__getitem__, net.src.tolist()),
-                       map(quoted.__getitem__, net.dst.tolist()),
-                       net.count.tolist(), _column(
-                           flows, ', F="{:.6g}", F_grad="{:.6g}", '
-                           'F_circ="{:.6g}"'.format, "")))
-    out.write("}\n")
-    return out.getvalue()
+
+    def node_lines(at):
+        cells = (_column(values, cell, "", at) for cell, values in present)
+        attrs = (map(" [{}]".format, map(", ".join, zip(*cells))) if present
+                 else repeat(""))
+        return "".join(map("  {}{};\n".format, quoted[at], attrs))
+
+    yield "digraph influence {\n"
+    yield from _pieces(len(quoted), node_lines)
+    yield from _pieces(len(net.src), lambda at: "".join(map(
+        '  {} -> {} [weight="{}"{}];\n'.format,
+        map(quoted.__getitem__, net.src[at].tolist()),
+        map(quoted.__getitem__, net.dst[at].tolist()), net.count[at].tolist(),
+        _column(flows, ', F="{:.6g}", F_grad="{:.6g}", F_circ="{:.6g}"'.format,
+                "", at))))
+    yield "}\n"
 
 
 def _json_float(x: float) -> str:
@@ -336,32 +345,34 @@ def _json_float(x: float) -> str:
     return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
 
 
-def _json_list(items: Iterable[str]) -> str:
-    """The already indented item strings as ``json.dumps(indent=2)`` lays
-    out a list one level deep."""
-    body = ",\n".join(items)
-    return f"[\n{body}\n  ]" if body else "[]"
+def _json_list(size: int, items) -> Iterator[str]:
+    """``json.dumps(indent=2)``'s layout of a list one level deep, from the
+    ``_pieces(size, items)`` of items that each begin with ',\\n'."""
+    return chain(["["], _pieces(size, lambda at: items(at)[not at.start:]),
+                 ["\n  ]" if size else "]"])
 
 
 def _export_json(net, phi, comm, pos, flows):
     """``json.dumps({"directed", "level", "links", "nodes"}, indent=2,
-    sort_keys=True) + "\n"``, written one string per node and per link
-    from the arrays, so no dict per link or encoder chunk list is made."""
+    sort_keys=True) + "\\n"``, made one string per node and per link from
+    the arrays, a chunk of them at a time, so no dict per link or encoder
+    chunk list is made."""
     num = _json_float
     names = list(map(encode_basestring_ascii, net.nodes))
-    nodes = map(
-        '    {{\n      {}"id": {}{}{}\n    }}'.format,
-        _column(comm, '"community": {},\n      '.format, ""), names,
-        _column(phi, lambda p: f',\n      "potential": {num(p)}', ""),
-        _column(pos, lambda x, y: f',\n      "x": {num(x)},\n      '
-                f'"y": {num(y)}', ""))
-    links = map(
-        '    {{\n      {}"count": {},\n      "source": {},\n      '
+    yield (f'{{\n  "directed": true,\n  "level": '
+           f'{encode_basestring_ascii(net.level)},\n  "links": ')
+    yield from _json_list(len(net.src), lambda at: "".join(map(
+        ',\n    {{\n      {}"count": {},\n      "source": {},\n      '
         '"target": {}\n    }}'.format,
         _column(flows, lambda f, fp, fc: f'"F": {num(f)},\n      "F_circ": '
-                f'{num(fc)},\n      "F_grad": {num(fp)},\n      ', ""),
-        net.count.tolist(), map(names.__getitem__, net.src.tolist()),
-        map(names.__getitem__, net.dst.tolist()))
-    return (f'{{\n  "directed": true,\n  "level": '
-            f'{encode_basestring_ascii(net.level)},\n  "links": '
-            f'{_json_list(links)},\n  "nodes": {_json_list(nodes)}\n}}\n')
+                f'{num(fc)},\n      "F_grad": {num(fp)},\n      ', "", at),
+        net.count[at].tolist(), map(names.__getitem__, net.src[at].tolist()),
+        map(names.__getitem__, net.dst[at].tolist()))))
+    yield ',\n  "nodes": '
+    yield from _json_list(len(names), lambda at: "".join(map(
+        ',\n    {{\n      {}"id": {}{}{}\n    }}'.format,
+        _column(comm, '"community": {},\n      '.format, "", at), names[at],
+        _column(phi, lambda p: f',\n      "potential": {num(p)}', "", at),
+        _column(pos, lambda x, y: f',\n      "x": {num(x)},\n      '
+                f'"y": {num(y)}', "", at))))
+    yield "\n}\n"

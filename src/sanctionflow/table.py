@@ -59,28 +59,57 @@ def name_order(names: Sequence[str]) -> list[int]:
     return sorted(range(len(names)), key=names.__getitem__)
 
 
+def _grow(columns: list[np.ndarray], n: int, *parts) -> int:
+    """The row count after writing ``parts`` at row n of the ``columns``,
+    doubled in place when full, so no two copies of one are alive."""
+    m = len(parts[0])
+    if n + m > len(columns[0]):
+        for buffer in columns:
+            buffer.resize(2 * (n + m), refcheck=False)
+    for buffer, part in zip(columns, parts):
+        buffer[n:n + m] = part
+    return n + m
+
+
+def _pieces(size: int, piece: Callable[[slice], str]) -> Iterator[str]:
+    """``piece(at)``, made when asked for, per slice ``at`` of
+    ``_ROW_CHUNK`` of ``size`` rows."""
+    for lo in range(0, size, _ROW_CHUNK):
+        yield piece(slice(lo, lo + _ROW_CHUNK))
+
+
+def _row_pieces(rows: Callable[..., str], columns: Sequence,
+                order=None) -> Iterator[str]:
+    """``_pieces`` of ``rows(*lists)`` over each chunk's entries of the
+    equal-length ``columns`` (arrays, or sequences if no ``order``)."""
+    return _pieces(len(columns[0]), lambda at: rows(*(
+        c[at if order is None else order[at]].tolist()
+        if isinstance(c, np.ndarray) else c[at] for c in columns)))
+
+
 def write_columns(meta: Iterable[str], header: Sequence[str],
-                  columns: Sequence[Sequence], specs: Sequence[str]) -> str:
+                  columns: Sequence[Sequence], specs: Sequence[str],
+                  order=None) -> Iterator[str]:
     """``meta`` as '# ' lines, the header row, then one row per entry of the
-    equal-length ``columns``, each value formatted by its column's spec in
-    ``specs`` (a string must be a cell as ``_cells`` makes it). Rows are
-    joined ``_ROW_CHUNK`` at a time, and each chunk's row strings freed."""
-    row = ",".join(f"{{:{spec}}}" for spec in specs) + "\n"
-    return "".join([preamble(meta), ",".join(_cells(header)), "\n", *(
-        "".join(map(row.format, *(c[lo:lo + _ROW_CHUNK] for c in columns)))
-        for lo in range(0, len(columns[0]), _ROW_CHUNK))])
+    equal-length ``columns`` (in ``order``, if given), each value formatted
+    by its column's spec in ``specs`` (a string must be a cell as
+    ``_cells`` makes it), as the text pieces of ``_row_pieces``."""
+    yield preamble(meta) + ",".join(_cells(header)) + "\n"
+    row = (",".join(f"{{:{spec}}}" for spec in specs) + "\n").format
+    yield from _row_pieces(lambda *cells: "".join(map(row, *cells)), columns,
+                           order)
 
 
 def write_node_columns(meta: Iterable[str], header: Sequence[str],
-                       nodes: Sequence[str], *columns: np.ndarray) -> str:
+                       nodes: Sequence[str], *columns: np.ndarray
+                       ) -> Iterator[str]:
     """``write_columns`` with one row per node, in the order of the names:
     the node's name, then its entry of each array of ``columns`` (in
     ``nodes`` order), a float with 17 significant digits."""
-    order = name_order(nodes)
-    return write_columns(meta, header, [
-        _cells(map(nodes.__getitem__, order)),
-        *(column[order].tolist() for column in columns)],
-        ["", *(".17g" if c.dtype.kind == "f" else "" for c in columns)])
+    return write_columns(
+        meta, header, [np.array(_cells(nodes), object), *columns],
+        ["", *(".17g" if c.dtype.kind == "f" else "" for c in columns)],
+        np.array(name_order(nodes), np.int64))
 
 
 def skip_preamble(lines: Iterator[str]) -> tuple[int, Iterator[str]]:
@@ -102,35 +131,46 @@ def finite(cell: str) -> float:
     return value
 
 
-def read_columns(text: str, columns: Sequence[str],
+def read_columns(text: str | Iterable[str], columns: Sequence[str],
                  types: Sequence[Callable[[str], object]],
                  bad: Callable[[int, list[list]], bool] = lambda j, v: False
                  ) -> list[list]:
-    """The columns under the header ``columns``, each converted by a map of
-    its entry of ``types`` (a ValueError or KeyError marks a bad value);
-    ``bad(j, values)`` finds another in column j of a chunk's converted
-    columns 0..j. The first column is a key. A wrong header, field count or
-    value, or a repeated key, raises PipelineError naming the earliest
-    faulty line (and the column of a bad value), and in a line the field
-    count, then the columns left to right, then the key."""
-    with suppress(PipelineError):  # rows scanned one by one name its line
-        values = _read_columns(text, columns, types, bad, _LINE_CHUNK)
+    """The columns under the header ``columns`` of a table, or its lines,
+    each converted by a map of its entry of ``types`` (a ValueError or
+    KeyError marks a bad value); ``bad(j, values)`` finds another in column
+    j of a chunk's converted columns 0..j. The first column is a key. A
+    wrong header, field count or value, or a repeated key, raises
+    PipelineError naming the earliest faulty line (and the column of a bad
+    value), and in a line the field count, then the columns left to right,
+    then the key."""
+    text = text if isinstance(text, str) else "".join(text)
+    values = [[] for _ in columns]
+    with suppress(PipelineError):
+        _read_columns(text, columns, types, bad, _LINE_CHUNK, values)
         if len(set(values[0])) == len(values[0]):
             return values
-    return _read_columns(text, columns, types, bad, 1)
+    # rows are converted one by one again, to name the fault, only from
+    # the faulty chunk or the chunk of the first repeated key, if earlier
+    seen = set()
+    first = next((row for row, key in enumerate(values[0])
+                  if key in seen or seen.add(key)), len(values[0]))
+    values = [column[:first - first % _LINE_CHUNK] for column in values]
+    _read_columns(text, columns, types, bad, 1, values, set(values[0]))
+    return values
 
 
-def _read_columns(text, columns, types, bad, chunk):
-    """``read_columns``, converting ``chunk`` rows at a time; a fault names
-    the last line of its chunk, and keys are checked only row by row."""
+def _read_columns(text, columns, types, bad, chunk, values, keys=None):
+    """``read_columns`` onto ``values``, skipping the rows they hold, ``chunk``
+    rows at a time; a fault names the last line of its chunk, and keys are
+    checked only row by row, against ``keys``."""
     skipped, lines = skip_preamble(io.StringIO(text))
     reader = csv.reader(lines)
-    values, keys = [[] for _ in columns], set()
     try:
         head = next(reader, None)
         if head is None or [c.strip() for c in head] != list(columns):
             raise PipelineError(f"line {skipped + 1}: expected header "
                                 f"{','.join(columns)}, got {head!r}")
+        next(islice(reader, len(values[0]), len(values[0])), None)
         while rows := list(islice(reader, chunk)):
             line = skipped + reader.line_num
             if set(map(len, rows)) != {len(columns)}:
@@ -145,7 +185,7 @@ def _read_columns(text, columns, types, bad, chunk):
                 except (KeyError, ValueError):
                     raise PipelineError(f"line {line}: column '{name}': "
                                         f"bad value {cells[0]!r}") from None
-            if chunk == 1:  # a chunked read checks its keys at the end
+            if keys is not None:  # a chunked read checks its keys at the end
                 if got[0][0] in keys:
                     raise PipelineError(f"line {line}: repeated {columns[0]} "
                                         f"{rows[0][0]!r}")
@@ -154,16 +194,16 @@ def _read_columns(text, columns, types, bad, chunk):
                 column.extend(part)
     except csv.Error as exc:
         raise PipelineError(f"line {skipped + reader.line_num}: {exc}") from None
-    return values
 
 
-def read_table(text: str, columns: Sequence[str],
+def read_table(text: str | Iterable[str], columns: Sequence[str],
                types: Sequence[Callable[[str], object]]) -> list[tuple]:
     """The rows of ``read_columns``, as tuples."""
     return list(zip(*read_columns(text, columns, types)))
 
 
-def read_node_columns(text: str, nodes: Sequence[str], columns: Sequence[str],
+def read_node_columns(text: str | Iterable[str], nodes: Sequence[str],
+                      columns: Sequence[str],
                       types: Sequence[Callable[[str], object]],
                       expect: Mapping[str, np.ndarray] | None = None
                       ) -> tuple[np.ndarray, ...]:

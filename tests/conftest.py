@@ -1,4 +1,5 @@
 import csv
+import functools
 import random
 import sys
 import tracemalloc
@@ -60,6 +61,25 @@ def events_150k() -> EventSet:
                rng.integers(0, 20_000, n)),
         Column(("a", "b"), rng.integers(-1, 2, n)),
         733_000 + rng.integers(0, 365, n))
+
+
+@functools.lru_cache(maxsize=1)
+def network_108k():
+    """A network of 108k edges: 1200 components of 10 nodes, each node
+    influencing every other of its component, with counts 1..9."""
+    size, comps = 10, 1200
+    base = np.repeat(np.arange(comps) * size, size * size)
+    a, b = np.tile(np.divmod(np.arange(size * size), size), comps)
+    keep = a != b
+    src, dst = (base + a)[keep], (base + b)[keep]
+    return InfluenceNetwork(
+        "institution", tuple(f"inst{k:06d}" for k in range(size * comps)),
+        src, dst, 1 + (7 * src + dst) % 9)
+
+
+def drained(pieces):
+    """The total length of a writer's text pieces, asked for one by one."""
+    return sum(map(len, pieces))
 
 
 def traced_peak(call):

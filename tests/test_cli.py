@@ -671,3 +671,16 @@ def test_report_refuses_to_highlight_unknown_nodes(tmp_path, capsys):
                 "--highlight", "B", *unknown[::-1], "--out", str(out)]) == 1
     assert_one_error_line(capsys, "highlight", *map(repr, unknown[:5]))
     assert not out.exists()
+
+
+@pytest.mark.parametrize("text, line", [
+    ("", 1), ("﻿", 1), ("\n", 2), ("﻿\n", 2)])
+def test_an_events_file_without_a_header_names_the_line_the_parser_does(
+        tmp_path, capsys, text, line):
+    events = tmp_path / "events.csv"
+    events.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    assert run(["ingest", "--events", str(events),
+                "--out", str(tmp_path / "out.csv")]) == 1
+    assert_one_error_line(capsys, f"{events}: line {line}: bad header")
+    assert not (tmp_path / "out.csv").exists()

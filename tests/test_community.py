@@ -197,7 +197,7 @@ def test_permuting_labels_permutes_assignment(bridged_triangles):
 
 def test_partition_round_trip(two_triangles):
     part = louvain(two_triangles, seed=1)
-    text = write_partition(part)
+    text = "".join(write_partition(part))
     back = read_partition(text, two_triangles.nodes)
     assert by_node(two_triangles.nodes, back) == part.assignment
     assert f"{part.modularity:.17g}" in text

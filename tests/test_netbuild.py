@@ -1,14 +1,18 @@
+import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sanctionflow import netbuild
-from sanctionflow import (PipelineError, build_institution_network,
-                          build_list_network, filter_by_category, read_network,
-                          symmetrize, write_flow, write_network)
-from conftest import (FIXTURES, ev, events_150k, make_events, make_flow,
-                      make_network, network_fields, pairs_of, traced_peak)
+from sanctionflow import cli, netbuild
+from sanctionflow import (InfluenceNetwork, PipelineError,
+                          build_institution_network, build_list_network,
+                          filter_by_category, read_network, symmetrize,
+                          write_flow, write_network)
+from conftest import (FIXTURES, drained, ev, events_150k, make_events,
+                      make_flow, make_network, network_108k, network_fields,
+                      pairs_of, traced_peak)
 from oracles import brute_force_counts, read_network_reference
 
 
@@ -247,10 +251,10 @@ def test_relabeling_commutes(raw, perm):
 
 def test_network_round_trip(small_events):
     net = build_institution_network(small_events)
-    text = write_network(net)
+    text = "".join(write_network(net))
     back = read_network(text)
     assert network_fields(back) == network_fields(net)
-    assert write_network(back) == text
+    assert "".join(write_network(back)) == text
 
 
 def flow_tsv_network(text):
@@ -266,11 +270,11 @@ def flow_tsv_network(text):
 
 def test_flow_round_trip(small_events):
     flow = symmetrize(build_institution_network(small_events), "mean")
-    text = write_flow(flow)
+    text = "".join(write_flow(flow))
     back = flow_tsv_network(text)
     assert (back.nodes, pairs_of(back), back.weight_mode) == \
         (flow.nodes, pairs_of(flow), flow.weight_mode)
-    assert write_flow(back) == text
+    assert "".join(write_flow(back)) == text
 
 
 @pytest.mark.parametrize("weight", [0.0, -1.0, float("nan")])
@@ -328,24 +332,22 @@ def test_read_network_reports_the_first_bad_line(lines, message):
     assert str(info.value).startswith(message), str(info.value)
 
 
-def _read_outcome(read, text):
+def _read_outcome(read, *args):
     try:
-        return read(text)
+        return read(*args)
     except PipelineError as exc:
         return str(exc)
 
 
-def test_read_network_agrees_with_the_line_by_line_reference():
-    """Random short files over few names and odd counts, good and bad:
-    the bulk reader returns what the reference returns, or raises its
-    message."""
-    rng = random.Random(14)
+def _network_texts(seed, count):
+    """Random short files over few names and odd counts, good and bad."""
+    rng = random.Random(seed)
     names = ["A", "B", "C", "D", "A ", "", "#C"]
     good = ["1", "7", "+5", " 5", "5_0", "5\r", "9223372036854775807",
             "\u0663"]
     bad = ["0", "-3", "x", "", "5_", "9223372036854775808"]
     lines = [*names, " ", "\t", "# level\tlist", "#\tlevel\tx", "A\tB"]
-    for _ in range(3000):
+    for _ in range(count):
         rows = ["A", "B", "C"] if rng.random() < 0.7 else []
         for _ in range(rng.randint(0, 6)):
             pool = names[:4] if rng.random() < 0.8 else names
@@ -354,13 +356,52 @@ def test_read_network_agrees_with_the_line_by_line_reference():
             rows.append(rng.choice(lines) if rng.random() < 0.2 else
                         f"{a}\t{b}\t{count}")
         rng.shuffle(rows)
-        text = "\n".join(rows)
-        got = _read_outcome(read_network, text)
-        if not isinstance(got, str):
-            got = (got.level, got.nodes,
-                   list(zip(got.src.tolist(), got.dst.tolist(),
-                            got.count.tolist())))
-        assert got == _read_outcome(read_network_reference, text), repr(text)
+        yield "\n".join(rows)
+
+
+def _network_outcome(read, *args):
+    """The level, nodes and index triples ``read`` returns, or its error."""
+    got = _read_outcome(read, *args)
+    if isinstance(got, InfluenceNetwork):
+        return (got.level, got.nodes, list(zip(
+            got.src.tolist(), got.dst.tolist(), got.count.tolist())))
+    return got
+
+
+def test_read_network_agrees_with_the_line_by_line_reference():
+    """The chunked reader returns what the reference returns, or raises
+    its message."""
+    for text in _network_texts(14, 3000):
+        assert _network_outcome(read_network, text) == \
+            _network_outcome(read_network_reference, text), repr(text)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+def test_read_network_agrees_with_the_reference_across_chunks(monkeypatch,
+                                                              chunk):
+    # faults, repeats and forward references fall in other chunks than
+    # the lines they refer to, and single-kind chunks take the split path
+    monkeypatch.setattr(netbuild, "_LINE_CHUNK", chunk)
+    for text in _network_texts(20 + chunk, 1500):
+        assert _network_outcome(read_network, text) == \
+            _network_outcome(read_network_reference, text), repr(text)
+
+
+def test_read_network_reads_the_cli_lines_as_the_whole_text(tmp_path):
+    """A file read through the CLI's lines, with a BOM, CRLF line ends or
+    no last line end, reads as the reference reads its decoded text."""
+    path = tmp_path / "net.tsv"
+    for text in _network_texts(31, 300):
+        for bom, end, last in itertools.product(("", "\ufeff"),
+                                                ("\n", "\r\n"), ("", "\n")):
+            path.write_bytes((bom + (text + last).replace("\n", end))
+                             .encode("utf-8"))
+            want = _network_outcome(read_network_reference,
+                                    path.read_text(encoding="utf-8-sig"))
+            if isinstance(want, str):
+                want = f"{path}: {want}"
+            assert _network_outcome(cli._read, path, read_network) == want, \
+                repr(text)
 
 
 def test_read_network_holds_the_largest_int64_count():
@@ -379,6 +420,38 @@ def test_write_network_refuses_ids_it_cannot_read_back():
         net = make_network([("A", bad, 1)], nodes=("A", bad))
         with pytest.raises(PipelineError, match="node id"):
             write_network(net)
+
+
+def test_write_flow_refuses_ids_it_cannot_read_back():
+    for bad in ("#x", "a\tb", "a\nb", "a\rb"):
+        flow = make_flow({("A", bad): (1.0, 1.0)}, nodes=("A", bad))
+        with pytest.raises(PipelineError, match="node id"):
+            write_flow(flow)  # before a first piece is asked for
+
+
+def test_read_network_memory_is_bounded(tmp_path):
+    # 108k edges over 12k nodes, a 2.6 MiB file. Splitting its whole text
+    # traced 39.1 MiB; the chunked read of its lines traces 10.6 MiB.
+    net = network_108k()
+    path = tmp_path / "net.tsv"
+    path.write_text("".join(write_network(net)), encoding="utf-8")
+    with open(path, encoding="utf-8") as fh:
+        back, peak = traced_peak(lambda: read_network(fh))
+    assert back.nodes == net.nodes
+    assert all(np.array_equal(getattr(back, name), getattr(net, name))
+               for name in ("src", "dst", "count"))
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("writer, bound", [
+    # traced peaks, whole text -> pieces: 11.8 -> 4.3 MiB and 9.3 -> 2.3 MiB
+    (write_network, 6), (write_flow, 4)])
+def test_network_writers_memory_is_bounded(writer, bound):
+    net = network_108k()
+    value = net if writer is write_network else symmetrize(net, "mean")
+    size, peak = traced_peak(lambda: drained(writer(value)))
+    assert size == len("".join(writer(value)))
+    assert peak < bound * 2**20
 
 
 def test_view_matches_the_adjacency():

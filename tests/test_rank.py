@@ -85,6 +85,6 @@ def test_invalid_parameters():
 def test_rank_round_trip():
     net = make_network([("A", "B", 1), ("C", "B", 1)])
     pr = pagerank(net)
-    text = write_ranks(pr, net.nodes)
+    text = "".join(write_ranks(pr, net.nodes))
     back = read_ranks(text, net.nodes)
     assert by_node(net.nodes, back) == by_node(net.nodes, pr.scores)

@@ -5,14 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sanctionflow.table
 from sanctionflow import (CommunityPartition, FlowNetwork, HodgeDecomposition,
                           InfluenceNetwork, PipelineError, PotentialVector,
                           RankVector, hodge, potential_table, scatter_data,
                           symmetrize, write_partition, write_potential_table,
                           write_ranks, write_scatter)
-from sanctionflow.table import (_cells, finite, preamble, read_node_columns,
-                                read_table, write_columns, write_node_columns)
-from conftest import make_network, traced_peak
+from sanctionflow.table import (_LINE_CHUNK, _cells, finite, preamble,
+                                read_node_columns, read_table, write_columns,
+                                write_node_columns)
+from conftest import drained, make_network, network_108k, traced_peak
 from oracles import (components_reference, read_node_columns_reference,
                      read_node_table_reference, read_table_reference,
                      write_table_reference)
@@ -22,8 +24,9 @@ IDS = ["Korea, Republic of", "node", "#Other", 'say "hi"', "a b", "é"]
 
 def test_round_trip_of_awkward_identifiers():
     k = list(range(len(IDS)))
-    text = write_columns(["tool 1", 'flags --x="a,b"'], ("node", "k", "v"),
-                         (_cells(IDS), k, [i / 3 for i in k]), ("", "", ".17g"))
+    text = "".join(write_columns(
+        ["tool 1", 'flags --x="a,b"'], ("node", "k", "v"),
+        (_cells(IDS), k, [i / 3 for i in k]), ("", "", ".17g")))
     back = read_table(text, ("node", "k", "v"), (str, int, float))
     assert back == [(node, i, i / 3) for i, node in enumerate(IDS)]
     # any RFC 4180 reader sees the same cells after the preamble
@@ -32,8 +35,8 @@ def test_round_trip_of_awkward_identifiers():
 
 
 def test_plain_cells_are_written_unquoted():
-    text = write_columns(["meta"], ("node", "x"),
-                         (_cells(["A", "B"]), ["1.5", ""]), ("", ""))
+    text = "".join(write_columns(["meta"], ("node", "x"),
+                                 (_cells(["A", "B"]), ["1.5", ""]), ("", "")))
     assert text == "# meta\nnode,x\nA,1.5\nB,\n"
     assert preamble(["a", "b"]) == "# a\n# b\n"
 
@@ -186,13 +189,66 @@ def test_column_readers_match_the_row_readers(table):
 
 def test_a_fault_after_a_multi_line_cell_names_its_physical_line():
     net = make_network([("a\nb", "c,d", 1)])
-    text = hodge.write_node_table(hodge.solve(symmetrize(net, "unit")))
+    text = "".join(hodge.write_node_table(
+        hodge.solve(symmetrize(net, "unit"))))
     assert text.count("\n") == 4  # header, two rows, one quoted LF
     head, _, last = text.rpartition(",0,")
     bad = f"{head},1,{last}"  # the row after the quoted LF
     for read in (hodge.read_node_table, read_node_table_reference):
         with pytest.raises(PipelineError, match="line 4: column 'component'"):
             read(bad, net)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_tables(), st.sampled_from([1, 2, 3]))
+def test_column_readers_match_the_row_readers_across_chunks(table, chunk):
+    # a fault, or a repeated key, falls in a later chunk than the rows
+    # before it, which are not read again
+    net, text = table
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sanctionflow.table, "_LINE_CHUNK", chunk)
+        assert (_outcome(read_table, text, HEADER, (str, int, finite))
+                == _outcome(read_table_reference, text, HEADER,
+                            (str, int, finite)))
+        assert _same(
+            _outcome(read_node_columns, text, net.nodes, HEADER, (int, float)),
+            _outcome(read_node_columns_reference, text, net.nodes, HEADER,
+                     (int, finite)))
+
+
+def test_a_late_fault_is_named_without_reading_the_table_again():
+    # 100k rows whose last x is nan: reading all of them again one by one
+    # to name line 100001 converted every cell twice
+    n = 100_000
+    nodes = tuple(f"n{k:06d}" for k in range(n))
+    text = "node,x\n" + "".join(f"{v},{k}.5\n" for k, v in
+                                enumerate(nodes[:-1])) + f"{nodes[-1]},nan\n"
+    calls = 0
+
+    def counted(cell):
+        nonlocal calls
+        calls += 1
+        return float(cell)
+
+    with pytest.raises(PipelineError, match=f"line {n + 1}: column 'x': "
+                                            "bad value 'nan'"):
+        read_node_columns(text, nodes, ("node", "x"), (counted,))
+    assert calls < n + 2 * _LINE_CHUNK
+
+
+@pytest.mark.parametrize("rows, message", [
+    # a repeated key in a chunk before the faulty one comes first
+    ([*(f"n{k},1" for k in range(600)), "n3,1", *(f"m{k},1" for k in range(
+        300)), "x,oops"], "line 602: repeated node 'n3'"),
+    ([*(f"n{k},1" for k in range(600)), "x,oops", "n3,1"],
+     "line 602: column 'x': bad value 'oops'"),
+    ([*(f"n{k},1" for k in range(600)), "n599,1"],
+     "line 602: repeated node 'n599'")])
+def test_faults_in_later_chunks_keep_their_precedence(rows, message):
+    with pytest.raises(PipelineError) as info:
+        read_table("node,x\n" + "\n".join(rows) + "\n", ("node", "x"),
+                   (str, int))
+    assert str(info.value) == message
 
 
 def test_node_table_reading_and_writing_memory_is_bounded():
@@ -204,11 +260,20 @@ def test_node_table_reading_and_writing_memory_is_bounded():
                            tuple(f"inst{k:06d}" for k in range(n)),
                            src, src + 1, np.ones(len(src), np.int64))
     decomp = hodge.solve(symmetrize(net, "mean"))
-    text, write_peak = traced_peak(lambda: hodge.write_node_table(decomp))
+    text, write_peak = traced_peak(lambda: "".join(hodge.write_node_table(decomp)))
     back, read_peak = traced_peak(lambda: hodge.read_node_table(text, net))
     assert np.array_equal(back.phi, decomp.potentials.phi)
     assert write_peak < 18 * 2**20
     assert read_peak < 24 * 2**20
+
+
+def test_pair_table_writing_memory_is_bounded():
+    # 108k edges on 54k pairs; the whole text traced 14.4 MiB, its pieces
+    # 2.6 MiB
+    decomp = hodge.solve(symmetrize(network_108k(), "mean"))
+    size, peak = traced_peak(lambda: drained(hodge.write_pair_table(decomp)))
+    assert size == len("".join(hodge.write_pair_table(decomp)))
+    assert peak < 4 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -250,29 +315,30 @@ def test_column_writers_match_csv_writer(data):
     by_name = sorted(range(n), key=nodes.__getitem__)
     g17 = "{:.17g}".format
 
-    assert hodge.write_node_table(decomp) == write_table_reference(
+    assert "".join(hodge.write_node_table(decomp)) == write_table_reference(
         (), ("node", "component", "potential"),
         [(nodes[k], comp[k], g17(phi[k])) for k in by_name])
-    assert hodge.write_pair_table(decomp) == write_table_reference(
+    assert "".join(hodge.write_pair_table(decomp)) == write_table_reference(
         (), ("i", "j", "F", "w", "F_grad", "F_circ"),
         sorted((nodes[i], nodes[j], *map(g17, (F[k], w[k], g[k], c[k])))
                for k, (i, j) in enumerate(pairs)))
-    assert write_ranks(RankVector(pr, 0.85, 1), nodes) == write_table_reference(
-        (), ("node", "pagerank"), [(nodes[k], g17(pr[k])) for k in by_name])
+    assert "".join(write_ranks(RankVector(pr, 0.85, 1), nodes)) == \
+        write_table_reference((), ("node", "pagerank"),
+                              [(nodes[k], g17(pr[k])) for k in by_name])
     partition = CommunityPartition(dict(zip(nodes, comp.tolist())), 0.5,
                                    1.0, 3)
-    assert write_partition(partition) == write_table_reference(
+    assert "".join(write_partition(partition)) == write_table_reference(
         ["Q\t0.5\tresolution\t1\tseed\t3"], ("node", "community"),
         sorted(partition.assignment.items()))
     # the layout stage's layout.csv
-    assert write_node_columns((), ("node", "x", "y"), nodes, x, y) == \
+    assert "".join(write_node_columns((), ("node", "x", "y"), nodes, x, y)) == \
         write_table_reference((), ("node", "x", "y"), [
             (nodes[k], g17(x[k]), g17(y[k])) for k in by_name])
 
     marked = set(data.draw(st.sets(st.sampled_from(nodes))))
     ranked = sorted(zip(nodes, phi.tolist()),
                     key=lambda t: (-float(f"{t[1]:.3f}"), t[0]))
-    assert write_potential_table(potential_table(decomp, marked)) == \
+    assert "".join(write_potential_table(potential_table(decomp, marked))) == \
         write_table_reference((), ("rank", "name", "potential", "highlighted"),
                               [(i, node, f"{v:.3f}", "*" if node in marked
                                 else "") for i, (node, v) in
@@ -286,7 +352,7 @@ def test_column_writers_match_csv_writer(data):
         with np.errstate(all="ignore"):
             want = float(np.corrcoef(pr[by_name], phi[by_name])[0, 1])
         assert f"{scatter.correlation:.17g}" == f"{want:.17g}"
-    assert write_scatter(scatter) == write_table_reference(
+    assert "".join(write_scatter(scatter)) == write_table_reference(
         [f"pearson\t{scatter.correlation:.17g}{flag}"],
         ("node", "pagerank", "potential"),
         [(nodes[k], g17(pr[k]), g17(phi[k])) for k in by_name])
