@@ -51,13 +51,18 @@ def modularity(net: InfluenceNetwork, labels: np.ndarray,
 
 
 def _neighbors(n, lo, hi, w):
-    """Per-node (neighbour, weight) lists of one level's pairs (lo, hi, w)."""
+    """Per node of one level's pairs (lo, hi, w), its neighbours and the
+    weights to them, as two lists in neighbour order. The lists share one
+    int per node and one float per distinct weight, so an entry takes 16
+    bytes; a (neighbour, weight) tuple per entry took about 120."""
     ends = np.concatenate([lo, hi])
     others = np.concatenate([hi, lo])
     order = np.argsort(ends * n + others)
     bounds = np.cumsum(np.bincount(ends, minlength=n)).tolist()
-    flat = list(zip(others[order].tolist(), np.tile(w, 2)[order].tolist()))
-    return [flat[a:b] for a, b in zip([0, *bounds], bounds)]
+    values, which = np.unique(np.tile(w, 2)[order], return_inverse=True)
+    ids = np.array(range(n), object)[others[order]].tolist()
+    weights = np.array(values.tolist(), object)[which].tolist()
+    return [(ids[a:b], weights[a:b]) for a, b in zip([0, *bounds], bounds)]
 
 
 def _first_appearance(labels):
@@ -87,16 +92,18 @@ def _local_move(neighbors, strength, two_m, resolution, comm, rng):
         for i in order:
             ci = comm[i]
             links = {}  # community -> weight of edges from i (excl. self-loop)
-            for j, w in neighbors[i]:
-                links[comm[j]] = links.get(comm[j], 0.0) + w
+            for j, w in zip(*neighbors[i]):
+                links[c] = links.get(c := comm[j], 0.0) + w
             comm_total[ci] -= strength[i]
-            base = links.get(ci, 0.0) - resolution * strength[i] * comm_total[ci] / two_m
+            # resolution * strength[i] is the first product of each gain's
+            # resolution * strength[i] * comm_total[c], so no float changes
+            pull = resolution * strength[i]
+            base = links.get(ci, 0.0) - pull * comm_total[ci] / two_m
             best_c, best_gain = ci, 0.0
             for c in sorted(links):
                 if c == ci:
                     continue
-                gain = (links[c]
-                        - resolution * strength[i] * comm_total[c] / two_m) - base
+                gain = (links[c] - pull * comm_total[c] / two_m) - base
                 if gain > best_gain + 1e-14:
                     best_c, best_gain = c, gain
             comm[i] = best_c

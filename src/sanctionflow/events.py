@@ -9,7 +9,6 @@ a line-record form (one JSON object per line, same keys) is also accepted.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import re
@@ -24,8 +23,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import EventParseError, PipelineError
-from .table import (_LINE_CHUNK, _ROW_CHUNK, _cells, _grow, _run_starts,
-                    skip_preamble)
+from .table import (_LINE_CHUNK, _ROW_CHUNK, _cells, _grow, _lines,
+                    _run_starts, skip_preamble)
 
 _ISO_DATE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
 _HEADER = ("issuer", "list_id", "entity_id", "date")
@@ -230,8 +229,9 @@ def _coded(chunks: Iterable[Iterable[Sequence]]) -> EventSet:
                               for column, known in zip(columns, seen)))
     for buffer in codes:
         buffer.resize(n, refcheck=False)
-    return EventSet.from_columns(
-        *(Column(tuple(names[k]), codes[k]) for k in (0, 1, 2, 4)), codes[3])
+    columns = [Column(tuple(names[k]), codes[k]) for k in (0, 1, 2, 4)]
+    names = seen = None  # the dicts are freed before the sorts
+    return EventSet.from_columns(*columns, codes[3])
 
 
 def _row_getter(header: list[str], width: int):
@@ -340,7 +340,7 @@ def parse_events(stream: str | Iterable[str],
     Duplicate (list_id, entity_id) pairs collapse to the earliest date.
     Raises EventParseError naming the line and field on malformed input.
     """
-    text = io.StringIO(stream) if isinstance(stream, str) else iter(stream)
+    text = _lines(stream)
     if format not in ("delimited", "line_record"):
         raise PipelineError(f"unknown event format '{format}'")
     return _coded(_delimited_chunks(text) if format == "delimited"
@@ -376,8 +376,10 @@ def _pieces(events: EventSet) -> Iterator[str]:
                                 (events.issuer, events.list_id,
                                  events.entity_id))
     categories = [*_cells(events.category.names), ""]  # code -1 reads ""
+    # the days come sorted, so each run's first is a distinct day (np.unique
+    # would load numpy.ma, 10-16 ms of import)
     dates = {d: Date.fromordinal(d).isoformat()
-             for d in np.unique(events.day).tolist()}
+             for d in events.day[_run_starts(events.day)].tolist()}
     columns = (events.issuer.codes, events.list_id.codes,
                events.entity_id.codes, events.day, events.category.codes)
     yield "issuer,list_id,entity_id,date,category\n"

@@ -7,7 +7,6 @@ contribute nothing (direction is ambiguous at day resolution).
 
 from __future__ import annotations
 
-import io
 from collections import namedtuple
 from contextlib import suppress
 from dataclasses import dataclass
@@ -18,17 +17,16 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 import numpy as np
 
 from .errors import PipelineError
-from .table import _LINE_CHUNK, _grow, _row_pieces, _run_starts, name_order
+from .table import (_LINE_CHUNK, _grow, _lines, _row_pieces, _run_starts,
+                    name_order)
 
 if TYPE_CHECKING:  # a stage that only reads net.tsv never loads events
     from .events import Column, EventSet
 
 LIST_LEVEL = "list"
 INSTITUTION_LEVEL = "institution"
-# events taken, and precedence pairs generated, at once: entities are
-# counted a block at a time, and one held by thousands of nodes in several
-# chunks. Counting a chunk of 2^16 pairs traces about 2.6 MiB (40 bytes a
-# pair), a block of 2^16 events about as much.
+# the working-set budget, in precedence pairs generated at once: counting
+# a chunk of 2^16 pairs traces about 2.6 MiB (40 bytes a pair)
 _PAIR_CELLS = 1 << 16
 
 
@@ -138,7 +136,8 @@ def _precedence_network(events: EventSet, level: str, column: Column,
     size = np.bincount(entity, minlength=len(events.entity_id.names))
     end = np.cumsum(size)
     keys, total = np.empty(0, np.int64), np.empty(0, np.int64)
-    for lo, hi in _chunks(size, _PAIR_CELLS):
+    per_block, per_chunk = _sizes()
+    for lo, hi in _chunks(size, per_block):
         block = order[end[lo - 1] if lo else 0:end[hi - 1]]
         if not len(block):
             continue
@@ -153,7 +152,7 @@ def _precedence_network(events: EventSet, level: str, column: Column,
         # same-day run
         later = _run_ends(ent, when)
         count = _run_ends(ent) - later
-        for a, b in _chunks(count, _PAIR_CELLS):
+        for a, b in _chunks(count, per_chunk):
             chunk, tally = np.unique(_pair_keys(holder, later, count, a, b, n),
                                      return_counts=True)
             at = np.searchsorted(keys, chunk)
@@ -165,6 +164,14 @@ def _precedence_network(events: EventSet, level: str, column: Column,
     nodes = tuple(column.names[k] for k in present.tolist())
     src, dst = np.divmod(keys, max(n, 1))
     return InfluenceNetwork(level, nodes, src, dst, total)
+
+
+def _sizes() -> tuple[int, int]:
+    """The events of an entity block and the pairs of a chunk, from the one
+    budget. A block's first-listing np.unique traces over twice a pair's
+    count per event, so a block of a quarter of the budget stays under a
+    chunk's peak; smaller blocks only add passes."""
+    return max(1, _PAIR_CELLS >> 2), _PAIR_CELLS
 
 
 def _pair_keys(node: np.ndarray, later: np.ndarray, count: np.ndarray,
@@ -288,7 +295,7 @@ def read_network(stream: str | Iterable[str]) -> InfluenceNetwork:
     or edge, a self-loop, a bad count or field count names the earliest
     faulty line (in a line: self-loop, repeated edge, then count), and an
     edge to an undeclared node is an error after every line reads well."""
-    lines = io.StringIO(stream) if isinstance(stream, str) else iter(stream)
+    lines = _lines(stream)
     level, code, nodes, fault = INSTITUTION_LEVEL, _Codes(), {}, None
     # per edge: its endpoints' codes, its count and its line
     columns, m, line = [np.empty(0, np.int64) for _ in range(4)], 0, 0

@@ -112,6 +112,26 @@ def write_node_columns(meta: Iterable[str], header: Sequence[str],
         np.array(name_order(nodes), np.int64))
 
 
+def _lines(stream: str | Iterable[str]) -> Iterator[str]:
+    """The lines of a text, split at LF only as io.StringIO splits them, or
+    the lines given. io.StringIO holds 4 bytes a character of its text, so
+    a text goes through it in slices of about 64 Ki characters, each cut at
+    a line end."""
+    if not isinstance(stream, str):
+        return iter(stream)
+    return chain.from_iterable(map(io.StringIO, _slices(stream)))
+
+
+def _slices(text: str) -> Iterator[str]:
+    """``text`` in consecutive slices, each ending at a line end after at
+    least 64 Ki characters, or at the text's end."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + (1 << 16)) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
 def skip_preamble(lines: Iterator[str]) -> tuple[int, Iterator[str]]:
     """The number of blank and '#' lines before the header, and the lines
     from the header on."""
@@ -163,7 +183,7 @@ def _read_columns(text, columns, types, bad, chunk, values, keys=None):
     """``read_columns`` onto ``values``, skipping the rows they hold, ``chunk``
     rows at a time; a fault names the last line of its chunk, and keys are
     checked only row by row, against ``keys``."""
-    skipped, lines = skip_preamble(io.StringIO(text))
+    skipped, lines = skip_preamble(_lines(text))
     reader = csv.reader(lines)
     try:
         head = next(reader, None)

@@ -4,7 +4,8 @@ import pytest
 
 from sanctionflow import (PipelineError, louvain,
                           modularity, read_partition, write_partition)
-from conftest import by_node, in_node_order, make_network
+from conftest import (by_node, in_node_order, make_network, network_108k,
+                      traced_peak)
 from oracles import (best_partition_bruteforce, louvain_reference,
                      modularity_oracle)
 
@@ -201,3 +202,13 @@ def test_partition_round_trip(two_triangles):
     back = read_partition(text, two_triangles.nodes)
     assert by_node(two_triangles.nodes, back) == part.assignment
     assert f"{part.modularity:.17g}" in text
+
+
+def test_louvain_memory_is_bounded():
+    net = network_108k()
+    net.view  # built once per network, and not louvain's own
+    partition, peak = traced_peak(lambda: louvain(net))
+    assert len(set(partition.assignment.values())) == 1200
+    # 18.0 MiB traced with a (neighbour, weight) tuple per entry; 10.6 MiB
+    # with shared ints and floats in two lists per node
+    assert peak < 14 * 2 ** 20

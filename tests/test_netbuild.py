@@ -187,18 +187,17 @@ def test_chunked_counts_match_brute_force(monkeypatch, budget):
     assert build_list_network(events).total_count() > 20 * budget
 
 
-@settings(deadline=None, max_examples=30)
-@given(st.integers(66, 90), st.lists(st.tuples(st.integers(0, 29),
-                                               st.integers(0, 1),
-                                               st.integers(0, 9),
-                                               st.integers(1, 6)),
-                                     max_size=80),
-       st.sets(st.integers(0, 59), min_size=1), st.randoms())
-def test_blocks_and_chunks_never_change_the_network(holders, scatter,
-                                                    picked, rnd):
-    # a hub entity held by more lists than the largest small budget, listed
-    # over 4 days so most holders tie, plus small entities; the raw events
-    # are shuffled out of canonical order
+hub_draws = (st.integers(66, 90),
+             st.lists(st.tuples(st.integers(0, 29), st.integers(0, 1),
+                                st.integers(0, 9), st.integers(1, 6)),
+                      max_size=80),
+             st.sets(st.integers(0, 59), min_size=1), st.randoms())
+
+
+def hub_events(holders, scatter, picked, rnd):
+    """A hub entity held by more lists than the largest small budget,
+    listed over 4 days so most holders tie, plus small entities, the raw
+    events shuffled out of canonical order; and the picked lists."""
     raw = [ev(f"I{h // 2:02d}", f"I{h // 2:02d}-L{h % 2}", "hub",
               f"2010-01-{rnd.randint(1, 4):02d}") for h in range(holders)]
     raw += [ev(f"I{i:02d}", f"I{i:02d}-L{k}", f"e{e}", f"2010-01-{d:02d}")
@@ -206,20 +205,49 @@ def test_blocks_and_chunks_never_change_the_network(holders, scatter,
     rnd.shuffle(raw)
     events = make_events(raw)
     selected = {f"I{p // 2:02d}-L{p % 2}" for p in picked}
-    selected &= set(events.list_id.names)
+    return events, selected & set(events.list_id.names)
 
-    def networks():
-        nets = [build_list_network(events), build_institution_network(events)]
-        if selected:
-            nets.append(build_institution_network(events, selected))
-        return [(net.nodes, net.src.tolist(), net.dst.tolist(),
-                 net.count.tolist()) for net in nets]
 
-    expected = networks()
+def networks_of(events, selected):
+    """The list network, and the institution networks over every list and
+    over the selected ones, as plain values."""
+    nets = [build_list_network(events), build_institution_network(events)]
+    if selected:
+        nets.append(build_institution_network(events, selected))
+    return [(net.nodes, net.src.tolist(), net.dst.tolist(),
+             net.count.tolist()) for net in nets]
+
+
+@settings(deadline=None, max_examples=30)
+@given(*hub_draws)
+def test_blocks_and_chunks_never_change_the_network(holders, scatter,
+                                                    picked, rnd):
+    events, selected = hub_events(holders, scatter, picked, rnd)
+    expected = networks_of(events, selected)
     for budget in (1, 3, 64):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(netbuild, "_PAIR_CELLS", budget)
-            assert networks() == expected
+            assert networks_of(events, selected) == expected
+
+
+@settings(deadline=None, max_examples=30)
+@given(*hub_draws, st.lists(st.tuples(*[st.sampled_from(
+    [1, 2, 3, 7, 64, 1 << 16])] * 2), min_size=1, max_size=4))
+def test_any_block_and_chunk_sizes_give_the_same_network(holders, scatter,
+                                                         picked, rnd, sizes):
+    # the events of a block and the pairs of a chunk drawn apart
+    events, selected = hub_events(holders, scatter, picked, rnd)
+    expected = networks_of(events, selected)
+    for block, chunk in sizes:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(netbuild, "_sizes", lambda: (block, chunk))
+            assert networks_of(events, selected) == expected
+
+
+def test_one_budget_sizes_blocks_and_chunks(monkeypatch):
+    assert netbuild._sizes() == (1 << 14, 1 << 16)
+    monkeypatch.setattr(netbuild, "_PAIR_CELLS", 1)
+    assert netbuild._sizes() == (1, 1)
 
 
 @pytest.mark.parametrize("build", [build_list_network,
@@ -231,6 +259,17 @@ def test_build_memory_is_bounded(build):
     # 16.7 MiB (list) and 14.4 MiB (institution) when the whole event set
     # was sorted at once and every chunk's counts were merged at the end
     assert peak < 10 * 2 ** 20
+
+
+@pytest.mark.parametrize("build, bound", [
+    # traced peaks with blocks of 2^16 events: 8.9 and 7.5 MiB; with blocks
+    # of 2^14, 5.5 and 3.6 MiB
+    (build_list_network, 7), (build_institution_network, 5)])
+def test_build_working_set_is_sized_by_blocks(build, bound):
+    es = events_150k()
+    net, peak = traced_peak(lambda: build(es))
+    assert net.total_count() > 100_000
+    assert peak < bound * 2 ** 20
 
 
 @settings(deadline=None, max_examples=40)
@@ -441,6 +480,18 @@ def test_read_network_memory_is_bounded(tmp_path):
     assert all(np.array_equal(getattr(back, name), getattr(net, name))
                for name in ("src", "dst", "count"))
     assert peak < 16 * 2**20
+
+
+def test_read_network_of_a_text_peaks_as_of_its_lines():
+    # io.StringIO over the whole 2.6 MiB text held a 4-byte-a-character
+    # copy of it: 20.5 MiB traced, against 10.1 MiB for its lines
+    net = network_108k()
+    text = "".join(write_network(net))
+    lines = text.splitlines(keepends=True)
+    back, text_peak = traced_peak(lambda: read_network(text))
+    _, lines_peak = traced_peak(lambda: read_network(iter(lines)))
+    assert network_fields(back) == network_fields(net)
+    assert text_peak < 1.2 * lines_peak
 
 
 @pytest.mark.parametrize("writer, bound", [

@@ -66,8 +66,8 @@ EXPORTS = {
 
 @pytest.fixture(scope="module")
 def stage_imports(tmp_path_factory):
-    """The sanctionflow submodules each stage process imported, from
-    ``python -X importtime -m sanctionflow``."""
+    """The modules each stage process imported, from ``python -X
+    importtime -m sanctionflow``."""
     work = tmp_path_factory.mktemp("pipeline")
     env = dict(os.environ, PYTHONPATH=str(SRC))
     loaded = {}
@@ -76,15 +76,23 @@ def stage_imports(tmp_path_factory):
             [sys.executable, "-X", "importtime", "-m", "sanctionflow", *stage],
             cwd=work, env=env, capture_output=True, text=True)
         assert done.returncode == 0, done.stderr[-2000:]
-        loaded[stage[0]] = set(re.findall(r"\|\s*sanctionflow\.(\w+)$",
-                                          done.stderr, re.M))
+        loaded[stage[0]] = set(re.findall(r"\|\s*([\w.]+)$", done.stderr,
+                                          re.M))
     return loaded
 
 
 @pytest.mark.parametrize("stage", list(STAGE_MODULES))
 def test_each_stage_loads_only_its_modules(stage_imports, stage):
-    assert stage_imports[stage] == \
-        {"cli", "errors", "table"} | STAGE_MODULES[stage]
+    ours = {name.removeprefix("sanctionflow.") for name in
+            stage_imports[stage] if name.startswith("sanctionflow.")}
+    assert ours == {"cli", "errors", "table"} | STAGE_MODULES[stage]
+
+
+@pytest.mark.parametrize("stage", list(STAGE_MODULES))
+def test_no_stage_loads_numpy_ma(stage_imports, stage):
+    # a plain np.unique loads numpy.ma, 10-16 ms of import, in numpy 2.4
+    assert "numpy" in stage_imports[stage]
+    assert "numpy.ma" not in stage_imports[stage]
 
 
 @pytest.mark.parametrize("argv, status", [

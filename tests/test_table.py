@@ -11,9 +11,9 @@ from sanctionflow import (CommunityPartition, FlowNetwork, HodgeDecomposition,
                           RankVector, hodge, potential_table, scatter_data,
                           symmetrize, write_partition, write_potential_table,
                           write_ranks, write_scatter)
-from sanctionflow.table import (_LINE_CHUNK, _cells, finite, preamble,
-                                read_node_columns, read_table, write_columns,
-                                write_node_columns)
+from sanctionflow.table import (_LINE_CHUNK, _cells, _lines, finite,
+                                preamble, read_node_columns, read_table,
+                                write_columns, write_node_columns)
 from conftest import drained, make_network, network_108k, traced_peak
 from oracles import (components_reference, read_node_columns_reference,
                      read_node_table_reference, read_table_reference,
@@ -356,3 +356,12 @@ def test_column_writers_match_csv_writer(data):
         [f"pearson\t{scatter.correlation:.17g}{flag}"],
         ("node", "pagerank", "potential"),
         [(nodes[k], g17(pr[k]), g17(phi[k])) for k in by_name])
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.lists(st.sampled_from(["", "a", "\n", "\r", "\r\n", '"q,\n"',
+                                 "x" * 30_000, "y" * 65_536]), max_size=12))
+def test_a_text_has_the_lines_of_io_stringio(parts):
+    # slices of the text cross 64 Ki characters only at a line end
+    text = "".join(parts)
+    assert list(_lines(text)) == list(io.StringIO(text))
