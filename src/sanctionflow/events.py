@@ -16,15 +16,15 @@ from collections import namedtuple
 from dataclasses import dataclass
 from datetime import date as Date
 from functools import cached_property
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import EventParseError, PipelineError
-from .table import (_LINE_CHUNK, _ROW_CHUNK, _cells, _grow, _lines,
-                    _run_starts, skip_preamble)
+from .table import (_cells, _grow, _line_chunks, _line_safe, _lines,
+                    _row_pieces, _run_starts, skip_preamble)
 
 _ISO_DATE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
 _HEADER = ("issuer", "list_id", "entity_id", "date")
@@ -164,8 +164,7 @@ def _check_owners(issuer: Column, list_id: Column) -> None:
 
 def _checked_id(value: str, field: str, line: int) -> str:
     cleaned = value.strip()
-    if (not cleaned or cleaned[0] == "#" or "\t" in cleaned
-            or "\r" in cleaned or "\n" in cleaned):
+    if not _line_safe(cleaned):
         raise EventParseError(f"identifier {cleaned!r} is empty, starts "
                               "with '#' or contains a tab, CR or LF",
                               line=line, field=field)
@@ -243,10 +242,10 @@ def _row_getter(header: list[str], width: int):
 
 
 def _delimited_chunks(text: Iterable[str]):
-    """The rows of a delimited text for ``_coded``, a chunk of
-    ``_LINE_CHUNK`` lines at a time. A chunk with no quote or CR, each line
-    ending in its one LF (the last may have none) and holding one cell per
-    header column, is cut by one split; any other goes row by row through
+    """The rows of a delimited text for ``_coded``, a ``_line_chunks``
+    chunk of lines at a time. A chunk with no quote or CR, each line ending
+    in its one LF (the last may have none) and holding one cell per header
+    column, is cut by one split; any other goes row by row through
     csv.reader, which may read past its end to close a quoted field."""
     line, lines = skip_preamble(text)
     reader = csv.reader(lines)
@@ -260,7 +259,7 @@ def _delimited_chunks(text: Iterable[str]):
             "date[,category]", line=line + 1)
     line, width = line + reader.line_num, len(header)
     getters = {width: _row_getter(header, width)}  # row width -> getter
-    while chunk := list(islice(lines, _LINE_CHUNK)):
+    for chunk in _line_chunks(lines):
         n, text = len(chunk), "".join(chunk)
         if ('"' not in text and "\r" not in text
                 and text.count("\n") == n - (not text.endswith("\n"))
@@ -299,8 +298,7 @@ def _delimited_chunks(text: Iterable[str]):
 
 def _record_chunks(text: Iterable[str]):
     """The rows of a line-record text for ``_coded``, by chunks of lines."""
-    numbered = enumerate(text, start=1)
-    while chunk := list(islice(numbered, _LINE_CHUNK)):
+    for chunk in _line_chunks(enumerate(text, start=1)):
         rows = []  # each row's raw fields and line
         try:
             for line_no, line in chunk:
@@ -349,8 +347,8 @@ def parse_events(stream: str | Iterable[str],
 
 def serialize_events(events: EventSet) -> Iterator[str]:
     """Canonical delimited form, as text pieces: the header, then rows in
-    the EventSet's order, (date, issuer, list, entity), one piece per
-    ``_ROW_CHUNK`` events, so the whole text is never held at once.
+    the EventSet's order, (date, issuer, list, entity), as the pieces of
+    ``_row_pieces``, so the whole text is never held at once.
 
     Every name is checked first, before any piece is made: a name that
     ``parse_events`` would refuse or read back changed (an edge space, an
@@ -383,12 +381,9 @@ def _pieces(events: EventSet) -> Iterator[str]:
     columns = (events.issuer.codes, events.list_id.codes,
                events.entity_id.codes, events.day, events.category.codes)
     yield "issuer,list_id,entity_id,date,category\n"
-    for lo in range(0, len(events), _ROW_CHUNK):
-        yield "".join([
-            f"{issuers[i]},{lists[l]},{entities[e]},{dates[d]},"
-            f"{categories[c]}\n"
-            for i, l, e, d, c in zip(*(col[lo:lo + _ROW_CHUNK].tolist()
-                                       for col in columns))])
+    yield from _row_pieces(lambda *cells: "".join([
+        f"{issuers[i]},{lists[l]},{entities[e]},{dates[d]},{categories[c]}\n"
+        for i, l, e, d, c in zip(*cells)]), columns)
 
 
 @dataclass(frozen=True)

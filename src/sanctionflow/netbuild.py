@@ -11,14 +11,14 @@ from collections import namedtuple
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 import numpy as np
 
 from .errors import PipelineError
-from .table import (_LINE_CHUNK, _grow, _lines, _row_pieces, _run_starts,
-                    name_order)
+from .table import (_grow, _line_chunks, _line_safe, _lines, _row_pieces,
+                    _run_starts, name_order, preamble)
 
 if TYPE_CHECKING:  # a stage that only reads net.tsv never loads events
     from .events import Column, EventSet
@@ -250,11 +250,10 @@ def _write_records(meta: str, nodes: tuple[str, ...], rows, columns: list,
     """The meta line, the node lines, then the ``_row_pieces`` of
     ``columns``; every node id is checked when called."""
     for node in nodes:
-        # a reader's universal newlines end a line at CR as at LF
-        if node.startswith("#") or any(c in node for c in "\t\n\r"):
-            raise PipelineError(f"node id {node!r} starts with '#' or "
-                                "contains tab/CR/LF")
-    return chain([f"# {meta}\n"],
+        if not _line_safe(node):
+            raise PipelineError(f"node id {node!r} is blank, starts with '#' "
+                                "or contains tab/CR/LF")
+    return chain([preamble([meta])],
                  _row_pieces(lambda names: "\n".join(names) + "\n", [nodes]),
                  _row_pieces(rows, columns, order))
 
@@ -289,17 +288,16 @@ class _Codes(dict):
 
 
 def read_network(stream: str | Iterable[str]) -> InfluenceNetwork:
-    """The network of a ``write_network`` text or its lines, read
-    ``_LINE_CHUNK`` lines at a time; a chunk of only node or only edge
-    lines, with no '#' or blank line, is cut by one split. A repeated node
-    or edge, a self-loop, a bad count or field count names the earliest
-    faulty line (in a line: self-loop, repeated edge, then count), and an
-    edge to an undeclared node is an error after every line reads well."""
-    lines = _lines(stream)
+    """The network of a ``write_network`` text or its lines, read by
+    ``_line_chunks``; a chunk of only node or only edge lines, with no '#'
+    or blank line, is cut by one split. A repeated node or edge, a
+    self-loop, a bad count or field count names the earliest faulty line
+    (in a line: self-loop, repeated edge, then count), and an edge to an
+    undeclared node is an error after every line reads well."""
     level, code, nodes, fault = INSTITUTION_LEVEL, _Codes(), {}, None
     # per edge: its endpoints' codes, its count and its line
     columns, m, line = [np.empty(0, np.int64) for _ in range(4)], 0, 0
-    while not fault and (chunk := list(islice(lines, _LINE_CHUNK))):
+    for chunk in _line_chunks(_lines(stream)):
         k, text = len(chunk), "\t".join(chunk)
         tabs = set(map(str.count, chunk, repeat("\t")))
         names = "#" not in text and tabs == {0} and all(map(str.strip, chunk)) \
@@ -352,6 +350,8 @@ def read_network(stream: str | Iterable[str]) -> InfluenceNetwork:
                 break
         if edges:
             m = _grow(columns, m, *zip(*edges))
+        if fault:
+            break
     for buffer in columns:
         buffer.resize(m, refcheck=False)
     src, dst, count, at = columns

@@ -167,7 +167,7 @@ def _apply_jitter(nodes, x, y, jitter, min_sep, rng):
     falls in [xv - min_sep, xv + min_sep] (found by bisection) are tested.
     """
     x, y = x.tolist(), y.tolist()
-    ordered = sorted(range(len(nodes)), key=nodes.__getitem__)
+    ordered = name_order(nodes)
     by_x = sorted(ordered, key=x.__getitem__)
     xs = [x[v] for v in by_x]
     for v in ordered:

@@ -49,8 +49,7 @@ def synth_generate(config: SynthConfig, seed: int) -> EventSet:
         raise ConfigError("copy_prob must lie in [0, 1]")
     ranks = config.issuer_ranks()
     if len(ranks) != config.n_issuers or len(set(ranks)) != config.n_issuers:
-        raise ConfigError("ranks must be a permutation-free assignment, "
-                          "one distinct rank per issuer")
+        raise ConfigError("ranks must give each issuer its own rank")
 
     n, k = config.n_issuers, config.lists_per_issuer
     start = config.start.toordinal()

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from contextlib import suppress
 from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -28,6 +27,21 @@ _QUOTED = (",", '"', "\n", "\r")  # a cell holding one may be quoted
 
 def preamble(header: Iterable[str]) -> str:
     return "".join(f"# {line}\n" for line in header)
+
+
+def _line_safe(name: str) -> bool:
+    """Whether a line, or a tab-separated field of one, reads back as
+    ``name``: it is not blank, starts with no '#' and holds no tab, CR or
+    LF (a reader's universal newlines end a line at CR as at LF)."""
+    return (name != "" and not name.isspace() and name[0] != "#"
+            and "\t" not in name and "\r" not in name and "\n" not in name)
+
+
+def _line_chunks(items: Iterable) -> Iterator[list]:
+    """``items`` in lists of ``_LINE_CHUNK``, each taken when asked for."""
+    items = iter(items)
+    while chunk := list(islice(items, _LINE_CHUNK)):
+        yield chunk
 
 
 def _cells(names: Iterable[str]) -> list[str]:
@@ -141,14 +155,6 @@ def skip_preamble(lines: Iterator[str]) -> tuple[int, Iterator[str]]:
             return skipped, chain([line], lines)
         skipped += 1
     return skipped, iter(())
-
-
-def finite(cell: str) -> float:
-    """The cell as a float; nan and infinities are bad values."""
-    value = float(cell)
-    if not math.isfinite(value):
-        raise ValueError(cell)
-    return value
 
 
 def read_columns(text: str | Iterable[str], columns: Sequence[str],

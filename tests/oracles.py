@@ -26,7 +26,8 @@ component, pair by pair. ``read_table_reference``,
 ``read_node_columns_reference`` and ``read_node_table_reference`` are the
 ``.csv`` readers that converted and checked one row at a time, and
 ``write_table_reference`` the writer that sent every row through
-``csv.writer``.
+``csv.writer``. ``finite`` is the float cell converter the table tests
+read with, refusing nan and infinities.
 """
 
 from __future__ import annotations
@@ -55,11 +56,18 @@ from sanctionflow.hodge import (DENSE_LIMIT, LaplacianSystem,
                                 _sparse_solve)
 from sanctionflow.report import (_EPS, _GRAVITY, LayoutResult, _apply_jitter,
                                  _energy_kernel)
-from sanctionflow.table import (_run_starts, finite, preamble,
-                               skip_preamble)
+from sanctionflow.table import _run_starts, preamble, skip_preamble
 
 from conftest import (by_node, ev, in_node_order, make_events, pairs_of,
                       split_of)
+
+
+def finite(cell: str) -> float:
+    """The cell as a float; nan and infinities are bad values."""
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError(cell)
+    return value
 
 
 def flow_components(nodes, pairs):

@@ -684,3 +684,47 @@ def test_an_events_file_without_a_header_names_the_line_the_parser_does(
                 "--out", str(tmp_path / "out.csv")]) == 1
     assert_one_error_line(capsys, f"{events}: line {line}: bad header")
     assert not (tmp_path / "out.csv").exists()
+
+
+CMAP = "list_id,label\nEU-LIB-1,libya\nUS-LIB-1,libya\n"
+
+
+@pytest.mark.parametrize("flags, cmap, message", [
+    (["--level", "institution", "--category-map", "{cmap}"], CMAP,
+     "--category-map and --label go together"),
+    (["--level", "list", "--category-map", "{cmap}", "--label", "libya"],
+     CMAP, "category filtering applies to the institution level"),
+    (["--level", "institution", "--category-map", "{cmap}",
+      "--label", "libya"], CMAP + "XX-1,libya\n",
+     "category map names unknown list_id(s): ['XX-1']"),
+])
+def test_build_refuses_a_category_filter_it_cannot_apply(tmp_path, capsys,
+                                                         flags, cmap, message):
+    path = tmp_path / "cats.csv"
+    path.write_text(cmap)
+    out = tmp_path / "net.tsv"
+    status = run(["build", "--events", str(FIXTURES / "events_small.csv"),
+                  *(flag.format(cmap=path) for flag in flags),
+                  "--out", str(out)])
+    assert status == 1
+    assert_one_error_line(capsys, message)
+    assert not out.exists()
+
+
+def test_communities_refuses_a_network_with_no_nodes(tmp_path, capsys):
+    net = tmp_path / "net.tsv"
+    net.write_text("# level\tinstitution\n")
+    out = tmp_path / "communities.csv"
+    status = run(["communities", "--net", str(net), "--out", str(out)])
+    assert status == 1
+    assert_one_error_line(capsys, "empty network")
+    assert not out.exists()
+
+
+def test_pagerank_past_its_iteration_cap_exits_one(stage_inputs, capsys):
+    capsys.readouterr()
+    status = run(["pagerank", "--net", str(stage_inputs / "good.tsv"),
+                  "--tol", "1e-300", *NET_STAGES["pagerank"](stage_inputs)])
+    assert status == 1
+    assert_one_error_line(capsys, "hit the iteration cap")
+    assert not (stage_inputs / "out").exists()

@@ -212,3 +212,21 @@ def test_louvain_memory_is_bounded():
     # 18.0 MiB traced with a (neighbour, weight) tuple per entry; 10.6 MiB
     # with shared ints and floats in two lists per node
     assert peak < 14 * 2 ** 20
+
+
+def test_modularity_refuses_a_zero_resolution(two_triangles):
+    with pytest.raises(PipelineError, match="resolution must be positive"):
+        modularity(two_triangles, [0] * len(two_triangles.nodes), 0)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_louvain_falls_back_to_one_community(seed):
+    # the last level scores 0.49999999999999994, one community 0.5
+    net = make_network(
+        [(f"N{a}", f"N{b}", c) for a, b, c in
+         [(0, 2, 2), (1, 0, 1), (3, 1, 4), (4, 0, 5), (4, 3, 2), (4, 5, 3),
+          (5, 1, 8)]], nodes=[f"N{i}" for i in range(6)])
+    part = louvain(net, resolution=0.5, seed=seed)
+    assert part.pass_modularity[-1] < 0.5
+    assert set(part.assignment.values()) == {0}
+    assert part.modularity == 0.5

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sanctionflow.table
 from sanctionflow import (EventParseError, EventSet, PipelineError,
-                          events, parse_events, serialize_events,
-                          validate_events)
+                          parse_events, serialize_events, validate_events)
 from sanctionflow.events import Column
 from conftest import ev, events_150k, make_events, traced_peak
 from oracles import (from_columns_reference, parse_events_reference,
@@ -268,7 +268,7 @@ def test_parse_matches_the_row_by_row_reference(chunk, text):
     for source in (text, text.split("\n")):
         with pytest.MonkeyPatch.context() as patch:
             if chunk is not None:
-                patch.setattr(events, "_LINE_CHUNK", chunk)
+                patch.setattr(sanctionflow.table, "_LINE_CHUNK", chunk)
             got = _outcome(parse_events, source)
         assert got == _outcome(parse_events_reference, source)
 
@@ -302,7 +302,7 @@ def test_line_record_error_names_the_first_bad_line(chunk):
     bad_id = good.replace('"X"', '"#x"')
     with pytest.MonkeyPatch.context() as patch:
         if chunk is not None:
-            patch.setattr(events, "_LINE_CHUNK", chunk)
+            patch.setattr(sanctionflow.table, "_LINE_CHUNK", chunk)
         with pytest.raises(EventParseError,
                            match="^line 2: field 'entity_id'"):
             parse_events("\n".join([good, bad_id, "{oops"]),
@@ -310,6 +310,21 @@ def test_line_record_error_names_the_first_bad_line(chunk):
         with pytest.raises(EventParseError, match="^line 3: invalid JSON"):
             parse_events("\n".join([good, good, "{oops", bad_id]),
                          format="line_record")
+
+
+@pytest.mark.parametrize("record, message", [
+    ("[1]", "^line 1: record is not an object"),
+    ('{"issuer": "EU", "list_id": "L1", "entity_id": "X"}',
+     "^line 1: field 'date': missing key"),
+])
+def test_line_record_that_is_no_event_is_refused(record, message):
+    with pytest.raises(EventParseError, match=message):
+        parse_events(record + "\n", format="line_record")
+
+
+def test_unknown_event_format_is_refused():
+    with pytest.raises(PipelineError, match="unknown event format 'xml'"):
+        parse_events(CSV, "xml")
 
 
 def test_line_record_null_category_is_absent():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sanctionflow.table
 from sanctionflow import cli, netbuild
 from sanctionflow import (InfluenceNetwork, PipelineError,
                           build_institution_network, build_list_network,
@@ -420,7 +421,7 @@ def test_read_network_agrees_with_the_reference_across_chunks(monkeypatch,
                                                               chunk):
     # faults, repeats and forward references fall in other chunks than
     # the lines they refer to, and single-kind chunks take the split path
-    monkeypatch.setattr(netbuild, "_LINE_CHUNK", chunk)
+    monkeypatch.setattr(sanctionflow.table, "_LINE_CHUNK", chunk)
     for text in _network_texts(20 + chunk, 1500):
         assert _network_outcome(read_network, text) == \
             _network_outcome(read_network_reference, text), repr(text)
@@ -455,17 +456,38 @@ def test_read_network_reads_counts_as_int_does():
 
 
 def test_write_network_refuses_ids_it_cannot_read_back():
-    for bad in ("#x", "a\tb", "a\nb", "a\rb"):
+    for bad in ("#x", "a\tb", "a\nb", "a\rb", "", "   "):
         net = make_network([("A", bad, 1)], nodes=("A", bad))
         with pytest.raises(PipelineError, match="node id"):
             write_network(net)
 
 
 def test_write_flow_refuses_ids_it_cannot_read_back():
-    for bad in ("#x", "a\tb", "a\nb", "a\rb"):
+    for bad in ("#x", "a\tb", "a\nb", "a\rb", "", "   "):
         flow = make_flow({("A", bad): (1.0, 1.0)}, nodes=("A", bad))
         with pytest.raises(PipelineError, match="node id"):
             write_flow(flow)  # before a first piece is asked for
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text(max_size=6), min_size=1, max_size=5, unique=True))
+def test_every_node_id_write_network_accepts_reads_back(tmp_path_factory,
+                                                        names):
+    net = make_network([(a, b, 1) for a, b in zip(names, names[1:])],
+                       nodes=tuple(names))
+    try:
+        text = "".join(write_network(net))
+    except PipelineError:
+        return
+    path = tmp_path_factory.getbasetemp() / "names.tsv"
+    path.write_text(text, encoding="utf-8")
+    for back in (read_network(text), cli._read(path, read_network)):
+        assert network_fields(back) == network_fields(net)
+
+
+def test_symmetrize_refuses_an_unknown_weight_mode():
+    with pytest.raises(PipelineError, match="unknown weight mode 'x'"):
+        symmetrize(make_network([("P", "Q", 1)]), "x")
 
 
 def test_read_network_memory_is_bounded(tmp_path):

@@ -60,6 +60,13 @@ def test_invalid_configs():
         with pytest.raises(ConfigError, match="window_days"):
             synth_generate(SynthConfig(n_issuers=2, n_entities=5,
                                        window_days=days), seed=0)
+    with pytest.raises(ConfigError, match="at least one list per issuer"):
+        synth_generate(SynthConfig(n_issuers=2, n_entities=5,
+                                   lists_per_issuer=0), seed=0)
+    with pytest.raises(ConfigError,
+                       match="ranks must give each issuer its own rank"):
+        synth_generate(SynthConfig(n_issuers=3, n_entities=5,
+                                   ranks=(1, 2, 2)), seed=0)
 
 
 def test_dates_must_end_by_the_last_date():

@@ -11,11 +11,12 @@ from sanctionflow import (CommunityPartition, FlowNetwork, HodgeDecomposition,
                           RankVector, hodge, potential_table, scatter_data,
                           symmetrize, write_partition, write_potential_table,
                           write_ranks, write_scatter)
-from sanctionflow.table import (_LINE_CHUNK, _cells, _lines, finite,
-                                preamble, read_node_columns, read_table,
+from sanctionflow.table import (_LINE_CHUNK, _cells, _lines, preamble,
+                                read_node_columns, read_table,
                                 write_columns, write_node_columns)
 from conftest import drained, make_network, network_108k, traced_peak
-from oracles import (components_reference, read_node_columns_reference,
+from oracles import (components_reference, finite,
+                     read_node_columns_reference,
                      read_node_table_reference, read_table_reference,
                      write_table_reference)
 
