@@ -23,8 +23,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import EventParseError, PipelineError
-from .table import (_cells, _grow, _line_chunks, _line_safe, _lines,
-                    _row_pieces, _run_starts, skip_preamble)
+from .table import (_cells, _encodable, _grow, _line_chunks, _line_safe,
+                    _lines, _row_pieces, _run_starts, skip_preamble)
 
 _ISO_DATE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
 _HEADER = ("issuer", "list_id", "entity_id", "date")
@@ -166,7 +166,8 @@ def _checked_id(value: str, field: str, line: int) -> str:
     cleaned = value.strip()
     if not _line_safe(cleaned):
         raise EventParseError(f"identifier {cleaned!r} is empty, starts "
-                              "with '#' or contains a tab, CR or LF",
+                              "with '#' or contains a tab, CR, LF or "
+                              "surrogate",
                               line=line, field=field)
     return cleaned
 
@@ -184,10 +185,10 @@ def _parse_date(value: str, line: int) -> int:
 
 def _checked_category(value: str | None, line: int) -> str | None:
     category = value.strip() if value is not None else None
-    if category and "\r" in category:
+    if category and ("\r" in category or not _encodable(category)):
         # csv.writer leaves a bare CR unquoted, so it would not read back
-        raise EventParseError(f"category {category!r} contains a CR",
-                              line=line, field="category")
+        raise EventParseError(f"category {category!r} contains a CR or "
+                              "surrogate", line=line, field="category")
     return category or None
 
 
@@ -307,9 +308,10 @@ def _record_chunks(text: Iterable[str]):
                     continue
                 try:
                     obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise EventParseError(f"invalid JSON: {exc.msg}",
-                                          line=line_no)
+                except (json.JSONDecodeError, RecursionError) as exc:
+                    # a RecursionError: nested deeper than the stack allows
+                    raise EventParseError("invalid JSON: " + getattr(
+                        exc, "msg", "nested too deeply"), line=line_no)
                 if not isinstance(obj, dict):
                     raise EventParseError("record is not an object",
                                           line=line_no)

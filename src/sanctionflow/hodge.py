@@ -10,6 +10,7 @@ zero within each connected component.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 from typing import Iterable, Iterator
 
@@ -30,13 +31,20 @@ class PotentialVector:
     component: np.ndarray  # the label of each node's connected component
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LaplacianSystem:
     nodes: tuple[str, ...]
     # (rows, cols, w): the endpoint indices and weight of each pair
     weights: tuple[np.ndarray, np.ndarray, np.ndarray]
-    rhs: np.ndarray                        # f_i = net outflow at node i
-    components: tuple[tuple[int, ...], ...]
+    rhs: np.ndarray    # f_i = net outflow at node i
+    label: np.ndarray  # each node's component, numbered by its smallest node
+
+    @cached_property
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        """Each component's nodes, read by the tests and perfbench only."""
+        members = iter(np.argsort(self.label, kind="stable").tolist())
+        return tuple(tuple(islice(members, size))
+                     for size in np.bincount(self.label).tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,14 +75,10 @@ def _components(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 def assemble_laplacian(flow: FlowNetwork) -> LaplacianSystem:
     """Build L (implicitly, via pair weights) and the net-outflow vector."""
-    n = len(flow.nodes)
-    label = _components(n, flow.lo, flow.hi)
-    members = iter(np.argsort(label, kind="stable").tolist())
     return LaplacianSystem(
         nodes=flow.nodes, weights=(flow.lo, flow.hi, flow.w),
-        rhs=_net_out(flow.lo, flow.hi, flow.F, n),
-        components=tuple(tuple(islice(members, size))
-                         for size in np.bincount(label).tolist()))
+        rhs=_net_out(flow.lo, flow.hi, flow.F, len(flow.nodes)),
+        label=_components(len(flow.nodes), flow.lo, flow.hi))
 
 
 def _net_out(rows, cols, values, n):
@@ -247,24 +251,21 @@ def solve_potentials(system: LaplacianSystem, tol: float = 1e-10) -> PotentialVe
     if not 0.0 < tol < np.inf:
         raise PipelineError("tolerance must be positive and finite")
     n = len(system.nodes)
-    comps = system.components
     rows, cols, wvec = system.weights
-    sizes = np.fromiter(map(len, comps), dtype=np.intp, count=len(comps))
+    sizes = np.bincount(system.label)
     # the components by size, those above DENSE_LIMIT last in cid order
     by_size = np.argsort(np.minimum(sizes, DENSE_LIMIT + 1), kind="stable")
     sizes = sizes[by_size]
-    nodes = np.fromiter((i for c in by_size.tolist() for i in comps[c]),
-                        dtype=np.intp, count=n)  # in tuple order
+    slot = np.argsort(by_size)[system.label]  # each node's place in by_size
+    nodes = np.argsort(slot, kind="stable")  # by slot, in node order
     starts = np.concatenate(([0], np.cumsum(sizes)))
-    at = np.argsort(nodes)  # each node's place in nodes
-    slot = np.repeat(np.arange(len(comps)), sizes)[at]  # its place in by_size
-    local = at - starts[slot]  # its place in its component
+    local = np.argsort(nodes) - starts[slot]  # its place in its component
     pairs = np.argsort(slot[rows], kind="stable")  # by slot, in pair order
     pair_slot = slot[rows[pairs]]
     phi = np.zeros(n)
     # a component above DENSE_LIMIT alone, else up to DENSE_LIMIT of one size
     first = int(np.count_nonzero(sizes == 1))
-    while first < len(comps):
+    while first < len(sizes):
         size = int(sizes[first])
         last = first + (1 if size > DENSE_LIMIT else int(np.count_nonzero(
             sizes[first:first + DENSE_LIMIT] == size)))
@@ -291,7 +292,7 @@ def solve_potentials(system: LaplacianSystem, tol: float = 1e-10) -> PotentialVe
     if residual > _backward_bound(rows, cols, wvec, system.rhs, phi, tol):
         raise ConvergenceError("potential solve did not reach tolerance",
                                residual=residual)
-    return PotentialVector(phi=phi, component=by_size[slot])
+    return PotentialVector(phi=phi, component=system.label)
 
 
 def decompose(flow: FlowNetwork, potentials: PotentialVector) -> HodgeDecomposition:

@@ -252,7 +252,7 @@ def _write_records(meta: str, nodes: tuple[str, ...], rows, columns: list,
     for node in nodes:
         if not _line_safe(node):
             raise PipelineError(f"node id {node!r} is blank, starts with '#' "
-                                "or contains tab/CR/LF")
+                                "or contains tab/CR/LF/surrogate")
     return chain([preamble([meta])],
                  _row_pieces(lambda names: "\n".join(names) + "\n", [nodes]),
                  _row_pieces(rows, columns, order))

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import csv
 import io
-from contextlib import suppress
 from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -32,9 +31,17 @@ def preamble(header: Iterable[str]) -> str:
 def _line_safe(name: str) -> bool:
     """Whether a line, or a tab-separated field of one, reads back as
     ``name``: it is not blank, starts with no '#' and holds no tab, CR or
-    LF (a reader's universal newlines end a line at CR as at LF)."""
+    LF (a reader's universal newlines end a line at CR as at LF), and UTF-8
+    can write it."""
     return (name != "" and not name.isspace() and name[0] != "#"
-            and "\t" not in name and "\r" not in name and "\n" not in name)
+            and "\t" not in name and "\r" not in name and "\n" not in name
+            and _encodable(name))
+
+
+def _encodable(name: str) -> bool:
+    """Whether ``name`` holds no lone surrogate (U+D800-U+DFFF), which UTF-8
+    cannot encode; an ASCII name is not searched."""
+    return name.isascii() or not any("\ud800" <= c <= "\udfff" for c in name)
 
 
 def _line_chunks(items: Iterable) -> Iterator[list]:
@@ -168,58 +175,57 @@ def read_columns(text: str | Iterable[str], columns: Sequence[str],
     wrong header, field count or value, or a repeated key, raises
     PipelineError naming the earliest faulty line (and the column of a bad
     value), and in a line the field count, then the columns left to right,
-    then the key."""
-    text = text if isinstance(text, str) else "".join(text)
-    values = [[] for _ in columns]
-    with suppress(PipelineError):
-        _read_columns(text, columns, types, bad, _LINE_CHUNK, values)
-        if len(set(values[0])) == len(values[0]):
-            return values
-    # rows are converted one by one again, to name the fault, only from
-    # the faulty chunk or the chunk of the first repeated key, if earlier
-    seen = set()
-    first = next((row for row, key in enumerate(values[0])
-                  if key in seen or seen.add(key)), len(values[0]))
-    values = [column[:first - first % _LINE_CHUNK] for column in values]
-    _read_columns(text, columns, types, bad, 1, values, set(values[0]))
-    return values
-
-
-def _read_columns(text, columns, types, bad, chunk, values, keys=None):
-    """``read_columns`` onto ``values``, skipping the rows they hold, ``chunk``
-    rows at a time; a fault names the last line of its chunk, and keys are
-    checked only row by row, against ``keys``."""
+    then the key. The table is read once, ``_LINE_CHUNK`` rows at a time."""
     skipped, lines = skip_preamble(_lines(text))
     reader = csv.reader(lines)
-    try:
-        head = next(reader, None)
-        if head is None or [c.strip() for c in head] != list(columns):
-            raise PipelineError(f"line {skipped + 1}: expected header "
-                                f"{','.join(columns)}, got {head!r}")
-        next(islice(reader, len(values[0]), len(values[0])), None)
-        while rows := list(islice(reader, chunk)):
+    values, keys, error = [[] for _ in columns], set(), None
+
+    def body():
+        """The rows after the header, to a csv error, kept in ``error``."""
+        nonlocal error, line
+        try:
+            head = next(reader, None)
+            if head is None or [c.strip() for c in head] != list(columns):
+                raise PipelineError(f"line {skipped + 1}: expected header "
+                                    f"{','.join(columns)}, got {head!r}")
             line = skipped + reader.line_num
-            if set(map(len, rows)) != {len(columns)}:
-                raise PipelineError(f"line {line}: expected {len(columns)} fields "
-                                    f"({','.join(columns)}), got {len(rows[0])}")
-            got = []
-            for j, (name, convert, cells) in enumerate(zip(columns, types, zip(*rows))):
-                try:
-                    got.append(list(map(convert, cells)))
-                    if bad(j, got):
-                        raise ValueError
-                except (KeyError, ValueError):
-                    raise PipelineError(f"line {line}: column '{name}': "
-                                        f"bad value {cells[0]!r}") from None
-            if keys is not None:  # a chunked read checks its keys at the end
-                if got[0][0] in keys:
-                    raise PipelineError(f"line {line}: repeated {columns[0]} "
-                                        f"{rows[0][0]!r}")
-                keys.add(got[0][0])
-            for column, part in zip(values, got):
-                column.extend(part)
-    except csv.Error as exc:
-        raise PipelineError(f"line {skipped + reader.line_num}: {exc}") from None
+            yield from reader
+        except csv.Error as exc:
+            error = PipelineError(f"line {skipped + reader.line_num}: {exc}")
+
+    def take(rows, line):
+        """Append ``rows`` and their keys, or raise naming ``line``."""
+        if set(map(len, rows)) != {len(columns)}:
+            raise PipelineError(f"line {line}: expected {len(columns)} fields "
+                                f"({','.join(columns)}), got {len(rows[0])}")
+        got = []
+        for j, (name, convert, cells) in enumerate(zip(columns, types, zip(*rows))):
+            try:
+                got.append(list(map(convert, cells)))
+                if bad(j, got):
+                    raise ValueError
+            except (KeyError, ValueError):
+                raise PipelineError(f"line {line}: column '{name}': "
+                                    f"bad value {cells[0]!r}") from None
+        if len(set(got[0])) < len(rows) or not keys.isdisjoint(got[0]):
+            raise PipelineError(f"line {line}: repeated {columns[0]} {rows[0][0]!r}")
+        keys.update(got[0])
+        for column, part in zip(values, got):
+            column.extend(part)
+
+    for chunk in _line_chunks(body()):
+        end = skipped + reader.line_num  # its last row's, or a csv error's
+        try:
+            take(chunk, end)
+        except PipelineError:
+            # a row spans 1 + its cells' LFs lines (to end, if a quote is open)
+            for row in chunk:
+                line = min(line + 1 + sum(c.count("\n") for c in row), end)
+                take([row], line)
+        line = end
+    if error:
+        raise error
+    return values
 
 
 def read_table(text: str | Iterable[str], columns: Sequence[str],

@@ -329,6 +329,53 @@ def test_non_string_line_record_id_is_rejected_at_ingest(tmp_path, capsys):
     assert not (tmp_path / "canonical.csv").exists()
 
 
+@pytest.mark.parametrize("record, field", [
+    ("[" * 100_000 + "]" * 100_000, None),
+    ('{"issuer": "\\ud800", "list_id": "L", "entity_id": "X", '
+     '"date": "2010-01-01"}', "issuer"),
+    ('{"issuer": "EU", "list_id": "L", "entity_id": "X", '
+     '"date": "2010-01-01", "category": "\\udc80"}', "category")],
+    ids=["nested", "issuer", "category"])
+@pytest.mark.parametrize("stage", ["ingest", "build"])
+def test_a_line_record_no_stage_can_hold_exits_one_naming_the_line(
+        tmp_path, capsys, record, field, stage):
+    # nested past the stack, or a name UTF-8 cannot write out
+    events = tmp_path / "events.jsonl"
+    events.write_text(record + "\n", encoding="utf-8")
+    argv = ["--events", str(events), "--format", "line_record",
+            "--out", str(tmp_path / "out")]
+    if stage == "build":
+        argv += ["--level", "institution"]
+    assert run([stage, *argv]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "line 1: " in err[0]
+    if field:
+        assert f"field '{field}'" in err[0] and "surrogate" in err[0]
+    else:
+        assert "invalid JSON" in err[0]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("stage", ["ingest", "decompose"])
+def test_a_flag_value_utf8_cannot_encode_is_written_as_its_repr(tmp_path,
+                                                                 stage):
+    # a byte of argv that is not UTF-8 decodes to a lone surrogate
+    out = tmp_path / "o\udcff"
+    if stage == "ingest":
+        argv = ["ingest", "--events", str(FIXTURES / "events_pair.csv"),
+                "--out", str(out)]
+        written = out
+    else:
+        argv = ["decompose", "--net", str(FIXTURES / "ffw_triangle.tsv"),
+                "--out", str(out)]
+        written = out / "nodes.csv"
+    assert run(argv) == 0
+    lines = written.read_text(encoding="utf-8").split("\n")
+    assert f" --out={str(out)!r}" in lines[1]
+    assert "\\udcff" in lines[1]
+
+
 NET_LINES = ["# level\tinstitution", "A", "B", "C",
              "A\tB\t2", "A\tC\t1", "B\tC\t1"]
 

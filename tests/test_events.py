@@ -344,6 +344,36 @@ def test_category_with_cr_rejected_in_both_formats():
                      'EU,L1,X,2010-01-01,"a\rb"\n')
 
 
+@pytest.mark.parametrize("field, name", [("issuer", "\ud800"),
+                                         ("issuer", "A\udfff"),
+                                         ("category", "\udc80")])
+def test_a_name_holding_a_lone_surrogate_is_refused(field, name):
+    # a JSON escape makes one, and UTF-8 cannot write it out
+    row = {"issuer": "EU", "list_id": "L1", "entity_id": "X",
+           "date": "2010-01-01", field: name}
+    with pytest.raises(EventParseError,
+                       match=f"^line 1: field '{field}': .* surrogate$"):
+        parse_events(json.dumps(row) + "\n", format="line_record")
+
+
+def test_a_record_nested_past_the_stack_is_invalid_json():
+    text = "[" * 100_000 + "]" * 100_000 + "\n"
+    with pytest.raises(EventParseError, match="^line 1: invalid JSON"):
+        parse_events(text, format="line_record")
+
+
+@pytest.mark.parametrize("field", ["issuer", "list_id", "entity_id",
+                                   "category"])
+def test_serialize_refuses_a_name_holding_a_lone_surrogate(field):
+    names = {"issuer": "EU", "list_id": "L1", "entity_id": "X",
+             "category": "c", field: "\udc80"}
+    es = EventSet.from_columns(
+        *(Column((name,), [0]) for name in names.values()), [733773])
+    with pytest.raises(PipelineError, match=f"^{field} '\\\\udc80' would "
+                                            "not read back"):
+        serialize_events(es)
+
+
 @given(st.text(max_size=12), st.booleans())
 def test_every_accepted_category_survives_serialization(category, as_json):
     if as_json:

@@ -46,6 +46,18 @@ def test_assemble_disconnected_components():
     assert system.components == ((0, 1), (2, 3))
 
 
+def test_a_solve_reads_the_labels_and_never_builds_components(monkeypatch):
+    flow = make_flow({("A", "B"): (1, 1), ("C", "D"): (2, 1)})
+    system = assemble_laplacian(flow)
+    assert solve_potentials(system, TOL).component is system.label
+    assert "components" not in vars(system)
+    systems = []
+    monkeypatch.setattr(hodge, "assemble_laplacian", lambda flow: systems.append(
+        assemble_laplacian(flow)) or systems[-1])
+    assert solve(flow).potentials.component.tolist() == [0, 0, 1, 1]
+    assert len(systems) == 1 and "components" not in vars(systems[0])
+
+
 def test_two_node_potentials():
     flow = make_flow({("A", "B"): (1, 1)})
     phi = by_node(flow.nodes, solve_potentials(assemble_laplacian(flow),

@@ -456,14 +456,14 @@ def test_read_network_reads_counts_as_int_does():
 
 
 def test_write_network_refuses_ids_it_cannot_read_back():
-    for bad in ("#x", "a\tb", "a\nb", "a\rb", "", "   "):
+    for bad in ("#x", "a\tb", "a\nb", "a\rb", "", "   ", "a\ud800"):
         net = make_network([("A", bad, 1)], nodes=("A", bad))
         with pytest.raises(PipelineError, match="node id"):
             write_network(net)
 
 
 def test_write_flow_refuses_ids_it_cannot_read_back():
-    for bad in ("#x", "a\tb", "a\nb", "a\rb", "", "   "):
+    for bad in ("#x", "a\tb", "a\nb", "a\rb", "", "   ", "a\ud800"):
         flow = make_flow({("A", bad): (1.0, 1.0)}, nodes=("A", bad))
         with pytest.raises(PipelineError, match="node id"):
             write_flow(flow)  # before a first piece is asked for

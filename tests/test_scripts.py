@@ -96,3 +96,17 @@ def test_benchmark_tracer_records_every_count(tmp_path, monkeypatch):
     recorded = {key for span in tracer.spans for key in span["counts"]}
     assert [metric for metric, key in inproc.FIRST_COUNTS.items()
             if key not in recorded] == []
+
+
+def test_src_lines_counts_physical_and_code_lines(tmp_path):
+    # blank, comment and docstring lines are not code; a string that is
+    # no docstring, and a statement's continuation lines, are
+    (tmp_path / "pkg" / "sub").mkdir(parents=True)
+    (tmp_path / "pkg" / "a.py").write_text(
+        '"""Module\ndocstring."""\n\nimport os  # a comment\n\n\n'
+        'def f(x):\n    """One line."""\n    # a comment line\n'
+        '    return (x +\n            1)\n')
+    (tmp_path / "pkg" / "sub" / "b.py").write_text(
+        'class C:\n    """Doc."""\n    text = """not a\ndocstring"""\n')
+    out = run_script("src_lines.py", str(tmp_path / "pkg"), cwd=tmp_path)
+    assert out.split() == ["physical", "15", "code", "7"]

@@ -252,6 +252,26 @@ def test_faults_in_later_chunks_keep_their_precedence(rows, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("text, message", [
+    # a quote left open at the end takes in the last LF: line 3, not 4
+    ('node,x\nA,1\n"B\n', "line 3: expected 2 fields (node,x), got 1"),
+    ('node,x\n"A\n\n",1\n"B\n', "line 5: expected 2 fields (node,x), got 1"),
+    # a fault in a row before a csv error comes first, in any chunk
+    ("node,x\nA\nB,1\nC\rD,1\n", "line 2: expected 2 fields (node,x), got 1"),
+    ("node,x\nA,1\nB,1\nC\rD,1\n", "line 4: new-line character seen in "
+     "unquoted field")])
+@pytest.mark.parametrize("chunk", [1, 2, 256])
+def test_faults_around_open_quotes_and_csv_errors_name_their_line(text,
+                                                                 message,
+                                                                 chunk):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sanctionflow.table, "_LINE_CHUNK", chunk)
+        for read in (read_table, read_table_reference):
+            with pytest.raises(PipelineError) as info:
+                read(text, ("node", "x"), (str, int))
+            assert str(info.value).startswith(message)
+
+
 def test_node_table_reading_and_writing_memory_is_bounded():
     # 100k nodes in 50k two-node components; the text is 1.8 MiB. The
     # row-at-a-time reader traced 33.2 MiB and the row writer 24.3 MiB.
@@ -264,8 +284,12 @@ def test_node_table_reading_and_writing_memory_is_bounded():
     text, write_peak = traced_peak(lambda: "".join(hodge.write_node_table(decomp)))
     back, read_peak = traced_peak(lambda: hodge.read_node_table(text, net))
     assert np.array_equal(back.phi, decomp.potentials.phi)
+    lines = text.splitlines(keepends=True)
+    back, lines_peak = traced_peak(lambda: hodge.read_node_table(lines, net))
+    assert np.array_equal(back.phi, decomp.potentials.phi)
     assert write_peak < 18 * 2**20
     assert read_peak < 24 * 2**20
+    assert lines_peak < 20 * 2**20
 
 
 def test_pair_table_writing_memory_is_bounded():
