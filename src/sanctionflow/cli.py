@@ -19,22 +19,16 @@ from .errors import ConfigError, PipelineError
 
 
 def _header(args: argparse.Namespace) -> str:
-    values = {k: _shown(v) for k, v in vars(args).items() if v is not None}
+    from .table import _encodable  # every stage that writes has loaded it
+    # a value holding a line break, or a lone surrogate (UTF-8 cannot encode
+    # one; argv makes one of a byte that is not UTF-8), is written as its
+    # repr(), so the provenance line stays one line of UTF-8 text
+    values = {k: repr(v) if "\r" in str(v) or "\n" in str(v)
+              or not _encodable(str(v)) else v
+              for k, v in vars(args).items() if v is not None}
     flags = " ".join(f"--{k.replace('_', '-')}={v}"
                      for k, v in sorted(values.items()))
     return f"# sanctionflow {__version__}\n# {args.command} {flags}\n"
-
-
-def _shown(value) -> str:
-    """``value`` on the provenance line: its repr() if it holds a line break
-    or a lone surrogate, which UTF-8 cannot encode (argv decodes a byte that
-    is not UTF-8 to one), so the line stays one line of UTF-8 text."""
-    text = str(value)
-    try:
-        text.encode()
-    except UnicodeEncodeError:
-        return repr(value)
-    return repr(value) if "\r" in text or "\n" in text else text
 
 
 def _write(path: str, head: str, pieces: Iterable[str]) -> None:
