@@ -6,7 +6,7 @@ class PipelineError(Exception):
 
 
 class EventParseError(PipelineError):
-    """A malformed input record.
+    """A malformed input record, or any CSV row with a csv error.
 
     Carries the 1-based line number and, when known, the offending field.
     """

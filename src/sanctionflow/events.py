@@ -8,7 +8,6 @@ a line-record form (one JSON object per line, same keys) is also accepted.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import re
@@ -16,15 +15,15 @@ from collections import namedtuple
 from dataclasses import dataclass
 from datetime import date as Date
 from functools import cached_property
-from itertools import chain, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import EventParseError, PipelineError
-from .table import (_cells, _encodable, _grow, _line_chunks, _line_safe,
-                    _lines, _row_pieces, _run_starts, skip_preamble)
+from .table import (_cells, _encodable, _grow, _header, _line_chunks,
+                    _line_safe, _lines, _row_pieces, _run_starts, _runs,
+                    skip_preamble)
 
 _ISO_DATE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
 _HEADER = ("issuer", "list_id", "entity_id", "date")
@@ -243,58 +242,27 @@ def _row_getter(header: list[str], width: int):
 
 
 def _delimited_chunks(text: Iterable[str]):
-    """The rows of a delimited text for ``_coded``, a ``_line_chunks``
-    chunk of lines at a time. A chunk with no quote or CR, each line ending
-    in its one LF (the last may have none) and holding one cell per header
-    column, is cut by one split; any other goes row by row through
-    csv.reader, which may read past its end to close a quoted field."""
+    """The rows of a delimited text for ``_coded``, a ``_runs`` run at a
+    time, without its blank rows (no cell, or one blank cell)."""
     line, lines = skip_preamble(text)
-    reader = csv.reader(lines)
-    try:
-        header = [c.strip() for c in next(reader, [])]
-    except csv.Error as exc:
-        raise EventParseError(str(exc), line=line + reader.line_num) from None
+    head, runs = _header(_runs(lines, line))
+    header = [c.strip() for c in head or ()]
     if tuple(header[:4]) != _HEADER:
         raise EventParseError(
             f"bad header {header!r}; expected issuer,list_id,entity_id,"
             "date[,category]", line=line + 1)
-    line, width = line + reader.line_num, len(header)
-    getters = {width: _row_getter(header, width)}  # row width -> getter
-    for chunk in _line_chunks(lines):
-        n, text = len(chunk), "".join(chunk)
-        if ('"' not in text and "\r" not in text
-                and text.count("\n") == n - (not text.endswith("\n"))
-                and set(map(str.count, chunk, repeat(","))) == {width - 1}
-                and max(map(len, chunk)) <= csv.field_size_limit()):
-            cells = text.replace("\n", ",").split(",")
-            yield (*getters[width]([*(cells[j:width * n:width]
-                                      for j in range(width)), [None] * n]),
-                   range(line + 1, line + n + 1))
-            line += n
+    for cells, ends in runs:
+        width = len(cells)
+        if not 4 <= width <= len(header):
+            k = next((k for k, row in enumerate(zip(*cells))
+                      if width > 1 or row[0].strip()), None)
+            if k is not None:
+                raise EventParseError(
+                    f"expected {len(header)} fields, got {width}",
+                    line=ends[k], field=_HEADER[width] if width < 4 else None)
             continue
-        reader = csv.reader(chain(chunk, lines))
-        rows = []  # each row's raw fields and line
-        try:
-            for row in reader:
-                get = getters.get(len(row))
-                if get is None and (len(row) > 1 or row and row[0].strip()):
-                    if len(row) < 4 or len(row) > width:
-                        raise EventParseError(
-                            f"expected {width} fields, got {len(row)}",
-                            line=line + reader.line_num,
-                            field=_HEADER[len(row)] if len(row) < 4 else None)
-                    get = getters[len(row)] = _row_getter(header, len(row))
-                if get is not None:
-                    row.append(None)
-                    rows.append((*get(row), line + reader.line_num))
-                if reader.line_num >= n:
-                    break
-        except csv.Error as exc:
-            raise EventParseError(str(exc), line=line + reader.line_num) from None
-        finally:  # the rows before an error are coded before it is raised
-            if rows:
-                yield zip(*rows)
-        line += reader.line_num
+        yield (*_row_getter(header, width)([*cells, [None] * len(ends)]),
+               ends)
 
 
 def _record_chunks(text: Iterable[str]):

@@ -8,12 +8,12 @@ from __future__ import annotations
 
 import csv
 import io
-from itertools import chain, islice
+from itertools import chain, groupby, islice, repeat
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import PipelineError
+from .errors import EventParseError, PipelineError
 
 # lines of a table or an event file read at a time; a chunk's cells are
 # alive at once, and on 156k events 1024 lines held one 1 MiB arena more
@@ -164,6 +164,56 @@ def skip_preamble(lines: Iterator[str]) -> tuple[int, Iterator[str]]:
     return skipped, iter(())
 
 
+def _runs(lines: Iterator[str], line: int
+          ) -> Iterator[tuple[list[Sequence[str]], Sequence[int]]]:
+    """The rows of CSV ``lines``, the first on line ``line + 1``, as runs of
+    consecutive rows with one cell count, at most ``_LINE_CHUNK`` rows a
+    run: each run's columns and each of its rows' last line. A
+    ``_line_chunks`` chunk with no quote, CR or blank line, as many LFs as
+    lines (the last may have none) and as many commas in each line as in
+    the first is cut by one split; any other goes through csv.reader, which
+    reads past its end only to close a quote. A csv error raises
+    EventParseError naming its line, after the runs of the rows before it."""
+    for chunk in _line_chunks(lines):
+        n, text = len(chunk), "".join(chunk)
+        commas = chunk[0].count(",")
+        if ('"' not in text and "\r" not in text
+                and text.count("\n") == n - (not text.endswith("\n"))
+                and set(map(str.count, chunk, repeat(","))) == {commas}
+                # a blank line has no cell, and no comma
+                and (commas or ("\n" not in chunk and "" not in chunk))
+                and max(map(len, chunk)) <= csv.field_size_limit()):
+            cells, width = text.replace("\n", ",").split(","), commas + 1
+            yield ([cells[j:width * n:width] for j in range(width)],
+                   range(line + 1, line + n + 1))
+            line += n
+            continue
+        reader, rows, error = csv.reader(chain(chunk, lines)), [], None
+        try:
+            for row in reader:
+                rows.append((row, line + reader.line_num))
+                if reader.line_num >= n:
+                    break
+        except csv.Error as exc:
+            error = EventParseError(str(exc), line=line + reader.line_num)
+        for _, run in groupby(rows, lambda row: len(row[0])):
+            cells, ends = zip(*run)
+            yield list(zip(*cells)), ends
+        if error:
+            raise error
+        line += reader.line_num
+
+
+def _header(runs: Iterator[tuple[list, Sequence[int]]]
+            ) -> tuple[list[str] | None, Iterator]:
+    """The first row of ``_runs`` (None if there is none) and the runs of
+    the rows after it."""
+    for cells, ends in runs:
+        rest = [([c[1:] for c in cells], ends[1:])] if len(ends) > 1 else []
+        return [c[0] for c in cells], chain(rest, runs)
+    return None, runs
+
+
 def read_columns(text: str | Iterable[str], columns: Sequence[str],
                  types: Sequence[Callable[[str], object]],
                  bad: Callable[[int, list[list]], bool] = lambda j, v: False
@@ -171,60 +221,47 @@ def read_columns(text: str | Iterable[str], columns: Sequence[str],
     """The columns under the header ``columns`` of a table, or its lines,
     each converted by a map of its entry of ``types`` (a ValueError or
     KeyError marks a bad value); ``bad(j, values)`` finds another in column
-    j of a chunk's converted columns 0..j. The first column is a key. A
+    j of a run's converted columns 0..j. The first column is a key. A
     wrong header, field count or value, or a repeated key, raises
     PipelineError naming the earliest faulty line (and the column of a bad
     value), and in a line the field count, then the columns left to right,
-    then the key. The table is read once, ``_LINE_CHUNK`` rows at a time."""
+    then the key; a csv error raises EventParseError. The table is read
+    once, a ``_runs`` run at a time."""
     skipped, lines = skip_preamble(_lines(text))
-    reader = csv.reader(lines)
-    values, keys, error = [[] for _ in columns], set(), None
+    head, runs = _header(_runs(lines, skipped))
+    if head is None or [c.strip() for c in head] != list(columns):
+        raise PipelineError(f"line {skipped + 1}: expected header "
+                            f"{','.join(columns)}, got {head!r}")
+    values, keys = [[] for _ in columns], set()
 
-    def body():
-        """The rows after the header, to a csv error, kept in ``error``."""
-        nonlocal error, line
-        try:
-            head = next(reader, None)
-            if head is None or [c.strip() for c in head] != list(columns):
-                raise PipelineError(f"line {skipped + 1}: expected header "
-                                    f"{','.join(columns)}, got {head!r}")
-            line = skipped + reader.line_num
-            yield from reader
-        except csv.Error as exc:
-            error = PipelineError(f"line {skipped + reader.line_num}: {exc}")
-
-    def take(rows, line):
-        """Append ``rows`` and their keys, or raise naming ``line``."""
-        if set(map(len, rows)) != {len(columns)}:
+    def take(cells, line):
+        """Append the rows of a run's ``cells`` and their keys, or raise
+        naming ``line``."""
+        if len(cells) != len(columns):
             raise PipelineError(f"line {line}: expected {len(columns)} fields "
-                                f"({','.join(columns)}), got {len(rows[0])}")
+                                f"({','.join(columns)}), got {len(cells)}")
         got = []
-        for j, (name, convert, cells) in enumerate(zip(columns, types, zip(*rows))):
+        for j, (name, convert, column) in enumerate(zip(columns, types, cells)):
             try:
-                got.append(list(map(convert, cells)))
+                got.append(list(map(convert, column)))
                 if bad(j, got):
                     raise ValueError
             except (KeyError, ValueError):
                 raise PipelineError(f"line {line}: column '{name}': "
-                                    f"bad value {cells[0]!r}") from None
-        if len(set(got[0])) < len(rows) or not keys.isdisjoint(got[0]):
-            raise PipelineError(f"line {line}: repeated {columns[0]} {rows[0][0]!r}")
+                                    f"bad value {column[0]!r}") from None
+        if len(set(got[0])) < len(got[0]) or not keys.isdisjoint(got[0]):
+            raise PipelineError(f"line {line}: repeated {columns[0]} "
+                                f"{cells[0][0]!r}")
         keys.update(got[0])
         for column, part in zip(values, got):
             column.extend(part)
 
-    for chunk in _line_chunks(body()):
-        end = skipped + reader.line_num  # its last row's, or a csv error's
+    for cells, ends in runs:
         try:
-            take(chunk, end)
-        except PipelineError:
-            # a row spans 1 + its cells' LFs lines (to end, if a quote is open)
-            for row in chunk:
-                line = min(line + 1 + sum(c.count("\n") for c in row), end)
-                take([row], line)
-        line = end
-    if error:
-        raise error
+            take(cells, ends[-1])
+        except PipelineError:  # the first faulty row raises
+            for k, line in enumerate(ends):
+                take([c[k:k + 1] for c in cells], line)
     return values
 
 

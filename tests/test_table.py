@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sanctionflow.table
-from sanctionflow import (CommunityPartition, FlowNetwork, HodgeDecomposition,
-                          InfluenceNetwork, PipelineError, PotentialVector,
-                          RankVector, hodge, potential_table, scatter_data,
-                          symmetrize, write_partition, write_potential_table,
-                          write_ranks, write_scatter)
-from sanctionflow.table import (_LINE_CHUNK, _cells, _lines, preamble,
+from sanctionflow import (CommunityPartition, EventParseError, FlowNetwork,
+                          HodgeDecomposition, InfluenceNetwork, PipelineError,
+                          PotentialVector, RankVector, hodge, potential_table,
+                          scatter_data, symmetrize, write_partition,
+                          write_potential_table, write_ranks, write_scatter)
+from sanctionflow.table import (_LINE_CHUNK, _cells, _lines, _runs, preamble,
                                 read_node_columns, read_table,
                                 write_columns, write_node_columns)
 from conftest import drained, make_network, network_108k, traced_peak
@@ -171,21 +171,29 @@ def _same(got, want):
         np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(got, want))
 
 
+@pytest.mark.parametrize("chunk", [1, 2, 3, None])
 @settings(deadline=None, max_examples=400)
 @given(_tables())
-def test_column_readers_match_the_row_readers(table):
+def test_column_readers_match_the_row_readers(chunk, table):
+    # at a small chunk, a fault or a repeated key falls in a later chunk
+    # than the rows before it, which are not read again, and one table
+    # mixes split and csv.reader chunks
     net, text = table
     types = (str, int, finite)
-    assert (_outcome(read_table, text, HEADER, types)
-            == _outcome(read_table_reference, text, HEADER, types))
-    assert _same(
-        _outcome(read_node_columns, text, net.nodes, HEADER, (int, float)),
-        _outcome(read_node_columns_reference, text, net.nodes, HEADER,
-                 (int, finite)))
-    got = _outcome(hodge.read_node_table, text, net)
-    want = _outcome(read_node_table_reference, text, net)
-    assert _same(got if isinstance(got, str) else (got.phi, got.component),
-                 want if isinstance(want, str) else (want.phi, want.component))
+    with pytest.MonkeyPatch.context() as patch:
+        if chunk is not None:
+            patch.setattr(sanctionflow.table, "_LINE_CHUNK", chunk)
+        assert (_outcome(read_table, text, HEADER, types)
+                == _outcome(read_table_reference, text, HEADER, types))
+        assert _same(
+            _outcome(read_node_columns, text, net.nodes, HEADER, (int, float)),
+            _outcome(read_node_columns_reference, text, net.nodes, HEADER,
+                     (int, finite)))
+        got = _outcome(hodge.read_node_table, text, net)
+        want = _outcome(read_node_table_reference, text, net)
+        assert _same(got if isinstance(got, str) else (got.phi, got.component),
+                     want if isinstance(want, str)
+                     else (want.phi, want.component))
 
 
 def test_a_fault_after_a_multi_line_cell_names_its_physical_line():
@@ -198,23 +206,6 @@ def test_a_fault_after_a_multi_line_cell_names_its_physical_line():
     for read in (hodge.read_node_table, read_node_table_reference):
         with pytest.raises(PipelineError, match="line 4: column 'component'"):
             read(bad, net)
-
-
-@settings(deadline=None, max_examples=300)
-@given(_tables(), st.sampled_from([1, 2, 3]))
-def test_column_readers_match_the_row_readers_across_chunks(table, chunk):
-    # a fault, or a repeated key, falls in a later chunk than the rows
-    # before it, which are not read again
-    net, text = table
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sanctionflow.table, "_LINE_CHUNK", chunk)
-        assert (_outcome(read_table, text, HEADER, (str, int, finite))
-                == _outcome(read_table_reference, text, HEADER,
-                            (str, int, finite)))
-        assert _same(
-            _outcome(read_node_columns, text, net.nodes, HEADER, (int, float)),
-            _outcome(read_node_columns_reference, text, net.nodes, HEADER,
-                     (int, finite)))
 
 
 def test_a_late_fault_is_named_without_reading_the_table_again():
@@ -270,6 +261,63 @@ def test_faults_around_open_quotes_and_csv_errors_name_their_line(text,
             with pytest.raises(PipelineError) as info:
                 read(text, ("node", "x"), (str, int))
             assert str(info.value).startswith(message)
+
+
+# Lines of a CSV text, each a piece and a line end: clean rows of one to
+# three cells, quoted cells holding a comma, LF or CR, blank and
+# whitespace-only lines, a NUL, a quote in an unquoted cell, a bare CR (a
+# csv error), a quote left open and a field over a lowered field limit.
+_PIECES = ("a,b", "c,d,e", "x", "", "  ", '"a,b",c', '"a\nb",c', '"c\rd"',
+           "e\x00,f", 'g"h,i', "a\rb", '"open', "q" * 30)
+
+
+@st.composite
+def _csv_texts(draw):
+    lines = draw(st.lists(st.tuples(st.sampled_from(_PIECES),
+                                    st.sampled_from(["\n"] * 4 + ["\r\n"])),
+                          max_size=12))
+    if lines and draw(st.booleans()):
+        lines[-1] = (lines[-1][0], "")  # a last line without a line end
+    return "".join(piece + end for piece, end in lines)
+
+
+def _csv_reader_rows(lines):
+    """csv.reader's rows of ``lines`` after 3 lines, each with its last
+    line, to a csv error, and the error's line and text (or None)."""
+    reader, rows = csv.reader(lines), []
+    try:
+        for row in reader:
+            rows.append((row, 3 + reader.line_num))
+    except csv.Error as exc:
+        return rows, (3 + reader.line_num, f"line {3 + reader.line_num}: {exc}")
+    return rows, None
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, None])
+@settings(deadline=None, max_examples=300)
+@given(_csv_texts(), st.sampled_from([24, None]))
+def test_runs_read_the_rows_and_lines_of_csv_reader(chunk, text, limit):
+    old = csv.field_size_limit()
+    try:
+        if limit is not None:
+            csv.field_size_limit(limit)
+        with pytest.MonkeyPatch.context() as patch:
+            if chunk is not None:
+                patch.setattr(sanctionflow.table, "_LINE_CHUNK", chunk)
+            # the text, and its lines without their LFs
+            for lines in (io.StringIO(text).readlines(), text.split("\n")):
+                rows, error = [], None
+                try:
+                    for cells, ends in _runs(iter(lines), 3):
+                        assert 0 < len(ends) <= sanctionflow.table._LINE_CHUNK
+                        assert all(len(c) == len(ends) for c in cells)
+                        rows += zip(([c[k] for c in cells]
+                                     for k in range(len(ends))), ends)
+                except EventParseError as exc:
+                    error = exc.line, str(exc)
+                assert (rows, error) == _csv_reader_rows(lines)
+    finally:
+        csv.field_size_limit(old)
 
 
 def test_node_table_reading_and_writing_memory_is_bounded():
