@@ -160,18 +160,17 @@ def cmd_pagerank(args):
 
 
 def cmd_layout(args):
-    from . import hodge, netbuild, report, table
+    from . import hodge, netbuild, report
     net = _read(args.net, netbuild.read_network)
     potentials = _read(args.potentials, hodge.read_node_table, net)
     result = report.layout(net, potentials, seed=args.seed, jitter=args.jitter)
-    _write(args.out, _header(args), table.write_node_columns(
-        (), ("node", "x", "y"), net.nodes, result.x, result.y))
+    _write(args.out, _header(args), report.write_layout(result, net.nodes))
     print(f"{len(net.nodes)} nodes, {len(result.energy_history)} energy steps")
     return 0
 
 
 def cmd_report(args):
-    from . import community, hodge, netbuild, rank, report, table
+    from . import community, hodge, netbuild, rank, report
     net = _read(args.net, netbuild.read_network)
     if args.pagerank and not args.decomp:
         raise PipelineError("scatter output needs --decomp")
@@ -185,8 +184,7 @@ def cmd_report(args):
                                  potentials)
         # bit for bit on the same net and mode: phi round-trips by %.17g
         summary = Path(args.decomp) / "summary.csv"
-        stored = _read(summary, table.read_table, ("gradient_ratio",
-                       "loop_ratio", "residual_norm"), (float,) * 3)
+        stored = _read(summary, hodge.read_summary)
         if stored != [(decomp.gradient_ratio, decomp.loop_ratio,
                        decomp.residual_norm)]:
             raise PipelineError(f"{summary}: not the decomposition of "
@@ -195,9 +193,7 @@ def cmd_report(args):
         communities = _read(args.partition, community.read_partition,
                             net.nodes)
     if args.layout:
-        layout_result = report.LayoutResult(*_read(
-            args.layout, table.read_node_columns, net.nodes,
-            ("node", "x", "y"), (float, float)))
+        layout_result = _read(args.layout, report.read_layout, net.nodes)
     if args.pagerank:
         scores = _read(args.pagerank, rank.read_ranks, net.nodes)
     head = _header(args)

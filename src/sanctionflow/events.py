@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import EventParseError, PipelineError
 from .table import (_cells, _encodable, _grow, _header, _line_chunks,
-                    _line_safe, _lines, _row_pieces, _run_starts, _runs,
+                    _line_safe, _lines, _pieces, _run_starts, _runs,
                     skip_preamble)
 
 _ISO_DATE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
@@ -266,9 +266,10 @@ def _delimited_chunks(text: Iterable[str]):
 
 
 def _record_chunks(text: Iterable[str]):
-    """The rows of a line-record text for ``_coded``, by chunks of lines."""
+    """The rows of a line-record text for ``_coded``, by chunks of lines;
+    an error is raised after the rows before it are yielded."""
     for chunk in _line_chunks(enumerate(text, start=1)):
-        rows = []  # each row's raw fields and line
+        rows, error = [], None  # each row's raw fields and line
         try:
             for line_no, line in chunk:
                 line = line.strip()
@@ -295,15 +296,19 @@ def _record_chunks(text: Iterable[str]):
                             "expected a JSON string, got "
                             f"{json.dumps(value)[:40]}", line=line_no, field=key)
                 rows.append((*map(obj.get, _FIELDS), line_no))
-        finally:  # the rows before an error are coded before it is raised
-            if rows:
-                yield zip(*rows)
+        except EventParseError as exc:
+            error = exc
+        if rows:  # coded before the error is raised
+            yield zip(*rows)
+        if error:
+            raise error
 
 
 def parse_events(stream: str | Iterable[str],
                  format: str = "delimited") -> EventSet:
     """Parse a delimited or line-record event text, or its lines (a text
-    stream, say), into an EventSet.
+    stream, say), into an EventSet. Given lines must each be one line
+    ending in its LF (the last may have none); this is not checked.
 
     Duplicate (list_id, entity_id) pairs collapse to the earliest date.
     Raises EventParseError naming the line and field on malformed input.
@@ -318,7 +323,7 @@ def parse_events(stream: str | Iterable[str],
 def serialize_events(events: EventSet) -> Iterator[str]:
     """Canonical delimited form, as text pieces: the header, then rows in
     the EventSet's order, (date, issuer, list, entity), as the pieces of
-    ``_row_pieces``, so the whole text is never held at once.
+    ``table._pieces``, so the whole text is never held at once.
 
     Every name is checked first, before any piece is made: a name that
     ``parse_events`` would refuse or read back changed (an edge space, an
@@ -335,14 +340,15 @@ def serialize_events(events: EventSet) -> Iterator[str]:
             if read != name:
                 raise PipelineError(f"{field} {name!r} would not read back "
                                     "from the canonical form")
-    return _pieces(events)
+    return _canonical(events)
 
 
-def _pieces(events: EventSet) -> Iterator[str]:
-    """The pieces of ``serialize_events``, each made when asked for."""
-    issuers, lists, entities = (_cells(c.names) for c in
-                                (events.issuer, events.list_id,
-                                 events.entity_id))
+def _canonical(events: EventSet) -> Iterator[str]:
+    """The pieces of ``serialize_events``, each made when asked for. A row
+    looks each cell up by its code: per-event name columns for
+    ``table._rows`` would take 8 bytes an event each."""
+    issuers, lists, entities = (_cells(c.names) for c in (
+        events.issuer, events.list_id, events.entity_id))
     categories = [*_cells(events.category.names), ""]  # code -1 reads ""
     # the days come sorted, so each run's first is a distinct day (np.unique
     # would load numpy.ma, 10-16 ms of import)
@@ -351,9 +357,9 @@ def _pieces(events: EventSet) -> Iterator[str]:
     columns = (events.issuer.codes, events.list_id.codes,
                events.entity_id.codes, events.day, events.category.codes)
     yield "issuer,list_id,entity_id,date,category\n"
-    yield from _row_pieces(lambda *cells: "".join([
+    yield from _pieces(len(events), lambda at: "".join([
         f"{issuers[i]},{lists[l]},{entities[e]},{dates[d]},{categories[c]}\n"
-        for i, l, e, d, c in zip(*cells)]), columns)
+        for i, l, e, d, c in zip(*(col[at].tolist() for col in columns))]))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConvergenceError, PipelineError
 from .netbuild import FlowNetwork, InfluenceNetwork, pair_columns
-from .table import (_cells, read_node_columns, write_columns,
+from .table import (_cells, read_node_columns, read_table, write_columns,
                     write_node_columns)
 
 DENSE_LIMIT = 64  # components up to this size use a direct solve
@@ -326,6 +326,10 @@ def solve(flow: FlowNetwork, tol: float = 1e-10) -> HodgeDecomposition:
 # ---------------------------------------------------------------------------
 # Delimited export: node table, pair table, summary (17 significant digits).
 
+# the header of summary.csv
+_SUMMARY = ("gradient_ratio", "loop_ratio", "residual_norm")
+
+
 def write_node_table(decomp: HodgeDecomposition) -> Iterator[str]:
     pot = decomp.potentials
     return write_node_columns((), ("node", "component", "potential"),
@@ -334,17 +338,21 @@ def write_node_table(decomp: HodgeDecomposition) -> Iterator[str]:
 
 def write_pair_table(decomp: HodgeDecomposition) -> Iterator[str]:
     flow = decomp.flow
-    columns, order = pair_columns(
-        flow.nodes, flow.lo, flow.hi, flow.F, flow.w, decomp.gradient,
-        decomp.circular, labels=_cells(flow.nodes))
-    return write_columns((), ("i", "j", "F", "w", "F_grad", "F_circ"),
-                         columns, ("", "") + (".17g",) * 4, order)
+    return write_columns(
+        (), ("i", "j", "F", "w", "F_grad", "F_circ"), *pair_columns(
+            flow.nodes, flow.lo, flow.hi, flow.F, flow.w, decomp.gradient,
+            decomp.circular, labels=_cells(flow.nodes)))
 
 
 def write_summary(decomp: HodgeDecomposition) -> Iterator[str]:
     values = (decomp.gradient_ratio, decomp.loop_ratio, decomp.residual_norm)
-    return write_columns((), ("gradient_ratio", "loop_ratio", "residual_norm"),
-                         [[v] for v in values], (".17g",) * 3)
+    return write_columns((), _SUMMARY, [[v] for v in values])
+
+
+def read_summary(text: str | Iterable[str]) -> list[tuple[float, ...]]:
+    """The rows of a ``write_summary`` file, as ``read_table`` reads
+    them."""
+    return read_table(text, _SUMMARY, (float,) * 3)
 
 
 def read_node_table(text: str | Iterable[str],

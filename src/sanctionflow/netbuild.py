@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 import numpy as np
 
 from .errors import PipelineError
-from .table import (_grow, _line_chunks, _line_safe, _lines, _row_pieces,
+from .table import (_grow, _line_chunks, _line_safe, _lines, _rows,
                     _run_starts, name_order, preamble)
 
 if TYPE_CHECKING:  # a stage that only reads net.tsv never loads events
@@ -245,17 +245,17 @@ def symmetrize(net: InfluenceNetwork, mode: str = "mean") -> FlowNetwork:
 # src<TAB>dst<TAB>count (flow pairs: i<TAB>j<TAB>F<TAB>w). Lines starting
 # with '#' are metadata and ignored on read, except the level marker.
 
-def _write_records(meta: str, nodes: tuple[str, ...], rows, columns: list,
-                   order: np.ndarray) -> Iterator[str]:
-    """The meta line, the node lines, then the ``_row_pieces`` of
-    ``columns``; every node id is checked when called."""
+def _write_records(meta: str, nodes: tuple[str, ...],
+                   *pairs: np.ndarray) -> Iterator[str]:
+    """The meta line, the node lines, then the tab-separated ``_rows`` of
+    the ``pair_columns`` of ``pairs``; every node id is checked when
+    called."""
     for node in nodes:
         if not _line_safe(node):
             raise PipelineError(f"node id {node!r} is blank, starts with '#' "
                                 "or contains tab/CR/LF/surrogate")
-    return chain([preamble([meta])],
-                 _row_pieces(lambda names: "\n".join(names) + "\n", [nodes]),
-                 _row_pieces(rows, columns, order))
+    return chain([preamble([meta])], _rows([nodes]),
+                 _rows(*pair_columns(nodes, *pairs), "\t"))
 
 
 def pair_columns(nodes: tuple[str, ...], first: np.ndarray,
@@ -272,11 +272,8 @@ def pair_columns(nodes: tuple[str, ...], first: np.ndarray,
 
 def write_network(net: InfluenceNetwork) -> Iterator[str]:
     # both endpoints are nodes, whose lines are checked
-    return _write_records(f"level\t{net.level}", net.nodes,
-                          lambda src, dst, count: "".join([
-                              f"{a}\t{b}\t{c}\n"
-                              for a, b, c in zip(src, dst, count)]),
-                          *pair_columns(net.nodes, net.src, net.dst, net.count))
+    return _write_records(f"level\t{net.level}", net.nodes, net.src,
+                          net.dst, net.count)
 
 
 class _Codes(dict):
@@ -293,7 +290,9 @@ def read_network(stream: str | Iterable[str]) -> InfluenceNetwork:
     or blank line, is cut by one split. A repeated node or edge, a
     self-loop, a bad count or field count names the earliest faulty line
     (in a line: self-loop, repeated edge, then count), and an edge to an
-    undeclared node is an error after every line reads well."""
+    undeclared node is an error after every line reads well. Given lines
+    must each be one line ending in its LF (the last may have none), as a
+    file or ``splitlines(keepends=True)`` gives them; this is not checked."""
     level, code, nodes, fault = INSTITUTION_LEVEL, _Codes(), {}, None
     # per edge: its endpoints' codes, its count and its line
     columns, m, line = [np.empty(0, np.int64) for _ in range(4)], 0, 0
@@ -379,9 +378,5 @@ def read_network(stream: str | Iterable[str]) -> InfluenceNetwork:
 
 
 def write_flow(flow: FlowNetwork) -> Iterator[str]:
-    return _write_records(
-        f"mode\t{flow.weight_mode}", flow.nodes,
-        lambda lo, hi, F, w: "".join([
-            f"{i}\t{j}\t{f:.17g}\t{v:.17g}\n"
-            for i, j, f, v in zip(lo, hi, F, w)]),
-        *pair_columns(flow.nodes, flow.lo, flow.hi, flow.F, flow.w))
+    return _write_records(f"mode\t{flow.weight_mode}", flow.nodes, flow.lo,
+                          flow.hi, flow.F, flow.w)

@@ -17,14 +17,15 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import PipelineError
 from .hodge import HodgeDecomposition, PotentialVector
 from .netbuild import InfluenceNetwork
-from .table import _cells, _pieces, name_order, write_columns
+from .table import (_cells, _pieces, _rows, name_order, read_node_columns,
+                    write_columns, write_node_columns)
 
 _EPS = 1e-9
 _GRAVITY = 0.01
@@ -34,6 +35,7 @@ _BLOCK_CELLS = 1 << 16
 # at most _STALL_TOL * |energy| over the last _STALL_STEPS accepted steps
 _GRAD_TOL, _STALL_TOL, _STALL_STEPS = 1e-12, 1e-7, 5
 _LBFGS_PAIRS = 10  # curvature pairs kept by L-BFGS
+_LAYOUT = ("node", "x", "y")  # the header of layout.csv
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,6 +184,16 @@ def _apply_jitter(nodes, x, y, jitter, min_sep, rng):
     return np.array(y)
 
 
+def write_layout(result: LayoutResult, nodes: Sequence[str]) -> Iterator[str]:
+    return write_node_columns((), _LAYOUT, nodes, result.x, result.y)
+
+
+def read_layout(text: str | Iterable[str],
+                nodes: Sequence[str]) -> LayoutResult:
+    """The positions of a ``write_layout`` file over ``nodes``."""
+    return LayoutResult(*read_node_columns(text, nodes, _LAYOUT, (float,) * 2))
+
+
 class TableRow(NamedTuple):
     rank: int
     node: str
@@ -212,8 +224,7 @@ def potential_table(decomp: HodgeDecomposition,
 def write_potential_table(rows: list[TableRow]) -> Iterator[str]:
     rank, node, _, highlighted, printed = zip(*rows) if rows else ((),) * 5
     return write_columns((), ("rank", "name", "potential", "highlighted"), (
-        rank, _cells(node), printed, ["*" if h else "" for h in highlighted]),
-        ("",) * 4)
+        rank, _cells(node), printed, ["*" if h else "" for h in highlighted]))
 
 
 @dataclass(frozen=True)
@@ -240,7 +251,7 @@ def write_scatter(data: ScatterData) -> Iterator[str]:
     meta = f"pearson\t{data.correlation:.17g}{flag}"
     node, pr, phi = zip(*data.rows) if data.rows else ((),) * 3
     return write_columns([meta], ("node", "pagerank", "potential"),
-                         (_cells(node), pr, phi), ("", ".17g", ".17g"))
+                         (_cells(node), pr, phi))
 
 
 # ---------------------------------------------------------------------------
@@ -297,20 +308,15 @@ def _column(values, cell, absent, at):
 
 
 def _export_edge_table(net, phi, comm, pos, flows, pair_w):
-    name, pair = net.nodes.__getitem__, net.view.pair
+    names, absent = np.array(net.nodes, object), ("-",) * len(net.nodes)
     yield ("# node columns\tid\tpotential\tcommunity\tx\ty\n"
            "# edge columns\tsrc\tdst\tcount\tF\tw\tF_grad\tF_circ\n"
            f"# level\t{net.level}\n")
-    yield from _pieces(len(net.nodes), lambda at: "".join(map(
-        "{}\t{}\t{}\t{}\n".format, net.nodes[at],
-        _column(phi, "{:.17g}".format, "-", at), _column(comm, str, "-", at),
-        _column(pos, "{:.17g}\t{:.17g}".format, "-\t-", at))))
-    yield from _pieces(len(net.src), lambda at: "".join(map(
-        "{}\t{}\t{}\t{}\t{:.17g}\t{}\n".format,
-        map(name, net.src[at].tolist()), map(name, net.dst[at].tolist()),
-        net.count[at].tolist(), _column(flows, "{0:.17g}".format, "-", at),
-        pair_w[pair[at]].tolist(),
-        _column(flows, "{1:.17g}\t{2:.17g}".format, "-\t-", at))))
+    yield from _rows([net.nodes, *(phi or [absent]), *(comm or [absent]),
+                      *(pos or [absent] * 2)], sep="\t")
+    F, fp, fc = flows or [("-",) * len(net.src)] * 3
+    yield from _rows([names[net.src], names[net.dst], net.count, F,
+                      pair_w[net.view.pair], fp, fc], sep="\t")
 
 
 def _export_dot(net, phi, comm, pos, flows):

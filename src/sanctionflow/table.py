@@ -99,26 +99,28 @@ def _pieces(size: int, piece: Callable[[slice], str]) -> Iterator[str]:
         yield piece(slice(lo, lo + _ROW_CHUNK))
 
 
-def _row_pieces(rows: Callable[..., str], columns: Sequence,
-                order=None) -> Iterator[str]:
-    """``_pieces`` of ``rows(*lists)`` over each chunk's entries of the
-    equal-length ``columns`` (arrays, or sequences if no ``order``)."""
-    return _pieces(len(columns[0]), lambda at: rows(*(
+def _rows(columns: Sequence, order=None, sep: str = ",") -> Iterator[str]:
+    """``_pieces`` of one line per entry of the equal-length ``columns``
+    (arrays, or sequences if no ``order``), taken in ``order`` if given. A
+    line joins its values by ``sep``: a float column's (an array of dtype
+    kind 'f', or a sequence whose first entry is a float) with 17
+    significant digits, any other's by str(), decided once per column. A
+    name column is an object array or a sequence, never a numpy string
+    array, which drops trailing NULs."""
+    floats = (c.dtype.kind == "f" if isinstance(c, np.ndarray)
+              else isinstance(next(iter(c), None), float) for c in columns)
+    row = (sep.join("%.17g" if f else "%s" for f in floats) + "\n").__mod__
+    return _pieces(len(columns[0]), lambda at: "".join(map(row, zip(*(
         c[at if order is None else order[at]].tolist()
-        if isinstance(c, np.ndarray) else c[at] for c in columns)))
+        if isinstance(c, np.ndarray) else c[at] for c in columns)))))
 
 
 def write_columns(meta: Iterable[str], header: Sequence[str],
-                  columns: Sequence[Sequence], specs: Sequence[str],
-                  order=None) -> Iterator[str]:
-    """``meta`` as '# ' lines, the header row, then one row per entry of the
-    equal-length ``columns`` (in ``order``, if given), each value formatted
-    by its column's spec in ``specs`` (a string must be a cell as
-    ``_cells`` makes it), as the text pieces of ``_row_pieces``."""
+                  columns: Sequence[Sequence], order=None) -> Iterator[str]:
+    """``meta`` as '# ' lines, the header row, then the ``_rows`` of the
+    ``columns`` (a string must be a cell as ``_cells`` makes it)."""
     yield preamble(meta) + ",".join(_cells(header)) + "\n"
-    row = (",".join(f"{{:{spec}}}" for spec in specs) + "\n").format
-    yield from _row_pieces(lambda *cells: "".join(map(row, *cells)), columns,
-                           order)
+    yield from _rows(columns, order)
 
 
 def write_node_columns(meta: Iterable[str], header: Sequence[str],
@@ -126,18 +128,19 @@ def write_node_columns(meta: Iterable[str], header: Sequence[str],
                        ) -> Iterator[str]:
     """``write_columns`` with one row per node, in the order of the names:
     the node's name, then its entry of each array of ``columns`` (in
-    ``nodes`` order), a float with 17 significant digits."""
-    return write_columns(
-        meta, header, [np.array(_cells(nodes), object), *columns],
-        ["", *(".17g" if c.dtype.kind == "f" else "" for c in columns)],
-        np.array(name_order(nodes), np.int64))
+    ``nodes`` order)."""
+    return write_columns(meta, header,
+                         [np.array(_cells(nodes), object), *columns],
+                         np.array(name_order(nodes), np.int64))
 
 
 def _lines(stream: str | Iterable[str]) -> Iterator[str]:
     """The lines of a text, split at LF only as io.StringIO splits them, or
-    the lines given. io.StringIO holds 4 bytes a character of its text, so
-    a text goes through it in slices of about 64 Ki characters, each cut at
-    a line end."""
+    the lines given, each of which must be one line ending in its LF (the
+    last may have none), as a file or ``splitlines(keepends=True)`` gives
+    them; this is not checked. io.StringIO holds 4 bytes a character of its
+    text, so a text goes through it in slices of about 64 Ki characters,
+    each cut at a line end."""
     if not isinstance(stream, str):
         return iter(stream)
     return chain.from_iterable(map(io.StringIO, _slices(stream)))
@@ -226,7 +229,8 @@ def read_columns(text: str | Iterable[str], columns: Sequence[str],
     PipelineError naming the earliest faulty line (and the column of a bad
     value), and in a line the field count, then the columns left to right,
     then the key; a csv error raises EventParseError. The table is read
-    once, a ``_runs`` run at a time."""
+    once, a ``_runs`` run at a time. Each given line must end in its LF,
+    as ``_lines`` says."""
     skipped, lines = skip_preamble(_lines(text))
     head, runs = _header(_runs(lines, skipped))
     if head is None or [c.strip() for c in head] != list(columns):

@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from sanctionflow import (CommunityPartition, EventParseError, FlowNetwork,
                           PotentialVector, RankVector, hodge, potential_table,
                           scatter_data, symmetrize, write_partition,
                           write_potential_table, write_ranks, write_scatter)
-from sanctionflow.table import (_LINE_CHUNK, _cells, _lines, _runs, preamble,
-                                read_node_columns, read_table,
+from sanctionflow.table import (_LINE_CHUNK, _cells, _lines, _rows, _runs,
+                                preamble, read_node_columns, read_table,
                                 write_columns, write_node_columns)
 from conftest import drained, make_network, network_108k, traced_peak
 from oracles import (components_reference, finite,
@@ -27,7 +28,7 @@ def test_round_trip_of_awkward_identifiers():
     k = list(range(len(IDS)))
     text = "".join(write_columns(
         ["tool 1", 'flags --x="a,b"'], ("node", "k", "v"),
-        (_cells(IDS), k, [i / 3 for i in k]), ("", "", ".17g")))
+        (_cells(IDS), k, [i / 3 for i in k])))
     back = read_table(text, ("node", "k", "v"), (str, int, float))
     assert back == [(node, i, i / 3) for i, node in enumerate(IDS)]
     # any RFC 4180 reader sees the same cells after the preamble
@@ -37,7 +38,7 @@ def test_round_trip_of_awkward_identifiers():
 
 def test_plain_cells_are_written_unquoted():
     text = "".join(write_columns(["meta"], ("node", "x"),
-                                 (_cells(["A", "B"]), ["1.5", ""]), ("", "")))
+                                 (_cells(["A", "B"]), ["1.5", ""])))
     assert text == "# meta\nnode,x\nA,1.5\nB,\n"
     assert preamble(["a", "b"]) == "# a\n# b\n"
 
@@ -438,3 +439,46 @@ def test_a_text_has_the_lines_of_io_stringio(parts):
     # slices of the text cross 64 Ki characters only at a line end
     text = "".join(parts)
     assert list(_lines(text)) == list(io.StringIO(text))
+
+
+# ---------------------------------------------------------------------------
+# The one row writer against per-value formatting.
+
+_ROW_VALUES = {
+    "float": st.one_of(st.floats(), st.sampled_from(
+        [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-310, 1e308,
+         -1e308])),
+    "int": st.one_of(st.integers(-2 ** 63, 2 ** 63 - 1),
+                     st.sampled_from([0, -1, 2 ** 63 - 1])),
+    "name": st.one_of(st.text(max_size=4), st.sampled_from(
+        IDS + ["a\0", "x\0\0", ",", '"']))}
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, None])
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_rows_match_per_value_formatting(chunk, data):
+    n = data.draw(st.integers(0, 7))
+    kinds = data.draw(st.lists(st.sampled_from(sorted(_ROW_VALUES)),
+                               min_size=1, max_size=4))
+    values = [data.draw(st.lists(_ROW_VALUES[kind], min_size=n, max_size=n))
+              for kind in kinds]
+    values = [_cells(v) if kind == "name" else v
+              for kind, v in zip(kinds, values)]  # names pre-quoted
+    order = data.draw(st.one_of(st.none(), st.permutations(range(n)).map(
+        lambda p: np.array(p, np.int64))))
+    # arrays, or in no order also lists and tuples
+    columns = [data.draw(st.sampled_from([
+        np.array(v, {"float": float, "int": np.int64, "name": object}[kind]),
+        *([v, tuple(v)] if order is None else [])]))
+               for kind, v in zip(kinds, values)]
+    sep = data.draw(st.sampled_from([",", "\t"]))
+    lines = [sep.join(format(v[k], ".17g") if kind == "float" else str(v[k])
+                      for kind, v in zip(kinds, values)) + "\n"
+             for k in (range(n) if order is None else order.tolist())]
+    with pytest.MonkeyPatch.context() as patch:
+        if chunk is not None:
+            patch.setattr(sanctionflow.table, "_ROW_CHUNK", chunk)
+        size = sanctionflow.table._ROW_CHUNK
+        assert list(_rows(columns, order, sep)) == [
+            "".join(lines[lo:lo + size]) for lo in range(0, n, size)]
