@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from collections import namedtuple
 from dataclasses import dataclass
 from datetime import date as Date
 from functools import cached_property
@@ -21,17 +20,13 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import EventParseError, PipelineError
-from .table import (_cells, _encodable, _grow, _header, _line_chunks,
-                    _line_safe, _lines, _pieces, _run_starts, _runs,
-                    skip_preamble)
+from .table import (Column, _cells, _encodable, _grow, _header,
+                    _line_chunks, _line_safe, _lines, _pieces, _run_starts,
+                    _runs, skip_preamble)
 
 _ISO_DATE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
 _HEADER = ("issuer", "list_id", "entity_id", "date")
 _FIELDS = (*_HEADER, "category")
-
-# One column of an EventSet: its distinct names, and per event an int32 code
-# indexing them (-1 for none).
-Column = namedtuple("Column", "names codes")
 
 
 @dataclass(frozen=True)
@@ -345,8 +340,9 @@ def serialize_events(events: EventSet) -> Iterator[str]:
 
 def _canonical(events: EventSet) -> Iterator[str]:
     """The pieces of ``serialize_events``, each made when asked for. A row
-    looks each cell up by its code: per-event name columns for
-    ``table._rows`` would take 8 bytes an event each."""
+    looks each cell up by its code in one f-string: the same rows through
+    ``table._rows`` of ``Column``s took 53-56 ms against 38 ms on the 156k
+    events of lists_m (best of 7, in-process)."""
     issuers, lists, entities = (_cells(c.names) for c in (
         events.issuer, events.list_id, events.entity_id))
     categories = [*_cells(events.category.names), ""]  # code -1 reads ""

@@ -339,7 +339,7 @@ def write_node_table(decomp: HodgeDecomposition) -> Iterator[str]:
 def write_pair_table(decomp: HodgeDecomposition) -> Iterator[str]:
     flow = decomp.flow
     return write_columns(
-        (), ("i", "j", "F", "w", "F_grad", "F_circ"), *pair_columns(
+        (), ("i", "j", "F", "w", "F_grad", "F_circ"), pair_columns(
             flow.nodes, flow.lo, flow.hi, flow.F, flow.w, decomp.gradient,
             decomp.circular, labels=_cells(flow.nodes)))
 

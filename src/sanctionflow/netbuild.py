@@ -17,11 +17,11 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 import numpy as np
 
 from .errors import PipelineError
-from .table import (_grow, _line_chunks, _line_safe, _lines, _rows,
+from .table import (Column, _grow, _line_chunks, _line_safe, _lines, _rows,
                     _run_starts, name_order, preamble)
 
 if TYPE_CHECKING:  # a stage that only reads net.tsv never loads events
-    from .events import Column, EventSet
+    from .events import EventSet
 
 LIST_LEVEL = "list"
 INSTITUTION_LEVEL = "institution"
@@ -245,29 +245,34 @@ def symmetrize(net: InfluenceNetwork, mode: str = "mean") -> FlowNetwork:
 # src<TAB>dst<TAB>count (flow pairs: i<TAB>j<TAB>F<TAB>w). Lines starting
 # with '#' are metadata and ignored on read, except the level marker.
 
+def _check_node_ids(nodes: Iterable[str]) -> None:
+    """Raise PipelineError for the first node id that a node line would not
+    read back as."""
+    for node in nodes:
+        if not _line_safe(node):
+            raise PipelineError(f"node id {node!r} is blank, starts with '#' "
+                                "or contains tab/CR/LF/surrogate")
+
+
 def _write_records(meta: str, nodes: tuple[str, ...],
                    *pairs: np.ndarray) -> Iterator[str]:
     """The meta line, the node lines, then the tab-separated ``_rows`` of
     the ``pair_columns`` of ``pairs``; every node id is checked when
     called."""
-    for node in nodes:
-        if not _line_safe(node):
-            raise PipelineError(f"node id {node!r} is blank, starts with '#' "
-                                "or contains tab/CR/LF/surrogate")
+    _check_node_ids(nodes)
     return chain([preamble([meta])], _rows([nodes]),
-                 _rows(*pair_columns(nodes, *pairs), "\t"))
+                 _rows(pair_columns(nodes, *pairs), "\t"))
 
 
 def pair_columns(nodes: tuple[str, ...], first: np.ndarray,
                  second: np.ndarray, *values: np.ndarray, labels=None):
     """The columns of the rows of node indices (first, second): the two
-    names (or labels) as object arrays, then ``values``; and the rows'
-    order by those names."""
-    rank = np.empty(len(nodes), np.int64)
-    rank[name_order(nodes)] = np.arange(len(nodes))
+    names (or labels), then ``values``; each a ``Column`` taking the rows
+    in the order of those names."""
+    rank = np.argsort(name_order(nodes))  # each node's place by name
     name = np.array(labels or nodes, object)
-    return ([name[first], name[second], *values],
-            np.lexsort((rank[second], rank[first])))
+    order = np.lexsort((rank[second], rank[first]))
+    return [Column(c, order) for c in (name[first], name[second], *values)]
 
 
 def write_network(net: InfluenceNetwork) -> Iterator[str]:

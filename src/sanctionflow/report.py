@@ -15,7 +15,7 @@ import random
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import PipelineError
 from .hodge import HodgeDecomposition, PotentialVector
-from .netbuild import InfluenceNetwork
-from .table import (_cells, _pieces, _rows, name_order, read_node_columns,
+from .netbuild import InfluenceNetwork, _check_node_ids
+from .table import (Column, _cells, _rows, name_order, read_node_columns,
                     write_columns, write_node_columns)
 
 _EPS = 1e-9
@@ -267,8 +267,9 @@ def export_graph(net: InfluenceNetwork,
                  layout_result: LayoutResult | None = None,
                  format: str = "edge_table") -> Iterator[str]:
     """The graph document as text pieces of at most ``_ROW_CHUNK`` node or
-    edge lines each. The format, and that the decomposition is the
-    network's, are checked first, before any piece is made."""
+    edge lines each. The format, that the decomposition is the network's
+    and, for the edge table, every node id as ``write_network`` checks it
+    are checked first, before any piece is made."""
     if format not in ("edge_table", "dot", "json_graph"):
         raise PipelineError(f"unknown export format '{format}'")
     if decomp is not None and (decomp.flow.nodes != net.nodes or not (
@@ -285,6 +286,7 @@ def export_graph(net: InfluenceNetwork,
         return _export_json(net, phi, comm, pos, flows)
     if format == "dot":
         return _export_dot(net, phi, comm, pos, flows)
+    _check_node_ids(net.nodes)
     v = net.view
     w = (v.fwd + v.back) / 2.0 if decomp is None else decomp.flow.w
     return _export_edge_table(net, phi, comm, pos, flows, w)
@@ -299,62 +301,53 @@ def _link_flows(net, decomp):
     return fp + fc, fp, fc
 
 
-def _column(values, cell, absent, at):
-    """The lazy column of an optional attribute's cells on the rows ``at``:
-    ``cell(*row)`` for each of those rows of ``values``, or ``absent`` on
-    every row if it is None."""
-    return repeat(absent) if values is None else map(
-        cell, *(v[at].tolist() for v in values))
-
-
 def _export_edge_table(net, phi, comm, pos, flows, pair_w):
-    names, absent = np.array(net.nodes, object), ("-",) * len(net.nodes)
+    names = np.array(net.nodes, object)
+    absent = [np.broadcast_to("-", len(names))]
     yield ("# node columns\tid\tpotential\tcommunity\tx\ty\n"
            "# edge columns\tsrc\tdst\tcount\tF\tw\tF_grad\tF_circ\n"
            f"# level\t{net.level}\n")
-    yield from _rows([net.nodes, *(phi or [absent]), *(comm or [absent]),
-                      *(pos or [absent] * 2)], sep="\t")
-    F, fp, fc = flows or [("-",) * len(net.src)] * 3
-    yield from _rows([names[net.src], names[net.dst], net.count, F,
-                      pair_w[net.view.pair], fp, fc], sep="\t")
+    yield from _rows([net.nodes, *(phi or absent), *(comm or absent),
+                      *(pos or absent * 2)], "\t")
+    F, fp, fc = flows or [np.broadcast_to("-", len(net.src))] * 3
+    yield from _rows([Column(names, net.src), Column(names, net.dst),
+                      net.count, F, Column(pair_w, net.view.pair), fp, fc],
+                     "\t")
 
 
 def _export_dot(net, phi, comm, pos, flows):
-    quoted = ['"' + v.replace("\\", "\\\\").replace('"', '\\"') + '"'
-              for v in net.nodes]
+    quoted = np.array(['"' + v.replace("\\", "\\\\").replace('"', '\\"') + '"'
+                       for v in net.nodes], object)
     # a node lists its present attributes in brackets, if it has any
-    present = [(cell.format, values) for cell, values in (
-        ('potential="{:.6g}"', phi), ('community="{}"', comm),
-        ('pos="{:.6g},{:.6g}"', pos)) if values is not None]
-
-    def node_lines(at):
-        cells = (_column(values, cell, "", at) for cell, values in present)
-        attrs = (map(" [{}]".format, map(", ".join, zip(*cells))) if present
-                 else repeat(""))
-        return "".join(map("  {}{};\n".format, quoted[at], attrs))
-
+    attrs = ", ".join(cell for cell, values in (
+        ('potential="%.6g"', phi), ('community="%s"', comm),
+        ('pos="%.6g,%.6g"', pos)) if values is not None)
     yield "digraph influence {\n"
-    yield from _pieces(len(quoted), node_lines)
-    yield from _pieces(len(net.src), lambda at: "".join(map(
-        '  {} -> {} [weight="{}"{}];\n'.format,
-        map(quoted.__getitem__, net.src[at].tolist()),
-        map(quoted.__getitem__, net.dst[at].tolist()), net.count[at].tolist(),
-        _column(flows, ', F="{:.6g}", F_grad="{:.6g}", F_circ="{:.6g}"'.format,
-                "", at))))
+    yield from _rows([quoted, *(phi or ()), *(comm or ()), *(pos or ())],
+                     template=f"  %s{attrs and f' [{attrs}]'};\n")
+    flow_cells = ', F="%.6g", F_grad="%.6g", F_circ="%.6g"' if flows else ""
+    yield from _rows([Column(quoted, net.src), Column(quoted, net.dst),
+                      net.count, *(flows or ())],
+                     template=f'  %s -> %s [weight="%s"{flow_cells}];\n')
     yield "}\n"
 
 
-def _json_float(x: float) -> str:
-    """A float as ``json.dumps`` spells it."""
-    if math.isfinite(x):
-        return float.__repr__(x)
-    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+def _json_floats(values: np.ndarray):
+    """A float array, or if it holds a nan or infinity, its values as
+    ``json.dumps`` spells them."""
+    return values if np.isfinite(values).all() else [
+        repr(x).replace("inf", "Infinity").replace("nan", "NaN")
+        for x in values.tolist()]
 
 
-def _json_list(size: int, items) -> Iterator[str]:
-    """``json.dumps(indent=2)``'s layout of a list one level deep, from the
-    ``_pieces(size, items)`` of items that each begin with ',\\n'."""
-    return chain(["["], _pieces(size, lambda at: items(at)[not at.start:]),
+def _json_list(fields: dict, size: int) -> Iterator[str]:
+    """``json.dumps(indent=2, sort_keys=True)``'s layout of a list one
+    level deep of ``size`` objects, each holding its row of the columns of
+    ``fields`` by key, made one string per object by ``_rows``."""
+    keys = sorted(fields)
+    items = _rows([fields[k] for k in keys], template=",\n    {\n      " + (
+        ",\n      ".join(f'"{k}": %s' for k in keys) + "\n    }"))
+    return chain(["["], (piece[not k:] for k, piece in enumerate(items)),
                  ["\n  ]" if size else "]"])
 
 
@@ -362,23 +355,19 @@ def _export_json(net, phi, comm, pos, flows):
     """``json.dumps({"directed", "level", "links", "nodes"}, indent=2,
     sort_keys=True) + "\\n"``, made one string per node and per link from
     the arrays, a chunk of them at a time, so no dict per link or encoder
-    chunk list is made."""
-    num = _json_float
-    names = list(map(encode_basestring_ascii, net.nodes))
+    chunk list is made. A float is written by ``%s``, which is its repr,
+    unless its column holds a nan or infinity."""
+    names = np.array(list(map(encode_basestring_ascii, net.nodes)), object)
+    phi, pos, flows = ([*map(_json_floats, values or ())]
+                       for values in (phi, pos, flows))
     yield (f'{{\n  "directed": true,\n  "level": '
            f'{encode_basestring_ascii(net.level)},\n  "links": ')
-    yield from _json_list(len(net.src), lambda at: "".join(map(
-        ',\n    {{\n      {}"count": {},\n      "source": {},\n      '
-        '"target": {}\n    }}'.format,
-        _column(flows, lambda f, fp, fc: f'"F": {num(f)},\n      "F_circ": '
-                f'{num(fc)},\n      "F_grad": {num(fp)},\n      ', "", at),
-        net.count[at].tolist(), map(names.__getitem__, net.src[at].tolist()),
-        map(names.__getitem__, net.dst[at].tolist()))))
+    yield from _json_list(dict(
+        zip(("F", "F_grad", "F_circ"), flows), count=net.count,
+        source=Column(names, net.src), target=Column(names, net.dst)),
+        len(net.src))
     yield ',\n  "nodes": '
-    yield from _json_list(len(names), lambda at: "".join(map(
-        ',\n    {{\n      {}"id": {}{}{}\n    }}'.format,
-        _column(comm, '"community": {},\n      '.format, "", at), names[at],
-        _column(phi, lambda p: f',\n      "potential": {num(p)}', "", at),
-        _column(pos, lambda x, y: f',\n      "x": {num(x)},\n      '
-                f'"y": {num(y)}', "", at))))
+    yield from _json_list(dict(chain(
+        zip(["community"], comm or ()), zip(["potential"], phi),
+        zip("xy", pos)), id=names), len(names))
     yield "\n}\n"

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import namedtuple
 from itertools import chain, groupby, islice, repeat
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -22,6 +23,11 @@ _LINE_CHUNK = 256
 # the pieces of 150k events traced 2.3 MiB at 4096 and 5.0 MiB at 16384
 _ROW_CHUNK = 1 << 12
 _QUOTED = (",", '"', "\n", "\r")  # a cell holding one may be quoted
+
+# A column as its distinct names and, per entry, an integer code indexing
+# them: an EventSet's id column (code -1 for none), or a ``_rows`` column
+# taken in a row order.
+Column = namedtuple("Column", "names codes")
 
 
 def preamble(header: Iterable[str]) -> str:
@@ -99,28 +105,37 @@ def _pieces(size: int, piece: Callable[[slice], str]) -> Iterator[str]:
         yield piece(slice(lo, lo + _ROW_CHUNK))
 
 
-def _rows(columns: Sequence, order=None, sep: str = ",") -> Iterator[str]:
-    """``_pieces`` of one line per entry of the equal-length ``columns``
-    (arrays, or sequences if no ``order``), taken in ``order`` if given. A
-    line joins its values by ``sep``: a float column's (an array of dtype
-    kind 'f', or a sequence whose first entry is a float) with 17
-    significant digits, any other's by str(), decided once per column. A
-    name column is an object array or a sequence, never a numpy string
-    array, which drops trailing NULs."""
-    floats = (c.dtype.kind == "f" if isinstance(c, np.ndarray)
-              else isinstance(next(iter(c), None), float) for c in columns)
-    row = (sep.join("%.17g" if f else "%s" for f in floats) + "\n").__mod__
-    return _pieces(len(columns[0]), lambda at: "".join(map(row, zip(*(
-        c[at if order is None else order[at]].tolist()
-        if isinstance(c, np.ndarray) else c[at] for c in columns)))))
+def _rows(columns: Sequence, sep: str = ",",
+          template: str | None = None) -> Iterator[str]:
+    """``_pieces`` of one line per entry of the equal-length ``columns``:
+    arrays, sequences, or ``Column``s of two arrays, whose entry k is
+    ``names[codes[k]]``; a chunk's entries are taken only when its piece
+    is made. A line is ``template`` (a '%' format) over the row's
+    values, or else joins them by ``sep`` and ends in LF: a float column's
+    (one whose first entry is a Python float, as a float array's entries
+    are) with 17 significant digits, any other's by str(), decided once
+    per column. A name column is an object array or a sequence, never a
+    numpy string array, which drops trailing NULs."""
+    def take(column, at):
+        got = (column.names[column.codes[at]] if isinstance(column, Column)
+               else column[at])
+        return got.tolist() if isinstance(got, np.ndarray) else got
+
+    row = (template or sep.join(
+        "%.17g" if isinstance([*take(c, slice(1)), None][0], float) else "%s"
+        for c in columns) + "\n").__mod__
+    first = columns[0]
+    return _pieces(len(first.codes if isinstance(first, Column) else first),
+                   lambda at: "".join(map(row, zip(*(
+                       take(c, at) for c in columns)))))
 
 
 def write_columns(meta: Iterable[str], header: Sequence[str],
-                  columns: Sequence[Sequence], order=None) -> Iterator[str]:
+                  columns: Sequence) -> Iterator[str]:
     """``meta`` as '# ' lines, the header row, then the ``_rows`` of the
     ``columns`` (a string must be a cell as ``_cells`` makes it)."""
     yield preamble(meta) + ",".join(_cells(header)) + "\n"
-    yield from _rows(columns, order)
+    yield from _rows(columns)
 
 
 def write_node_columns(meta: Iterable[str], header: Sequence[str],
@@ -129,9 +144,9 @@ def write_node_columns(meta: Iterable[str], header: Sequence[str],
     """``write_columns`` with one row per node, in the order of the names:
     the node's name, then its entry of each array of ``columns`` (in
     ``nodes`` order)."""
-    return write_columns(meta, header,
-                         [np.array(_cells(nodes), object), *columns],
-                         np.array(name_order(nodes), np.int64))
+    order = np.array(name_order(nodes), np.int64)
+    return write_columns(meta, header, [Column(c, order) for c in (
+        np.array(_cells(nodes), object), *columns)])
 
 
 def _lines(stream: str | Iterable[str]) -> Iterator[str]:

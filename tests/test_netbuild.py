@@ -9,8 +9,8 @@ import sanctionflow.table
 from sanctionflow import cli, netbuild
 from sanctionflow import (InfluenceNetwork, PipelineError,
                           build_institution_network, build_list_network,
-                          filter_by_category, read_network, symmetrize,
-                          write_flow, write_network)
+                          export_graph, filter_by_category, read_network,
+                          symmetrize, write_flow, write_network)
 from conftest import (FIXTURES, drained, ev, events_150k, make_events,
                       make_flow, make_network, network_108k, network_fields,
                       pairs_of, traced_peak)
@@ -460,6 +460,8 @@ def test_write_network_refuses_ids_it_cannot_read_back():
         net = make_network([("A", bad, 1)], nodes=("A", bad))
         with pytest.raises(PipelineError, match="node id"):
             write_network(net)
+        with pytest.raises(PipelineError, match="node id"):
+            export_graph(net)  # the edge table, before a first piece
 
 
 def test_write_flow_refuses_ids_it_cannot_read_back():

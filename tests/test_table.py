@@ -12,8 +12,8 @@ from sanctionflow import (CommunityPartition, EventParseError, FlowNetwork,
                           PotentialVector, RankVector, hodge, potential_table,
                           scatter_data, symmetrize, write_partition,
                           write_potential_table, write_ranks, write_scatter)
-from sanctionflow.table import (_LINE_CHUNK, _cells, _lines, _rows, _runs,
-                                preamble, read_node_columns, read_table,
+from sanctionflow.table import (_LINE_CHUNK, Column, _cells, _lines, _rows,
+                                _runs, preamble, read_node_columns, read_table,
                                 write_columns, write_node_columns)
 from conftest import drained, make_network, network_108k, traced_peak
 from oracles import (components_reference, finite,
@@ -467,18 +467,26 @@ def test_rows_match_per_value_formatting(chunk, data):
               for kind, v in zip(kinds, values)]  # names pre-quoted
     order = data.draw(st.one_of(st.none(), st.permutations(range(n)).map(
         lambda p: np.array(p, np.int64))))
-    # arrays, or in no order also lists and tuples
-    columns = [data.draw(st.sampled_from([
-        np.array(v, {"float": float, "int": np.int64, "name": object}[kind]),
-        *([v, tuple(v)] if order is None else [])]))
-               for kind, v in zip(kinds, values)]
+    # in no order: arrays, lists, tuples, or Columns whose codes may repeat
+    # and come in any order; in an order: Columns of it
+    columns, picks = [], []
+    for kind, v in zip(kinds, values):
+        array = np.array(v, {"float": float, "int": np.int64,
+                             "name": object}[kind])
+        codes = order if order is not None else np.array(data.draw(st.lists(
+            st.integers(0, max(n - 1, 0)), min_size=n, max_size=n)), np.int64)
+        columns.append(Column(array, codes) if order is not None else
+                       data.draw(st.sampled_from(
+                           [array, v, tuple(v), Column(array, codes)])))
+        picks.append(codes.tolist() if isinstance(columns[-1], Column)
+                     else range(n))
     sep = data.draw(st.sampled_from([",", "\t"]))
     lines = [sep.join(format(v[k], ".17g") if kind == "float" else str(v[k])
-                      for kind, v in zip(kinds, values)) + "\n"
-             for k in (range(n) if order is None else order.tolist())]
+                      for kind, v, k in zip(kinds, values, row)) + "\n"
+             for row in zip(*picks)]
     with pytest.MonkeyPatch.context() as patch:
         if chunk is not None:
             patch.setattr(sanctionflow.table, "_ROW_CHUNK", chunk)
         size = sanctionflow.table._ROW_CHUNK
-        assert list(_rows(columns, order, sep)) == [
+        assert list(_rows(columns, sep)) == [
             "".join(lines[lo:lo + size]) for lo in range(0, n, size)]
