@@ -58,25 +58,28 @@ def synth_generate(config: SynthConfig, seed: int) -> EventSet:
         raise ConfigError(f"synthetic dates run past {Date.max}")
 
     rng = random.Random(seed)
+    draw, choice = rng.random, rng.choice
     by_rank = sorted(range(n), key=lambda i: ranks[i])
-    list_codes = [range(i * k, (i + 1) * k) for i in range(n)]
-    issuer, list_id, entity, day = [], [], [], []
+    # each rank position's list codes: issuer i's are i * k .. i * k + k - 1
+    lists = [range(i * k, (i + 1) * k) for i in by_rank]
+    # the copy threshold of each rank gap 1 .. n - 1; one draw per gap, in
+    # rank order, keeps the random stream (and every file) seed for seed
+    thresholds = [config.copy_prob ** gap for gap in range(1, n)]
+    list_id, entity, day = [], [], []
     for e in range(config.n_entities):
-        origin_pos = rng.randrange(n)  # position in rank order
+        origin = rng.randrange(n)  # position in rank order
         t0 = start + rng.randrange(config.window_days)
-        for pos in range(origin_pos, n):
-            gap = pos - origin_pos
-            if gap > 0 and rng.random() >= config.copy_prob ** gap:
-                continue
-            iss = by_rank[pos]
-            issuer.append(iss)
-            list_id.append(rng.choice(list_codes[iss]))
-            entity.append(e)
-            day.append(t0 + gap)
+        list_id.append(choice(lists[origin]))
+        entity.append(e)
+        day.append(t0)
+        for pos, limit in zip(range(origin + 1, n), thresholds):
+            if draw() < limit:
+                list_id.append(choice(lists[pos]))
+                entity.append(e)
+                day.append(t0 + pos - origin)
     issuers = tuple(f"ISS{i:03d}" for i in range(n))
     return EventSet.from_columns(
-        Column(issuers, issuer),
-        Column(tuple(f"{iss}-L{j}" for iss in issuers for j in range(k)),
-               list_id),
+        Column(issuers, np.array(list_id, np.int32) // k),
+        Column(tuple(f"{i}-L{j}" for i in issuers for j in range(k)), list_id),
         Column(tuple(f"ENT{e:05d}" for e in range(config.n_entities)), entity),
         Column((), np.full(len(day), -1)), day)

@@ -61,6 +61,23 @@ def test_stage_rss_runs_the_named_stages_and_their_inputs(tmp_path):
     assert not (run / "pagerank.csv").exists()
 
 
+def test_stage_rss_times_synth_for_each_tree(tmp_path):
+    # two trees, one package: each writes its own events file, the same
+    src = str(ROOT / "src")
+    out = run_script("stage_rss.py", str(tmp_path / "work"), "--workload",
+                     "issuers_500", "--repeat", "2", "--stages", "synth",
+                     "--src", src, "--src", src, cwd=tmp_path)
+    assert "synth events files of 2 tree(s): byte-identical" in out
+    result = json.loads(out.splitlines()[-1])
+    assert result["events_identical"] is True
+    assert [(row["stage"], len(row["walls_s"]))
+            for row in result["stages"]] == [("synth", 2), ("synth", 2)]
+    work = tmp_path / "work"
+    assert (work / "run0" / "events.csv").read_bytes() == \
+        (work / "run1" / "events.csv").read_bytes()
+    assert not (work / "run0" / "canonical.csv").exists()
+
+
 def test_stage_rss_refuses_a_stage_the_workload_lacks(tmp_path):
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" /
                                                "stage_rss.py"),

@@ -1,6 +1,7 @@
 from datetime import date
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sanctionflow import ConfigError, SynthConfig, synth_generate
 from oracles import synth_reference
@@ -95,9 +96,35 @@ def test_dates_must_end_by_the_last_date():
     SynthConfig(n_issuers=7, n_entities=80, lists_per_issuer=2, window_days=1),
     SynthConfig(n_issuers=40, n_entities=500, lists_per_issuer=5,
                 copy_prob=0.9, start=date(1999, 2, 28)),
+    # from gap 349, 0.9 ** gap < 2 ** -53: no copy is kept, yet each gap
+    # still takes its draw
+    SynthConfig(n_issuers=400, n_entities=60, copy_prob=0.9),
+    # 0.01 ** gap underflows to 0.0 from gap 162
+    SynthConfig(n_issuers=200, n_entities=60, copy_prob=0.01),
+    SynthConfig(n_issuers=1, n_entities=40, lists_per_issuer=3),
+    SynthConfig(n_issuers=300, n_entities=60, copy_prob=0.95,
+                ranks=tuple(range(300, 0, -1))),
 ])
 @pytest.mark.parametrize("seed", [1, 7])
 def test_columns_match_the_object_building_reference(config, seed):
+    assert synth_generate(config, seed) == synth_reference(config, seed)
+
+
+@st.composite
+def synth_configs(draw):
+    n = draw(st.integers(1, 80))
+    return SynthConfig(
+        n_issuers=n, n_entities=draw(st.integers(1, 30)),
+        lists_per_issuer=draw(st.integers(1, 5)),
+        copy_prob=draw(st.sampled_from([0.0, 1.0])
+                       | st.floats(0.0, 1.0)),
+        ranks=tuple(draw(st.permutations(range(1, n + 1)))),
+        window_days=draw(st.integers(1, 400)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(synth_configs(), st.integers(0, 2 ** 32))
+def test_columns_match_the_reference_on_arbitrary_configs(config, seed):
     assert synth_generate(config, seed) == synth_reference(config, seed)
 
 
