@@ -8,6 +8,7 @@ a line-record form (one JSON object per line, same keys) is also accepted.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import re
@@ -21,8 +22,8 @@ import numpy as np
 
 from .errors import EventParseError, PipelineError
 from .table import (Column, _cells, _encodable, _grow, _header,
-                    _line_chunks, _line_safe, _lines, _pieces, _run_starts,
-                    _runs, skip_preamble)
+                    _line_chunks, _line_safe, _lines, _run_starts, _runs,
+                    skip_preamble, write_columns)
 
 _ISO_DATE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
 _HEADER = ("issuer", "list_id", "entity_id", "date")
@@ -159,10 +160,9 @@ def _check_owners(issuer: Column, list_id: Column) -> None:
 def _checked_id(value: str, field: str, line: int) -> str:
     cleaned = value.strip()
     if not _line_safe(cleaned):
-        raise EventParseError(f"identifier {cleaned!r} is empty, starts "
-                              "with '#' or contains a tab, CR, LF or "
-                              "surrogate",
-                              line=line, field=field)
+        raise EventParseError(f"identifier {cleaned!r:.60} is empty, too "
+                              "long, starts with '#' or contains a tab, CR, "
+                              "LF or surrogate", line=line, field=field)
     return cleaned
 
 
@@ -179,10 +179,11 @@ def _parse_date(value: str, line: int) -> int:
 
 def _checked_category(value: str | None, line: int) -> str | None:
     category = value.strip() if value is not None else None
-    if category and ("\r" in category or not _encodable(category)):
+    if category and ("\r" in category or not _encodable(category)
+                     or len(category) > csv.field_size_limit()):
         # csv.writer leaves a bare CR unquoted, so it would not read back
-        raise EventParseError(f"category {category!r} contains a CR or "
-                              "surrogate", line=line, field="category")
+        raise EventParseError(f"category {category!r:.60} is too long or has "
+                              "a CR or surrogate", line=line, field="category")
     return category or None
 
 
@@ -303,7 +304,8 @@ def parse_events(stream: str | Iterable[str],
                  format: str = "delimited") -> EventSet:
     """Parse a delimited or line-record event text, or its lines (a text
     stream, say), into an EventSet. Given lines must each be one line
-    ending in its LF (the last may have none); this is not checked.
+    ending in its LF (the last may have none); in the delimited form an
+    item holding another line end is a csv error.
 
     Duplicate (list_id, entity_id) pairs collapse to the earliest date.
     Raises EventParseError naming the line and field on malformed input.
@@ -316,14 +318,15 @@ def parse_events(stream: str | Iterable[str],
 
 
 def serialize_events(events: EventSet) -> Iterator[str]:
-    """Canonical delimited form, as text pieces: the header, then rows in
-    the EventSet's order, (date, issuer, list, entity), as the pieces of
-    ``table._pieces``, so the whole text is never held at once.
+    """Canonical delimited form, as the text pieces of
+    ``table.write_columns``: the header, then rows in the EventSet's order,
+    (date, issuer, list, entity), so the whole text is never held at once.
 
     Every name is checked first, before any piece is made: a name that
     ``parse_events`` would refuse or read back changed (an edge space, an
-    empty category, an id's leading '#', tab or LF, a CR) raises
-    PipelineError naming its column and value.
+    empty category, an id's leading '#', tab or LF, a CR, a name longer
+    than a csv field may be) raises PipelineError naming its column and
+    value.
     """
     for field in ("issuer", "list_id", "entity_id", "category"):
         for name in getattr(events, field).names:
@@ -335,27 +338,18 @@ def serialize_events(events: EventSet) -> Iterator[str]:
             if read != name:
                 raise PipelineError(f"{field} {name!r} would not read back "
                                     "from the canonical form")
-    return _canonical(events)
-
-
-def _canonical(events: EventSet) -> Iterator[str]:
-    """The pieces of ``serialize_events``, each made when asked for. A row
-    looks each cell up by its code in one f-string: the same rows through
-    ``table._rows`` of ``Column``s took 53-56 ms against 38 ms on the 156k
-    events of lists_m (best of 7, in-process)."""
-    issuers, lists, entities = (_cells(c.names) for c in (
-        events.issuer, events.list_id, events.entity_id))
-    categories = [*_cells(events.category.names), ""]  # code -1 reads ""
     # the days come sorted, so each run's first is a distinct day (np.unique
-    # would load numpy.ma, 10-16 ms of import)
-    dates = {d: Date.fromordinal(d).isoformat()
-             for d in events.day[_run_starts(events.day)].tolist()}
-    columns = (events.issuer.codes, events.list_id.codes,
-               events.entity_id.codes, events.day, events.category.codes)
-    yield "issuer,list_id,entity_id,date,category\n"
-    yield from _pieces(len(events), lambda at: "".join([
-        f"{issuers[i]},{lists[l]},{entities[e]},{dates[d]},{categories[c]}\n"
-        for i, l, e, d, c in zip(*(col[at].tolist() for col in columns))]))
+    # would load numpy.ma, 10-16 ms of import), coded by its run
+    first = _run_starts(events.day)
+    dates = Column(np.array([Date.fromordinal(d).isoformat() for d in
+                             events.day[first].tolist()], object),
+                   np.cumsum(first) - 1)
+    # code -1, no category, reads the last name, ""
+    issuer, list_id, entity_id, category = (
+        Column(np.array([*_cells(c.names), ""], object), c.codes) for c in (
+            events.issuer, events.list_id, events.entity_id, events.category))
+    return write_columns((), _FIELDS,
+                         [issuer, list_id, entity_id, dates, category])
 
 
 @dataclass(frozen=True)

@@ -11,14 +11,14 @@ from collections import namedtuple
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 import numpy as np
 
 from .errors import PipelineError
-from .table import (Column, _grow, _line_chunks, _line_safe, _lines, _rows,
-                    _run_starts, name_order, preamble)
+from .table import (Column, _grow, _line_safe, _lines, _rows, _run_starts,
+                    _runs, name_order, preamble)
 
 if TYPE_CHECKING:  # a stage that only reads net.tsv never loads events
     from .events import EventSet
@@ -250,8 +250,8 @@ def _check_node_ids(nodes: Iterable[str]) -> None:
     read back as."""
     for node in nodes:
         if not _line_safe(node):
-            raise PipelineError(f"node id {node!r} is blank, starts with '#' "
-                                "or contains tab/CR/LF/surrogate")
+            raise PipelineError(f"node id {node!r:.60} is blank, too long, "
+                                "starts with '#' or has a tab/CR/LF/surrogate")
 
 
 def _write_records(meta: str, nodes: tuple[str, ...],
@@ -291,42 +291,35 @@ class _Codes(dict):
 
 def read_network(stream: str | Iterable[str]) -> InfluenceNetwork:
     """The network of a ``write_network`` text or its lines, read by
-    ``_line_chunks``; a chunk of only node or only edge lines, with no '#'
-    or blank line, is cut by one split. A repeated node or edge, a
+    ``table._runs`` as TSV; a run of only node or only edge rows, none
+    starting with '#' or blank, is read whole. A repeated node or edge, a
     self-loop, a bad count or field count names the earliest faulty line
     (in a line: self-loop, repeated edge, then count), and an edge to an
-    undeclared node is an error after every line reads well. Given lines
-    must each be one line ending in its LF (the last may have none), as a
-    file or ``splitlines(keepends=True)`` gives them; this is not checked."""
+    undeclared node is an error after every line reads well. A CR ends a
+    line as LF does. Given lines must each be one line ending in its LF
+    (the last may have none), as a file or ``splitlines(keepends=True)``
+    gives them; an item holding another line end is a csv error."""
     level, code, nodes, fault = INSTITUTION_LEVEL, _Codes(), {}, None
     # per edge: its endpoints' codes, its count and its line
-    columns, m, line = [np.empty(0, np.int64) for _ in range(4)], 0, 0
-    for chunk in _line_chunks(_lines(stream)):
-        k, text = len(chunk), "\t".join(chunk)
-        tabs = set(map(str.count, chunk, repeat("\t")))
-        names = "#" not in text and tabs == {0} and all(map(str.strip, chunk)) \
-            and list(map(str.removesuffix, chunk, repeat("\n")))
-        if names and nodes.keys().isdisjoint(names) and len(set(names)) == k:
-            nodes.update(zip(names, range(len(nodes), len(nodes) + k)))
-            if code.keys().isdisjoint(names):  # coded at once
-                code.update(zip(names, range(len(code), len(code) + k)))
-            line += k
+    columns, m = [np.empty(0, np.int64) for _ in range(4)], 0
+    for cells, ends in _runs(_lines(stream), 0, "\t"):
+        k, plain = len(ends), cells and "#" not in "".join(cells[0])
+        if (plain and len(cells) == 1 and all(map(str.strip, cells[0]))
+                and nodes.keys().isdisjoint(cells[0])
+                and len(set(cells[0])) == k):
+            nodes.update(zip(cells[0], range(len(nodes), len(nodes) + k)))
             continue
-        if "#" not in text and tabs == {2}:  # a blank line's count is bad
-            cells = text.split("\t")  # a count cell keeps its line end
+        if plain and len(cells) == 3:  # a blank row's blank count is bad
             with suppress(ValueError, OverflowError):
-                count = np.fromiter(map(int, cells[2::3]), np.int64, k)
-                src, dst = (np.fromiter(map(code.__getitem__, cells[j::3]),
+                count = np.fromiter(map(int, cells[2]), np.int64, k)
+                src, dst = (np.fromiter(map(code.__getitem__, cells[j]),
                                         np.int64, k) for j in (0, 1))
                 if (count > 0).all() and (src != dst).all():
-                    m = _grow(columns, m, src, dst, count,
-                              np.arange(line + 1, line + k + 1))
-                    line += k
+                    m = _grow(columns, m, src, dst, count, ends)
                     continue
-        edges = []  # this chunk's, read line by line up to a fault
-        for line, row in enumerate(chunk, line + 1):
-            row = row.removesuffix("\n")
-            fields = row.split("\t")
+        edges = []  # this run's, read row by row up to a fault
+        for line, fields in zip(ends, zip(*cells)):  # a blank row: none
+            row = "\t".join(fields)
             if row.startswith("#"):
                 mark = row[1:].strip().split("\t")
                 if mark[0] == "level" and len(mark) == 2:

@@ -10,6 +10,7 @@ import csv
 import io
 from collections import namedtuple
 from itertools import chain, groupby, islice, repeat
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -36,12 +37,12 @@ def preamble(header: Iterable[str]) -> str:
 
 def _line_safe(name: str) -> bool:
     """Whether a line, or a tab-separated field of one, reads back as
-    ``name``: it is not blank, starts with no '#' and holds no tab, CR or
-    LF (a reader's universal newlines end a line at CR as at LF), and UTF-8
-    can write it."""
+    ``name``: it is not blank, starts with no '#', holds no tab, CR or LF
+    (a CR ends a line in every reader, as LF does), is no longer than a
+    csv field may be, and UTF-8 can write it."""
     return (name != "" and not name.isspace() and name[0] != "#"
             and "\t" not in name and "\r" not in name and "\n" not in name
-            and _encodable(name))
+            and len(name) <= csv.field_size_limit() and _encodable(name))
 
 
 def _encodable(name: str) -> bool:
@@ -98,36 +99,36 @@ def _grow(columns: list[np.ndarray], n: int, *parts) -> int:
     return n + m
 
 
-def _pieces(size: int, piece: Callable[[slice], str]) -> Iterator[str]:
-    """``piece(at)``, made when asked for, per slice ``at`` of
-    ``_ROW_CHUNK`` of ``size`` rows."""
-    for lo in range(0, size, _ROW_CHUNK):
-        yield piece(slice(lo, lo + _ROW_CHUNK))
-
-
 def _rows(columns: Sequence, sep: str = ",",
           template: str | None = None) -> Iterator[str]:
-    """``_pieces`` of one line per entry of the equal-length ``columns``:
-    arrays, sequences, or ``Column``s of two arrays, whose entry k is
-    ``names[codes[k]]``; a chunk's entries are taken only when its piece
-    is made. A line is ``template`` (a '%' format) over the row's
-    values, or else joins them by ``sep`` and ends in LF: a float column's
-    (one whose first entry is a Python float, as a float array's entries
-    are) with 17 significant digits, any other's by str(), decided once
-    per column. A name column is an object array or a sequence, never a
-    numpy string array, which drops trailing NULs."""
+    """One line per entry of the equal-length ``columns`` (arrays,
+    sequences, or ``Column``s of two arrays, whose entry k is
+    ``names[codes[k]]``), as text pieces of ``_ROW_CHUNK`` lines, each
+    piece's entries taken when it is made. A line is ``template`` (a '%'
+    format) over the row's values, or else joins them by ``sep`` and ends
+    in LF: a float column's (one whose first entry is a Python float, as a
+    float array's entries are) with 17 significant digits, any other's by
+    str(), decided once per column. A name column is an object array or a
+    sequence, never a numpy string array, which drops trailing NULs."""
     def take(column, at):
         got = (column.names[column.codes[at]] if isinstance(column, Column)
                else column[at])
         return got.tolist() if isinstance(got, np.ndarray) else got
 
+    firsts = [[*take(c, slice(1)), None][0] for c in columns]
+    floats = [isinstance(first, float) for first in firsts]
     row = (template or sep.join(
-        "%.17g" if isinstance([*take(c, slice(1)), None][0], float) else "%s"
-        for c in columns) + "\n").__mod__
+        "%.17g" if f else "%s" for f in floats) + "\n").__mod__
     first = columns[0]
-    return _pieces(len(first.codes if isinstance(first, Column) else first),
-                   lambda at: "".join(map(row, zip(*(
-                       take(c, at) for c in columns)))))
+    for lo in range(0, len(first.codes if isinstance(first, Column)
+                           else first), _ROW_CHUNK):
+        cells = [take(c, slice(lo, lo + _ROW_CHUNK)) for c in columns]
+        if template or any(floats):
+            yield "".join(map(row, zip(*cells)))
+        else:  # every value by str(): joined, with no format per line
+            yield "\n".join(map(sep.join, zip(*(
+                c if isinstance(f, str) else map(str, c)
+                for c, f in zip(cells, firsts))))) + "\n"
 
 
 def write_columns(meta: Iterable[str], header: Sequence[str],
@@ -153,9 +154,9 @@ def _lines(stream: str | Iterable[str]) -> Iterator[str]:
     """The lines of a text, split at LF only as io.StringIO splits them, or
     the lines given, each of which must be one line ending in its LF (the
     last may have none), as a file or ``splitlines(keepends=True)`` gives
-    them; this is not checked. io.StringIO holds 4 bytes a character of its
-    text, so a text goes through it in slices of about 64 Ki characters,
-    each cut at a line end."""
+    them (``_runs`` reads any other as csv.reader does). io.StringIO holds
+    4 bytes a character of its text, so a text goes through it in slices
+    of about 64 Ki characters, each cut at a line end."""
     if not isinstance(stream, str):
         return iter(stream)
     return chain.from_iterable(map(io.StringIO, _slices(stream)))
@@ -182,31 +183,38 @@ def skip_preamble(lines: Iterator[str]) -> tuple[int, Iterator[str]]:
     return skipped, iter(())
 
 
-def _runs(lines: Iterator[str], line: int
+def _runs(lines: Iterator[str], line: int, sep: str = ","
           ) -> Iterator[tuple[list[Sequence[str]], Sequence[int]]]:
-    """The rows of CSV ``lines``, the first on line ``line + 1``, as runs of
-    consecutive rows with one cell count, at most ``_LINE_CHUNK`` rows a
+    """The rows of CSV ``lines`` (or with ``sep`` a tab, of TSV lines,
+    whose cells are never quoted), the first on line ``line + 1``, as runs
+    of consecutive rows with one cell count, at most ``_LINE_CHUNK`` rows a
     run: each run's columns and each of its rows' last line. A
-    ``_line_chunks`` chunk with no quote, CR or blank line, as many LFs as
-    lines (the last may have none) and as many commas in each line as in
-    the first is cut by one split; any other goes through csv.reader, which
-    reads past its end only to close a quote. A csv error raises
-    EventParseError naming its line, after the runs of the rows before it."""
+    ``_line_chunks`` chunk no longer than a csv field, with no quote, CR or
+    blank line, each item but the last one line ending in its LF, and as
+    many ``sep`` in each line as in the first is cut by one split; any
+    other goes through csv.reader, which ends a line at CR as at LF and
+    reads past a chunk's end only to close a quote. A csv error raises
+    EventParseError naming its line, after the runs of the rows before
+    it."""
+    quoting = csv.QUOTE_NONE if sep == "\t" else csv.QUOTE_MINIMAL
     for chunk in _line_chunks(lines):
         n, text = len(chunk), "".join(chunk)
-        commas = chunk[0].count(",")
+        seps = chunk[0].count(sep)
         if ('"' not in text and "\r" not in text
+                and len(text) <= csv.field_size_limit()
                 and text.count("\n") == n - (not text.endswith("\n"))
-                and set(map(str.count, chunk, repeat(","))) == {commas}
-                # a blank line has no cell, and no comma
-                and (commas or ("\n" not in chunk and "" not in chunk))
-                and max(map(len, chunk)) <= csv.field_size_limit()):
-            cells, width = text.replace("\n", ",").split(","), commas + 1
+                and set(map(str.count, chunk, repeat(sep))) == {seps}
+                # a blank line has no cell, and no separator
+                and (seps or ("\n" not in chunk and "" not in chunk))
+                # so no item is empty, and each but the last ends in its LF
+                and set(map(itemgetter(-1), chunk[:-1])) <= {"\n"}):
+            cells, width = text.replace("\n", sep).split(sep), seps + 1
             yield ([cells[j:width * n:width] for j in range(width)],
                    range(line + 1, line + n + 1))
             line += n
             continue
-        reader, rows, error = csv.reader(chain(chunk, lines)), [], None
+        reader, rows, error = csv.reader(chain(chunk, lines), delimiter=sep,
+                                         quoting=quoting), [], None
         try:
             for row in reader:
                 rows.append((row, line + reader.line_num))

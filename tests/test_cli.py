@@ -357,6 +357,33 @@ def test_a_line_record_no_stage_can_hold_exits_one_naming_the_line(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("field", ["list_id", "entity_id", "category"])
+def test_a_name_longer_than_a_csv_field_is_refused_at_ingest(tmp_path, capsys,
+                                                            field):
+    # one character more than csv.reader takes: ingest wrote it, and build
+    # then failed on canonical.csv with "field larger than field limit"
+    events, limit = tmp_path / "events.jsonl", csv.field_size_limit()
+    for size, status in ((limit, 0), (limit + 1, 1)):
+        row = {"issuer": "UN", "list_id": "L2", "entity_id": "X",
+               "date": "2010-02-01", field: "n" * size}
+        events.write_text(json.dumps({"issuer": "EU", "list_id": "L1",
+                                      "entity_id": "X", "date": "2010-01-01"})
+                          + "\n" + json.dumps(row) + "\n", encoding="utf-8")
+        canonical, net = tmp_path / f"{size}.csv", tmp_path / f"{size}.tsv"
+        assert run(["ingest", "--events", str(events), "--format",
+                    "line_record", "--out", str(canonical)]) == status
+        if status:
+            assert_one_error_line(capsys, "line 2: ", f"field '{field}'")
+            assert not canonical.exists()
+            continue
+        # a list name at the limit is a node of net.tsv, read back too
+        assert run(["build", "--level", "list", "--events", str(canonical),
+                    "--out", str(net)]) == 0
+        assert run(["pagerank", "--net", str(net), "--out",
+                    str(tmp_path / "pagerank.csv")]) == 0
+        capsys.readouterr()
+
+
 @pytest.mark.parametrize("stage", ["ingest", "decompose"])
 def test_a_flag_value_utf8_cannot_encode_is_written_as_its_repr(tmp_path,
                                                                  stage):

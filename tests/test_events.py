@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -177,6 +178,14 @@ def test_bad_identifier_rejected_in_both_formats(bad):
     quoted = '"' + bad + '"'
     with pytest.raises(EventParseError, match="line 2: field 'list_id'"):
         parse_events(f"issuer,list_id,entity_id,date\nEU,{quoted},X,2010-01-01\n")
+
+
+def test_list_items_that_are_not_lines_are_a_csv_error():
+    # one split of the joined chunk read the date '2010-01-01EU'
+    with pytest.raises(EventParseError) as err:
+        parse_events(["issuer,list_id,entity_id,date\n", "EU,L1,X,2010-01-01",
+                      "EU,L1,Y,2010-01-02\nEU\n"])
+    assert (err.value.line, err.value.field) == (3, None)
 
 
 def test_unclosed_quote_past_field_limit_is_a_parse_error():
@@ -449,6 +458,17 @@ def test_serialize_refuses_a_name_that_would_not_read_back(field, name):
         serialize_events(es)  # before a first piece is asked for
     assert str(err.value) == (f"{field} {name!r} would not read back from "
                               "the canonical form")
+
+
+@pytest.mark.parametrize("field", ["entity_id", "category"])
+def test_serialize_refuses_a_name_longer_than_a_csv_field(field):
+    # csv.reader refuses it: "field larger than field limit"
+    fields = {"entity_id": "X", "category": "c",
+              field: "n" * (csv.field_size_limit() + 1)}
+    es = make_events([ev("EU", "L1", fields["entity_id"], "2010-01-01",
+                         fields["category"])])
+    with pytest.raises(PipelineError, match=f"^{field} .* would not read"):
+        serialize_events(es)
 
 
 # names that differ only by a trailing NUL, and non-ASCII names

@@ -1,3 +1,4 @@
+import csv
 import itertools
 import random
 
@@ -444,6 +445,23 @@ def test_read_network_reads_the_cli_lines_as_the_whole_text(tmp_path):
                 repr(text)
 
 
+def test_read_network_reads_crlf_line_ends_as_lf():
+    # the CR stayed on every name read from a text or its lines:
+    # "edge (n0, n1) references undeclared node"
+    net = make_network([(f"n{k}", f"n{k + 1}", k + 1) for k in range(300)])
+    text = "".join(write_network(net))
+    crlf = text.replace("\n", "\r\n")
+    assert network_fields(read_network(text)) == network_fields(net)
+    for given in (crlf, crlf.splitlines(keepends=True)):
+        assert network_fields(read_network(given)) == network_fields(net)
+
+
+def test_read_network_reads_list_items_that_are_not_lines_as_csv_reader():
+    # one split of the joined chunk read the nodes A, B and 'C\nD'
+    with pytest.raises(PipelineError, match="^line 3: "):
+        read_network(["A\n", "B", "C\nD\n"])
+
+
 def test_read_network_holds_the_largest_int64_count():
     net = read_network("A\nB\nA\tB\t9223372036854775807\n")
     assert net.count.tolist() == [2 ** 63 - 1]
@@ -456,7 +474,8 @@ def test_read_network_reads_counts_as_int_does():
 
 
 def test_write_network_refuses_ids_it_cannot_read_back():
-    for bad in ("#x", "a\tb", "a\nb", "a\rb", "", "   ", "a\ud800"):
+    for bad in ("#x", "a\tb", "a\nb", "a\rb", "", "   ", "a\ud800",
+                "x" * (csv.field_size_limit() + 1)):
         net = make_network([("A", bad, 1)], nodes=("A", bad))
         with pytest.raises(PipelineError, match="node id"):
             write_network(net)
@@ -465,7 +484,8 @@ def test_write_network_refuses_ids_it_cannot_read_back():
 
 
 def test_write_flow_refuses_ids_it_cannot_read_back():
-    for bad in ("#x", "a\tb", "a\nb", "a\rb", "", "   ", "a\ud800"):
+    for bad in ("#x", "a\tb", "a\nb", "a\rb", "", "   ", "a\ud800",
+                "x" * (csv.field_size_limit() + 1)):
         flow = make_flow({("A", bad): (1.0, 1.0)}, nodes=("A", bad))
         with pytest.raises(PipelineError, match="node id"):
             write_flow(flow)  # before a first piece is asked for

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import sanctionflow.table
 from sanctionflow import (CommunityPartition, EventParseError, FlowNetwork,
@@ -72,6 +72,12 @@ def test_line_numbers_count_physical_lines():
     text = 'node,x\n"multi\nline",1\nB,oops\n'
     with pytest.raises(PipelineError, match="line 4: column 'x'"):
         read_table(text, ("node", "x"), (str, int))
+
+
+def test_list_items_that_are_not_lines_are_read_as_csv_reader_reads_them():
+    # one split of the joined chunk read [('A', '1B'), ('2', 'C')]
+    with pytest.raises(EventParseError, match="^line 3: "):
+        read_table(["node,x\n", "A,1", "B,2\nC\n"], ("node", "x"), (str, str))
 
 
 def test_repeated_key_names_its_second_line():
@@ -321,6 +327,33 @@ def test_runs_read_the_rows_and_lines_of_csv_reader(chunk, text, limit):
         csv.field_size_limit(old)
 
 
+# TSV rows: a quote, a comma or a '#' is a plain character of a cell
+_TSV_ROWS = st.one_of(
+    st.lists(st.sampled_from(["a", "", " ", "#", "#a", "b#", '"', '"a"',
+                              'a"b', "a,b", ","]),
+             min_size=1, max_size=4).map("\t".join),
+    st.sampled_from(["", " ", "  "]))
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+@settings(deadline=None, max_examples=200)
+@given(st.lists(_TSV_ROWS, max_size=12), st.booleans())
+def test_runs_read_tsv_rows_as_a_split_of_each_line(chunk, rows, last_end):
+    text = "\n".join(rows) + ("\n" if last_end and rows else "")
+    lines = io.StringIO(text).readlines()
+    # a blank line has no cell, as csv.reader reads it
+    want = [(line.removesuffix("\n").split("\t") if line != "\n" else [], k)
+            for k, line in enumerate(lines, 1)]
+    got = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sanctionflow.table, "_LINE_CHUNK", chunk)
+        for cells, ends in _runs(iter(lines), 0, "\t"):
+            assert 0 < len(ends) <= chunk
+            assert all(len(c) == len(ends) for c in cells)
+            got += zip(([c[k] for c in cells] for k in range(len(ends))), ends)
+    assert got == want
+
+
 def test_node_table_reading_and_writing_memory_is_bounded():
     # 100k nodes in 50k two-node components; the text is 1.8 MiB. The
     # row-at-a-time reader traced 33.2 MiB and the row writer 24.3 MiB.
@@ -454,18 +487,18 @@ _ROW_VALUES = {
         IDS + ["a\0", "x\0\0", ",", '"']))}
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 3, None])
-@settings(deadline=None, max_examples=150)
-@given(st.data())
-def test_rows_match_per_value_formatting(chunk, data):
-    n = data.draw(st.integers(0, 7))
-    kinds = data.draw(st.lists(st.sampled_from(sorted(_ROW_VALUES)),
-                               min_size=1, max_size=4))
-    values = [data.draw(st.lists(_ROW_VALUES[kind], min_size=n, max_size=n))
+@st.composite
+def _row_tables(draw):
+    """Columns of drawn kinds, each in a form ``_rows`` takes, a separator,
+    and the lines per-value formatting makes of them."""
+    n = draw(st.integers(0, 7))
+    kinds = draw(st.lists(st.sampled_from(sorted(_ROW_VALUES)),
+                          min_size=1, max_size=4))
+    values = [draw(st.lists(_ROW_VALUES[kind], min_size=n, max_size=n))
               for kind in kinds]
     values = [_cells(v) if kind == "name" else v
               for kind, v in zip(kinds, values)]  # names pre-quoted
-    order = data.draw(st.one_of(st.none(), st.permutations(range(n)).map(
+    order = draw(st.one_of(st.none(), st.permutations(range(n)).map(
         lambda p: np.array(p, np.int64))))
     # in no order: arrays, lists, tuples, or Columns whose codes may repeat
     # and come in any order; in an order: Columns of it
@@ -473,20 +506,32 @@ def test_rows_match_per_value_formatting(chunk, data):
     for kind, v in zip(kinds, values):
         array = np.array(v, {"float": float, "int": np.int64,
                              "name": object}[kind])
-        codes = order if order is not None else np.array(data.draw(st.lists(
+        codes = order if order is not None else np.array(draw(st.lists(
             st.integers(0, max(n - 1, 0)), min_size=n, max_size=n)), np.int64)
         columns.append(Column(array, codes) if order is not None else
-                       data.draw(st.sampled_from(
+                       draw(st.sampled_from(
                            [array, v, tuple(v), Column(array, codes)])))
         picks.append(codes.tolist() if isinstance(columns[-1], Column)
                      else range(n))
-    sep = data.draw(st.sampled_from([",", "\t"]))
+    sep = draw(st.sampled_from([",", "\t"]))
     lines = [sep.join(format(v[k], ".17g") if kind == "float" else str(v[k])
                       for kind, v, k in zip(kinds, values, row)) + "\n"
              for row in zip(*picks)]
+    return columns, sep, lines
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, None])
+@settings(deadline=None, max_examples=150)
+@given(_row_tables())
+# names and ints only: each piece joins its cells, with no format per line
+@example(([Column(np.array(["b", '"c,d"'], object), np.array([1, 0, 1])),
+           np.array([7, -1, 0])], "\t", ['"c,d"\t7\n', "b\t-1\n",
+                                        '"c,d"\t0\n']))
+def test_rows_match_per_value_formatting(chunk, table):
+    columns, sep, lines = table
     with pytest.MonkeyPatch.context() as patch:
         if chunk is not None:
             patch.setattr(sanctionflow.table, "_ROW_CHUNK", chunk)
         size = sanctionflow.table._ROW_CHUNK
         assert list(_rows(columns, sep)) == [
-            "".join(lines[lo:lo + size]) for lo in range(0, n, size)]
+            "".join(lines[lo:lo + size]) for lo in range(0, len(lines), size)]
