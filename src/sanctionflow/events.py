@@ -305,7 +305,7 @@ def parse_events(stream: str | Iterable[str],
     """Parse a delimited or line-record event text, or its lines (a text
     stream, say), into an EventSet. Given lines must each be one line
     ending in its LF (the last may have none); in the delimited form an
-    item holding another line end is a csv error.
+    item with more text after a line end is a csv error.
 
     Duplicate (list_id, entity_id) pairs collapse to the earliest date.
     Raises EventParseError naming the line and field on malformed input.

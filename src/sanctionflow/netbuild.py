@@ -295,10 +295,11 @@ def read_network(stream: str | Iterable[str]) -> InfluenceNetwork:
     starting with '#' or blank, is read whole. A repeated node or edge, a
     self-loop, a bad count or field count names the earliest faulty line
     (in a line: self-loop, repeated edge, then count), and an edge to an
-    undeclared node is an error after every line reads well. A CR ends a
-    line as LF does. Given lines must each be one line ending in its LF
-    (the last may have none), as a file or ``splitlines(keepends=True)``
-    gives them; an item holding another line end is a csv error."""
+    undeclared node is an error after every line reads well. A line may
+    end in CRLF or CR as in LF. Given lines must each be one line ending
+    in its LF (the last may have none), as a file or
+    ``splitlines(keepends=True)`` gives them; an item with more text after
+    a line end is a csv error."""
     level, code, nodes, fault = INSTITUTION_LEVEL, _Codes(), {}, None
     # per edge: its endpoints' codes, its count and its line
     columns, m = [np.empty(0, np.int64) for _ in range(4)], 0

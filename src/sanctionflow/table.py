@@ -38,7 +38,7 @@ def preamble(header: Iterable[str]) -> str:
 def _line_safe(name: str) -> bool:
     """Whether a line, or a tab-separated field of one, reads back as
     ``name``: it is not blank, starts with no '#', holds no tab, CR or LF
-    (a CR ends a line in every reader, as LF does), is no longer than a
+    (every reader ends a line at a CR, as at an LF), is no longer than a
     csv field may be, and UTF-8 can write it."""
     return (name != "" and not name.isspace() and name[0] != "#"
             and "\t" not in name and "\r" not in name and "\n" not in name
@@ -192,10 +192,10 @@ def _runs(lines: Iterator[str], line: int, sep: str = ","
     ``_line_chunks`` chunk no longer than a csv field, with no quote, CR or
     blank line, each item but the last one line ending in its LF, and as
     many ``sep`` in each line as in the first is cut by one split; any
-    other goes through csv.reader, which ends a line at CR as at LF and
-    reads past a chunk's end only to close a quote. A csv error raises
-    EventParseError naming its line, after the runs of the rows before
-    it."""
+    other goes through csv.reader, which ends a line at CR as at LF (more
+    of the item after a CR is a csv error) and reads past a chunk's end
+    only to close a quote. A csv error raises EventParseError naming its
+    line, after the runs of the rows before it."""
     quoting = csv.QUOTE_NONE if sep == "\t" else csv.QUOTE_MINIMAL
     for chunk in _line_chunks(lines):
         n, text = len(chunk), "".join(chunk)
