@@ -13,7 +13,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import PipelineError
-from .netbuild import InfluenceNetwork
+from .netbuild import InfluenceNetwork, _fold_pairs
 from .table import read_node_columns, write_node_columns
 
 
@@ -32,16 +32,15 @@ def modularity(net: InfluenceNetwork, labels: np.ndarray,
     if not 0.0 < resolution < np.inf:
         raise PipelineError("resolution must be positive and finite")
     v = net.view
-    weight = v.fwd + v.back
-    two_m = 2.0 * float(weight.sum())
+    two_m = 2.0 * float(v.weight.sum())
     if two_m == 0.0:
         raise PipelineError("network has zero total weight; modularity undefined")
     # communities numbered in their order of first appearance over the nodes
     comm = _first_appearance(labels)
     n, k = len(net.nodes), int(comm.max()) + 1
-    strength = np.bincount(v.lo, weight, n) + np.bincount(v.hi, weight, n)
+    strength = np.bincount(v.lo, v.weight, n) + np.bincount(v.hi, v.weight, n)
     same = comm[v.lo] == comm[v.hi]
-    internal = np.bincount(comm[v.lo][same], 2.0 * weight[same], k).tolist()
+    internal = np.bincount(comm[v.lo][same], 2.0 * v.weight[same], k).tolist()
     degree_sum = np.bincount(comm, strength, k).tolist()
     q = 0.0
     for c in range(k):
@@ -128,8 +127,7 @@ def louvain(net: InfluenceNetwork, resolution: float = 1.0,
         raise PipelineError("resolution must be positive and finite")
     if not net.nodes:
         raise PipelineError("empty network")
-    view = net.view
-    lo, hi, w = view.lo, view.hi, view.fwd + view.back
+    lo, hi, w = net.view.lo, net.view.hi, net.view.weight
     two_m = 2.0 * float(w.sum())
     if two_m == 0.0:
         raise PipelineError("network has zero total weight")
@@ -159,11 +157,7 @@ def louvain(net: InfluenceNetwork, resolution: float = 1.0,
         same = c_lo == c_hi
         self_w = (np.bincount(comm, self_w, k)
                   + np.bincount(c_lo[same], 2.0 * w[same], k))
-        keys, pair = np.unique(np.minimum(c_lo, c_hi)[~same] * k
-                               + np.maximum(c_lo, c_hi)[~same],
-                               return_inverse=True)
-        w = np.bincount(pair, w[~same], len(keys))
-        lo, hi = np.divmod(keys, k)
+        lo, hi, _, w = _fold_pairs(c_lo[~same], c_hi[~same], k, w[~same])
         n = k
 
     q = pass_q[-1]

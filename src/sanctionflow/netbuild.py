@@ -7,11 +7,11 @@ contribute nothing (direction is ambiguous at day resolution).
 
 from __future__ import annotations
 
-from collections import namedtuple
+import itertools
+from collections import defaultdict, namedtuple
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 import numpy as np
@@ -31,9 +31,21 @@ _PAIR_CELLS = 1 << 16
 
 
 # The pair fold of an InfluenceNetwork, over indices into its nodes:
-# unordered pairs (lo < hi) sorted by (lo, hi), with fwd = A[lo -> hi] and
-# back = A[hi -> lo] as floats; edge e lies on pair row pair[e].
-GraphView = namedtuple("GraphView", "lo hi fwd back pair")
+# unordered pairs (lo < hi) sorted by (lo, hi), with fwd = A[lo -> hi],
+# back = A[hi -> lo] and the pair weight fwd + back as floats; edge e lies
+# on pair row pair[e].
+GraphView = namedtuple("GraphView", "lo hi fwd back weight pair")
+
+
+def _fold_pairs(a: np.ndarray, b: np.ndarray, n: int,
+                *weights: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(lo, hi, pair, *sums): the unordered pairs {a[e], b[e]} (a != b, of
+    nodes below n) sorted by (lo, hi), entry e's pair row ``pair[e]``, and
+    each of ``weights`` summed per pair."""
+    keys, pair = np.unique(np.minimum(a, b) * n + np.maximum(a, b),
+                           return_inverse=True)
+    return (*np.divmod(keys, n), pair,
+            *(np.bincount(pair, w, len(keys)) for w in weights))
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,14 +82,11 @@ class InfluenceNetwork:
 
     @cached_property
     def view(self) -> GraphView:
-        n, src, dst, count = len(self.nodes), self.src, self.dst, self.count
-        keys, pair = np.unique(np.minimum(src, dst) * n + np.maximum(src, dst),
-                               return_inverse=True)
-        lo, hi = np.divmod(keys, n)
-        forward = src < dst
-        fwd = np.bincount(pair, np.where(forward, count, 0), len(keys))
-        back = np.bincount(pair, np.where(forward, 0, count), len(keys))
-        return GraphView(lo, hi, fwd, back, pair)
+        forward, count = self.src < self.dst, self.count
+        lo, hi, pair, fwd, back = _fold_pairs(
+            self.src, self.dst, len(self.nodes), np.where(forward, count, 0),
+            np.where(forward, 0, count))
+        return GraphView(lo, hi, fwd, back, fwd + back, pair)
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,7 +245,7 @@ def symmetrize(net: InfluenceNetwork, mode: str = "mean") -> FlowNetwork:
     if mode not in ("mean", "unit"):
         raise PipelineError(f"unknown weight mode '{mode}'")
     v = net.view
-    weight = (v.fwd + v.back) / 2.0 if mode == "mean" else np.ones(len(v.lo))
+    weight = v.weight / 2.0 if mode == "mean" else np.ones(len(v.lo))
     return FlowNetwork(net.nodes, v.lo, v.hi, v.fwd - v.back, weight, mode)
 
 
@@ -260,8 +269,8 @@ def _write_records(meta: str, nodes: tuple[str, ...],
     the ``pair_columns`` of ``pairs``; every node id is checked when
     called."""
     _check_node_ids(nodes)
-    return chain([preamble([meta])], _rows([nodes]),
-                 _rows(pair_columns(nodes, *pairs), "\t"))
+    return itertools.chain([preamble([meta])], _rows([nodes]),
+                           _rows(pair_columns(nodes, *pairs), "\t"))
 
 
 def pair_columns(nodes: tuple[str, ...], first: np.ndarray,
@@ -281,14 +290,6 @@ def write_network(net: InfluenceNetwork) -> Iterator[str]:
                           net.dst, net.count)
 
 
-class _Codes(dict):
-    """Name -> code, a name met for the first time taking the next code."""
-
-    def __missing__(self, name):
-        self[name] = code = len(self)
-        return code
-
-
 def read_network(stream: str | Iterable[str]) -> InfluenceNetwork:
     """The network of a ``write_network`` text or its lines, read by
     ``table._runs`` as TSV; a run of only node or only edge rows, none
@@ -297,10 +298,10 @@ def read_network(stream: str | Iterable[str]) -> InfluenceNetwork:
     (in a line: self-loop, repeated edge, then count), and an edge to an
     undeclared node is an error after every line reads well. A line may
     end in CRLF or CR as in LF. Given lines must each be one line ending
-    in its LF (the last may have none), as a file or
-    ``splitlines(keepends=True)`` gives them; an item with more text after
-    a line end is a csv error."""
-    level, code, nodes, fault = INSTITUTION_LEVEL, _Codes(), {}, None
+    in its LF (the last may have none), as a file or ``io.StringIO``
+    gives them; an item with more text after a line end is a csv error."""
+    code = defaultdict(itertools.count().__next__)  # a new name: next code
+    level, nodes, fault = INSTITUTION_LEVEL, {}, None
     # per edge: its endpoints' codes, its count and its line
     columns, m = [np.empty(0, np.int64) for _ in range(4)], 0
     for cells, ends in _runs(_lines(stream), 0, "\t"):

@@ -5,7 +5,7 @@ Layout convention: y is the node's potential (optionally jittered to break
 exact overlaps); x minimizes a LinLog-style energy (distance attraction,
 log-distance repulsion, weak quadratic gravity) by L-BFGS from a seeded
 start, accepting no trial that raises the energy. It stops at a vanishing
-gradient, a stalled energy, max_steps accepted steps or an underflowed step.
+gradient, a stalled energy, _MAX_STEPS accepted steps or an underflowed step.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import PipelineError
-from .hodge import HodgeDecomposition, PotentialVector
-from .netbuild import InfluenceNetwork, _check_node_ids
+from .hodge import HodgeDecomposition, PotentialVector, _net_out
+from .netbuild import InfluenceNetwork, _check_node_ids, symmetrize
 from .table import (Column, _cells, _rows, name_order, read_node_columns,
                     write_columns, write_node_columns)
 
@@ -35,6 +35,8 @@ _BLOCK_CELLS = 1 << 16
 # at most _STALL_TOL * |energy| over the last _STALL_STEPS accepted steps
 _GRAD_TOL, _STALL_TOL, _STALL_STEPS = 1e-12, 1e-7, 5
 _LBFGS_PAIRS = 10  # curvature pairs kept by L-BFGS
+_MAX_STEPS = 200  # accepted descent steps at most
+_MIN_SEP = 1e-6  # jitter moves a node within this distance of another
 _LAYOUT = ("node", "x", "y")  # the header of layout.csv
 
 
@@ -89,15 +91,14 @@ def _energy_kernel(y, rows, cols, wgt):
         np.maximum(np.sqrt(d_edge, out=d_edge), _EPS, out=d_edge)
         energy += float(np.multiply(wgt, d_edge, out=tmp).sum())
         pull = np.divide(np.multiply(wgt, dx_edge, out=tmp), d_edge, out=tmp)
-        grad += np.bincount(rows, pull, n) - np.bincount(cols, pull, n)
+        grad += _net_out(rows, cols, pull, n)
         return energy, grad
 
     return energy_and_grad
 
 
 def layout(net: InfluenceNetwork, potentials: PotentialVector, seed: int = 0,
-           jitter: float = 0.0, min_sep: float = 1e-6,
-           max_steps: int = 200) -> LayoutResult:
+           jitter: float = 0.0) -> LayoutResult:
     """1-D LinLog descent on x by L-BFGS, with y fixed at the potential."""
     if not 0.0 <= jitter < np.inf:
         raise PipelineError("jitter must be finite and non-negative")
@@ -108,15 +109,14 @@ def layout(net: InfluenceNetwork, potentials: PotentialVector, seed: int = 0,
         return LayoutResult(x=np.zeros(n), y=y)
     x = np.array([rng.uniform(-1.0, 1.0) for _ in range(n)])
 
-    # one weight per unordered pair, summing both directions' counts
     v = net.view
-    energy_and_grad = _energy_kernel(y, v.lo, v.hi, v.fwd + v.back)
+    energy_and_grad = _energy_kernel(y, v.lo, v.hi, v.weight)
 
     energy, grad = energy_and_grad(x)
     history = [energy]
     step = 0.1
     pairs = deque(maxlen=_LBFGS_PAIRS)  # (s, dg) with s.dg > 0, oldest first
-    while len(history) <= max_steps and np.abs(grad).max() >= _GRAD_TOL and (
+    while len(history) <= _MAX_STEPS and np.abs(grad).max() >= _GRAD_TOL and (
             len(history) <= _STALL_STEPS or history[-1 - _STALL_STEPS]
             - energy > _STALL_TOL * abs(energy)):
         # one L-BFGS trial at unit step; else a backtracking gradient step
@@ -141,7 +141,7 @@ def layout(net: InfluenceNetwork, potentials: PotentialVector, seed: int = 0,
         history.append(energy)
 
     if jitter > 0.0:
-        y = _apply_jitter(net.nodes, x, y, jitter, min_sep, rng)
+        y = _apply_jitter(net.nodes, x, y, jitter, _MIN_SEP, rng)
     return LayoutResult(x=x, y=y, energy_history=tuple(history))
 
 
@@ -258,8 +258,9 @@ def write_scatter(data: ScatterData) -> Iterator[str]:
 # Graph export. edge_table: node lines with 5 tab-separated fields
 # (id, potential, community, x, y), edge lines with 7 (src, dst, count,
 # F, w, F_grad, F_circ); '-' marks an unavailable attribute, and w is the
-# decomposition's pair weight, else the half-sum of the pair's counts. An
-# optional attribute is None if absent, else a tuple of its per-row arrays.
+# decomposition's pair weight, else symmetrize's mean weight (the half-sum
+# of the pair's counts). An optional attribute is None if absent, else a
+# tuple of its per-row arrays.
 
 def export_graph(net: InfluenceNetwork,
                  decomp: HodgeDecomposition | None = None,
@@ -287,8 +288,7 @@ def export_graph(net: InfluenceNetwork,
     if format == "dot":
         return _export_dot(net, phi, comm, pos, flows)
     _check_node_ids(net.nodes)
-    v = net.view
-    w = (v.fwd + v.back) / 2.0 if decomp is None else decomp.flow.w
+    w = symmetrize(net).w if decomp is None else decomp.flow.w
     return _export_edge_table(net, phi, comm, pos, flows, w)
 
 

@@ -47,6 +47,11 @@ def synth_generate(config: SynthConfig, seed: int) -> EventSet:
         raise ConfigError("window_days must be at least 1")
     if not 0.0 <= config.copy_prob <= 1.0:
         raise ConfigError("copy_prob must lie in [0, 1]")
+    # every list and entity takes an int32 code in the EventSet
+    if max(config.n_issuers * config.lists_per_issuer,
+           config.n_entities) >= 2 ** 31:
+        raise ConfigError("lists (issuers x lists per issuer) and entities "
+                          "must each number below 2**31")
     ranks = config.issuer_ranks()
     if len(ranks) != config.n_issuers or len(set(ranks)) != config.n_issuers:
         raise ConfigError("ranks must give each issuer its own rank")

@@ -153,10 +153,12 @@ def write_node_columns(meta: Iterable[str], header: Sequence[str],
 def _lines(stream: str | Iterable[str]) -> Iterator[str]:
     """The lines of a text, split at LF only as io.StringIO splits them, or
     the lines given, each of which must be one line ending in its LF (the
-    last may have none), as a file or ``splitlines(keepends=True)`` gives
-    them (``_runs`` reads any other as csv.reader does). io.StringIO holds
-    4 bytes a character of its text, so a text goes through it in slices
-    of about 64 Ki characters, each cut at a line end."""
+    last may have none), as a file or io.StringIO gives them; not as
+    ``str.splitlines`` does, which also cuts at \\v, \\f, \\x1c-\\x1e,
+    \\x85, U+2028 and U+2029 (``_runs`` reads any other as csv.reader
+    does). io.StringIO holds 4 bytes a character of its text, so a text
+    goes through it in slices of about 64 Ki characters, each cut at a
+    line end."""
     if not isinstance(stream, str):
         return iter(stream)
     return chain.from_iterable(map(io.StringIO, _slices(stream)))

@@ -554,6 +554,12 @@ def test_bad_per_node_input_exits_one_naming_the_file(stage_inputs, capsys,
     (["--window-days", "-3"], "window_days"),
     (["--start", "9999-12-30"], "9999-12-31"),
     (["--window-days", "4000000"], "9999-12-31"),
+    # sizes whose codes an EventSet cannot hold, refused before any draw
+    (["--issuers", "100000000000000000000", "--entities", "1"],
+     "must each number below 2**31"),
+    (["--issuers", "2", "--entities", "3",
+      "--lists-per-issuer", "100000000000000000000"],
+     "must each number below 2**31"),
 ])
 def test_bad_synth_settings_exit_one(tmp_path, capsys, flags, message):
     out = tmp_path / "events.csv"

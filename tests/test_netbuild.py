@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import sanctionflow.table
 from sanctionflow import cli, netbuild
@@ -493,6 +493,8 @@ def test_write_flow_refuses_ids_it_cannot_read_back():
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.text(max_size=6), min_size=1, max_size=5, unique=True))
+# characters at which str.splitlines, but not a file or a text, cuts a line
+@example(["A\u2028B", "\vC", "D\f", "\x1cE\x1d", "\x1eF\x85", "G\u2029"])
 def test_every_node_id_write_network_accepts_reads_back(tmp_path_factory,
                                                         names):
     net = make_network([(a, b, 1) for a, b in zip(names, names[1:])],
@@ -567,6 +569,42 @@ def test_view_matches_the_adjacency():
     for k, (lo, hi) in enumerate(pairs):
         assert v.fwd[k] == net.adjacency.get((nodes[lo], nodes[hi]), 0)
         assert v.back[k] == net.adjacency.get((nodes[hi], nodes[lo]), 0)
+    assert (v.weight == v.fwd + v.back).all()
     for e, p in enumerate(v.pair.tolist()):
         assert {net.src[e], net.dst[e]} == {v.lo[p], v.hi[p]}
+
+
+@st.composite
+def fold_inputs(draw):
+    """n, entries (a, b) with a != b below n, and one or two integer
+    weight lists over the entries."""
+    n = draw(st.integers(2, 12))
+    node = st.integers(0, n - 1)
+    entries = draw(st.lists(st.tuples(node, node).filter(
+        lambda e: e[0] != e[1]), max_size=40))
+    weight = st.lists(st.integers(-1000, 1000), min_size=len(entries),
+                      max_size=len(entries))
+    return n, entries, draw(st.lists(weight, min_size=1, max_size=2))
+
+
+@settings(deadline=None)
+@given(fold_inputs())
+def test_fold_pairs_matches_a_dict_of_pair_sums(drawn):
+    n, entries, weights = drawn
+    a, b = (np.array([e[j] for e in entries], np.int64) for j in (0, 1))
+    lo, hi, pair, *sums = netbuild._fold_pairs(a, b, n,
+                                               *map(np.array, weights))
+    want = {}  # (lo, hi) -> each weight's sum
+    for e, (x, y) in enumerate(entries):
+        key = (min(x, y), max(x, y))
+        want[key] = [t + w[e] for t, w in
+                     zip(want.get(key, [0] * len(weights)), weights)]
+    keys = sorted(want)
+    assert (lo < hi).all()
+    assert list(zip(lo.tolist(), hi.tolist())) == keys
+    assert [keys[p] for p in pair.tolist()] == \
+        [(min(x, y), max(x, y)) for x, y in entries]
+    assert len(sums) == len(weights)
+    for j, total in enumerate(sums):
+        assert total.tolist() == [want[key][j] for key in keys]
 

@@ -50,10 +50,11 @@ def test_y_is_exactly_the_potential(feed_forward_triangle):
         assert y == phi[node]
 
 
-def test_unconnected_equal_potential_nodes_separate():
+def test_unconnected_equal_potential_nodes_separate(monkeypatch):
     net = make_network([], nodes=("A", "B"))
     pv = make_potentials(net.nodes, {"A": 0.0, "B": 0.0})
-    result = layout(net, pv, seed=2, min_sep=1e-3)
+    monkeypatch.setattr("sanctionflow.report._MIN_SEP", 1e-3)
+    result = layout(net, pv, seed=2)
     (xa, _), (xb, _) = layout_positions(net, result).values()
     assert abs(xa - xb) >= 1e-3
 
@@ -149,9 +150,10 @@ def test_energy_kernel_gradient_matches_central_differences():
                                                                  abs=tol)
 
 
-def test_multi_block_layout_descends_with_y_at_the_potential():
+def test_multi_block_layout_descends_with_y_at_the_potential(monkeypatch):
     net, pv = ring_with_chords(3 * BLOCK_SIDE)
-    result = layout(net, pv, seed=5, max_steps=40)
+    monkeypatch.setattr("sanctionflow.report._MAX_STEPS", 40)
+    result = layout(net, pv, seed=5)
     hist = result.energy_history
     assert len(hist) == 41
     assert all(hist[i + 1] <= hist[i] for i in range(len(hist) - 1))
@@ -181,9 +183,10 @@ def test_layout_ends_no_higher_than_the_reference_descent(n_issuers,
     assert np.array_equal(result.y, reference.y)
 
 
-def test_layout_stops_at_a_stalled_energy_before_max_steps():
+def test_layout_stops_at_a_stalled_energy_before_max_steps(monkeypatch):
     net, pv = synth_institutions(100, 2000)
-    hist = layout(net, pv, seed=0, max_steps=200).energy_history
+    monkeypatch.setattr("sanctionflow.report._MAX_STEPS", 200)
+    hist = layout(net, pv, seed=0).energy_history
     assert len(hist) - 1 < 200
     k = _STALL_STEPS
     assert hist[-1 - k] - hist[-1] <= _STALL_TOL * abs(hist[-1])
@@ -200,11 +203,12 @@ def test_tied_ring_layout_never_increases_at_full_max_steps():
     assert all(hist[i + 1] <= hist[i] for i in range(len(hist) - 1))
 
 
-def test_layout_sums_both_directions_into_one_pair_weight():
+def test_layout_sums_both_directions_into_one_pair_weight(monkeypatch):
     net = make_network([("A", "B", 2), ("B", "A", 3), ("B", "C", 1),
                         ("D", "A", 4)], nodes=("A", "B", "C", "D", "E"))
     phi = {"A": 0.5, "B": 0.0, "C": -1.0, "D": 0.5, "E": 2.0}
-    result = layout(net, make_potentials(net.nodes, phi), seed=7, max_steps=0)
+    monkeypatch.setattr("sanctionflow.report._MAX_STEPS", 0)
+    result = layout(net, make_potentials(net.nodes, phi), seed=7)
     rng = random.Random(7)
     x = np.array([rng.uniform(-1.0, 1.0) for _ in range(5)])
     y = in_node_order(net.nodes, phi)
@@ -214,12 +218,13 @@ def test_layout_sums_both_directions_into_one_pair_weight():
     assert result.energy_history == pytest.approx((want,), rel=1e-12)
 
 
-def test_layout_memory_is_bounded():
+def test_layout_memory_is_bounded(monkeypatch):
     import tracemalloc
     net, pv = ring_with_chords(3000)
+    monkeypatch.setattr("sanctionflow.report._MAX_STEPS", 1)
     tracemalloc.start()
     try:
-        layout(net, pv, seed=1, max_steps=1)
+        layout(net, pv, seed=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
